@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
-	"mantle/internal/balancer"
 	"mantle/internal/lua"
 )
 
@@ -83,15 +81,8 @@ return 0`
 // coordinator is not an MDS and shares no balancer state), so evaluation
 // never races a rank's balancing hooks.
 type ElasticHook struct {
-	vm    *lua.VM
+	hookEnv
 	chunk *lua.Chunk
-	state balancer.StateStore
-
-	envMDSs  *lua.Table
-	envRanks []*lua.Table
-
-	// HookErrors counts runtime failures, mirroring LuaBalancer.
-	HookErrors int
 }
 
 // NewElasticHook compiles src (empty = DefaultElasticScript).
@@ -99,101 +90,24 @@ func NewElasticHook(src string, opts Options) (*ElasticHook, error) {
 	if strings.TrimSpace(src) == "" {
 		src = DefaultElasticScript
 	}
-	h := &ElasticHook{vm: lua.NewVM(), state: &balancer.MemState{}}
-	if opts.MaxSteps > 0 {
-		h.vm.MaxSteps = opts.MaxSteps
-	} else {
-		h.vm.MaxSteps = DefaultMaxSteps
-	}
-	chunk, err := lua.CompileExprOrChunk("when_elastic", src)
+	chunk, err := compile("when_elastic", src)
 	if err != nil {
-		return nil, fmt.Errorf("mantle: compile when_elastic: %w", err)
+		return nil, err
 	}
-	h.chunk = chunk
-	write := lua.GoFunc(func(args []lua.Value) ([]lua.Value, error) {
-		if len(args) == 0 {
-			h.state.Write(nil)
-		} else {
-			h.state.Write(args[0])
-		}
-		return nil, nil
-	})
-	read := lua.GoFunc(func(args []lua.Value) ([]lua.Value, error) {
-		v := h.state.Read()
-		if v == nil {
-			return []lua.Value{nil}, nil
-		}
-		return []lua.Value{v}, nil
-	})
-	for _, n := range []string{"WRstate", "WRState"} {
-		h.vm.Globals.SetString(n, write)
-	}
-	for _, n := range []string{"RDstate", "RDState"} {
-		h.vm.Globals.SetString(n, read)
-	}
+	h := &ElasticHook{chunk: chunk}
+	h.init(elasticKeys, opts)
 	return h, nil
 }
 
 // Eval runs the hook and reports ElasticGrow, ElasticShrink or ElasticHold.
-// Non-zero magnitudes collapse to one step: membership moves one rank per
-// epoch so every transition is individually journaled and abortable.
+// Membership moves one rank per epoch so every transition is individually
+// journaled and abortable.
 func (h *ElasticHook) Eval(e ElasticEnv) (int, error) {
-	h.bind(e)
-	vals, err := h.vm.Run(h.chunk)
-	if err != nil {
-		h.HookErrors++
-		return ElasticHold, fmt.Errorf("mantle: when_elastic: %w", err)
-	}
-	if len(vals) == 0 || vals[0] == nil {
-		return ElasticHold, nil
-	}
-	n, ok := lua.Number(vals[0])
-	if !ok {
-		h.HookErrors++
-		return ElasticHold, fmt.Errorf("mantle: when_elastic returned %v, want number", lua.TypeOf(vals[0]))
-	}
-	switch {
-	case n > 0:
-		return ElasticGrow, nil
-	case n < 0:
-		return ElasticShrink, nil
-	default:
-		return ElasticHold, nil
-	}
-}
-
-// bind publishes the elastic environment, reusing cached tables like
-// LuaBalancer.bindEnv.
-func (h *ElasticHook) bind(e ElasticEnv) {
-	g := h.vm.Globals
-	g.SetString("active", lua.Box(float64(e.Active)))
-	g.SetString("min_ranks", lua.Box(float64(e.MinRanks)))
-	g.SetString("max_ranks", lua.Box(float64(e.MaxRanks)))
-	if h.envMDSs == nil {
-		h.envMDSs = lua.NewTable()
-	}
-	for i := len(h.envRanks); i > len(e.MDSs); i-- {
-		h.envMDSs.SetInt(i, nil)
-	}
-	if len(h.envRanks) > len(e.MDSs) {
-		h.envRanks = h.envRanks[:len(e.MDSs)]
-	}
-	for i, m := range e.MDSs {
-		var mt *lua.Table
-		if i < len(h.envRanks) {
-			mt = h.envRanks[i]
-		} else {
-			mt = lua.NewTable()
-			h.envRanks = append(h.envRanks, mt)
-			h.envMDSs.SetInt(i+1, mt)
-		}
-		mt.SetString("q", lua.Box(m.Queue))
-		mt.SetString("req", lua.Box(m.Req))
-		mt.SetString("cpu", lua.Box(m.CPU))
-		mt.SetString("load", lua.Box(m.Load))
-		mt.SetString("lat", lua.Box(m.LatMS))
-	}
-	g.SetString("MDSs", h.envMDSs)
+	h.setNum("active", float64(e.Active))
+	h.setNum("min_ranks", float64(e.MinRanks))
+	h.setNum("max_ranks", float64(e.MaxRanks))
+	h.bindRanks(elasticBits(h.spare[:0], e.MDSs))
+	return h.verdict(h.chunk)
 }
 
 // syntheticElasticEnvs is the validator's state spread for when_elastic:

@@ -154,3 +154,78 @@ func TestTargetsTableClearedBetweenInvocations(t *testing.T) {
 		t.Fatalf("stale targets leaked across invocations: %v", second)
 	}
 }
+
+// TestScoredRoundStaysLinear pins what "bind once, score many" bought, in
+// counts rather than timings: one rebalance-shaped round over N ranks — score
+// every rank with MDSLoad, folding each score into the env, then When — used
+// to store 7·N² + 6·N table fields and allocate a box for most of them.
+func TestScoredRoundStaysLinear(t *testing.T) {
+	const n = 64
+	b, err := NewLuaBalancer(AdaptablePolicy(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := envN(n, 0)
+	round := func() {
+		e.Total = 0
+		for r := range e.MDSs {
+			m := &e.MDSs[r]
+			// Every metric of every rank is new this tick.
+			m.Auth, m.All, m.CPU, m.Mem, m.Queue, m.Req, m.Load = m.Auth+0.5, m.All+0.5, m.CPU+0.5, m.Mem+0.5, m.Queue+0.5, m.Req+0.5, 0
+		}
+		for r := range e.MDSs {
+			load, err := b.MDSLoad(namespace.Rank(r), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.MDSs[r].Load = load
+			e.Total += load
+		}
+		if _, err := b.When(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm: build the tables
+	writes := func() uint64 {
+		w := b.vm.Globals.Writes() + b.mdss.Writes()
+		for _, r := range b.ranks {
+			w += r.t.Writes()
+		}
+		return w
+	}
+	before := writes()
+	round()
+	if got := writes() - before; got > 16*n {
+		t.Errorf("one %d-rank round made %d table writes, want at most 16·N = %d", n, got, 16*n)
+	}
+	if got := testing.AllocsPerRun(5, round); got > 1500 {
+		t.Errorf("one %d-rank round made %.0f allocations, want at most 1500", n, got)
+	}
+}
+
+// TestEnvTableIdentityPersists: MDSs and MDSs[i] are the same tables from
+// hook to hook and tick to tick while rank i exists, whether or not any of
+// their fields changed in between.
+func TestEnvTableIdentityPersists(t *testing.T) {
+	b, err := NewLuaBalancer(Policy{
+		Name:    "identity",
+		MDSLoad: `keep, keep2 = keep or MDSs, keep2 or MDSs[2] return MDSs[i]["all"]`,
+		When:    `return MDSs == keep and MDSs[2] == keep2`,
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick, n := range []int{3, 3, 5, 2} {
+		e := envN(n, float64(tick))
+		if _, err := b.MDSLoad(0, e); err != nil {
+			t.Fatal(err)
+		}
+		same, err := b.When(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same {
+			t.Fatalf("tick %d (%d ranks): MDSs or MDSs[2] is a different table than at the first hook", tick, n)
+		}
+	}
+}

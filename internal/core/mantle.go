@@ -91,22 +91,11 @@ type Options struct {
 
 // LuaBalancer runs a Policy. It implements balancer.Balancer.
 type LuaBalancer struct {
+	hookEnv
 	policy Policy
-	vm     *lua.VM
 	chunks [numHooks]*lua.Chunk
-	state  balancer.StateStore
-
-	// Cached Table 2 environment: the MDSs table, its per-rank tables,
-	// and the targets table survive across hook invocations so a
-	// heartbeat only overwrites numeric fields instead of rebuilding
-	// (and re-allocating) the whole structure every decision.
-	envMDSs  *lua.Table
-	envRanks []*lua.Table
-	targets  *lua.Table
-
-	// HookErrors counts per-hook runtime failures, surfaced by the
-	// policy linter and the MDS log.
-	HookErrors int
+	// targets is cleared, not reallocated, for every where hook.
+	targets *lua.Table
 }
 
 var _ balancer.Balancer = (*LuaBalancer)(nil)
@@ -114,12 +103,8 @@ var _ balancer.Balancer = (*LuaBalancer)(nil)
 // NewLuaBalancer compiles the policy. Compilation errors carry the hook
 // name, the script line, and the parser message.
 func NewLuaBalancer(p Policy, opts Options) (*LuaBalancer, error) {
-	b := &LuaBalancer{policy: p, vm: lua.NewVM(), state: &balancer.MemState{}}
-	if opts.MaxSteps > 0 {
-		b.vm.MaxSteps = opts.MaxSteps
-	} else {
-		b.vm.MaxSteps = DefaultMaxSteps
-	}
+	b := &LuaBalancer{policy: p, targets: lua.NewTable()}
+	b.init(mdsKeys, opts)
 	defaults := DefaultPolicy()
 	srcs := [numHooks]string{p.MetaLoad, p.MDSLoad, p.When, p.Where, p.HowMuch}
 	defs := [numHooks]string{defaults.MetaLoad, defaults.MDSLoad, defaults.When, defaults.Where, defaults.HowMuch}
@@ -128,30 +113,18 @@ func NewLuaBalancer(p Policy, opts Options) (*LuaBalancer, error) {
 		if src == "" {
 			src = defs[h]
 		}
-		chunk, err := compileHook(h, src)
+		// A when hook written like the paper's listings ends in `then`;
+		// complete it into a chunk that sets the result variable.
+		if h == hookWhen && strings.HasSuffix(src, "then") {
+			src = whenResultVar + " = false " + src + " " + whenResultVar + " = true end"
+		}
+		chunk, err := compile(hookNames[h], src)
 		if err != nil {
 			return nil, err
 		}
 		b.chunks[h] = chunk
 	}
-	b.installStateFunctions()
 	return b, nil
-}
-
-// compileHook compiles one script, applying the "then-fragment" completion
-// for when-hooks written like the paper's listings.
-func compileHook(h hook, src string) (*lua.Chunk, error) {
-	name := hookNames[h]
-	if h == hookWhen {
-		if trimmed := strings.TrimSpace(src); strings.HasSuffix(trimmed, "then") {
-			src = whenResultVar + " = false " + trimmed + " " + whenResultVar + " = true end"
-		}
-	}
-	chunk, err := lua.CompileExprOrChunk(name, src)
-	if err != nil {
-		return nil, fmt.Errorf("mantle: compile %s: %w", name, err)
-	}
-	return chunk, nil
 }
 
 // Name implements balancer.Balancer.
@@ -171,41 +144,6 @@ func (b *LuaBalancer) State() balancer.StateStore { return b.state }
 // VM exposes the underlying interpreter for the policy linter.
 func (b *LuaBalancer) VM() *lua.VM { return b.vm }
 
-func (b *LuaBalancer) installStateFunctions() {
-	write := lua.GoFunc(func(args []lua.Value) ([]lua.Value, error) {
-		if len(args) == 0 {
-			b.state.Write(nil)
-		} else {
-			b.state.Write(args[0])
-		}
-		return nil, nil
-	})
-	read := lua.GoFunc(func(args []lua.Value) ([]lua.Value, error) {
-		v := b.state.Read()
-		if v == nil {
-			return []lua.Value{nil}, nil
-		}
-		return []lua.Value{v}, nil
-	})
-	// The paper's Table 2 and listings disagree on capitalisation
-	// (WRstate vs WRState); accept both.
-	for _, n := range []string{"WRstate", "WRState"} {
-		b.vm.Globals.SetString(n, write)
-	}
-	for _, n := range []string{"RDstate", "RDState"} {
-		b.vm.Globals.SetString(n, read)
-	}
-}
-
-func (b *LuaBalancer) runHook(h hook) ([]lua.Value, error) {
-	vals, err := b.vm.Run(b.chunks[h])
-	if err != nil {
-		b.HookErrors++
-		return nil, fmt.Errorf("mantle: %s: %w", hookNames[h], err)
-	}
-	return vals, nil
-}
-
 func wantNumberResult(h hook, vals []lua.Value) (float64, error) {
 	if len(vals) == 0 {
 		return 0, fmt.Errorf("mantle: %s returned no value", hookNames[h])
@@ -220,13 +158,12 @@ func wantNumberResult(h hook, vals []lua.Value) (float64, error) {
 // MetaLoad implements balancer.Balancer by evaluating mds_bal_metaload with
 // the dirfrag's counters bound to IRD/IWR/READDIR/FETCH/STORE.
 func (b *LuaBalancer) MetaLoad(d namespace.CounterSnapshot) (float64, error) {
-	g := b.vm.Globals
-	g.SetString("IRD", lua.Box(d.IRD))
-	g.SetString("IWR", lua.Box(d.IWR))
-	g.SetString("READDIR", lua.Box(d.Readdir))
-	g.SetString("FETCH", lua.Box(d.Fetch))
-	g.SetString("STORE", lua.Box(d.Store))
-	vals, err := b.runHook(hookMetaLoad)
+	b.setNum("IRD", d.IRD)
+	b.setNum("IWR", d.IWR)
+	b.setNum("READDIR", d.Readdir)
+	b.setNum("FETCH", d.Fetch)
+	b.setNum("STORE", d.Store)
+	vals, err := b.run(b.chunks[hookMetaLoad])
 	if err != nil {
 		return 0, err
 	}
@@ -237,8 +174,14 @@ func (b *LuaBalancer) MetaLoad(d namespace.CounterSnapshot) (float64, error) {
 // the global i set to the 1-based rank being scored.
 func (b *LuaBalancer) MDSLoad(rank namespace.Rank, e *balancer.Env) (float64, error) {
 	b.bindEnv(e)
-	b.vm.Globals.SetString("i", lua.Box(float64(rank)+1))
-	vals, err := b.runHook(hookMDSLoad)
+	return b.mdsLoad(rank)
+}
+
+// mdsLoad, when, where and howMuch evaluate a hook against the environment
+// already bound (the differential test binds it the old way instead).
+func (b *LuaBalancer) mdsLoad(rank namespace.Rank) (float64, error) {
+	b.setNum("i", float64(rank)+1)
+	vals, err := b.run(b.chunks[hookMDSLoad])
 	if err != nil {
 		return 0, err
 	}
@@ -250,8 +193,12 @@ func (b *LuaBalancer) MDSLoad(rank namespace.Rank, e *balancer.Env) (float64, er
 // completion variable.
 func (b *LuaBalancer) When(e *balancer.Env) (bool, error) {
 	b.bindEnv(e)
+	return b.when()
+}
+
+func (b *LuaBalancer) when() (bool, error) {
 	b.vm.Globals.SetString(whenResultVar, nil)
-	vals, err := b.runHook(hookWhen)
+	vals, err := b.run(b.chunks[hookWhen])
 	if err != nil {
 		return false, err
 	}
@@ -268,16 +215,14 @@ func (b *LuaBalancer) When(e *balancer.Env) (bool, error) {
 // targets[] table, which is read back into rank-keyed Targets.
 func (b *LuaBalancer) Where(e *balancer.Env) (balancer.Targets, error) {
 	b.bindEnv(e)
-	// The targets table is cached and cleared per invocation — the script
-	// always observes an empty table, without a fresh allocation.
-	if b.targets == nil {
-		b.targets = lua.NewTable()
-	} else {
-		b.targets.Reset()
-	}
+	return b.where(e)
+}
+
+func (b *LuaBalancer) where(e *balancer.Env) (balancer.Targets, error) {
 	targets := b.targets
+	targets.Reset()
 	b.vm.Globals.SetString("targets", targets)
-	if _, err := b.runHook(hookWhere); err != nil {
+	if _, err := b.run(b.chunks[hookWhere]); err != nil {
 		return nil, err
 	}
 	out := balancer.Targets{}
@@ -304,7 +249,11 @@ func (b *LuaBalancer) Where(e *balancer.Env) (balancer.Targets, error) {
 // selector names (or a single name string).
 func (b *LuaBalancer) HowMuch(e *balancer.Env) ([]string, error) {
 	b.bindEnv(e)
-	vals, err := b.runHook(hookHowMuch)
+	return b.howMuch()
+}
+
+func (b *LuaBalancer) howMuch() ([]string, error) {
+	vals, err := b.run(b.chunks[hookHowMuch])
 	if err != nil {
 		return nil, err
 	}
@@ -337,48 +286,13 @@ func (b *LuaBalancer) HowMuch(e *balancer.Env) ([]string, error) {
 // caller-provided state store (the MDS's, possibly RADOS-backed) replaces
 // the balancer's private one so WRstate/RDstate persist where the cluster
 // says they should.
-//
-// The MDSs table and its per-rank tables are cached on the balancer and
-// only their numeric fields are overwritten per invocation. Globals already
-// persist across invocations by design (§ package comment), so a policy
-// observing the same table identity between heartbeats is within the
-// documented contract; values a hook reads are always freshly bound.
 func (b *LuaBalancer) bindEnv(e *balancer.Env) {
 	if e.State != nil {
 		b.state = e.State
 	}
-	g := b.vm.Globals
-	g.SetString("whoami", lua.Box(float64(e.WhoAmI)+1))
-	g.SetString("total", lua.Box(e.Total))
-	g.SetString("authmetaload", lua.Box(e.AuthMetaLoad))
-	g.SetString("allmetaload", lua.Box(e.AllMetaLoad))
-	if b.envMDSs == nil {
-		b.envMDSs = lua.NewTable()
-	}
-	// Drop cached ranks beyond the current cluster size (shrink happens
-	// top-down so the table's array part strips trailing entries).
-	for i := len(b.envRanks); i > len(e.MDSs); i-- {
-		b.envMDSs.SetInt(i, nil)
-	}
-	if len(b.envRanks) > len(e.MDSs) {
-		b.envRanks = b.envRanks[:len(e.MDSs)]
-	}
-	for i, m := range e.MDSs {
-		var mt *lua.Table
-		if i < len(b.envRanks) {
-			mt = b.envRanks[i]
-		} else {
-			mt = lua.NewTable()
-			b.envRanks = append(b.envRanks, mt)
-			b.envMDSs.SetInt(i+1, mt)
-		}
-		mt.SetString("auth", lua.Box(m.Auth))
-		mt.SetString("all", lua.Box(m.All))
-		mt.SetString("cpu", lua.Box(m.CPU))
-		mt.SetString("mem", lua.Box(m.Mem))
-		mt.SetString("q", lua.Box(m.Queue))
-		mt.SetString("req", lua.Box(m.Req))
-		mt.SetString("load", lua.Box(m.Load))
-	}
-	g.SetString("MDSs", b.envMDSs)
+	b.setNum("whoami", float64(e.WhoAmI)+1)
+	b.setNum("total", e.Total)
+	b.setNum("authmetaload", e.AuthMetaLoad)
+	b.setNum("allmetaload", e.AllMetaLoad)
+	b.bindRanks(mdsBits(b.spare[:0], e.MDSs))
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"mantle/internal/balancer"
@@ -61,15 +60,8 @@ return 0`
 // rank's balancing hooks (both run on the rank's execution lane, but the
 // VMs share no tables).
 type ReplicateHook struct {
-	vm    *lua.VM
+	hookEnv
 	chunk *lua.Chunk
-	state balancer.StateStore
-
-	envMDSs  *lua.Table
-	envRanks []*lua.Table
-
-	// HookErrors counts runtime failures, mirroring LuaBalancer.
-	HookErrors int
 }
 
 // NewReplicateHook compiles src (empty = DefaultReplicateScript).
@@ -77,110 +69,30 @@ func NewReplicateHook(src string, opts Options) (*ReplicateHook, error) {
 	if strings.TrimSpace(src) == "" {
 		src = DefaultReplicateScript
 	}
-	h := &ReplicateHook{vm: lua.NewVM(), state: &balancer.MemState{}}
-	if opts.MaxSteps > 0 {
-		h.vm.MaxSteps = opts.MaxSteps
-	} else {
-		h.vm.MaxSteps = DefaultMaxSteps
-	}
-	chunk, err := lua.CompileExprOrChunk("when_replicate", src)
+	chunk, err := compile("when_replicate", src)
 	if err != nil {
-		return nil, fmt.Errorf("mantle: compile when_replicate: %w", err)
+		return nil, err
 	}
-	h.chunk = chunk
-	write := lua.GoFunc(func(args []lua.Value) ([]lua.Value, error) {
-		if len(args) == 0 {
-			h.state.Write(nil)
-		} else {
-			h.state.Write(args[0])
-		}
-		return nil, nil
-	})
-	read := lua.GoFunc(func(args []lua.Value) ([]lua.Value, error) {
-		v := h.state.Read()
-		if v == nil {
-			return []lua.Value{nil}, nil
-		}
-		return []lua.Value{v}, nil
-	})
-	for _, n := range []string{"WRstate", "WRState"} {
-		h.vm.Globals.SetString(n, write)
-	}
-	for _, n := range []string{"RDstate", "RDState"} {
-		h.vm.Globals.SetString(n, read)
-	}
+	h := &ReplicateHook{chunk: chunk}
+	h.init(mdsKeys, opts)
 	return h, nil
 }
 
 // Eval runs the hook and reports ReplicateGrant, ReplicateRevoke or
-// ReplicateHold. Non-zero magnitudes collapse to one step: replicas are
-// granted one per epoch so every placement reacts to the previous one's
-// effect on the load map.
+// ReplicateHold. Replicas are granted one per epoch so every placement
+// reacts to the previous one's effect on the load map.
 func (h *ReplicateHook) Eval(e balancer.ReplicaEnv) (int, error) {
-	h.bind(e)
-	vals, err := h.vm.Run(h.chunk)
-	if err != nil {
-		h.HookErrors++
-		return ReplicateHold, fmt.Errorf("mantle: when_replicate: %w", err)
-	}
-	if len(vals) == 0 || vals[0] == nil {
-		return ReplicateHold, nil
-	}
-	n, ok := lua.Number(vals[0])
-	if !ok {
-		h.HookErrors++
-		return ReplicateHold, fmt.Errorf("mantle: when_replicate returned %v, want number", lua.TypeOf(vals[0]))
-	}
-	switch {
-	case n > 0:
-		return ReplicateGrant, nil
-	case n < 0:
-		return ReplicateRevoke, nil
-	default:
-		return ReplicateHold, nil
-	}
-}
-
-// bind publishes the replicate environment, reusing cached tables like
-// LuaBalancer.bindEnv.
-func (h *ReplicateHook) bind(e balancer.ReplicaEnv) {
-	g := h.vm.Globals
-	g.SetString("whoami", lua.Box(float64(e.WhoAmI)+1))
-	g.SetString("active", lua.Box(float64(e.Active)))
-	g.SetString("max_replicas", lua.Box(float64(e.MaxReplicas)))
-	g.SetString("total", lua.Box(e.Total))
-	g.SetString("path", e.Path)
-	g.SetString("heat", lua.Box(e.Heat))
-	g.SetString("rd", lua.Box(e.Rd))
-	g.SetString("wr", lua.Box(e.Wr))
-	g.SetString("replicas", lua.Box(float64(e.Replicas)))
-	if h.envMDSs == nil {
-		h.envMDSs = lua.NewTable()
-	}
-	for i := len(h.envRanks); i > len(e.MDSs); i-- {
-		h.envMDSs.SetInt(i, nil)
-	}
-	if len(h.envRanks) > len(e.MDSs) {
-		h.envRanks = h.envRanks[:len(e.MDSs)]
-	}
-	for i, m := range e.MDSs {
-		var mt *lua.Table
-		if i < len(h.envRanks) {
-			mt = h.envRanks[i]
-		} else {
-			mt = lua.NewTable()
-			h.envRanks = append(h.envRanks, mt)
-			h.envMDSs.SetInt(i+1, mt)
-		}
-		mt.SetString("auth", lua.Box(m.Auth))
-		mt.SetString("all", lua.Box(m.All))
-		mt.SetString("cpu", lua.Box(m.CPU))
-		mt.SetString("mem", lua.Box(m.Mem))
-		mt.SetString("q", lua.Box(m.Queue))
-		mt.SetString("req", lua.Box(m.Req))
-		mt.SetString("load", lua.Box(m.Load))
-	}
-	g.SetString("MDSs", h.envMDSs)
+	h.setNum("whoami", float64(e.WhoAmI)+1)
+	h.setNum("active", float64(e.Active))
+	h.setNum("max_replicas", float64(e.MaxReplicas))
+	h.setNum("total", e.Total)
+	h.vm.Globals.Set("path", e.Path)
+	h.setNum("heat", e.Heat)
+	h.setNum("rd", e.Rd)
+	h.setNum("wr", e.Wr)
+	h.setNum("replicas", float64(e.Replicas))
+	h.bindRanks(mdsBits(h.spare[:0], e.MDSs))
+	return h.verdict(h.chunk)
 }
 
 // syntheticReplicateEnvs is the validator's state spread for when_replicate:

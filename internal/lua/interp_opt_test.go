@@ -198,3 +198,50 @@ func TestScopeEliminationKeepsAssignmentTargets(t *testing.T) {
 		t.Fatal("local assignment leaked into globals")
 	}
 }
+
+// TestTableWritesCountsEveryMutation: a host that mirrors Go state into a
+// table trusts Writes to reveal any store it did not make itself, so every
+// way a script or the Go API can change a table must move the count — and
+// reading must not.
+func TestTableWritesCountsEveryMutation(t *testing.T) {
+	vm := NewVM()
+	tab := NewTable()
+	tab.SetInt(1, 3.0)
+	tab.SetInt(2, 1.0)
+	tab.SetInt(3, 2.0)
+	vm.Globals.SetString("t", tab)
+	for _, src := range []string{
+		`t.k = 1`,                 // hash store
+		`t.k = nil`,               // hash delete
+		`t[2] = 9`,                // array store
+		`t[#t + 1] = 4`,           // array append
+		`t[#t] = nil`,             // array shrink
+		`table.insert(t, 5)`,      // append through the library
+		`table.insert(t, 1, 0)`,   // the library's direct array shift
+		`table.remove(t)`,         // pop
+		`table.remove(t, 1)`,      // the library's direct array shift
+		`table.sort(t)`,           // in-place reorder
+		`local u = t; u["x"] = 2`, // through an alias
+	} {
+		before := tab.Writes()
+		if _, err := vm.Eval("w", src); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if tab.Writes() == before {
+			t.Errorf("%s left Writes at %d", src, before)
+		}
+	}
+	before := tab.Writes()
+	tab.Reset()
+	if tab.Writes() == before {
+		t.Error("Reset left Writes unchanged")
+	}
+	tab.SetInt(1, 1.0)
+	before = tab.Writes()
+	if _, err := vm.Eval("r", `local a = t[1] + #t; for k, v in pairs(t) do a = a + v end; return a`); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Writes() != before {
+		t.Error("reading a table moved Writes")
+	}
+}

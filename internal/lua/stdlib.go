@@ -512,6 +512,7 @@ func (vm *VM) installStdlib() {
 			if p < 1 || p > t.Len()+1 {
 				return nil, errors.New("bad argument #2 to 'insert' (position out of bounds)")
 			}
+			t.writes++
 			t.arr = append(t.arr, nil)
 			copy(t.arr[p:], t.arr[p-1:])
 			t.arr[p-1] = args[2]
@@ -539,6 +540,7 @@ func (vm *VM) installStdlib() {
 		if p < 1 || p > t.Len() {
 			return nil, errors.New("bad argument #2 to 'remove' (position out of bounds)")
 		}
+		t.writes++
 		v := t.arr[p-1]
 		copy(t.arr[p-1:], t.arr[p:])
 		t.arr = t.arr[:len(t.arr)-1]
@@ -595,6 +597,7 @@ func (vm *VM) installStdlib() {
 				return len(rets) > 0 && Truthy(rets[0])
 			}
 		}
+		t.writes++
 		sort.SliceStable(t.arr, func(i, j int) bool {
 			if sortErr != nil {
 				return false

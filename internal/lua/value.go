@@ -213,6 +213,10 @@ func rawEqual(a, b Value) bool {
 type Table struct {
 	arr  []Value
 	hash map[Value]Value
+	// writes counts mutations (see Writes). Every path that stores into
+	// arr or hash bumps it: Set, Reset, and the table library's direct
+	// array edits.
+	writes uint64
 }
 
 // NewTable returns an empty table.
@@ -245,6 +249,7 @@ func (t *Table) Set(k, v Value) {
 	if k == nil {
 		panic("lua: table index is nil")
 	}
+	t.writes++
 	if n, ok := k.(float64); ok {
 		if math.IsNaN(n) {
 			panic("lua: table index is NaN")
@@ -343,12 +348,19 @@ func keyLess(a, b Value) bool {
 // capacity. Mantle reuses long-lived tables (the `targets` table a where
 // hook fills every heartbeat) instead of rebuilding them per invocation.
 func (t *Table) Reset() {
+	t.writes++
 	for i := range t.arr {
 		t.arr[i] = nil
 	}
 	t.arr = t.arr[:0]
 	clear(t.hash)
 }
+
+// Writes reports how many times the table has been mutated, by Go or by a
+// script. A host that mirrors Go state into a long-lived table remembers the
+// count after its own stores; a later mismatch means something else wrote
+// to the table and the mirror can no longer be trusted.
+func (t *Table) Writes() uint64 { return t.writes }
 
 // NumEntries reports the total number of entries (array + hash).
 func (t *Table) NumEntries() int { return len(t.arr) + len(t.hash) }

@@ -44,10 +44,10 @@ func (m *MDS) cpuSample() float64 {
 
 // memSample reports cache pressure as percent of capacity.
 func (m *MDS) memSample() float64 {
-	owned := m.ns.OwnedNodes(m.numRanks)[m.rank]
 	if m.cfg.CacheCapacity <= 0 {
 		return 0
 	}
+	owned := m.ns.OwnedNodes(m.numRanks)[m.rank]
 	pct := float64(owned) / float64(m.cfg.CacheCapacity) * 100
 	if pct > 100 {
 		pct = 100
@@ -73,8 +73,7 @@ func (m *MDS) balancerTick() {
 		return
 	}
 	m.rollWindows()
-	authLoads := m.ns.AuthLoad(m.numRanks, m.engine.Now(), m.metaLoadOf)
-	reported := authLoads[m.rank]
+	reported := m.ns.AuthLoadOf(m.rank, m.numRanks, m.engine.Now(), m.metaLoadOf)
 	if m.cfg.LoadNoisePct > 0 {
 		reported *= 1 + (m.engine.Rand().Float64()*2-1)*m.cfg.LoadNoisePct/100
 	}
@@ -374,18 +373,7 @@ func (m *MDS) divisible(u exportUnit) bool {
 	if u.isFrag {
 		return false
 	}
-	if u.dir.NumFragLeaves() > 1 {
-		return true
-	}
-	hasSubdir := false
-	u.dir.Children(func(c *namespace.Node) bool {
-		if c.IsDir() {
-			hasSubdir = true
-			return false
-		}
-		return true
-	})
-	return hasSubdir
+	return u.dir.NumFragLeaves() > 1 || u.dir.HasSubdir()
 }
 
 // expandDir lists the child units of a directory this rank owns: its leaf

@@ -353,21 +353,49 @@ func (ns *Namespace) nearestEnclosingBound(n *Node) (*Node, bool) {
 // load on the subtrees that rank is authoritative for, excluding nested
 // subtrees owned by other bounds. This is the "metadata load on auth
 // subtree" input to the MDS-load policies (Table 2's MDSs[i]["auth"]).
-//
-// One linear pass over the bound index: each entry carries its enclosing
-// bound (directory bounds) or its containing directory's owner (fragment
-// bounds), both maintained at label-change time, so no parent walks happen
-// here and the fragment owner is passed explicitly instead of being
-// re-derived by temporarily clearing the fragment's label.
 func (ns *Namespace) AuthLoad(numRanks int, now sim.Time, load func(CounterSnapshot) float64) []float64 {
+	return ns.authLoad(numRanks, now, load, RankNone)
+}
+
+// AuthLoadOf is AuthLoad(...)[want], bit for bit, for a caller that reports
+// only its own rank's load: load runs only on the bounds that rank owns or
+// that nest directly under one it owns.
+func (ns *Namespace) AuthLoadOf(want Rank, numRanks int, now sim.Time, load func(CounterSnapshot) float64) float64 {
+	if want < 0 || int(want) >= numRanks {
+		return 0
+	}
+	return ns.authLoad(numRanks, now, load, want)[want]
+}
+
+// authLoad is one linear pass over the bound index: each entry carries its
+// enclosing bound (directory bounds) or its containing directory's owner
+// (fragment bounds), both maintained at label-change time, so no parent
+// walks happen here and the fragment owner is passed explicitly instead of
+// being re-derived by temporarily clearing the fragment's label.
+//
+// With want >= 0 only out[want] is meaningful. Every bound's counter is
+// still snapshotted — Snapshot applies the decay in place, so skipping it
+// would change when decay happens and with it every later value — but load
+// is called, and ranks are credited, only where want is a party. out[want]
+// receives the same terms in the same order either way.
+func (ns *Namespace) authLoad(numRanks int, now sim.Time, load func(CounterSnapshot) float64, want Rank) []float64 {
 	ns.wlock()
 	defer ns.wunlock()
 	ns.flushLocked()
 	ns.ensureBoundIndex()
 	out := make([]float64, numRanks)
-	add := func(rank Rank, v float64) {
-		if rank >= 0 && int(rank) < numRanks {
-			out[rank] += v
+	// split credits v to the bound's owner and debits it from the rank the
+	// bound is carved out of.
+	split := func(snap CounterSnapshot, to, from Rank) {
+		if want >= 0 && to != want && from != want {
+			return
+		}
+		v := load(snap)
+		if to >= 0 && int(to) < numRanks {
+			out[to] += v
+		}
+		if from >= 0 && int(from) < numRanks {
+			out[from] -= v
 		}
 	}
 	// The index is ordered by path: floating-point sums must not depend
@@ -379,23 +407,19 @@ func (ns *Namespace) AuthLoad(numRanks int, now sim.Time, load func(CounterSnaps
 			// Fragment bound: the frag's own counters move between
 			// ranks; the containing directory's owner keeps the
 			// rest.
-			fs := e.root.Dir.frags[e.root.Frag]
-			if fs == nil {
-				continue
+			if fs := e.root.Dir.frags[e.root.Frag]; fs != nil {
+				split(fs.Counters.Snapshot(now), fs.auth, e.dirOwner)
 			}
-			v := load(fs.Counters.Snapshot(now))
-			add(fs.auth, v)
-			add(e.dirOwner, -v)
 			continue
 		}
 		// Directory bound: counter at the bound minus counters at
 		// nested bounds directly beneath it.
 		n := e.root.Dir
-		v := load(n.counters.Snapshot(now))
-		add(n.authOverride, v)
+		from := RankNone
 		if e.encl != nil && e.encl != n {
-			add(e.encl.authOverride, -v)
+			from = e.encl.authOverride
 		}
+		split(n.counters.Snapshot(now), n.authOverride, from)
 	}
 	for i := range out {
 		if out[i] < 0 {

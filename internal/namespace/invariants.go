@@ -117,13 +117,19 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 		if n.rankSpread != len(owners) {
 			return fmt.Errorf("invariant: %s rankSpread %d, recount %d", n.path(), n.rankSpread, len(owners))
 		}
-		// Subtree size.
-		size := 1
+		// Subtree size and subdirectory count.
+		size, subdirs := 1, 0
 		for _, c := range n.children {
 			size += c.SubtreeNodes()
+			if c.isDir {
+				subdirs++
+			}
 		}
 		if size != int(n.subtreeNodes.Load()) {
 			return fmt.Errorf("invariant: %s subtreeNodes %d, recount %d", n.path(), n.subtreeNodes.Load(), size)
+		}
+		if subdirs != int(n.subdirs) {
+			return fmt.Errorf("invariant: %s subdirs %d, recount %d", n.path(), n.subdirs, subdirs)
 		}
 		return nil
 	}

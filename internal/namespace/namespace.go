@@ -271,7 +271,7 @@ func (ns *Namespace) attach(parent *Node, n *Node) {
 }
 
 func (ns *Namespace) detach(parent *Node, n *Node) {
-	parent.childDel(n.name)
+	parent.childDel(n)
 	frag := parent.fragtree.LeafOfName(n.name)
 	parent.frags[frag].Entries--
 	size := n.SubtreeNodes()

@@ -80,7 +80,10 @@ type Node struct {
 	ino    InodeID
 	parent *Node
 	isDir  bool
-	ns     *Namespace // owning namespace, for flush hooks and cache generations
+	// subdirs counts the directories among children; guarded like the
+	// children map. It sits in isDir's padding, so Node does not grow.
+	subdirs int32
+	ns      *Namespace // owning namespace, for flush hooks and cache generations
 
 	// File state.
 	Size int64
@@ -243,6 +246,14 @@ func (n *Node) Children(fn func(*Node) bool) {
 			return
 		}
 	}
+}
+
+// HasSubdir reports whether any child is a directory, without the snapshot
+// and sort that Children pays to visit them in order.
+func (n *Node) HasSubdir() bool {
+	n.childLock()
+	defer n.childUnlock()
+	return n.subdirs > 0
 }
 
 // FragTree exposes the directory's fragment tree (nil for files). The

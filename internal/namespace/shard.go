@@ -204,12 +204,18 @@ func (n *Node) childGet(name string) (*Node, bool) {
 func (n *Node) childPut(c *Node) {
 	n.childLock()
 	n.children[c.name] = c
+	if c.isDir {
+		n.subdirs++
+	}
 	n.childUnlock()
 }
 
-func (n *Node) childDel(name string) {
+func (n *Node) childDel(c *Node) {
 	n.childLock()
-	delete(n.children, name)
+	delete(n.children, c.name)
+	if c.isDir {
+		n.subdirs--
+	}
 	n.childUnlock()
 }
 
