@@ -30,13 +30,13 @@ func (ns *Namespace) EffectiveAuth(n *Node) Rank {
 // and concurrent read-side fills for one generation compute identical ranks,
 // so racing stores are idempotent.
 func (ns *Namespace) effAuthOf(n *Node) Rank {
-	if !n.isDir {
+	if !n.IsDir() {
 		parent := n.parent
 		if parent == nil {
 			return 0
 		}
-		frag := parent.fragtree.LeafOfName(n.name)
-		if fs := parent.frags[frag]; fs.auth != RankNone {
+		frag := parent.dir.fragtree.LeafOfName(n.name)
+		if fs := parent.dir.frags[frag]; fs.auth != RankNone {
 			return fs.auth
 		}
 		n = parent
@@ -44,21 +44,21 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 	if !ns.hotCaches {
 		// Proof-toggle path: the plain walk, no memo reads or fills.
 		for cur := n; ; {
-			if cur.authOverride != RankNone {
-				return cur.authOverride
+			if cur.dir.authOverride != RankNone {
+				return cur.dir.authOverride
 			}
 			parent := cur.parent
 			if parent == nil {
 				return 0
 			}
-			frag := parent.fragtree.LeafOfName(cur.name)
-			if fs := parent.frags[frag]; fs.auth != RankNone {
+			frag := parent.dir.fragtree.LeafOfName(cur.name)
+			if fs := parent.dir.frags[frag]; fs.auth != RankNone {
 				return fs.auth
 			}
 			cur = parent
 		}
 	}
-	if w := n.effMemo.Load(); w>>effRankBits == ns.authGen {
+	if w := n.dir.effMemo.Load(); w>>effRankBits == ns.authGen {
 		return Rank(uint16(w)) - 1
 	}
 	// Climb to the nearest cached or labelled ancestor, then fill the
@@ -67,12 +67,12 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 	var rank Rank
 	cur := n
 	for {
-		if w := cur.effMemo.Load(); w>>effRankBits == ns.authGen {
+		if w := cur.dir.effMemo.Load(); w>>effRankBits == ns.authGen {
 			rank = Rank(uint16(w)) - 1
 			break
 		}
-		if cur.authOverride != RankNone {
-			rank = cur.authOverride
+		if cur.dir.authOverride != RankNone {
+			rank = cur.dir.authOverride
 			break
 		}
 		parent := cur.parent
@@ -82,8 +82,8 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 			rank = 0
 			break
 		}
-		frag := parent.fragtree.LeafOfName(cur.name)
-		if fs := parent.frags[frag]; fs.auth != RankNone {
+		frag := parent.dir.fragtree.LeafOfName(cur.name)
+		if fs := parent.dir.frags[frag]; fs.auth != RankNone {
 			rank = fs.auth
 			break
 		}
@@ -91,7 +91,7 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 	}
 	word := packEff(ns.authGen, rank)
 	for c := n; ; c = c.parent {
-		c.effMemo.Store(word)
+		c.dir.effMemo.Store(word)
 		if c == cur {
 			break
 		}
@@ -104,8 +104,9 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 func (ns *Namespace) AuthForDentry(dir *Node, name string) Rank {
 	ns.rlock()
 	defer ns.runlock()
-	frag := dir.fragtree.LeafOfName(name)
-	if fs := dir.frags[frag]; fs.auth != RankNone {
+	ds := dir.dir
+	frag := ds.fragtree.LeafOfName(name)
+	if fs := ds.frags[frag]; fs.auth != RankNone {
 		return fs.auth
 	}
 	return ns.effAuthOf(dir)
@@ -122,12 +123,12 @@ func (ns *Namespace) SetAuthOverride(n *Node, rank Rank) {
 }
 
 func (ns *Namespace) setAuthOverrideLocked(n *Node, rank Rank) {
-	if !n.isDir {
+	if !n.IsDir() {
 		panic("namespace: authority labels attach to directories")
 	}
 	if n.parent == nil {
 		// The root's label always stays explicit.
-		n.authOverride = rank
+		n.dir.authOverride = rank
 		ns.authGen++
 		ns.bidxDirty = true
 		ns.invalidateResolves()
@@ -135,21 +136,21 @@ func (ns *Namespace) setAuthOverrideLocked(n *Node, rank Rank) {
 	}
 	// Stale cached authority before computing the inherited rank: caches
 	// may still hold the label being replaced.
-	n.authOverride = RankNone
+	n.dir.authOverride = RankNone
 	ns.authGen++
 	inherited := ns.effAuthOf(n)
 	if rank == inherited {
 		delete(ns.overrides, n)
 		ns.bidxRemove(n.path())
 	} else {
-		n.authOverride = rank
+		n.dir.authOverride = rank
 		ns.overrides[n] = struct{}{}
 	}
 	// Stale again: the inherited computation above cached ranks that the
 	// final label may contradict.
 	ns.authGen++
-	if n.authOverride != RankNone {
-		ns.bidxUpsert(SubtreeRoot{Dir: n, Frag: RootFrag, Rank: n.authOverride})
+	if n.dir.authOverride != RankNone {
+		ns.bidxUpsert(SubtreeRoot{Dir: n, Frag: RootFrag, Rank: n.dir.authOverride})
 	}
 	ns.bidxRefreshBelow(n)
 	ns.invalidateResolves()
@@ -166,7 +167,7 @@ func (ns *Namespace) SetFragAuth(dir *Node, frag Frag, rank Rank) {
 }
 
 func (ns *Namespace) setFragAuthLocked(dir *Node, frag Frag, rank Rank) {
-	fs, ok := dir.frags[frag]
+	fs, ok := dir.dir.frags[frag]
 	if !ok {
 		panic(fmt.Sprintf("namespace: SetFragAuth(%v): not a live frag of %s", frag, dir.path()))
 	}
@@ -198,12 +199,12 @@ func (ns *Namespace) setFragAuthLocked(dir *Node, frag Frag, rank Rank) {
 func (ns *Namespace) clearSubtreeOverrides(n *Node) {
 	removed := false
 	Walk(n, func(c *Node) bool {
-		if c.isDir {
+		if c.IsDir() {
 			if _, ok := ns.overrides[c]; ok {
 				delete(ns.overrides, c)
 				removed = true
 			}
-			for f := range c.frags {
+			for f := range c.dir.frags {
 				if _, ok := ns.fragOverrides[fragKey{c, f}]; ok {
 					delete(ns.fragOverrides, fragKey{c, f})
 					removed = true
@@ -222,21 +223,21 @@ func (ns *Namespace) clearSubtreeOverrides(n *Node) {
 func (ns *Namespace) Freeze(n *Node, frozen bool) {
 	ns.wlock()
 	defer ns.wunlock()
-	if n.frozen != frozen {
+	if n.dir.frozen != frozen {
 		if frozen {
 			ns.frozenDirs++
 		} else {
 			ns.frozenDirs--
 		}
 	}
-	n.frozen = frozen
+	n.dir.frozen = frozen
 }
 
 // FreezeFrag marks one fragment as mid-migration.
 func (ns *Namespace) FreezeFrag(dir *Node, frag Frag, frozen bool) {
 	ns.wlock()
 	defer ns.wunlock()
-	if fs, ok := dir.frags[frag]; ok {
+	if fs, ok := dir.dir.frags[frag]; ok {
 		if fs.frozen != frozen {
 			if frozen {
 				ns.frozenFrags++
@@ -255,18 +256,19 @@ func (ns *Namespace) FreezeFrag(dir *Node, frag Frag, frozen bool) {
 func (ns *Namespace) FrozenFor(dir *Node, name string) bool {
 	ns.rlock()
 	defer ns.runlock()
+	ds := dir.dir
 	if ns.hotCaches {
 		if ns.frozenDirs == 0 && ns.frozenFrags == 0 {
 			return false
 		}
 		if ns.frozenFrags > 0 {
-			if fs, ok := dir.frags[dir.fragtree.LeafOfName(name)]; ok && fs.frozen {
+			if fs, ok := ds.frags[ds.fragtree.LeafOfName(name)]; ok && fs.frozen {
 				return true
 			}
 		}
 		if ns.frozenDirs > 0 {
 			for cur := dir; cur != nil; cur = cur.parent {
-				if cur.frozen {
+				if cur.dir.frozen {
 					return true
 				}
 			}
@@ -274,11 +276,11 @@ func (ns *Namespace) FrozenFor(dir *Node, name string) bool {
 		return false
 	}
 	// Proof-toggle path: unconditional frag check plus ancestor walk.
-	if fs, ok := dir.frags[dir.fragtree.LeafOfName(name)]; ok && fs.frozen {
+	if fs, ok := ds.frags[ds.fragtree.LeafOfName(name)]; ok && fs.frozen {
 		return true
 	}
 	for cur := dir; cur != nil; cur = cur.parent {
-		if cur.frozen {
+		if cur.dir.frozen {
 			return true
 		}
 	}
@@ -342,7 +344,7 @@ func (ns *Namespace) subtreeRootsLocked(rank Rank) []SubtreeRoot {
 // excluding n's own label.
 func (ns *Namespace) nearestEnclosingBound(n *Node) (*Node, bool) {
 	for cur := n.parent; cur != nil; cur = cur.parent {
-		if cur.authOverride != RankNone {
+		if cur.dir.authOverride != RankNone {
 			return cur, true
 		}
 	}
@@ -407,7 +409,7 @@ func (ns *Namespace) authLoad(numRanks int, now sim.Time, load func(CounterSnaps
 			// Fragment bound: the frag's own counters move between
 			// ranks; the containing directory's owner keeps the
 			// rest.
-			if fs := e.root.Dir.frags[e.root.Frag]; fs != nil {
+			if fs := e.root.Dir.dir.frags[e.root.Frag]; fs != nil {
 				split(fs.Counters.Snapshot(now), fs.auth, e.dirOwner)
 			}
 			continue
@@ -417,9 +419,9 @@ func (ns *Namespace) authLoad(numRanks int, now sim.Time, load func(CounterSnaps
 		n := e.root.Dir
 		from := RankNone
 		if e.encl != nil && e.encl != n {
-			from = e.encl.authOverride
+			from = e.encl.dir.authOverride
 		}
-		split(n.counters.Snapshot(now), n.authOverride, from)
+		split(n.dir.counters.Snapshot(now), n.dir.authOverride, from)
 	}
 	for i := range out {
 		if out[i] < 0 {
@@ -450,7 +452,7 @@ func (ns *Namespace) ownedNodesLocked(numRanks int) []int {
 	for i := range ns.bidx {
 		e := &ns.bidx[i]
 		if e.root.IsFrag {
-			fs := e.root.Dir.frags[e.root.Frag]
+			fs := e.root.Dir.dir.frags[e.root.Frag]
 			if fs == nil {
 				continue
 			}
@@ -460,9 +462,9 @@ func (ns *Namespace) ownedNodesLocked(numRanks int) []int {
 		}
 		n := e.root.Dir
 		v := n.SubtreeNodes()
-		add(n.authOverride, v)
+		add(n.dir.authOverride, v)
 		if e.encl != nil && e.encl != n {
-			add(e.encl.authOverride, -v)
+			add(e.encl.dir.authOverride, -v)
 		}
 	}
 	for i := range out {
@@ -502,14 +504,15 @@ func (ns *Namespace) recomputeDescendantSpreads(n *Node) {
 	}
 }
 
-// recomputeSpread refreshes dir.rankSpread after an authority change.
+// recomputeSpread refreshes dir's rankSpread after an authority change.
 func (ns *Namespace) recomputeSpread(dir *Node) {
-	if !dir.isDir {
+	if !dir.IsDir() {
 		return
 	}
+	ds := dir.dir
 	owners := map[Rank]struct{}{}
 	inherited := false
-	for _, fs := range dir.frags {
+	for _, fs := range ds.frags {
 		if fs.auth != RankNone {
 			owners[fs.auth] = struct{}{}
 		} else {
@@ -520,8 +523,8 @@ func (ns *Namespace) recomputeSpread(dir *Node) {
 		owners[ns.effAuthOf(dir)] = struct{}{}
 	}
 	if len(owners) == 0 {
-		dir.rankSpread = 1
+		ds.rankSpread = 1
 		return
 	}
-	dir.rankSpread = len(owners)
+	ds.rankSpread = len(owners)
 }

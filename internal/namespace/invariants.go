@@ -37,7 +37,7 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
 		if n.parent != nil {
-			child, ok := n.parent.children[n.name]
+			child, ok := n.parent.dir.children[n.name]
 			if !ok || child != n {
 				return fmt.Errorf("invariant: %s not linked under its parent", n.path())
 			}
@@ -45,28 +45,28 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 		if auth := ns.effAuthOf(n); auth < 0 || (numRanks > 0 && int(auth) >= numRanks) {
 			return fmt.Errorf("invariant: %s has authority %d outside [0,%d)", n.path(), auth, numRanks)
 		}
-		if !n.isDir {
+		if !n.IsDir() {
 			if n.SubtreeNodes() != 1 {
 				return fmt.Errorf("invariant: file %s has subtree size %d", n.path(), n.SubtreeNodes())
 			}
 			return nil
 		}
-		if !allowFrozen && n.frozen {
+		if !allowFrozen && n.dir.frozen {
 			return fmt.Errorf("invariant: %s left frozen", n.path())
 		}
-		if n.frozen {
+		if n.dir.frozen {
 			frozenDirs++
 		}
-		if n.authOverride != RankNone {
+		if n.dir.authOverride != RankNone {
 			if _, ok := ns.overrides[n]; !ok && n.parent != nil {
-				return fmt.Errorf("invariant: %s has label %d missing from the override index", n.path(), n.authOverride)
+				return fmt.Errorf("invariant: %s has label %d missing from the override index", n.path(), n.dir.authOverride)
 			}
 			if n.parent != nil {
 				seenOverrides++
 			}
 		}
 		// Fragment checks.
-		leaves := n.fragtree.Leaves()
+		leaves := n.dir.fragtree.Leaves()
 		if len(leaves) == 0 {
 			return fmt.Errorf("invariant: %s has no leaf fragments", n.path())
 		}
@@ -74,7 +74,7 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 		owners := map[Rank]struct{}{}
 		inherited := false
 		for _, f := range leaves {
-			fs, ok := n.frags[f]
+			fs, ok := n.dir.frags[f]
 			if !ok {
 				return fmt.Errorf("invariant: %s leaf %v has no state", n.path(), f)
 			}
@@ -95,16 +95,16 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 				inherited = true
 			}
 		}
-		if len(n.frags) != len(leaves) {
-			return fmt.Errorf("invariant: %s has %d frag states for %d leaves", n.path(), len(n.frags), len(leaves))
+		if len(n.dir.frags) != len(leaves) {
+			return fmt.Errorf("invariant: %s has %d frag states for %d leaves", n.path(), len(n.dir.frags), len(leaves))
 		}
-		if entries != len(n.children) {
-			return fmt.Errorf("invariant: %s frag entries %d != %d children", n.path(), entries, len(n.children))
+		if entries != len(n.dir.children) {
+			return fmt.Errorf("invariant: %s frag entries %d != %d children", n.path(), entries, len(n.dir.children))
 		}
 		// Every child must land in the leaf that counts it.
-		for name, child := range n.children {
-			leaf := n.fragtree.LeafOfName(name)
-			if _, ok := n.frags[leaf]; !ok {
+		for name, child := range n.dir.children {
+			leaf := n.dir.fragtree.LeafOfName(name)
+			if _, ok := n.dir.frags[leaf]; !ok {
 				return fmt.Errorf("invariant: %s child %q hashes to missing frag %v", n.path(), name, leaf)
 			}
 			if err := walk(child); err != nil {
@@ -114,22 +114,22 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 		if inherited {
 			owners[ns.effAuthOf(n)] = struct{}{}
 		}
-		if n.rankSpread != len(owners) {
-			return fmt.Errorf("invariant: %s rankSpread %d, recount %d", n.path(), n.rankSpread, len(owners))
+		if n.dir.rankSpread != len(owners) {
+			return fmt.Errorf("invariant: %s rankSpread %d, recount %d", n.path(), n.dir.rankSpread, len(owners))
 		}
 		// Subtree size and subdirectory count.
 		size, subdirs := 1, 0
-		for _, c := range n.children {
+		for _, c := range n.dir.children {
 			size += c.SubtreeNodes()
-			if c.isDir {
+			if c.IsDir() {
 				subdirs++
 			}
 		}
-		if size != int(n.subtreeNodes.Load()) {
-			return fmt.Errorf("invariant: %s subtreeNodes %d, recount %d", n.path(), n.subtreeNodes.Load(), size)
+		if size != int(n.dir.subtreeNodes.Load()) {
+			return fmt.Errorf("invariant: %s subtreeNodes %d, recount %d", n.path(), n.dir.subtreeNodes.Load(), size)
 		}
-		if subdirs != int(n.subdirs) {
-			return fmt.Errorf("invariant: %s subdirs %d, recount %d", n.path(), n.subdirs, subdirs)
+		if subdirs != int(n.dir.subdirs) {
+			return fmt.Errorf("invariant: %s subdirs %d, recount %d", n.path(), n.dir.subdirs, subdirs)
 		}
 		return nil
 	}

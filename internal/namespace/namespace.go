@@ -43,10 +43,9 @@ type Namespace struct {
 	lazy bool
 
 	// hotCaches gates the per-op ancestor-walk memos (EffectiveAuth,
-	// FrozenFor fast path, Path); pool gates slab allocation of file
-	// nodes. Both are captured from their Disable* toggles at New time.
+	// FrozenFor fast path, Path), captured from DisableHotPathCaches at
+	// New time.
 	hotCaches bool
-	pool      bool
 
 	// sharded enables the concurrent ownership mode (see shard.go):
 	// treeMu protects tree structure and authority state, def is the
@@ -102,14 +101,13 @@ func New(halfLife sim.Time) *Namespace {
 		fragOverrides: map[fragKey]struct{}{},
 		lazy:          !DisableLazyCounters,
 		hotCaches:     !DisableHotPathCaches,
-		pool:          !DisableNodeArena,
 		authGen:       1,
 		pathGen:       1,
 		bidxDirty:     true,
 	}
 	ns.def = ns.newDomain()
 	ns.root = ns.newDirNode(nil, "")
-	ns.root.authOverride = 0
+	ns.root.dir.authOverride = 0
 	ns.overrides[ns.root] = struct{}{}
 	return ns
 }
@@ -119,45 +117,38 @@ func New(halfLife sim.Time) *Namespace {
 func (ns *Namespace) SetInvalidateHook(fn func(path string)) { ns.invalidate = fn }
 
 func (ns *Namespace) newDirNode(parent *Node, name string) *Node {
-	n := &Node{
-		name:         name,
-		ino:          InodeID(ns.nextIno.Add(1)),
-		parent:       parent,
-		isDir:        true,
-		ns:           ns,
-		children:     map[string]*Node{},
-		fragtree:     NewFragTree(),
-		frags:        map[Frag]*FragState{},
-		counters:     NewCounters(ns.halfLife),
-		authOverride: RankNone,
+	dn := &dirNode{
+		Node: Node{name: name, parent: parent, ns: ns, ino: InodeID(ns.nextIno.Add(1))},
+		dirState: dirState{
+			children:     map[string]*Node{},
+			fragtree:     NewFragTree(),
+			frags:        map[Frag]*FragState{},
+			counters:     NewCounters(ns.halfLife),
+			authOverride: RankNone,
+			rankSpread:   1,
+		},
 	}
-	n.subtreeNodes.Store(1)
-	n.frags[RootFrag] = &FragState{Frag: RootFrag, Counters: NewCounters(ns.halfLife), auth: RankNone, ns: ns}
-	n.rankSpread = 1
+	dn.dir = &dn.dirState
+	dn.subtreeNodes.Store(1)
+	dn.frags[RootFrag] = &FragState{Frag: RootFrag, Counters: NewCounters(ns.halfLife), auth: RankNone, ns: ns}
 	ns.count.Add(1)
-	return n
+	return &dn.Node
 }
 
 // fileSlabSize is the bump-allocation block for file nodes; 512 nodes per
-// heap allocation keeps blocks around 128 KiB.
+// heap allocation keeps blocks at 32 KiB.
 const fileSlabSize = 512
 
 func (ns *Namespace) newFileNode(d *domain, parent *Node, name string) *Node {
-	var n *Node
-	if ns.pool {
-		if len(d.fileSlab) == 0 {
-			d.fileSlab = make([]Node, fileSlabSize)
-		}
-		n = &d.fileSlab[0]
-		d.fileSlab = d.fileSlab[1:]
-	} else {
-		n = &Node{}
+	if len(d.fileSlab) == 0 {
+		d.fileSlab = make([]Node, fileSlabSize)
 	}
+	n := &d.fileSlab[0]
+	d.fileSlab = d.fileSlab[1:]
 	n.name = name
 	n.ino = InodeID(ns.nextIno.Add(1))
 	n.parent = parent
 	n.ns = ns
-	n.authOverride = RankNone
 	ns.count.Add(1)
 	return n
 }
@@ -208,7 +199,7 @@ func (ns *Namespace) resolveIn(d *domain, path string) (*Node, error) {
 	}
 	cur := ns.root
 	for _, p := range parts {
-		if !cur.isDir {
+		if !cur.IsDir() {
 			return nil, fmt.Errorf("%w: %s", ErrNotDir, cur.path())
 		}
 		next, ok := cur.childGet(p)
@@ -249,7 +240,7 @@ func (ns *Namespace) resolveDirOfIn(d *domain, path string) (*Node, string, erro
 		if !ok {
 			return nil, "", fmt.Errorf("%w: %s/%s", ErrNotExist, cur.path(), p)
 		}
-		if !next.isDir {
+		if !next.IsDir() {
 			return nil, "", fmt.Errorf("%w: %s", ErrNotDir, next.path())
 		}
 		cur = next
@@ -262,21 +253,21 @@ func (ns *Namespace) resolveDirOfIn(d *domain, path string) (*Node, string, erro
 
 func (ns *Namespace) attach(parent *Node, n *Node) {
 	parent.childPut(n)
-	frag := parent.fragtree.LeafOfName(n.name)
-	parent.frags[frag].Entries++
+	frag := parent.dir.fragtree.LeafOfName(n.name)
+	parent.dir.frags[frag].Entries++
 	size := n.SubtreeNodes()
 	for cur := parent; cur != nil; cur = cur.parent {
-		cur.subtreeNodes.Add(int64(size))
+		cur.dir.subtreeNodes.Add(int64(size))
 	}
 }
 
 func (ns *Namespace) detach(parent *Node, n *Node) {
 	parent.childDel(n)
-	frag := parent.fragtree.LeafOfName(n.name)
-	parent.frags[frag].Entries--
+	frag := parent.dir.fragtree.LeafOfName(n.name)
+	parent.dir.frags[frag].Entries--
 	size := n.SubtreeNodes()
 	for cur := parent; cur != nil; cur = cur.parent {
-		cur.subtreeNodes.Add(int64(-size))
+		cur.dir.subtreeNodes.Add(int64(-size))
 	}
 }
 
@@ -288,7 +279,7 @@ func (ns *Namespace) Create(parent *Node, name string, isDir bool) (*Node, error
 }
 
 func (ns *Namespace) createIn(d *domain, parent *Node, name string, isDir bool) (*Node, error) {
-	if parent == nil || !parent.isDir {
+	if parent == nil || !parent.IsDir() {
 		return nil, ErrNotDir
 	}
 	if name == "" || strings.Contains(name, "/") {
@@ -324,7 +315,7 @@ func (ns *Namespace) CreatePath(path string, isDir bool) (*Node, error) {
 		last := i == len(parts)-1
 		next, ok := cur.childGet(p)
 		if ok {
-			if !next.isDir && !(last && !isDir) {
+			if !next.IsDir() && !(last && !isDir) {
 				return nil, fmt.Errorf("%w: %s", ErrNotDir, next.path())
 			}
 			if last {
@@ -350,38 +341,38 @@ func (ns *Namespace) CreatePath(path string, isDir bool) (*Node, error) {
 func (ns *Namespace) Remove(parent *Node, name string) error {
 	ns.wlock()
 	defer ns.wunlock()
-	if parent == nil || !parent.isDir {
+	if parent == nil || !parent.IsDir() {
 		return ErrNotDir
 	}
-	n, ok := parent.children[name]
+	n, ok := parent.dir.children[name]
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotExist, parent.path(), name)
 	}
-	if n.isDir && len(n.children) > 0 {
+	if n.IsDir() && len(n.dir.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, n.path())
 	}
-	if ns.invalidate != nil && n.isDir {
+	if ns.invalidate != nil && n.IsDir() {
 		ns.invalidate(n.path())
 	}
 	// Fold deferred counter charges while n's ancestor chain is intact;
 	// replaying a hit on a detached node would drop its ancestors' share.
 	ns.flushLocked()
 	ns.clearSubtreeOverrides(n)
-	if n.frozen {
-		ns.frozenDirs--
-	}
-	if n.isDir {
-		for _, fs := range n.frags {
+	if n.IsDir() {
+		if n.dir.frozen {
+			ns.frozenDirs--
+		}
+		for _, fs := range n.dir.frags {
 			if fs.frozen {
 				ns.frozenFrags--
 			}
 		}
+		// The detached node must not keep serving memoised authority
+		// (or, below, path) state from its old location.
+		n.dir.effMemo.Store(0)
 	}
 	ns.detach(parent, n)
 	n.parent = nil
-	// The detached node must not keep serving memoised authority/path
-	// state from its old location.
-	n.effMemo.Store(0)
 	n.pathMemo.Store(nil)
 	ns.count.Add(int64(-n.SubtreeNodes()))
 	ns.invalidateResolves()
@@ -394,24 +385,24 @@ func (ns *Namespace) Remove(parent *Node, name string) error {
 func (ns *Namespace) Rename(srcDir *Node, srcName string, dstDir *Node, dstName string) error {
 	ns.wlock()
 	defer ns.wunlock()
-	if srcDir == nil || !srcDir.isDir || dstDir == nil || !dstDir.isDir {
+	if srcDir == nil || !srcDir.IsDir() || dstDir == nil || !dstDir.IsDir() {
 		return ErrNotDir
 	}
-	n, ok := srcDir.children[srcName]
+	n, ok := srcDir.dir.children[srcName]
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotExist, srcDir.path(), srcName)
 	}
-	if _, dup := dstDir.children[dstName]; dup {
+	if _, dup := dstDir.dir.children[dstName]; dup {
 		return fmt.Errorf("%w: %s/%s", ErrExist, dstDir.path(), dstName)
 	}
-	if n.isDir {
+	if n.IsDir() {
 		for cur := dstDir; cur != nil; cur = cur.parent {
 			if cur == n {
 				return fmt.Errorf("%w: rename into own subtree", ErrInvalidArg)
 			}
 		}
 	}
-	if ns.invalidate != nil && n.isDir {
+	if ns.invalidate != nil && n.IsDir() {
 		// The subtree's path keys die with the move; replicas indexed by
 		// the old paths must not survive it.
 		ns.invalidate(n.path())
@@ -425,7 +416,7 @@ func (ns *Namespace) Rename(srcDir *Node, srcName string, dstDir *Node, dstName 
 	ns.attach(dstDir, n)
 	ns.invalidateResolves()
 	ns.pathGen++
-	if n.isDir {
+	if n.IsDir() {
 		// A moved directory subtree inherits authority from its new
 		// parent chain, and any bounds inside it change path keys.
 		ns.authGen++
@@ -442,7 +433,7 @@ func Walk(n *Node, fn func(*Node) bool) {
 	if !fn(n) {
 		return
 	}
-	if !n.isDir {
+	if !n.IsDir() {
 		return
 	}
 	for _, name := range n.ChildNames() {
@@ -469,15 +460,16 @@ func (ns *Namespace) RecordOp(dir *Node, name string, k OpKind, now sim.Time) {
 // lock makes the write safe: the auth rank's actor under the read lock
 // (single writer per frag), or the deferred-log fold under the write lock.
 func (dir *Node) chargeFrags(name string, k OpKind, now sim.Time) {
+	ds := dir.dir
 	if name != "" {
-		frag := dir.fragtree.LeafOfName(name)
-		fs := dir.frags[frag]
+		frag := ds.fragtree.LeafOfName(name)
+		fs := ds.frags[frag]
 		fs.Counters.Hit(k, now)
 		fs.LastAccess = now
 		return
 	}
-	for _, f := range dir.fragtree.leaves {
-		fs := dir.frags[f]
+	for _, f := range ds.fragtree.leaves {
+		fs := ds.frags[f]
 		fs.Counters.Hit(k, now)
 		fs.LastAccess = now
 	}
@@ -487,7 +479,7 @@ func (dir *Node) chargeFrags(name string, k OpKind, now sim.Time) {
 // the owning rank's actor serves ops on it) and defers the ancestor walk
 // into the domain's log.
 func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now sim.Time) {
-	if dir == nil || !dir.isDir {
+	if dir == nil || !dir.IsDir() {
 		return
 	}
 	dir.chargeFrags(name, k, now)
@@ -499,7 +491,7 @@ func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now
 		return
 	}
 	for cur := dir; cur != nil; cur = cur.parent {
-		cur.counters.Hit(k, now)
+		cur.dir.counters.Hit(k, now)
 	}
 }
 
@@ -509,13 +501,14 @@ func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now
 func (ns *Namespace) SplitDir(dir *Node, leaf Frag, bits uint8, now sim.Time) []Frag {
 	ns.wlock()
 	defer ns.wunlock()
-	if !dir.isDir {
+	if !dir.IsDir() {
 		panic("namespace: SplitDir on file")
 	}
-	old := dir.frags[leaf]
-	kids := dir.fragtree.SplitLeaf(leaf, bits)
+	ds := dir.dir
+	old := ds.frags[leaf]
+	kids := ds.fragtree.SplitLeaf(leaf, bits)
 	perKid := make(map[Frag]int, len(kids))
-	for name := range dir.children {
+	for name := range ds.children {
 		h := HashName(name)
 		if !leaf.Contains(h) {
 			continue
@@ -538,7 +531,7 @@ func (ns *Namespace) SplitDir(dir *Node, leaf Frag, bits uint8, now sim.Time) []
 			share := float64(perKid[kf]) / float64(total)
 			fs.Counters.Seed(oldSnap.Scale(share), now)
 		}
-		dir.frags[kf] = fs
+		ds.frags[kf] = fs
 	}
 	if old.auth != RankNone {
 		delete(ns.fragOverrides, fragKey{dir, leaf})
@@ -554,7 +547,7 @@ func (ns *Namespace) SplitDir(dir *Node, leaf Frag, bits uint8, now sim.Time) []
 	if old.frozen {
 		ns.frozenFrags--
 	}
-	delete(dir.frags, leaf)
+	delete(ds.frags, leaf)
 	ns.recomputeSpread(dir)
 	return kids
 }
@@ -566,14 +559,15 @@ func (ns *Namespace) SplitDir(dir *Node, leaf Frag, bits uint8, now sim.Time) []
 func (ns *Namespace) MergeDir(dir *Node, parent Frag, bits uint8, now sim.Time) bool {
 	ns.wlock()
 	defer ns.wunlock()
-	if !dir.isDir || bits == 0 {
+	if !dir.IsDir() || bits == 0 {
 		return false
 	}
+	ds := dir.dir
 	kids := parent.Split(bits)
 	states := make([]*FragState, 0, len(kids))
 	auth := RankNone
 	for i, k := range kids {
-		fs, ok := dir.frags[k]
+		fs, ok := ds.frags[k]
 		if !ok || fs.frozen {
 			return false
 		}
@@ -584,7 +578,7 @@ func (ns *Namespace) MergeDir(dir *Node, parent Frag, bits uint8, now sim.Time) 
 		}
 		states = append(states, fs)
 	}
-	if !dir.fragtree.Merge(parent, bits) {
+	if !ds.fragtree.Merge(parent, bits) {
 		return false
 	}
 	merged := &FragState{Frag: parent, Counters: NewCounters(ns.halfLife), auth: RankNone, ns: ns}
@@ -592,11 +586,11 @@ func (ns *Namespace) MergeDir(dir *Node, parent Frag, bits uint8, now sim.Time) 
 	for i, k := range kids {
 		merged.Entries += states[i].Entries
 		heat = heat.Add(states[i].Counters.Snapshot(now))
-		delete(dir.frags, k)
+		delete(ds.frags, k)
 		delete(ns.fragOverrides, fragKey{dir, k})
 	}
 	merged.Counters.Seed(heat, now)
-	dir.frags[parent] = merged
+	ds.frags[parent] = merged
 	if auth != RankNone {
 		// The kids' frag bounds were deleted above without index
 		// updates; rebuild lazily (SetFragAuth below re-adds the

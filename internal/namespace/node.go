@@ -41,19 +41,15 @@ type FragState struct {
 
 // Auth reports the frag's authority override (RankNone if inherited).
 func (fs *FragState) Auth() Rank {
-	if fs.ns != nil {
-		fs.ns.rlock()
-		defer fs.ns.runlock()
-	}
+	fs.ns.rlock()
+	defer fs.ns.runlock()
 	return fs.auth
 }
 
 // Frozen reports whether the frag is mid-migration.
 func (fs *FragState) Frozen() bool {
-	if fs.ns != nil {
-		fs.ns.rlock()
-		defer fs.ns.runlock()
-	}
+	fs.ns.rlock()
+	defer fs.ns.runlock()
 	return fs.frozen
 }
 
@@ -75,22 +71,29 @@ func packEff(gen uint64, r Rank) uint64 {
 
 // Node is a dentry/inode pair in the namespace tree. Inodes are embedded in
 // directories, as in CephFS, so migrating a directory carries its inodes.
+//
+// Files are > 95 % of nodes, so Node holds only what a file uses — 64 bytes,
+// pointer words first so the collector's scan of a file slab stops at 48 —
+// and everything directory-only sits behind dir. The field is named, not
+// embedded, so every access to directory state shows its nil-for-files deref.
 type Node struct {
 	name   string
-	ino    InodeID
 	parent *Node
-	isDir  bool
-	// subdirs counts the directories among children; guarded like the
-	// children map. It sits in isDir's padding, so Node does not grow.
-	subdirs int32
-	ns      *Namespace // owning namespace, for flush hooks and cache generations
+	ns     *Namespace // owning namespace (always set): locks, flush hooks, cache generations
+	dir    *dirState  // nil for files
+	// pathMemo memoises Path(); valid while its gen matches the namespace
+	// generation (bumped on rename). Written on read paths, hence atomic.
+	pathMemo atomic.Pointer[pathMemo]
+	ino      InodeID
 
 	// File state.
 	Size int64
+}
 
-	// Directory state (nil maps for files). childMu guards the children
-	// map in sharded mode (see shard.go); everything else structural is
-	// protected by the tree lock.
+// dirState is the directory half of a node. childMu guards the children map
+// and subdirs in sharded mode (see shard.go); everything else structural is
+// protected by the tree lock.
+type dirState struct {
 	childMu  sync.Mutex
 	children map[string]*Node
 	fragtree *FragTree
@@ -99,22 +102,27 @@ type Node struct {
 
 	authOverride Rank
 	frozen       bool
+	subdirs      int32        // directories among children
 	subtreeNodes atomic.Int64 // nodes in this subtree, including self
 	rankSpread   int          // distinct ranks owning this dir's live frags
 
-	// pathMemo memoises Path(); valid while its gen matches the namespace
-	// generation (bumped on rename). effMemo packs the memoised
-	// EffectiveAuth rank with the authority generation it was computed
-	// under (bumped on any label change). Both are written on read paths,
-	// hence atomic.
-	pathMemo atomic.Pointer[pathMemo]
-	effMemo  atomic.Uint64
+	// effMemo packs the memoised EffectiveAuth rank with the authority
+	// generation it was computed under (bumped on any label change).
+	// Written on read paths, hence atomic.
+	effMemo atomic.Uint64
+}
+
+// dirNode lays a directory's two halves out in one object, so creating a
+// directory costs the same allocations as before the split.
+type dirNode struct {
+	Node
+	dirState
 }
 
 // Name reports the dentry name ("" for the root).
 func (n *Node) Name() string {
-	n.nsRLock()
-	defer n.nsRUnlock()
+	n.ns.rlock()
+	defer n.ns.runlock()
 	return n.name
 }
 
@@ -123,31 +131,19 @@ func (n *Node) Ino() InodeID { return n.ino }
 
 // Parent reports the containing directory (nil for the root).
 func (n *Node) Parent() *Node {
-	n.nsRLock()
-	defer n.nsRUnlock()
+	n.ns.rlock()
+	defer n.ns.runlock()
 	return n.parent
 }
 
 // IsDir reports whether the node is a directory.
-func (n *Node) IsDir() bool { return n.isDir }
+func (n *Node) IsDir() bool { return n.dir != nil }
 
 // IsRoot reports whether the node is the namespace root.
 func (n *Node) IsRoot() bool {
-	n.nsRLock()
-	defer n.nsRUnlock()
+	n.ns.rlock()
+	defer n.ns.runlock()
 	return n.parent == nil
-}
-
-func (n *Node) nsRLock() {
-	if n.ns != nil {
-		n.ns.rlock()
-	}
-}
-
-func (n *Node) nsRUnlock() {
-	if n.ns != nil {
-		n.ns.runlock()
-	}
 }
 
 // Path reconstructs the absolute path of the node. The result is memoised
@@ -155,8 +151,8 @@ func (n *Node) nsRUnlock() {
 // move an attached node), so repeated calls — forward hints, bound sorting —
 // cost one comparison.
 func (n *Node) Path() string {
-	n.nsRLock()
-	defer n.nsRUnlock()
+	n.ns.rlock()
+	defer n.ns.runlock()
 	return n.path()
 }
 
@@ -167,7 +163,7 @@ func (n *Node) path() string {
 	if n.parent == nil {
 		return "/"
 	}
-	if n.ns != nil && n.ns.hotCaches {
+	if n.ns.hotCaches {
 		if m := n.pathMemo.Load(); m != nil && m.gen == n.ns.pathGen {
 			return m.p
 		}
@@ -186,7 +182,7 @@ func (n *Node) path() string {
 		buf = append(buf, parts[i]...)
 	}
 	p := string(buf)
-	if n.ns != nil && n.ns.hotCaches {
+	if n.ns.hotCaches {
 		n.pathMemo.Store(&pathMemo{gen: n.ns.pathGen, p: p})
 	}
 	return p
@@ -194,8 +190,8 @@ func (n *Node) path() string {
 
 // Depth reports the number of edges from the root.
 func (n *Node) Depth() int {
-	n.nsRLock()
-	defer n.nsRUnlock()
+	n.ns.rlock()
+	defer n.ns.runlock()
 	d := 0
 	for cur := n; cur.parent != nil; cur = cur.parent {
 		d++
@@ -204,27 +200,38 @@ func (n *Node) Depth() int {
 }
 
 // NumChildren reports the number of dentries in the directory (0 for files).
-func (n *Node) NumChildren() int { return n.childLen() }
+func (n *Node) NumChildren() int {
+	if n.dir == nil {
+		return 0
+	}
+	return n.childLen()
+}
 
 // SubtreeNodes reports the number of nodes in the subtree, including n.
 func (n *Node) SubtreeNodes() int {
-	if !n.isDir {
+	if n.dir == nil {
 		return 1
 	}
-	return int(n.subtreeNodes.Load())
+	return int(n.dir.subtreeNodes.Load())
 }
 
 // Lookup finds a child dentry by name.
 func (n *Node) Lookup(name string) (*Node, bool) {
+	if n.dir == nil {
+		return nil, false
+	}
 	return n.childGet(name)
 }
 
 // ChildNames returns the dentry names in sorted order (deterministic
 // iteration matters for reproducible simulation).
 func (n *Node) ChildNames() []string {
+	if n.dir == nil {
+		return []string{}
+	}
 	n.childLock()
-	out := make([]string, 0, len(n.children))
-	for name := range n.children {
+	out := make([]string, 0, len(n.dir.children))
+	for name := range n.dir.children {
 		out = append(out, name)
 	}
 	n.childUnlock()
@@ -251,81 +258,97 @@ func (n *Node) Children(fn func(*Node) bool) {
 // HasSubdir reports whether any child is a directory, without the snapshot
 // and sort that Children pays to visit them in order.
 func (n *Node) HasSubdir() bool {
+	if n.dir == nil {
+		return false
+	}
 	n.childLock()
 	defer n.childUnlock()
-	return n.subdirs > 0
+	return n.dir.subdirs > 0
 }
 
 // FragTree exposes the directory's fragment tree (nil for files). The
 // returned pointer is unsynchronised; concurrent (sharded-mode) callers use
 // NumFragLeaves/FragLeaves/FragOfName instead.
-func (n *Node) FragTree() *FragTree { return n.fragtree }
+func (n *Node) FragTree() *FragTree {
+	if n.dir == nil {
+		return nil
+	}
+	return n.dir.fragtree
+}
 
 // NumFragLeaves reports how many leaf fragments the directory has.
 func (n *Node) NumFragLeaves() int {
-	n.nsRLock()
-	defer n.nsRUnlock()
-	return n.fragtree.NumLeaves()
+	n.ns.rlock()
+	defer n.ns.runlock()
+	return n.dir.fragtree.NumLeaves()
 }
 
 // FragLeaves returns the directory's leaf fragments (a copy).
 func (n *Node) FragLeaves() []Frag {
-	n.nsRLock()
-	defer n.nsRUnlock()
-	return n.fragtree.Leaves()
+	n.ns.rlock()
+	defer n.ns.runlock()
+	return n.dir.fragtree.Leaves()
 }
 
 // FragStateOf returns the live state for a leaf fragment.
 func (n *Node) FragStateOf(f Frag) (*FragState, bool) {
-	n.nsRLock()
-	defer n.nsRUnlock()
-	fs, ok := n.frags[f]
+	n.ns.rlock()
+	defer n.ns.runlock()
+	if n.dir == nil {
+		return nil, false
+	}
+	fs, ok := n.dir.frags[f]
 	return fs, ok
 }
 
 // FragOfName returns the leaf fragment holding the dentry name.
 func (n *Node) FragOfName(name string) Frag {
-	n.nsRLock()
-	defer n.nsRUnlock()
-	return n.fragtree.LeafOfName(name)
+	n.ns.rlock()
+	defer n.ns.runlock()
+	return n.dir.fragtree.LeafOfName(name)
 }
 
-// Counters exposes the directory's aggregate popularity counters. Deferred
-// RecordOp charges are folded in first so callers always observe the same
-// values the eager ancestor walk would have produced. Sharded-mode callers
-// must be quiesced: the returned pointer is only stable against concurrent
-// flushes while nothing else is running.
+// Counters exposes the directory's aggregate popularity counters (fresh zero
+// ones for a file). Deferred RecordOp charges are folded in first so callers
+// always observe the same values the eager ancestor walk would have produced.
+// Sharded-mode callers must be quiesced: the returned pointer is only stable
+// against concurrent flushes while nothing else is running.
 func (n *Node) Counters() *Counters {
-	if n.ns != nil {
-		n.ns.FlushCounters()
+	n.ns.FlushCounters()
+	if n.dir == nil {
+		return &Counters{}
 	}
-	return &n.counters
+	return &n.dir.counters
 }
 
-// Load reports the directory's counter snapshot at time now, folding in any
-// deferred RecordOp charges first.
+// Load reports the directory's counter snapshot at time now (zero for a
+// file), folding in any deferred RecordOp charges first.
 func (n *Node) Load(now sim.Time) CounterSnapshot {
-	if n.ns != nil {
-		n.ns.wlock()
-		defer n.ns.wunlock()
-		n.ns.flushLocked()
+	n.ns.wlock()
+	defer n.ns.wunlock()
+	n.ns.flushLocked()
+	if n.dir == nil {
+		return CounterSnapshot{}
 	}
-	return n.counters.Snapshot(now)
+	return n.dir.counters.Snapshot(now)
 }
 
 // AuthOverride reports the explicit authority label on this directory
 // (RankNone when authority is inherited).
 func (n *Node) AuthOverride() Rank {
-	n.nsRLock()
-	defer n.nsRUnlock()
-	return n.authOverride
+	n.ns.rlock()
+	defer n.ns.runlock()
+	if n.dir == nil {
+		return RankNone
+	}
+	return n.dir.authOverride
 }
 
 // Frozen reports whether the directory subtree is mid-migration.
 func (n *Node) Frozen() bool {
-	n.nsRLock()
-	defer n.nsRUnlock()
-	return n.frozen
+	n.ns.rlock()
+	defer n.ns.runlock()
+	return n.dir != nil && n.dir.frozen
 }
 
 // RankSpread reports how many distinct MDS ranks own live fragments of this
@@ -334,10 +357,10 @@ func (n *Node) Frozen() bool {
 // (fragstat scatter-gather), which is what makes over-distribution hurt in
 // the paper's Figures 7 and 8.
 func (n *Node) RankSpread() int {
-	n.nsRLock()
-	defer n.nsRUnlock()
-	if !n.isDir || n.rankSpread < 1 {
+	n.ns.rlock()
+	defer n.ns.runlock()
+	if n.dir == nil || n.dir.rankSpread < 1 {
 		return 1
 	}
-	return n.rankSpread
+	return n.dir.rankSpread
 }

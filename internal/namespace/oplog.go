@@ -31,10 +31,6 @@ var DisableResolveCache bool
 // ancestor walks the scale pass memoised.
 var DisableHotPathCaches bool
 
-// DisableNodeArena reverts new namespaces to one heap allocation per file
-// node instead of slab allocation.
-var DisableNodeArena bool
-
 // hitRec is one deferred RecordOp charge against dir and all its ancestors.
 // Records from RecordOpRemote additionally carry the dirfrag charge (frag
 // set, name naming the dentry): the inline frag hit is single-writer — only
@@ -62,7 +58,7 @@ func (d *domain) flush() {
 			r.dir.chargeFrags(r.name, r.kind, r.at)
 		}
 		for cur := r.dir; cur != nil; cur = cur.parent {
-			cur.counters.Hit(r.kind, r.at)
+			cur.dir.counters.Hit(r.kind, r.at)
 		}
 		recs[i].dir = nil // release the node for GC once folded
 	}

@@ -106,7 +106,7 @@ func (ns *Namespace) cacheResolve(d *domain, path string) *Node {
 			return nil
 		}
 	}
-	if !dir.isDir {
+	if !dir.IsDir() {
 		return nil // slow path reports ErrNotDir with the right message
 	}
 	child, ok2 := dir.childGet(name)
@@ -131,7 +131,7 @@ func (ns *Namespace) cacheResolveDir(d *domain, path string) (*Node, string, boo
 		return ns.root, name, true
 	}
 	dir := ns.cacheGet(d, prefix)
-	if dir == nil || !dir.isDir {
+	if dir == nil || !dir.IsDir() {
 		return nil, "", false
 	}
 	return dir, name, true

@@ -10,17 +10,14 @@ import (
 )
 
 // newEagerNamespace builds a namespace with every scale-pass proof toggle
-// flipped: eager ancestor counter walks, uncached path resolution,
-// walk-based EffectiveAuth/FrozenFor/Path, and per-node heap allocation —
-// the pre-optimisation semantics the fast path must reproduce bit-for-bit.
+// flipped: eager ancestor counter walks, uncached path resolution and
+// walk-based EffectiveAuth/FrozenFor/Path — the pre-optimisation semantics
+// the fast path must reproduce bit-for-bit.
 func newEagerNamespace(halfLife sim.Time) *Namespace {
-	prevLazy, prevCache := DisableLazyCounters, DisableResolveCache
-	prevHot, prevArena := DisableHotPathCaches, DisableNodeArena
-	DisableLazyCounters, DisableResolveCache = true, true
-	DisableHotPathCaches, DisableNodeArena = true, true
+	prevLazy, prevCache, prevHot := DisableLazyCounters, DisableResolveCache, DisableHotPathCaches
+	DisableLazyCounters, DisableResolveCache, DisableHotPathCaches = true, true, true
 	ns := New(halfLife)
-	DisableLazyCounters, DisableResolveCache = prevLazy, prevCache
-	DisableHotPathCaches, DisableNodeArena = prevHot, prevArena
+	DisableLazyCounters, DisableResolveCache, DisableHotPathCaches = prevLazy, prevCache, prevHot
 	return ns
 }
 

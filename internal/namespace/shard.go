@@ -140,7 +140,7 @@ func (v *View) RecordOp(dir *Node, name string, k OpKind, now sim.Time) {
 // attribution is unchanged, only deferred: the auth's when_replicate still
 // sees replica-served reads in the directory's counters.
 func (v *View) RecordOpRemote(dir *Node, name string, k OpKind, now sim.Time) {
-	if dir == nil || !dir.isDir {
+	if dir == nil || !dir.IsDir() {
 		return
 	}
 	v.ns.rlock()
@@ -174,19 +174,20 @@ func (ns *Namespace) wunlock() {
 	}
 }
 
-// childLock/childUnlock guard one directory's dentry map in sharded mode.
+// childLock/childUnlock guard one directory's dentry map in sharded mode
+// (directories only, like every child* helper below: n.dir is not checked).
 // They order strictly after treeMu (taken while holding either side, never
 // released after it) and nothing is acquired under them, so they cannot
 // participate in a cycle.
 func (n *Node) childLock() {
-	if n.ns != nil && n.ns.sharded {
-		n.childMu.Lock()
+	if n.ns.sharded {
+		n.dir.childMu.Lock()
 	}
 }
 
 func (n *Node) childUnlock() {
-	if n.ns != nil && n.ns.sharded {
-		n.childMu.Unlock()
+	if n.ns.sharded {
+		n.dir.childMu.Unlock()
 	}
 }
 
@@ -196,32 +197,32 @@ func (n *Node) childUnlock() {
 // both excluded — but all mutations must go through childPut/childDel.
 func (n *Node) childGet(name string) (*Node, bool) {
 	n.childLock()
-	c, ok := n.children[name]
+	c, ok := n.dir.children[name]
 	n.childUnlock()
 	return c, ok
 }
 
 func (n *Node) childPut(c *Node) {
 	n.childLock()
-	n.children[c.name] = c
-	if c.isDir {
-		n.subdirs++
+	n.dir.children[c.name] = c
+	if c.IsDir() {
+		n.dir.subdirs++
 	}
 	n.childUnlock()
 }
 
 func (n *Node) childDel(c *Node) {
 	n.childLock()
-	delete(n.children, c.name)
-	if c.isDir {
-		n.subdirs--
+	delete(n.dir.children, c.name)
+	if c.IsDir() {
+		n.dir.subdirs--
 	}
 	n.childUnlock()
 }
 
 func (n *Node) childLen() int {
 	n.childLock()
-	l := len(n.children)
+	l := len(n.dir.children)
 	n.childUnlock()
 	return l
 }

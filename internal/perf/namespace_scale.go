@@ -47,16 +47,13 @@ func (s Scale) normalized() Scale {
 
 // eagerNamespace flips every proof toggle for the duration of fn, so the
 // "before" side of each pair runs the pre-scale-pass code paths: eager
-// ancestor counters, per-component resolution, walk-based
-// EffectiveAuth/FrozenFor/Path, and one heap allocation per file node.
+// ancestor counters, per-component resolution and walk-based
+// EffectiveAuth/FrozenFor/Path.
 func eagerNamespace(fn func()) {
-	prevLazy, prevCache := namespace.DisableLazyCounters, namespace.DisableResolveCache
-	prevHot, prevArena := namespace.DisableHotPathCaches, namespace.DisableNodeArena
-	namespace.DisableLazyCounters, namespace.DisableResolveCache = true, true
-	namespace.DisableHotPathCaches, namespace.DisableNodeArena = true, true
+	prevLazy, prevCache, prevHot := namespace.DisableLazyCounters, namespace.DisableResolveCache, namespace.DisableHotPathCaches
+	namespace.DisableLazyCounters, namespace.DisableResolveCache, namespace.DisableHotPathCaches = true, true, true
 	defer func() {
-		namespace.DisableLazyCounters, namespace.DisableResolveCache = prevLazy, prevCache
-		namespace.DisableHotPathCaches, namespace.DisableNodeArena = prevHot, prevArena
+		namespace.DisableLazyCounters, namespace.DisableResolveCache, namespace.DisableHotPathCaches = prevLazy, prevCache, prevHot
 	}()
 	fn()
 }

@@ -100,25 +100,37 @@ func (k EntryKind) String() string {
 	}
 }
 
+// entryHeaderSize is the stored part of an entry: kind, seq and payload size.
+const entryHeaderSize = 16
+
 // Append journals an entry of the given kind and payload size, invoking done
-// when it is durable on all replicas. The payload content is synthesized
-// (kind + seq + size header plus zero padding) because experiments only
-// depend on sizes and latencies, not on replayable bytes.
+// when it is durable on all replicas. Experiments depend on entry sizes and
+// latencies, not on replayable bytes, so the object store is charged for the
+// whole entry (header plus payload) but the journal object keeps only the
+// header; the payload is counted in Object.Size.
 func (j *Journal) Append(kind EntryKind, payloadSize int, done func()) {
 	j.seq++
-	entry := make([]byte, 16+payloadSize)
-	entry[0] = byte(kind)
-	binary.LittleEndian.PutUint64(entry[1:9], j.seq)
-	binary.LittleEndian.PutUint32(entry[9:13], uint32(payloadSize))
+	seq := j.seq
 	chunk := j.written / uint64(j.chunkSize)
 	if j.curObj == "" || chunk != j.curChunk {
 		j.curChunk = chunk
 		j.curObj = j.prefix + "." + strconv.FormatUint(chunk, 10)
 	}
-	obj := j.curObj
-	j.written += uint64(len(entry))
+	j.written += uint64(entryHeaderSize + payloadSize)
 	j.pending++
-	j.pool.Append(obj, entry, func() {
+	j.pool.write(j.curObj, entryHeaderSize+payloadSize, func(obj *Object) {
+		var hdr [entryHeaderSize]byte
+		hdr[0] = byte(kind)
+		binary.LittleEndian.PutUint64(hdr[1:9], seq)
+		binary.LittleEndian.PutUint32(hdr[9:13], uint32(payloadSize))
+		if len(obj.Data) == cap(obj.Data) {
+			// Double: append grows a large slice by a quarter, which
+			// allocates five bytes for each one the object keeps.
+			obj.Data = append(make([]byte, 0, 2*cap(obj.Data)+entryHeaderSize), obj.Data...)
+		}
+		obj.Data = append(obj.Data, hdr[:]...)
+		obj.Size += uint64(entryHeaderSize + payloadSize)
+	}, func() {
 		j.pending--
 		j.flushed++
 		if done != nil {
@@ -141,5 +153,5 @@ func (j *Journal) Objects() int {
 	if j.written == 0 {
 		return 0
 	}
-	return int(j.written/uint64(j.chunkSize)) + 1
+	return int(j.curChunk) + 1
 }

@@ -55,8 +55,12 @@ func DefaultConfig() Config {
 
 // Object is a stored object.
 type Object struct {
-	Name  string
-	Data  []byte
+	Name string
+	Data []byte
+	// Size is the logical length of the byte stream written to the object.
+	// It exceeds len(Data) where a writer stored less than it accounted:
+	// journal objects hold entry headers and only count the payload.
+	Size  uint64
 	OMap  map[string][]byte
 	XAttr map[string][]byte
 	// Version increments on every mutation.
@@ -316,14 +320,15 @@ func (c *Cluster) opLatency(base sim.Time, bytes int) sim.Time {
 	return l
 }
 
-// Write stores data into the named object (replacing existing data) and
-// invokes done when all replicas have acked. done may be nil.
-func (p *Pool) Write(name string, data []byte, done func()) {
+// write is the one replicated-write path: every placed OSD draws its
+// opLatency for size bytes, in placement order (the draws are part of the
+// simulation's deterministic surface), and once the slowest replica has acked
+// apply mutates the object — created if missing — and done, if set, runs.
+func (p *Pool) write(name string, size int, apply func(*Object), done func()) {
 	c := p.cluster
-	placed := p.placement(name)
 	var worst sim.Time
-	for _, id := range placed {
-		l := c.opLatency(c.cfg.WriteLatency, len(data))
+	for _, id := range p.placement(name) {
+		l := c.opLatency(c.cfg.WriteLatency, size)
 		c.osds[id].writes++
 		c.osds[id].busy += l
 		if l > worst {
@@ -337,42 +342,30 @@ func (p *Pool) Write(name string, data []byte, done func()) {
 			obj = newObject(name)
 			p.objects[name] = obj
 		}
-		obj.Data = append(obj.Data[:0], data...)
+		apply(obj)
 		obj.Version++
-		c.Writes++
+		p.cluster.Writes++ // via p: capturing c too would grow every write's closure
 		if done != nil {
 			done()
 		}
 	})
 }
 
+// Write stores data into the named object (replacing existing data) and
+// invokes done when all replicas have acked. done may be nil.
+func (p *Pool) Write(name string, data []byte, done func()) {
+	p.write(name, len(data), func(obj *Object) {
+		obj.Data = append(obj.Data[:0], data...)
+		obj.Size = uint64(len(data))
+	}, done)
+}
+
 // Append appends data to the object, creating it if missing.
 func (p *Pool) Append(name string, data []byte, done func()) {
-	c := p.cluster
-	placed := p.placement(name)
-	var worst sim.Time
-	for _, id := range placed {
-		l := c.opLatency(c.cfg.WriteLatency, len(data))
-		c.osds[id].writes++
-		c.osds[id].busy += l
-		if l > worst {
-			worst = l
-		}
-	}
-	c.obsWrite(worst)
-	c.engine.Schedule(worst, func() {
-		obj, ok := p.objects[name]
-		if !ok {
-			obj = newObject(name)
-			p.objects[name] = obj
-		}
+	p.write(name, len(data), func(obj *Object) {
 		obj.Data = append(obj.Data, data...)
-		obj.Version++
-		c.Writes++
-		if done != nil {
-			done()
-		}
-	})
+		obj.Size += uint64(len(data))
+	}, done)
 }
 
 // Read fetches the object's data. done receives nil data if the object does
@@ -399,37 +392,15 @@ func (p *Pool) Read(name string, done func(data []byte, ok bool)) {
 // OMapSet writes key/value pairs into the object's omap (used for directory
 // fragments: one key per dentry, as CephFS stores dirfrags).
 func (p *Pool) OMapSet(name string, kv map[string][]byte, done func()) {
-	c := p.cluster
-	placed := p.placement(name)
 	size := 0
 	for k, v := range kv {
 		size += len(k) + len(v)
 	}
-	var worst sim.Time
-	for _, id := range placed {
-		l := c.opLatency(c.cfg.WriteLatency, size)
-		c.osds[id].writes++
-		c.osds[id].busy += l
-		if l > worst {
-			worst = l
-		}
-	}
-	c.obsWrite(worst)
-	c.engine.Schedule(worst, func() {
-		obj, ok := p.objects[name]
-		if !ok {
-			obj = newObject(name)
-			p.objects[name] = obj
-		}
+	p.write(name, size, func(obj *Object) {
 		for k, v := range kv {
 			obj.OMap[k] = append([]byte(nil), v...)
 		}
-		obj.Version++
-		c.Writes++
-		if done != nil {
-			done()
-		}
-	})
+	}, done)
 }
 
 // OMapGet reads the whole omap of an object.

@@ -255,6 +255,17 @@ func TestJournalAppendAndRoll(t *testing.T) {
 	if c.Pool("mds0-journal").Len() != 3 {
 		t.Fatalf("pool objects = %d", c.Pool("mds0-journal").Len())
 	}
+	// Entries are placed by the bytes written before them, so a journal
+	// holding exactly one chunk's worth has only ever started 200.0.
+	e, c = newTestCluster(t)
+	j = NewJournal(c.Pool("mds0-journal"), "200", 64)
+	j.Append(EntryUpdate, 16, nil)
+	j.Append(EntryUpdate, 16, nil)
+	e.RunUntilIdle()
+	if j.Bytes() != 64 || j.Objects() != 1 || c.Pool("mds0-journal").Len() != 1 {
+		t.Fatalf("full first chunk: bytes=%d objects=%d pool objects=%d, want 64/1/1",
+			j.Bytes(), j.Objects(), c.Pool("mds0-journal").Len())
+	}
 }
 
 func TestJournalDurabilityOrdering(t *testing.T) {
