@@ -1,6 +1,12 @@
 package live
 
-import "sync"
+import (
+	"container/heap"
+	"sync"
+	"time"
+
+	"mantle/internal/sim"
+)
 
 // actor is the goroutine owning one MDS rank. All MDS state transitions for
 // the rank — message handling, timer callbacks, crash/recover — execute as
@@ -11,11 +17,16 @@ import "sync"
 // the namespace — synchronises itself via its own two-level tree lock.
 //
 // Work arrives on two lanes:
-//   - ctrl: unbounded, for timer callbacks, peer/migration messages and
-//     control operations. These must never be refused — dropping a service
+//   - ctrl: unbounded, for due timers, peer/migration messages and control
+//     operations. These must never be refused — dropping a service
 //     completion or an export ack would wedge the rank.
 //   - reqs: bounded client requests. offer() refuses work past the bound and
 //     the transport sheds (ErrOverloaded), which is the backpressure surface.
+//
+// Short timers (below wheelCutoff) live on the actor, in a min-heap by
+// deadline, FIFO on ties. The loop moves due ones onto ctrl and otherwise
+// sleeps on a one-slot wake channel plus one reusable time.Timer set to the
+// earliest deadline — no runtime timer or goroutine per arm.
 //
 // The loop only takes from reqs while admit() reports the MDS has queue room,
 // so a saturated rank stops draining its request lane, the lane fills, and
@@ -27,11 +38,15 @@ type actor struct {
 	// collection, elastic membership) takes it to observe a consistent
 	// MDS. Only this actor holds it on the hot path, so it is effectively
 	// uncontended.
-	smu      *sync.Mutex
-	mu       sync.Mutex
-	cond     *sync.Cond
+	smu *sync.Mutex
+	mu  sync.Mutex
+	// wake rings a parked loop; parked says whether it needs ringing.
+	wake     chan struct{}
+	parked   bool
 	ctrl     ringQ
 	reqs     ringQ
+	timers   timerHeap
+	timerSeq uint64
 	maxReqs  int
 	stopped  bool
 	retiring bool
@@ -42,20 +57,31 @@ type actor struct {
 }
 
 func newActor(rt *Runtime, maxReqs int, smu *sync.Mutex) *actor {
-	a := &actor{rt: rt, smu: smu, maxReqs: maxReqs, admit: func() bool { return true }}
-	a.cond = sync.NewCond(&a.mu)
-	return a
+	return &actor{rt: rt, smu: smu, maxReqs: maxReqs, wake: make(chan struct{}, 1),
+		admit: func() bool { return true }}
+}
+
+// notify rings a parked loop. Caller holds a.mu.
+func (a *actor) notify() {
+	if a.parked {
+		a.parked = false
+		select {
+		case a.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // post enqueues fn on the control lane. It never blocks and never refuses,
-// so it is safe to call from timer goroutines, other actors (it only takes
-// the mailbox mutex, never a shard), and the runtime itself. Posts to a stopped actor are dropped when
-// the loop exits; by then the runtime has already drained and collected.
+// so it is safe to call from any goroutine, including other actors (it only
+// takes the mailbox mutex, never a shard). Posts to a stopped actor are
+// dropped when the loop exits; by then the runtime has already drained and
+// collected.
 func (a *actor) post(fn func()) {
 	a.mu.Lock()
 	a.ctrl.push(fn)
+	a.notify()
 	a.mu.Unlock()
-	a.cond.Signal()
 }
 
 // offer enqueues fn on the bounded request lane, reporting false when the
@@ -67,16 +93,30 @@ func (a *actor) offer(fn func()) bool {
 		return false
 	}
 	a.reqs.push(fn)
+	a.notify()
 	a.mu.Unlock()
-	a.cond.Signal()
 	return true
 }
 
-// queued reports the depth of both lanes (drain polling).
+// schedule arms a short timer: fn moves onto the control lane once the
+// runtime clock reaches at (never earlier). Safe from any goroutine.
+func (a *actor) schedule(at sim.Time, fn func()) *actorTimer {
+	a.mu.Lock()
+	a.timerSeq++
+	t := &actorTimer{a: a, at: at, seq: a.timerSeq, fn: fn}
+	if heap.Push(&a.timers, t); t.idx == 0 {
+		a.notify() // new earliest deadline: a sleeping loop must re-arm
+	}
+	a.mu.Unlock()
+	return t
+}
+
+// queued reports the work the actor still owes, armed short timers included
+// (drain polling). Each is below wheelCutoff, so waiting for them is bounded.
 func (a *actor) queued() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.ctrl.n + a.reqs.n
+	return a.ctrl.n + a.reqs.n + len(a.timers)
 }
 
 // stop makes loop() return once current lanes are irrelevant. The runtime
@@ -84,46 +124,127 @@ func (a *actor) queued() int {
 func (a *actor) stop() {
 	a.mu.Lock()
 	a.stopped = true
+	a.notify()
 	a.mu.Unlock()
-	a.cond.Broadcast()
 }
 
-// retire makes loop() exit once both lanes are empty — the graceful variant
-// of stop for a rank leaving an otherwise-running cluster: work already
-// mailed (late migration acks, timer callbacks) still executes, new requests
-// are refused, and the goroutine then ends.
+// retire makes loop() exit once both lanes are empty and no short timer is
+// armed — the graceful variant of stop for a rank leaving an otherwise-running
+// cluster: work already mailed or armed (late migration acks, journal
+// completions) still executes, new requests are refused, and the goroutine
+// then ends.
 func (a *actor) retire() {
 	a.mu.Lock()
 	a.retiring = true
+	a.notify()
 	a.mu.Unlock()
-	a.cond.Broadcast()
 }
 
-// loop drains the mailbox: control work first, then admitted requests. Every
-// closure executes under the actor's own shard lock.
+// fireDue moves every due short timer onto the control lane and reports how
+// long until the next one (0 when none is armed). Caller holds a.mu.
+func (a *actor) fireDue() time.Duration {
+	if len(a.timers) == 0 {
+		return 0
+	}
+	now := time.Since(a.rt.startWall)
+	for len(a.timers) > 0 {
+		if d := a.timers[0].at.Duration() - now; d > 0 {
+			return d
+		}
+		t := heap.Pop(&a.timers).(*actorTimer)
+		a.ctrl.push(t.fn)
+		t.fn = nil
+	}
+	return 0
+}
+
+// loop drains the mailbox: due timers and control work first, then admitted
+// requests. Every closure executes under the actor's own shard lock.
 func (a *actor) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
+	sleep := time.NewTimer(time.Hour) // re-armed to the earliest deadline
+	sleep.Stop()
+	a.mu.Lock()
 	for {
-		a.mu.Lock()
-		for !a.stopped && !(a.retiring && a.ctrl.n == 0 && a.reqs.n == 0) &&
-			a.ctrl.n == 0 && !(a.reqs.n > 0 && a.admit()) {
-			a.cond.Wait()
-		}
-		if a.stopped || (a.retiring && a.ctrl.n == 0 && a.reqs.n == 0) {
+		wait := a.fireDue()
+		if a.stopped || (a.retiring && a.ctrl.n == 0 && a.reqs.n == 0 && len(a.timers) == 0) {
 			a.mu.Unlock()
 			return
 		}
 		var fn func()
-		if a.ctrl.n > 0 {
+		switch {
+		case a.ctrl.n > 0:
 			fn = a.ctrl.pop()
-		} else {
+		case a.reqs.n > 0 && a.admit():
 			fn = a.reqs.pop()
+		default:
+			a.parked = true
+			a.mu.Unlock()
+			var fire <-chan time.Time // nil, never ready, with no timer armed
+			if wait > 0 {
+				sleep.Reset(wait)
+				fire = sleep.C
+			}
+			select {
+			case <-a.wake:
+				if fire != nil && !sleep.Stop() {
+					<-fire // already fired: consume it before the next Reset
+				}
+			case <-fire:
+			}
+			a.mu.Lock()
+			a.parked = false
+			continue
 		}
 		a.mu.Unlock()
 		a.smu.Lock()
 		fn()
 		a.smu.Unlock()
+		a.mu.Lock()
 	}
+}
+
+// actorTimer is one short timer on its actor's heap. As a sim.ExternalTimer,
+// cancelling it before it is due removes it (it never runs); once due it has
+// moved to the control lane and cancelling is a no-op.
+type actorTimer struct {
+	a   *actor
+	at  sim.Time
+	seq uint64 // arm order: FIFO among equal deadlines
+	fn  func()
+	idx int // heap position; -1 once fired or cancelled
+}
+
+func (t *actorTimer) CancelTimer() {
+	t.a.mu.Lock()
+	if t.idx >= 0 {
+		heap.Remove(&t.a.timers, t.idx)
+		t.fn = nil
+	}
+	t.a.mu.Unlock()
+}
+
+// timerHeap orders armed timers by (at, seq) for container/heap. All methods
+// run under the actor's mailbox mutex.
+type timerHeap []*actorTimer
+
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+}
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *timerHeap) Push(x any) {
+	x.(*actorTimer).idx = len(*h)
+	*h = append(*h, x.(*actorTimer))
+}
+func (h *timerHeap) Pop() any {
+	old, t := *h, (*h)[len(*h)-1]
+	old[len(old)-1], t.idx = nil, -1
+	*h = old[:len(old)-1]
+	return t
 }
 
 // ringQ is a lazily-allocated power-of-two ring buffer of mailbox closures.

@@ -7,15 +7,16 @@ import (
 	"mantle/internal/sim"
 )
 
-// rankClock implements sim.Clock on the wall clock for one rank. Timers fire
-// on Go runtime timer goroutines, but every callback is posted to the rank's
-// actor, so MDS code written against sim.Clock keeps its single-threaded
-// execution model: callbacks run on the actor loop under the runtime's state
-// lock, exactly where message handlers run.
+// rankClock implements sim.Clock on the wall clock for one rank. Every
+// callback lands on the rank's actor control lane, so MDS code written
+// against sim.Clock keeps its single-threaded execution model: callbacks run
+// on the actor loop under the rank's shard lock, exactly where message
+// handlers run.
 //
-// Cancellation is best-effort (a timer may have fired and posted its callback
-// already). That matches how the MDS uses timers: every timeout callback
-// re-checks its own state map before acting, so a late firing is a no-op.
+// Cancellation is best-effort (a timer may have come due and moved to the
+// control lane already). That matches how the MDS uses timers: every timeout
+// callback re-checks its own state map before acting, so a late firing is a
+// no-op.
 type rankClock struct {
 	rt *Runtime
 	a  *actor
@@ -31,15 +32,15 @@ func (c *rankClock) Now() sim.Time { return c.rt.now() }
 
 // wheelCutoff routes timers at or above this delay through the shared
 // timing wheel (millisecond quantisation, O(1) arm/cancel, no runtime
-// timer-heap entry). Below it — modelled service times and network delays,
-// all well under a millisecond — wheel rounding would be real distortion,
-// so those stay on time.AfterFunc.
+// timer-heap entry). Below it — modelled service times, journal completions
+// and idle polls, mostly well under a millisecond — wheel rounding would be
+// real distortion, so those go on the owning actor's own timer heap.
 const wheelCutoff = 4 * time.Millisecond
 
-// Schedule arms a wall-clock timer that posts fn to the owning actor.
+// Schedule arms a wall-clock timer that runs fn on the owning actor.
 // Coarse delays (heartbeat ticks, rebalance evaluation, export timeouts)
-// ride the runtime's shared timing wheel; precise short delays use a
-// dedicated runtime timer.
+// ride the runtime's shared timing wheel; precise short delays go on the
+// actor's timer heap, which its loop sleeps on directly.
 func (c *rankClock) Schedule(delay sim.Time, fn func()) sim.Event {
 	if fn == nil {
 		panic("live: Schedule with nil callback")
@@ -52,8 +53,7 @@ func (c *rankClock) Schedule(delay sim.Time, fn func()) sim.Event {
 	if w := c.rt.wheel; w != nil && d >= wheelCutoff {
 		return sim.ExternalEvent(at, w.Schedule(d, func() { c.a.post(fn) }))
 	}
-	t := time.AfterFunc(d, func() { c.a.post(fn) })
-	return sim.ExternalEvent(at, &liveTimer{t: t})
+	return sim.ExternalEvent(at, c.a.schedule(at, fn))
 }
 
 // Cancel stops the event's wall-clock timer (best-effort, see type comment).
@@ -78,10 +78,3 @@ func (c *rankClock) Jitter(spread sim.Time) sim.Time {
 	}
 	return sim.Time(c.rng.Int63n(int64(2*spread)+1)) - spread
 }
-
-// liveTimer adapts time.Timer to sim.ExternalTimer.
-type liveTimer struct{ t *time.Timer }
-
-// CancelTimer stops the underlying timer; a concurrent firing may already
-// have posted its callback (best-effort contract).
-func (l *liveTimer) CancelTimer() { l.t.Stop() }

@@ -19,8 +19,8 @@
 // the participating shards in ascending rank order (see Runtime.shards for
 // the full ordering discipline). Timers (service completions, balancer
 // ticks, migration timeouts) come from a per-rank sim.Clock implementation
-// backed by time.AfterFunc, so MDS code runs unchanged against either
-// clock.
+// — short delays on the rank actor's own timer heap, coarse ones on a shared
+// timing wheel — so MDS code runs unchanged against either clock.
 //
 // Backpressure. Client requests pass through a bounded per-rank mailbox
 // lane; when a rank's MDS queue is full the actor stops draining the lane,
@@ -233,8 +233,8 @@ type Runtime struct {
 	// that is thousands of runtime timer-heap entries replaced by one
 	// driver goroutine. Created in Start (before any actor runs, so rank
 	// clocks read it without synchronisation), stopped at the end of
-	// drain. Sub-millisecond delays (service times, network latency) stay
-	// on time.AfterFunc for precision — see wheelCutoff.
+	// drain. Short delays (service times, journal completions) stay off it
+	// for precision, on the owning actor's timer heap — see wheelCutoff.
 	wheel *sim.Wheel
 }
 
@@ -629,8 +629,8 @@ func (rt *Runtime) drain() (*Report, error) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Phase 3: wait for mailboxes to go quiet (timer callbacks already
-	// posted still run), then stop the actors.
+	// Phase 3: wait for mailboxes to go quiet (posted work and armed short
+	// timers still run), then stop the actors.
 	for time.Now().Before(deadline) {
 		quiet := 0
 		rt.memberMu.RLock()

@@ -224,7 +224,8 @@ func (lg *loadgen) rankLatencyMs(r int) float64 {
 	return lg.rankLat[r].meanMs(latWindowSpan)
 }
 
-// HandleMessage implements simnet.Handler; invoked on delivery goroutines.
+// HandleMessage implements simnet.Handler; invoked on the delivering goroutine
+// (on a zero-delay link, the replying actor's), so it takes only leaf locks.
 func (lg *loadgen) HandleMessage(from simnet.Addr, msg simnet.Message) {
 	switch v := msg.(type) {
 	case *mds.Reply:

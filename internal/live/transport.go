@@ -22,20 +22,21 @@ var ErrOverloaded = errors.New("mds overloaded: request shed")
 func IsOverloaded(replyErr string) bool { return replyErr == ErrOverloaded.Error() }
 
 // endpoint is one registered address: its handler plus the actor that owns
-// it (nil for load-generator endpoints, whose handlers are goroutine-safe
-// and are invoked directly on the delivery goroutine). epoch is the
-// membership epoch that owns the registration (0 for unfenced endpoints):
-// a superseded daemon cannot unregister its replacement, and a replacement
-// at a higher epoch forcibly evicts the zombie's registration.
+// it (nil for load-generator endpoints, whose goroutine-safe handlers run on
+// the delivering goroutine — the sender's, on a zero-delay link). epoch is
+// the membership epoch that owns the registration (0 for unfenced
+// endpoints): a superseded daemon cannot unregister its replacement, and a
+// replacement at a higher epoch forcibly evicts the zombie's registration.
 type endpoint struct {
 	h     simnet.Handler
 	a     *actor
 	epoch uint64
 }
 
-// transport implements simnet.Transport with real concurrency: sends arm a
-// wall-clock timer for the link latency (plus jitter and fault extras), and
-// delivery posts to the destination's actor. Semantics mirror simnet.Network:
+// transport implements simnet.Transport with real concurrency: a send with
+// a non-zero link latency (plus jitter and fault extras) arms a wall-clock
+// timer, a zero-delay send delivers on the sending goroutine, and delivery
+// posts to the destination's actor. Semantics mirror simnet.Network:
 // duplicate registration panics, sends to unregistered addresses drop at
 // delivery time, and per-link LinkFaults add loss and latency.
 type transport struct {
@@ -56,8 +57,8 @@ type transport struct {
 	// already varies run to run), so a splitmix64 counter is enough.
 	rng atomicRng
 
-	// Counters use atomics: senders run on actor goroutines, timer
-	// goroutines, and the dispatcher concurrently.
+	// Counters use atomics: senders run on actor goroutines, link-latency
+	// timer goroutines, and the dispatcher concurrently.
 	Sent         atomic.Uint64
 	Delivered    atomic.Uint64
 	DroppedDead  atomic.Uint64
@@ -271,6 +272,8 @@ func hbWireSize(msg simnet.Message) int {
 }
 
 // Send schedules delivery after the link latency. Safe from any goroutine.
+// A zero delay delivers inline, so the caller must hold no lock that a
+// load-generator handler takes (docs/SERVING.md, ordering rule 5).
 func (t *transport) Send(from, to simnet.Addr, msg simnet.Message) {
 	t.Sent.Add(1)
 	if sz := hbWireSize(msg); sz > 0 {
@@ -292,8 +295,9 @@ func (t *transport) Send(from, to simnet.Addr, msg simnet.Message) {
 	if t.cfg.Jitter > 0 {
 		delay += sim.Time(t.rng.int63n(int64(2*t.cfg.Jitter)+1)) - t.cfg.Jitter
 	}
-	if delay < 0 {
-		delay = 0
+	if delay <= 0 {
+		t.deliver(from, to, msg)
+		return
 	}
 	time.AfterFunc(delay.Duration(), func() { t.deliver(from, to, msg) })
 }

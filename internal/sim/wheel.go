@@ -16,9 +16,9 @@ import (
 // steady-state allocation beyond the entry itself.
 //
 // Precision is the wheel tick (callers round up, never fire early), so only
-// coarse timers belong here — the live runtime keeps sub-millisecond service
-// and network delays on time.AfterFunc where 1ms of quantisation would be
-// real distortion.
+// coarse timers belong here — the live runtime keeps short service and
+// journal delays on each rank actor's own timer heap, where 1ms of
+// quantisation would be real distortion.
 type Wheel struct {
 	tick  time.Duration
 	mask  int64
