@@ -87,9 +87,18 @@ type Client struct {
 	retries     int
 	timeoutsRow int
 	timeoutEv   sim.Event
-	backoffEv   sim.Event
-	flushUntil  sim.Time
-	done        bool
+	// timeoutID is the request the armed timeout belongs to. One field
+	// suffices: every path into send runs after the previous timeout fired
+	// or was cancelled, so at most one is armed at a time.
+	timeoutID  uint64
+	backoffEv  sim.Event
+	flushUntil sim.Time
+	done       bool
+
+	// Method values bound once: passing c.issueNext to Schedule would
+	// allocate one per call.
+	issueNextFn func()
+	timeoutFn   func()
 
 	// Stats.
 	Completed      int
@@ -146,6 +155,8 @@ func New(id int, addr simnet.Addr, engine *sim.Engine, net *simnet.Network,
 		hintAge:  map[string]uint64{},
 		ServedBy: map[namespace.Rank]int{},
 	}
+	c.issueNextFn = c.issueNext
+	c.timeoutFn = func() { c.onTimeout(c.timeoutID) }
 	net.Register(addr, c)
 	return c
 }
@@ -159,7 +170,7 @@ func (c *Client) Done() bool { return c.done }
 // Start issues the first operation after the configured start jitter.
 func (c *Client) Start() {
 	if c.cfg.StartJitter > 0 {
-		c.engine.Schedule(sim.Time(c.engine.Rand().Int63n(int64(c.cfg.StartJitter)+1)), c.issueNext)
+		c.engine.Schedule(sim.Time(c.engine.Rand().Int63n(int64(c.cfg.StartJitter)+1)), c.issueNextFn)
 		return
 	}
 	c.issueNext()
@@ -219,7 +230,7 @@ func (c *Client) issueNext() {
 	}
 	now := c.engine.Now()
 	if now < c.flushUntil {
-		c.engine.Schedule(c.flushUntil-now, c.issueNext)
+		c.engine.Schedule(c.flushUntil-now, c.issueNextFn)
 		return
 	}
 	op, ok := c.gen.Next()
@@ -252,8 +263,8 @@ func (c *Client) send(op workload.Op) {
 		req.TraceID = uint64(c.ID)<<32 | c.inflightID
 	}
 	if c.cfg.RequestTimeout > 0 {
-		id := c.inflightID
-		c.timeoutEv = c.engine.Schedule(c.cfg.RequestTimeout, func() { c.onTimeout(id) })
+		c.timeoutID = c.inflightID
+		c.timeoutEv = c.engine.Schedule(c.cfg.RequestTimeout, c.timeoutFn)
 	}
 	c.net.Send(c.addr, c.mdss[rank], req)
 }
@@ -385,7 +396,7 @@ func (c *Client) handleReply(rep *mds.Reply) {
 	}
 	c.retries = 0
 	if c.cfg.ThinkTime > 0 {
-		c.engine.Schedule(c.cfg.ThinkTime, c.issueNext)
+		c.engine.Schedule(c.cfg.ThinkTime, c.issueNextFn)
 	} else {
 		c.issueNext()
 	}

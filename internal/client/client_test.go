@@ -469,3 +469,37 @@ func TestLateReplyCancelsBackoffResend(t *testing.T) {
 		t.Fatalf("timeouts=%d gaveUp=%d", c.Timeouts, c.GaveUp)
 	}
 }
+
+// TestIssueReplyCycleAllocs: one issue→reply cycle allocates only its
+// Request once the engine's and the network's free lists are warm. The MDS
+// side answers with one reused Reply, so the count is the client's own.
+// With a closure per hop it was 5: also issueNext's method value, the
+// timeout closure and two delivery closures.
+func TestIssueReplyCycleAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := simnet.New(e, simnet.Config{Latency: 50})
+	rep := &mds.Reply{}
+	n.Register(0, simnet.HandlerFunc(func(_ simnet.Addr, msg simnet.Message) {
+		req := msg.(*mds.Request)
+		rep.ReqID = req.ID
+		n.Send(0, req.Client, rep)
+	}))
+	const runs = 1000
+	stream := make([]workload.Op, runs+2)
+	for i := range stream {
+		stream[i] = workload.Op{Type: mds.OpGetattr, Path: "/a"}
+	}
+	cfg := DefaultConfig()
+	c := New(0, simnet.Addr(100), e, n, cfg, &workload.SliceGen{Ops: stream}, []simnet.Addr{0})
+	c.Start()
+	// One cycle: 50 µs out, 50 µs back, ThinkTime, and the next issue.
+	cycle := func() { e.Run(e.Now() + 100 + cfg.ThinkTime) }
+	allocs := testing.AllocsPerRun(runs, cycle)
+	t.Logf("issue→reply cycle: %.0f allocs", allocs)
+	if allocs > 1 {
+		t.Fatalf("issue→reply cycle allocates %.0f objects, want <= 1 (the Request)", allocs)
+	}
+	if c.Completed != runs+1 || c.Timeouts != 0 {
+		t.Fatalf("completed %d, timeouts %d; want %d and 0", c.Completed, c.Timeouts, runs+1)
+	}
+}

@@ -6,13 +6,16 @@ import (
 	"time"
 
 	"mantle/internal/sim"
+	"mantle/internal/simnet"
 )
 
 // actor is the goroutine owning one MDS rank. All MDS state transitions for
 // the rank — message handling, timer callbacks, crash/recover — execute as
-// closures drained by loop(), so the MDS keeps the single-writer discipline
-// it has in the simulator without growing any internal locking. Closures run
-// under the actor's shard lock (one mutex per rank, see Runtime.shards):
+// mailbox entries drained by loop(), so the MDS keeps the single-writer
+// discipline it has in the simulator without growing any internal locking.
+// An entry is either a delivered message (an envelope: endpoint, sender,
+// message) or a closure (timers and control operations); either runs under
+// the actor's shard lock (one mutex per rank, see Runtime.shards):
 // rank-local work never contends with other ranks, and cross-rank state —
 // the namespace — synchronises itself via its own two-level tree lock.
 //
@@ -26,15 +29,17 @@ import (
 // Short timers (below wheelCutoff) live on the actor, in a min-heap by
 // deadline, FIFO on ties. The loop moves due ones onto ctrl and otherwise
 // sleeps on a one-slot wake channel plus one reusable time.Timer set to the
-// earliest deadline — no runtime timer or goroutine per arm.
+// earliest deadline — no runtime timer or goroutine per arm. A fired or
+// cancelled timer goes back to a spare list for the next arm; its handle
+// carries the arm's generation, so a stale cancel cannot reach a later arm.
 //
 // The loop only takes from reqs while admit() reports the MDS has queue room,
 // so a saturated rank stops draining its request lane, the lane fills, and
 // subsequent requests shed — bounded memory end to end.
 type actor struct {
 	rt *Runtime
-	// smu is the rank's shard lock: every closure executes under it, and
-	// runtime-side inspection of the rank (drain polling, report
+	// smu is the rank's shard lock: every mailbox entry executes under it,
+	// and runtime-side inspection of the rank (drain polling, report
 	// collection, elastic membership) takes it to observe a consistent
 	// MDS. Only this actor holds it on the hot path, so it is effectively
 	// uncontended.
@@ -46,6 +51,7 @@ type actor struct {
 	ctrl     ringQ
 	reqs     ringQ
 	timers   timerHeap
+	spare    []*actorTimer // fired or cancelled timer slots, reused by schedule
 	timerSeq uint64
 	maxReqs  int
 	stopped  bool
@@ -72,43 +78,65 @@ func (a *actor) notify() {
 	}
 }
 
-// post enqueues fn on the control lane. It never blocks and never refuses,
-// so it is safe to call from any goroutine, including other actors (it only
-// takes the mailbox mutex, never a shard). Posts to a stopped actor are
+// post enqueues fn on the control lane (see enqueue).
+func (a *actor) post(fn func()) { a.enqueue(mail{fn: fn}) }
+
+// enqueue puts m on the control lane. It never blocks and never refuses, so
+// it is safe to call from any goroutine, including other actors (it only
+// takes the mailbox mutex, never a shard). Entries for a stopped actor are
 // dropped when the loop exits; by then the runtime has already drained and
 // collected.
-func (a *actor) post(fn func()) {
+func (a *actor) enqueue(m mail) {
 	a.mu.Lock()
-	a.ctrl.push(fn)
+	a.ctrl.push(m)
 	a.notify()
 	a.mu.Unlock()
 }
 
-// offer enqueues fn on the bounded request lane, reporting false when the
+// offer enqueues m on the bounded request lane, reporting false when the
 // lane is full or the actor has stopped — the caller sheds the request.
-func (a *actor) offer(fn func()) bool {
+func (a *actor) offer(m mail) bool {
 	a.mu.Lock()
 	if a.stopped || a.retiring || a.reqs.n >= a.maxReqs {
 		a.mu.Unlock()
 		return false
 	}
-	a.reqs.push(fn)
+	a.reqs.push(m)
 	a.notify()
 	a.mu.Unlock()
 	return true
 }
 
 // schedule arms a short timer: fn moves onto the control lane once the
-// runtime clock reaches at (never earlier). Safe from any goroutine.
-func (a *actor) schedule(at sim.Time, fn func()) *actorTimer {
+// runtime clock reaches at (never earlier). The slot comes from the spare
+// list when one is free, and the handle names this arm of it. Safe from any
+// goroutine.
+func (a *actor) schedule(at sim.Time, fn func()) sim.Event {
 	a.mu.Lock()
+	var t *actorTimer
+	if n := len(a.spare); n > 0 {
+		t = a.spare[n-1]
+		a.spare[n-1] = nil
+		a.spare = a.spare[:n-1]
+	} else {
+		t = &actorTimer{a: a, gen: 1} // generation 0 is no arm's
+	}
 	a.timerSeq++
-	t := &actorTimer{a: a, at: at, seq: a.timerSeq, fn: fn}
+	t.at, t.seq, t.fn = at, a.timerSeq, fn
+	gen := t.gen
 	if heap.Push(&a.timers, t); t.idx == 0 {
 		a.notify() // new earliest deadline: a sleeping loop must re-arm
 	}
 	a.mu.Unlock()
-	return t
+	return sim.ArmedEvent(at, t, gen)
+}
+
+// release retires a fired or cancelled timer slot: bumping the generation
+// invalidates the arm's handle before the slot is reused. Caller holds a.mu.
+func (a *actor) release(t *actorTimer) {
+	t.fn = nil
+	t.gen++
+	a.spare = append(a.spare, t)
 }
 
 // queued reports the work the actor still owes, armed short timers included
@@ -152,14 +180,14 @@ func (a *actor) fireDue() time.Duration {
 			return d
 		}
 		t := heap.Pop(&a.timers).(*actorTimer)
-		a.ctrl.push(t.fn)
-		t.fn = nil
+		a.ctrl.push(mail{fn: t.fn})
+		a.release(t)
 	}
 	return 0
 }
 
 // loop drains the mailbox: due timers and control work first, then admitted
-// requests. Every closure executes under the actor's own shard lock.
+// requests. Every entry executes under the actor's own shard lock.
 func (a *actor) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	sleep := time.NewTimer(time.Hour) // re-armed to the earliest deadline
@@ -171,12 +199,12 @@ func (a *actor) loop(wg *sync.WaitGroup) {
 			a.mu.Unlock()
 			return
 		}
-		var fn func()
+		var m mail
 		switch {
 		case a.ctrl.n > 0:
-			fn = a.ctrl.pop()
+			m = a.ctrl.pop()
 		case a.reqs.n > 0 && a.admit():
-			fn = a.reqs.pop()
+			m = a.reqs.pop()
 		default:
 			a.parked = true
 			a.mu.Unlock()
@@ -198,30 +226,47 @@ func (a *actor) loop(wg *sync.WaitGroup) {
 		}
 		a.mu.Unlock()
 		a.smu.Lock()
-		fn()
+		if m.fn != nil {
+			m.fn()
+		} else {
+			a.rt.transport.handle(m)
+		}
 		a.smu.Unlock()
 		a.mu.Lock()
 	}
 }
 
-// actorTimer is one short timer on its actor's heap. As a sim.ExternalTimer,
-// cancelling it before it is due removes it (it never runs); once due it has
-// moved to the control lane and cancelling is a no-op.
+// actorTimer is one short timer slot on its actor's heap. As a
+// sim.ArmedTimer, cancelling an arm before it is due removes it (it never
+// runs); once due it has moved to the control lane, the slot has been
+// released under a new generation, and cancelling that arm is a no-op.
 type actorTimer struct {
 	a   *actor
 	at  sim.Time
 	seq uint64 // arm order: FIFO among equal deadlines
+	gen uint64 // current arm; bumped when the slot is released
 	fn  func()
-	idx int // heap position; -1 once fired or cancelled
+	idx int // heap position; -1 while not armed
 }
 
+// CancelArm cancels arm gen if it is still the slot's pending arm.
+func (t *actorTimer) CancelArm(gen uint64) {
+	a := t.a
+	a.mu.Lock()
+	if t.gen == gen && t.idx >= 0 {
+		heap.Remove(&a.timers, t.idx)
+		a.release(t)
+	}
+	a.mu.Unlock()
+}
+
+// CancelTimer cancels the slot's current arm. Handles from schedule cancel
+// through CancelArm, which names their own arm.
 func (t *actorTimer) CancelTimer() {
 	t.a.mu.Lock()
-	if t.idx >= 0 {
-		heap.Remove(&t.a.timers, t.idx)
-		t.fn = nil
-	}
+	gen := t.gen
 	t.a.mu.Unlock()
+	t.CancelArm(gen)
 }
 
 // timerHeap orders armed timers by (at, seq) for container/heap. All methods
@@ -247,32 +292,38 @@ func (h *timerHeap) Pop() any {
 	return t
 }
 
-// ringQ is a lazily-allocated power-of-two ring buffer of mailbox closures.
-// The old slice lanes paid an allocation per enqueue batch and — because
-// dequeue was a re-slice — the backing array migrated forward forever,
-// holding peak-burst memory until the next growth. At 1000 ranks the idle
-// cost matters: a ring starts with no buffer at all (an idle standby's
-// mailbox is 48 bytes of struct), grows by doubling under bursts, and
-// shrinks back when it drains, so mailbox memory tracks each rank's actual
-// depth instead of its historical maximum. All methods run under the actor's
-// mailbox mutex.
+// mail is one mailbox entry: when fn is set, a timer or control closure;
+// otherwise an envelope carrying msg from from to ep's handler. Messages
+// travel as values, so a delivery allocates nothing.
+type mail struct {
+	fn   func()
+	ep   *endpoint
+	from simnet.Addr
+	msg  simnet.Message
+}
+
+// ringQ is a lazily-allocated power-of-two ring buffer of mailbox entries.
+// A ring starts with no buffer at all, so an idle standby's mailbox costs
+// only its struct; it grows by doubling under bursts and shrinks back when
+// it drains, so mailbox memory tracks each rank's actual depth instead of
+// its historical maximum. All methods run under the actor's mailbox mutex.
 type ringQ struct {
-	buf  []func()
+	buf  []mail
 	head int
 	n    int
 }
 
-func (q *ringQ) push(fn func()) {
+func (q *ringQ) push(m mail) {
 	if q.n == len(q.buf) {
 		q.resize(q.n * 2)
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = fn
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = m
 	q.n++
 }
 
-func (q *ringQ) pop() func() {
-	fn := q.buf[q.head]
-	q.buf[q.head] = nil
+func (q *ringQ) pop() mail {
+	m := q.buf[q.head]
+	q.buf[q.head] = mail{}
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	// Right-size after a burst: halving at 1/8 occupancy keeps shrinks
@@ -280,7 +331,7 @@ func (q *ringQ) pop() func() {
 	if len(q.buf) > 64 && q.n <= len(q.buf)/8 {
 		q.resize(len(q.buf) / 2)
 	}
-	return fn
+	return m
 }
 
 // resize moves the live entries into a fresh power-of-two buffer of at least
@@ -289,7 +340,7 @@ func (q *ringQ) resize(size int) {
 	if size < 8 {
 		size = 8
 	}
-	nb := make([]func(), size)
+	nb := make([]mail, size)
 	for i := 0; i < q.n; i++ {
 		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}

@@ -53,15 +53,11 @@ func (c *rankClock) Schedule(delay sim.Time, fn func()) sim.Event {
 	if w := c.rt.wheel; w != nil && d >= wheelCutoff {
 		return sim.ExternalEvent(at, w.Schedule(d, func() { c.a.post(fn) }))
 	}
-	return sim.ExternalEvent(at, c.a.schedule(at, fn))
+	return c.a.schedule(at, fn)
 }
 
 // Cancel stops the event's wall-clock timer (best-effort, see type comment).
-func (c *rankClock) Cancel(ev sim.Event) {
-	if ext := ev.External(); ext != nil {
-		ext.CancelTimer()
-	}
-}
+func (c *rankClock) Cancel(ev sim.Event) { ev.CancelExternal() }
 
 // NewTicker builds the shared sim.Ticker on this clock.
 func (c *rankClock) NewTicker(offset, interval sim.Time, fn func()) *sim.Ticker {

@@ -5,11 +5,11 @@
 // against SLOs.
 //
 // Concurrency model. internal/mds stays free of internal locking: each
-// rank's MDS only ever executes on its actor goroutine (messages, timer
-// callbacks, crash/recover all arrive as posted closures), and every
-// closure runs under that rank's own shard lock — one mutex per rank, held
-// by nobody else on the hot path, so ranks serve concurrently with zero
-// cross-rank contention. The shared state between ranks is the namespace,
+// rank's MDS only ever executes on its actor goroutine (messages arrive as
+// mailbox envelopes, timer callbacks and crash/recover as posted closures),
+// and every mailbox entry runs under that rank's own shard lock — one mutex
+// per rank, held by nobody else on the hot path, so ranks serve
+// concurrently with zero cross-rank contention. The shared state between ranks is the namespace,
 // which synchronises itself: sharded mode (namespace.EnableSharding) gives
 // hot operations a read-locked tree plus per-directory leaf locks and
 // rank-private domains, while structural mutations (migration relabels,
@@ -164,7 +164,7 @@ type Runtime struct {
 
 	// shards holds one state lock per provisioned rank slot plus one for
 	// the elastic controller (the last element). shards[r] serialises
-	// rank r's world: its MDS, every closure its actor runs, and
+	// rank r's world: its MDS, every mailbox entry its actor runs, and
 	// runtime-side inspection of that rank. Ordering discipline:
 	//   - a rank actor holds exactly its own shard and never acquires
 	//     another (cross-rank work travels as transport messages, which

@@ -302,11 +302,10 @@ func (t *transport) Send(from, to simnet.Addr, msg simnet.Message) {
 	time.AfterFunc(delay.Duration(), func() { t.deliver(from, to, msg) })
 }
 
-// deliver routes an arrived message: requests go through the bounded lane
-// (shedding on refusal), everything else through the control lane. A crashed
-// MDS still has live lane entries from before it unregistered; those are
-// dropped at execution time, mirroring the simulated network where delivery
-// to a dead daemon fails.
+// deliver routes an arrived message: an endpoint without an actor handles it
+// here; for a rank, an envelope goes on the bounded lane if it is a request
+// (shedding on refusal) and on the control lane otherwise, and the actor
+// runs it later through handle.
 func (t *transport) deliver(from, to simnet.Addr, msg simnet.Message) {
 	t.mu.RLock()
 	ep := t.nodes[to]
@@ -320,15 +319,9 @@ func (t *transport) deliver(from, to simnet.Addr, msg simnet.Message) {
 		ep.h.HandleMessage(from, msg)
 		return
 	}
-	run := func() {
-		if c, ok := ep.h.(interface{ Crashed() bool }); ok && c.Crashed() {
-			t.DroppedDead.Add(1)
-			return
-		}
-		ep.h.HandleMessage(from, msg)
-	}
+	m := mail{ep: ep, from: from, msg: msg}
 	if r, ok := msg.(*mds.Request); ok {
-		if !ep.a.offer(run) {
+		if !ep.a.offer(m) {
 			t.Sheds.Add(1)
 			t.Send(to, r.Client, &mds.Reply{ReqID: r.ID, Err: ErrOverloaded.Error()})
 			return
@@ -337,7 +330,18 @@ func (t *transport) deliver(from, to simnet.Addr, msg simnet.Message) {
 		return
 	}
 	t.Delivered.Add(1)
-	ep.a.post(run)
+	ep.a.enqueue(m)
+}
+
+// handle runs an envelope on its actor. A crashed MDS still has lane
+// entries from before it unregistered; those are dropped here, mirroring
+// the simulated network where delivery to a dead daemon fails.
+func (t *transport) handle(m mail) {
+	if c, ok := m.ep.h.(interface{ Crashed() bool }); ok && c.Crashed() {
+		t.DroppedDead.Add(1)
+		return
+	}
+	m.ep.h.HandleMessage(m.from, m.msg)
 }
 
 // fencedNet is the transport view handed to a monitored daemon: it stamps

@@ -35,9 +35,14 @@ type MDS struct {
 	peers    []simnet.Addr // peer MDS addresses indexed by rank
 	numRanks int
 
+	// queue[qhead:] holds the requests waiting for the server; the head
+	// index resets when the queue drains, so the backing array is reused.
 	queue    []*Request
+	qhead    int
 	deferred []*Request
 	busy     bool
+	// svcFree holds idle service records (see svcRec).
+	svcFree []*svcRec
 
 	// Measurement windows.
 	windowStart sim.Time
@@ -148,7 +153,7 @@ func (m *MDS) Addr() simnet.Addr { return m.addr }
 func (m *MDS) Balancer() balancer.Balancer { return m.bal }
 
 // QueueLen reports queued plus deferred requests.
-func (m *MDS) QueueLen() int { return len(m.queue) + len(m.deferred) }
+func (m *MDS) QueueLen() int { return len(m.queue) - m.qhead + len(m.deferred) }
 
 // Sessions reports the number of client sessions opened with this MDS.
 func (m *MDS) Sessions() int { return len(m.sessions) }
@@ -244,8 +249,14 @@ func (m *MDS) enqueue(r *Request) {
 	if m.tel != nil {
 		r.enqueuedAt = m.engine.Now()
 		if m.hQueueDepth != nil {
-			m.hQueueDepth.Observe(float64(len(m.queue) + 1))
+			m.hQueueDepth.Observe(float64(len(m.queue) - m.qhead + 1))
 		}
+	}
+	if len(m.queue) == cap(m.queue) && m.qhead > 0 && m.qhead >= len(m.queue)/2 {
+		// A queue that never drains: compact before append would grow it.
+		n := copy(m.queue, m.queue[m.qhead:])
+		clear(m.queue[n:])
+		m.queue, m.qhead = m.queue[:n], 0
 	}
 	m.queue = append(m.queue, r)
 	m.kick()
@@ -253,11 +264,14 @@ func (m *MDS) enqueue(r *Request) {
 
 // kick starts serving the next queued request if idle.
 func (m *MDS) kick() {
-	if m.busy || len(m.queue) == 0 {
+	if m.busy || m.qhead == len(m.queue) {
 		return
 	}
-	r := m.queue[0]
-	m.queue = m.queue[1:]
+	r := m.queue[m.qhead]
+	m.queue[m.qhead] = nil
+	if m.qhead++; m.qhead == len(m.queue) {
+		m.queue, m.qhead = m.queue[:0], 0
+	}
 	m.serve(r)
 }
 
@@ -273,21 +287,111 @@ func (m *MDS) rollWindows() {
 	}
 }
 
-// startBusy occupies the server for d and then runs fn.
-func (m *MDS) startBusy(d sim.Time, fn func()) {
+// startBusy occupies the server for d and then runs the record's
+// continuation (see svcRec.ended).
+func (m *MDS) startBusy(d sim.Time, rec *svcRec) {
 	if m.busy {
 		panic(fmt.Sprintf("mds%d: startBusy while busy", m.rank))
 	}
 	m.busy = true
 	m.rollWindows()
 	m.busyWindow += d
-	m.engine.Schedule(d, func() {
-		m.busy = false
-		if m.crashed {
-			return
+	m.engine.Schedule(d, rec.endedFn)
+}
+
+// svcKind is what a service interval does when it ends.
+type svcKind uint8
+
+const (
+	svcReject  svcKind = iota // resolution failed: error reply
+	svcForward                // misdirected: forward to auth
+	svcServe                  // execute, then reply (after the journal, for a mutation)
+)
+
+// svcRec carries a request across its service interval and, for a
+// mutation, its journal write. Records are pooled per MDS with both
+// continuations bound once, so a served request schedules no fresh closure.
+// Each interval owns its record until the continuation takes the fields it
+// needs, so an interval that fires after Crash/Recover still runs its own.
+type svcRec struct {
+	m      *MDS
+	kind   svcKind
+	r      *Request
+	res    resolved
+	auth   namespace.Rank
+	err    error
+	jstart sim.Time // journal start, for the journal span (tracing only)
+
+	endedFn func() // ended, bound once
+	ackedFn func() // acked, bound once
+}
+
+// allocSvc takes a record from the free list, or makes one.
+func (m *MDS) allocSvc(kind svcKind, r *Request, res resolved) *svcRec {
+	var s *svcRec
+	if n := len(m.svcFree); n > 0 {
+		s = m.svcFree[n-1]
+		m.svcFree[n-1] = nil
+		m.svcFree = m.svcFree[:n-1]
+	} else {
+		s = &svcRec{m: m}
+		s.endedFn, s.ackedFn = s.ended, s.acked
+	}
+	s.kind, s.r, s.res = kind, r, res
+	return s
+}
+
+// release returns the record to the free list. Callers copy out what they
+// need first and release before anything that can re-enter the MDS.
+func (s *svcRec) release() {
+	m := s.m
+	s.r, s.res, s.err = nil, resolved{}, nil
+	m.svcFree = append(m.svcFree, s)
+}
+
+// ended runs when the service interval is over.
+func (s *svcRec) ended() {
+	m := s.m
+	m.busy = false
+	if m.crashed {
+		s.release()
+		return
+	}
+	switch s.kind {
+	case svcReject:
+		r, res, err := s.r, s.res, s.err
+		s.release()
+		m.releaseWriteIntents(r)
+		m.Counters.Errors++
+		m.reply(r, res, err)
+		m.kick()
+	case svcForward:
+		r, res, auth := s.r, s.res, s.auth
+		s.release()
+		if r.Hops > 16 {
+			m.Counters.Errors++
+			m.reply(r, res, errors.New("too many forwards"))
+		} else {
+			m.net.Send(m.addr, m.peers[auth], r)
 		}
-		fn()
-	})
+		m.kick()
+	default:
+		m.execute(s)
+	}
+}
+
+// acked runs when a served mutation's journal entry is durable: only then
+// does the client hear back.
+func (s *svcRec) acked() {
+	m := s.m
+	r, res, jstart := s.r, s.res, s.jstart
+	s.release()
+	if tr := m.tracer(); tr != nil {
+		tr.Complete(telemetry.PIDMDS, int(m.rank), "mds", "journal",
+			jstart, m.engine.Now()-jstart,
+			telemetry.Arg{Key: "trace", Val: r.TraceID})
+	}
+	m.reply(r, res, nil)
 }
 
 // Crash simulates a daemon failure: the MDS vanishes from the network,
@@ -302,7 +406,7 @@ func (m *MDS) Crash() {
 	m.Counters.Crashes++
 	m.net.Unregister(m.addr)
 	m.Stop()
-	m.queue = nil
+	m.queue, m.qhead = nil, 0
 	m.deferred = nil
 	m.busy = false
 	// In-flight migrations die with the daemon. The freeze lives on the
@@ -498,12 +602,9 @@ func (m *MDS) serve(r *Request) {
 	res, auth, err := m.resolve(r)
 	if err != nil {
 		// Resolution failures are cheap rejects billed like a lookup.
-		m.startBusy(m.cfg.LookupSvc, func() {
-			m.releaseWriteIntents(r)
-			m.Counters.Errors++
-			m.reply(r, res, err)
-			m.kick()
-		})
+		rec := m.allocSvc(svcReject, r, res)
+		rec.err = err
+		m.startBusy(m.cfg.LookupSvc, rec)
 		return
 	}
 	// Frozen subtree: park until the migration commits.
@@ -535,15 +636,9 @@ func (m *MDS) serve(r *Request) {
 				telemetry.Arg{Key: "trace", Val: r.TraceID},
 				telemetry.Arg{Key: "to", Val: int64(auth)})
 		}
-		m.startBusy(m.cfg.ForwardSvc, func() {
-			if r.Hops > 16 {
-				m.Counters.Errors++
-				m.reply(r, res, errors.New("too many forwards"))
-			} else {
-				m.net.Send(m.addr, m.peers[auth], r)
-			}
-			m.kick()
-		})
+		rec := m.allocSvc(svcForward, r, res)
+		rec.auth = auth
+		m.startBusy(m.cfg.ForwardSvc, rec)
 		return
 	}
 	// Revoke-before-write: a mutation touching replicated state parks
@@ -568,65 +663,64 @@ func (m *MDS) serve(r *Request) {
 				telemetry.Arg{Key: "trace", Val: r.TraceID})
 		}
 	}
-	m.startBusy(svc, func() {
-		// Fence check at the namespace boundary: the write (or read of
-		// claimed authority) only proceeds if the store still agrees this
-		// daemon owns its epoch. A superseded daemon rejects the operation
-		// and self-fences — the client gets no reply and retries against
-		// the replacement, exactly as with a crash.
-		if m.superseded() {
-			m.Counters.StaleRejects++
-			m.selfFence()
-			return
-		}
-		// Revoke-before-write invariant: by the time a mutation executes,
-		// no rank may still hold a replica of the state it touches. The
-		// registry's write intents guarantee this; the counter pins it
-		// (the consistency soak asserts it stays zero).
-		if m.rep != nil {
-			for _, p := range r.heldPaths {
-				if m.rep.Reg.HasHolders(p) {
-					m.Counters.ReplicaWriteConflicts++
-				}
+	m.startBusy(svc, m.allocSvc(svcServe, r, res))
+}
+
+// execute is the end of a served request's interval: apply it, then reply —
+// after the journal write for a successful mutation, which keeps the record
+// until it is acked.
+func (m *MDS) execute(s *svcRec) {
+	r, res := s.r, s.res
+	// Fence check at the namespace boundary: the write (or read of
+	// claimed authority) only proceeds if the store still agrees this
+	// daemon owns its epoch. A superseded daemon rejects the operation
+	// and self-fences — the client gets no reply and retries against
+	// the replacement, exactly as with a crash.
+	if m.superseded() {
+		s.release()
+		m.Counters.StaleRejects++
+		m.selfFence()
+		return
+	}
+	// Revoke-before-write invariant: by the time a mutation executes,
+	// no rank may still hold a replica of the state it touches. The
+	// registry's write intents guarantee this; the counter pins it
+	// (the consistency soak asserts it stays zero).
+	if m.rep != nil {
+		for _, p := range r.heldPaths {
+			if m.rep.Reg.HasHolders(p) {
+				m.Counters.ReplicaWriteConflicts++
 			}
 		}
-		err := m.apply(r, res)
-		m.releaseWriteIntents(r)
-		m.Counters.Served++
-		m.reqWindow++
-		if m.cServed != nil {
-			m.cServed.Add(1)
+	}
+	err := m.apply(r, res)
+	m.releaseWriteIntents(r)
+	m.Counters.Served++
+	m.reqWindow++
+	if m.cServed != nil {
+		m.cServed.Add(1)
+	}
+	if err != nil {
+		m.Counters.Errors++
+	}
+	if r.Op.Mutating() && err == nil {
+		// Journal before replying; the server is free to take
+		// the next request while the journal write completes.
+		if m.cJournal != nil {
+			m.cJournal.Add(1)
 		}
-		if err != nil {
-			m.Counters.Errors++
+		if m.tracer() != nil {
+			s.jstart = m.engine.Now()
 		}
-		if r.Op.Mutating() && err == nil {
-			// Journal before replying; the server is free to take
-			// the next request while the journal write completes.
-			if m.cJournal != nil {
-				m.cJournal.Add(1)
-			}
-			if tr := m.tracer(); tr != nil {
-				jstart := m.engine.Now()
-				m.journal.Append(rados.EntryUpdate, m.cfg.JournalBytesPerOp, func() {
-					tr.Complete(telemetry.PIDMDS, int(m.rank), "mds", "journal",
-						jstart, m.engine.Now()-jstart,
-						telemetry.Arg{Key: "trace", Val: r.TraceID})
-					m.reply(r, res, nil)
-				})
-			} else {
-				m.journal.Append(rados.EntryUpdate, m.cfg.JournalBytesPerOp, func() {
-					m.reply(r, res, nil)
-				})
-			}
-		} else {
-			m.reply(r, res, err)
-		}
-		if m.OnServed != nil && err == nil {
-			m.OnServed(m, r)
-		}
-		m.kick()
-	})
+		m.journal.Append(rados.EntryUpdate, m.cfg.JournalBytesPerOp, s.ackedFn)
+	} else {
+		s.release()
+		m.reply(r, res, err)
+	}
+	if m.OnServed != nil && err == nil {
+		m.OnServed(m, r)
+	}
+	m.kick()
 }
 
 // svcTime models the CPU cost of executing the request.
@@ -839,15 +933,15 @@ func (m *MDS) reply(r *Request, res resolved, err error) {
 			p := res.dir.Path()
 			if h.DirPath == p {
 				h.Replicas = m.rep.Reg.Holders(p)
-				rep.Hints = append(rep.Hints, h)
+				rep.Hints = append(rep.hint[:0], h)
 			} else {
-				rep.Hints = append(rep.Hints, h, Hint{
+				rep.Hints = append(rep.hint[:0], h, Hint{
 					DirPath: p, Rank: m.ns.EffectiveAuth(res.dir),
 					Replicas: m.rep.Reg.Holders(p),
 				})
 			}
 		} else {
-			rep.Hints = append(rep.Hints, h)
+			rep.Hints = append(rep.hint[:0], h)
 		}
 	}
 	m.net.Send(m.addr, r.Client, rep)

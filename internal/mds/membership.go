@@ -79,7 +79,7 @@ func (m *MDS) Retire() {
 	}
 	m.crashed = true
 	m.retired = true
-	m.queue = nil
+	m.queue, m.qhead = nil, 0
 	m.deferred = nil
 	m.busy = false
 	// A retired rank's replicas and revoke obligations leave with it

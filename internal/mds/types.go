@@ -139,6 +139,10 @@ type Reply struct {
 	Forwards int
 	// Hints update the client's routing table.
 	Hints []Hint
+
+	// hint backs Hints for the common single-hint reply, so it costs no
+	// allocation of its own.
+	hint [1]Hint
 }
 
 // Heartbeat carries one MDS's metrics to its peers (the "send HB"/"recv HB"

@@ -24,6 +24,8 @@ type Journal struct {
 	// it only changes when written crosses a chunk boundary.
 	curChunk uint64
 	curObj   string
+
+	free []*journalEntry // idle entry records
 }
 
 // NewJournal creates a journal whose objects are named prefix.N in pool.
@@ -110,7 +112,6 @@ const entryHeaderSize = 16
 // header; the payload is counted in Object.Size.
 func (j *Journal) Append(kind EntryKind, payloadSize int, done func()) {
 	j.seq++
-	seq := j.seq
 	chunk := j.written / uint64(j.chunkSize)
 	if j.curObj == "" || chunk != j.curChunk {
 		j.curChunk = chunk
@@ -118,25 +119,61 @@ func (j *Journal) Append(kind EntryKind, payloadSize int, done func()) {
 	}
 	j.written += uint64(entryHeaderSize + payloadSize)
 	j.pending++
-	j.pool.write(j.curObj, entryHeaderSize+payloadSize, func(obj *Object) {
-		var hdr [entryHeaderSize]byte
-		hdr[0] = byte(kind)
-		binary.LittleEndian.PutUint64(hdr[1:9], seq)
-		binary.LittleEndian.PutUint32(hdr[9:13], uint32(payloadSize))
-		if len(obj.Data) == cap(obj.Data) {
-			// Double: append grows a large slice by a quarter, which
-			// allocates five bytes for each one the object keeps.
-			obj.Data = append(make([]byte, 0, 2*cap(obj.Data)+entryHeaderSize), obj.Data...)
-		}
-		obj.Data = append(obj.Data, hdr[:]...)
-		obj.Size += uint64(entryHeaderSize + payloadSize)
-	}, func() {
-		j.pending--
-		j.flushed++
-		if done != nil {
-			done()
-		}
-	})
+	e := j.alloc()
+	e.obj, e.kind, e.seq, e.payload, e.done = j.curObj, kind, j.seq, payloadSize, done
+	j.pool.cluster.engine.Schedule(j.pool.charge(e.obj, entryHeaderSize+payloadSize), e.ackedFn)
+}
+
+// journalEntry is one append in flight. Records are pooled on the journal
+// (its rank's clock owns both) with acked bound once, so an append schedules
+// no fresh closure.
+type journalEntry struct {
+	j       *Journal
+	obj     string
+	kind    EntryKind
+	seq     uint64
+	payload int
+	done    func()
+	ackedFn func()
+}
+
+// alloc takes an entry record from the free list, or makes one.
+func (j *Journal) alloc() *journalEntry {
+	if n := len(j.free); n > 0 {
+		e := j.free[n-1]
+		j.free[n-1] = nil
+		j.free = j.free[:n-1]
+		return e
+	}
+	e := &journalEntry{j: j}
+	e.ackedFn = e.acked
+	return e
+}
+
+// acked runs once every replica has the entry: it stores the header, counts
+// the entry durable, releases the record and runs done.
+func (e *journalEntry) acked() {
+	j := e.j
+	obj := j.pool.commit(e.obj)
+	var hdr [entryHeaderSize]byte
+	hdr[0] = byte(e.kind)
+	binary.LittleEndian.PutUint64(hdr[1:9], e.seq)
+	binary.LittleEndian.PutUint32(hdr[9:13], uint32(e.payload))
+	if len(obj.Data) == cap(obj.Data) {
+		// Double: append grows a large slice by a quarter, which
+		// allocates five bytes for each one the object keeps.
+		obj.Data = append(make([]byte, 0, 2*cap(obj.Data)+entryHeaderSize), obj.Data...)
+	}
+	obj.Data = append(obj.Data, hdr[:]...)
+	obj.Size += uint64(entryHeaderSize + e.payload)
+	done := e.done
+	e.obj, e.done = "", nil
+	j.free = append(j.free, e)
+	j.pending--
+	j.flushed++
+	if done != nil {
+		done()
+	}
 }
 
 // Flushed reports the number of durable entries.

@@ -320,11 +320,11 @@ func (c *Cluster) opLatency(base sim.Time, bytes int) sim.Time {
 	return l
 }
 
-// write is the one replicated-write path: every placed OSD draws its
-// opLatency for size bytes, in placement order (the draws are part of the
-// simulation's deterministic surface), and once the slowest replica has acked
-// apply mutates the object — created if missing — and done, if set, runs.
-func (p *Pool) write(name string, size int, apply func(*Object), done func()) {
+// charge bills every placed OSD for one replicated write of size bytes, each
+// drawing its opLatency in placement order (the draws are part of the
+// simulation's deterministic surface), and returns the slowest replica's
+// latency: when the write is acked.
+func (p *Pool) charge(name string, size int) sim.Time {
 	c := p.cluster
 	var worst sim.Time
 	for _, id := range p.placement(name) {
@@ -336,15 +336,28 @@ func (p *Pool) write(name string, size int, apply func(*Object), done func()) {
 		}
 	}
 	c.obsWrite(worst)
-	c.engine.Schedule(worst, func() {
-		obj, ok := p.objects[name]
-		if !ok {
-			obj = newObject(name)
-			p.objects[name] = obj
-		}
-		apply(obj)
-		obj.Version++
-		p.cluster.Writes++ // via p: capturing c too would grow every write's closure
+	return worst
+}
+
+// commit is the ack half of a replicated write: it looks the object up,
+// creating it if missing, and counts the write. The caller applies the
+// mutation.
+func (p *Pool) commit(name string) *Object {
+	obj, ok := p.objects[name]
+	if !ok {
+		obj = newObject(name)
+		p.objects[name] = obj
+	}
+	obj.Version++
+	p.cluster.Writes++
+	return obj
+}
+
+// write is the replicated-write path of Write, Append and OMapSet: once the
+// slowest replica has acked, apply mutates the object and done, if set, runs.
+func (p *Pool) write(name string, size int, apply func(*Object), done func()) {
+	p.cluster.engine.Schedule(p.charge(name, size), func() {
+		apply(p.commit(name))
 		if done != nil {
 			done()
 		}

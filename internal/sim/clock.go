@@ -40,6 +40,14 @@ type ExternalTimer interface {
 	CancelTimer()
 }
 
+// ArmedTimer is an ExternalTimer whose slot is reused for later arms. Each
+// arm has a generation (never 0), and CancelArm cancels the slot only while
+// gen is still its current arm, so a stale handle cannot reach a later arm.
+type ArmedTimer interface {
+	ExternalTimer
+	CancelArm(gen uint64)
+}
+
 // ExternalEvent wraps a non-engine timer in an Event handle so code written
 // against Clock can hold and cancel timers from either implementation. The
 // handle never touches the engine's event pool.
@@ -47,6 +55,25 @@ func ExternalEvent(at Time, t ExternalTimer) Event {
 	return Event{at: at, ext: t}
 }
 
+// ArmedEvent wraps arm gen of a reusable timer slot in an Event handle:
+// cancelling through the handle cancels that arm and no other.
+func ArmedEvent(at Time, t ArmedTimer, gen uint64) Event {
+	return Event{at: at, ext: t, gen: gen}
+}
+
 // External reports the wall-clock timer behind the handle, or nil for an
 // engine event (including the zero Event).
 func (ev Event) External() ExternalTimer { return ev.ext }
+
+// CancelExternal cancels the wall-clock timer behind the handle: through
+// CancelArm for a handle from ArmedEvent, through CancelTimer otherwise. It
+// is a no-op for an engine event.
+func (ev Event) CancelExternal() {
+	switch {
+	case ev.ext == nil:
+	case ev.gen != 0:
+		ev.ext.(ArmedTimer).CancelArm(ev.gen)
+	default:
+		ev.ext.CancelTimer()
+	}
+}

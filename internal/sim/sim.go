@@ -50,9 +50,9 @@ type Event struct {
 	e   *event
 	gen uint64
 	at  Time
-	// ext is set only on handles produced by ExternalEvent (wall-clock
-	// timers from non-engine Clock implementations); engine events leave
-	// it nil.
+	// ext is set only on handles produced by ExternalEvent or ArmedEvent
+	// (wall-clock timers from non-engine Clock implementations); engine
+	// events leave it nil. On an ArmedEvent handle gen names the arm.
 	ext ExternalTimer
 }
 
@@ -135,7 +135,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) Event {
 // written against Clock can cancel events from either implementation.
 func (e *Engine) Cancel(ev Event) {
 	if ev.ext != nil {
-		ev.ext.CancelTimer()
+		ev.CancelExternal()
 		return
 	}
 	if ev.e == nil || ev.e.gen != ev.gen {

@@ -96,6 +96,8 @@ type Network struct {
 	faultRng     *rand.Rand
 	faultSeed    int64
 
+	free []*delivery // idle delivery records
+
 	// Sent and Delivered count messages for observability. Dropped is the
 	// total of the three causes broken out below it.
 	Sent      uint64
@@ -256,29 +258,62 @@ func (n *Network) Send(from, to Addr, msg Message) {
 	if delay < 0 {
 		delay = 0
 	}
-	sentAt := n.engine.Now()
-	n.engine.Schedule(delay, func() {
-		h, ok := n.nodes[to]
-		if !ok {
-			n.Dropped++
-			n.DroppedDead++
-			if n.tel != nil {
-				n.cDropped.Add(1)
-				n.cDropDead.Add(1)
-			}
-			return
-		}
-		n.Delivered++
+	d := n.alloc()
+	d.from, d.to, d.msg, d.sentAt = from, to, msg, n.engine.Now()
+	n.engine.Schedule(delay, d.arriveFn)
+}
+
+// delivery is one message in flight. Records are pooled on the network (the
+// engine's goroutine owns both) with arrive bound once, so a send schedules
+// no fresh closure.
+type delivery struct {
+	n        *Network
+	from, to Addr
+	msg      Message
+	sentAt   sim.Time
+	arriveFn func()
+}
+
+// alloc takes a delivery record from the free list, or makes one.
+func (n *Network) alloc() *delivery {
+	if k := len(n.free); k > 0 {
+		d := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return d
+	}
+	d := &delivery{n: n}
+	d.arriveFn = d.arrive
+	return d
+}
+
+// arrive hands the message to its destination. The record goes back to the
+// free list before the handler runs, because handlers send.
+func (d *delivery) arrive() {
+	n := d.n
+	from, to, msg, sentAt := d.from, d.to, d.msg, d.sentAt
+	d.msg = nil
+	n.free = append(n.free, d)
+	h, ok := n.nodes[to]
+	if !ok {
+		n.Dropped++
+		n.DroppedDead++
 		if n.tel != nil {
-			n.cDelivered.Add(1)
-			n.hDelay.Observe(float64(n.engine.Now() - sentAt))
-			if n.tel.NetTrace && n.tel.Tracer != nil {
-				n.tel.Tracer.Complete(telemetry.PIDNet, 0, "net",
-					fmt.Sprintf("%d->%d %T", from, to, msg), sentAt, n.engine.Now()-sentAt)
-			}
+			n.cDropped.Add(1)
+			n.cDropDead.Add(1)
 		}
-		h.HandleMessage(from, msg)
-	})
+		return
+	}
+	n.Delivered++
+	if n.tel != nil {
+		n.cDelivered.Add(1)
+		n.hDelay.Observe(float64(n.engine.Now() - sentAt))
+		if n.tel.NetTrace && n.tel.Tracer != nil {
+			n.tel.Tracer.Complete(telemetry.PIDNet, 0, "net",
+				fmt.Sprintf("%d->%d %T", from, to, msg), sentAt, n.engine.Now()-sentAt)
+		}
+	}
+	h.HandleMessage(from, msg)
 }
 
 // Broadcast sends msg from -> each address in to.

@@ -292,3 +292,76 @@ func TestFaultMachineryPassive(t *testing.T) {
 		}
 	}
 }
+
+// TestSendDeliverAllocs: a message in flight costs no heap object once the
+// delivery free list and the engine's event pool are warm (a closure per
+// send allocated 1). Sends dropped at a partition or at a dead destination
+// allocate nothing either.
+func TestSendDeliverAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := New(e, Config{Latency: 10, Jitter: 3})
+	got := 0
+	n.Register(1, HandlerFunc(func(Addr, Message) {}))
+	n.Register(2, HandlerFunc(func(Addr, Message) { got++ }))
+	msg := &struct{ seq int }{}
+	for _, c := range []struct {
+		name string
+		to   Addr
+		cut  bool
+	}{{"delivered", 2, false}, {"dead destination", 99, false}, {"partitioned", 2, true}} {
+		if c.cut {
+			n.Partition(1, 2)
+		}
+		send := func() {
+			n.Send(1, c.to, msg)
+			e.RunUntilIdle()
+		}
+		send()
+		if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+			t.Errorf("%s: Send+deliver allocates %.0f objects, want 0", c.name, allocs)
+		}
+		if len(n.free) > 1 {
+			t.Errorf("%s: %d idle records after serial sends, want <= 1", c.name, len(n.free))
+		}
+	}
+	if got != 1002 || n.DroppedDead != 1002 || n.DroppedPartition != 1002 {
+		t.Fatalf("delivered %d, dead %d, partitioned %d; want 1002 each", got, n.DroppedDead, n.DroppedPartition)
+	}
+}
+
+// TestDeliveryReuseFromHandler: a handler that sends from inside
+// HandleMessage reuses the record its own delivery just released; each
+// message still arrives with its own from, to and payload.
+func TestDeliveryReuseFromHandler(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := New(e, Config{Latency: 10})
+	type arrival struct {
+		from, to Addr
+		msg      Message
+	}
+	var log []arrival
+	n.Register(1, HandlerFunc(func(from Addr, msg Message) {
+		log = append(log, arrival{from, 1, msg})
+		if msg == "ping" {
+			n.Send(1, 2, "pong")
+			n.Send(1, 99, "void") // dead destination: recycled at arrival
+		}
+	}))
+	n.Register(2, HandlerFunc(func(from Addr, msg Message) {
+		log = append(log, arrival{from, 2, msg})
+	}))
+	n.Send(3, 1, "ping")
+	e.RunUntilIdle()
+	want := []arrival{{3, 1, "ping"}, {1, 2, "pong"}}
+	if len(log) != len(want) || log[0] != want[0] || log[1] != want[1] {
+		t.Fatalf("arrivals %v, want %v", log, want)
+	}
+	if n.DroppedDead != 1 || len(n.free) != 2 {
+		t.Fatalf("dead drops %d, idle records %d; want 1 and 2", n.DroppedDead, len(n.free))
+	}
+	for _, d := range n.free {
+		if d.msg != nil {
+			t.Fatalf("idle record still holds %v", d.msg)
+		}
+	}
+}
