@@ -78,8 +78,11 @@ type Balancer interface {
 	// MetaLoad quantifies the work represented by one dirfrag or subtree.
 	MetaLoad(d namespace.CounterSnapshot) (float64, error)
 	// MDSLoad scalarises the metrics of e.MDSs[rank] into a comparable
-	// load. The Load fields of e.MDSs are not yet filled when MDSLoad
-	// runs.
+	// load. The framework scores ranks in order (see ScoreAll): when
+	// MDSLoad runs for rank i, the Load of every rank before i holds that
+	// rank's score and e.Total is their running sum, while rank i and the
+	// ranks after it still carry the Load they came in with (zero on a
+	// fresh tick or a replayed record).
 	MDSLoad(rank namespace.Rank, e *Env) (float64, error)
 	// When reports whether this MDS should migrate load now.
 	When(e *Env) (bool, error)
@@ -87,6 +90,48 @@ type Balancer interface {
 	Where(e *Env) (Targets, error)
 	// HowMuch names the dirfrag selectors to try, in preference order.
 	HowMuch(e *Env) ([]string, error)
+}
+
+// Scorer is an optional Balancer extension that scores many ranks in one
+// call. ScoreRanks must leave e exactly as calling MDSLoad for each rank from
+// `from` on, in order, and recording each result with e.Score would. It
+// returns the rank it stopped at: len(e.MDSs), or the rank whose MDSLoad
+// failed, with every rank before it scored.
+type Scorer interface {
+	ScoreRanks(e *Env, from int) (int, error)
+}
+
+// ScoreAll fills every e.MDSs[i].Load with b's MDSLoad for rank i, and
+// e.Total with their sum, scoring rank 0 first. A Scorer does it in one call;
+// any other balancer is called once per rank. On an error the ranks before
+// the failing one stay scored, as a loop that stops there leaves them.
+func ScoreAll(b Balancer, e *Env) error {
+	_, err := scoreFrom(b, e, 0)
+	return err
+}
+
+func scoreFrom(b Balancer, e *Env, from int) (int, error) {
+	if s, ok := b.(Scorer); ok {
+		return s.ScoreRanks(e, from)
+	}
+	for r := from; r < len(e.MDSs); r++ {
+		load, err := b.MDSLoad(namespace.Rank(r), e)
+		if err != nil {
+			return r, err
+		}
+		e.Score(r, load)
+	}
+	return len(e.MDSs), nil
+}
+
+// Score records rank r's MDSLoad result: a negative load counts as zero, and
+// e.Total accumulates it.
+func (e *Env) Score(r int, load float64) {
+	if load < 0 {
+		load = 0
+	}
+	e.MDSs[r].Load = load
+	e.Total += load
 }
 
 // StateStore persists a small value between balancer invocations on one MDS

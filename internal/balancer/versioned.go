@@ -144,6 +144,24 @@ func (v *Versioned) MDSLoad(rank namespace.Rank, e *Env) (float64, error) {
 	}
 }
 
+// ScoreRanks implements Scorer. When the active version fails at rank k it
+// is demoted and the version reinstated resumes at rank k, on the ranks the
+// failed one already scored — what a loop of MDSLoad calls does.
+func (v *Versioned) ScoreRanks(e *Env, from int) (int, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for {
+		at, err := scoreFrom(v.active(), e, from)
+		if err == nil {
+			return at, nil
+		}
+		if !v.demote(err) {
+			return at, err
+		}
+		from = at
+	}
+}
+
 // When applies the active version, demoting and retrying on error.
 func (v *Versioned) When(e *Env) (bool, error) {
 	v.mu.Lock()

@@ -6,6 +6,8 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mantle/internal/balancer"
@@ -140,6 +142,52 @@ func TestBrokenPolicyFallsBackWithinOneHeartbeat(t *testing.T) {
 				t.Fatalf("active balancer after fallback = %q", got)
 			}
 		})
+	}
+}
+
+// TestNonFiniteLoadPolicyFallsBack injects the NaN-mdsload policy file
+// unlinted. Its first heartbeat must fail as a policy error and demote it,
+// and the flight log must still serialise. A NaN used to poison total, so
+// nothing fell back, the rank never migrated, and the flight log failed to
+// encode.
+func TestNonFiniteLoadPolicyFallsBack(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "core", "testdata", "nan_mdsload.lua"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := core.ParsePolicyFile("nan_mdsload", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.DefaultConfig(2, 31)
+	cfg.MDS.HeartbeatInterval = 500 * sim.Millisecond
+	cfg.MDS.RebalanceDelay = 50 * sim.Millisecond
+	c, err := cluster.New(cfg, cluster.LuaBalancers(policy(t, "greedy_spill")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableTelemetry(telemetry.Options{Metrics: true, FlightRecorder: true})
+	for i := 0; i < 2; i++ {
+		c.AddClient(workload.SharedDirCreates("/shared", i, 3000))
+	}
+	c.Engine.Schedule(2*sim.Second, func() {
+		if err := c.InjectPolicy(0, bad); err != nil {
+			t.Errorf("inject: %v", err)
+		}
+	})
+	res := c.Run(10 * sim.Minute)
+	if !res.AllDone {
+		t.Fatal("workload did not finish")
+	}
+	if res.PolicyFallbacks == 0 || c.MDSs[0].Balancer().Name() != "greedy_spill" {
+		t.Fatalf("fallbacks %d, active %s: the NaN version was never demoted", res.PolicyFallbacks, c.MDSs[0].Balancer().Name())
+	}
+	var buf bytes.Buffer
+	if err := c.Tel.Recorder.WriteJSONL(&buf); err != nil {
+		t.Fatalf("flight log: %v", err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("mds_bal_mdsload returned NaN, want a finite number")) {
+		t.Fatal("the flight log does not record the demotion's reason")
 	}
 }
 

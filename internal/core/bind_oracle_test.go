@@ -312,7 +312,7 @@ func balanceFamily(t *testing.T) *family {
 	e := &balancer.Env{MDSs: make([]balancer.MDSMetrics, 3)}
 	f := &family{name: "balance", fastVM: fast.vm, slow: slow.vm}
 	f.step = func(s *script) (string, string) {
-		switch s.intn(12) {
+		switch s.intn(13) {
 		case 0:
 			mutateMDS(s, e.MDSs)
 		case 1:
@@ -363,6 +363,28 @@ func balanceFamily(t *testing.T) *family {
 			got, gerr := fast.MetaLoad(d)
 			want, werr := slow.MetaLoad(d)
 			return fmtResult(got, gerr), fmtResult(want, werr)
+		case 12:
+			// A whole scoring round: ScoreAll from one bind against the
+			// old binder run once per rank, from the same env.
+			s.seen["scoreall"]++
+			ef, es := cloneEnv(e), cloneEnv(e)
+			gerr := balancer.ScoreAll(fast, ef)
+			var werr error
+			for r := range es.MDSs {
+				slow.bindEnv(es)
+				load, err := slow.mdsLoad(namespace.Rank(r))
+				if err != nil {
+					werr = err
+					break
+				}
+				if load < 0 {
+					load = 0
+				}
+				es.MDSs[r].Load = load
+				es.Total += load
+			}
+			e = ef
+			return fmtResult(envBits(ef), gerr), fmtResult(envBits(es), werr)
 		}
 		return "", ""
 	}
@@ -478,7 +500,7 @@ func TestBindEnvDifferential(t *testing.T) {
 			seen[k] += n
 		}
 	}
-	for _, k := range []string{"rescore", "fresh", "grow", "shrink", "nan", "inf", "negzero", "interned",
+	for _, k := range []string{"rescore", "scoreall", "fresh", "grow", "shrink", "nan", "inf", "negzero", "interned",
 		"poke1", "poke2", "poke3", "poke4", "poke5"} {
 		if seen[k] == 0 {
 			t.Errorf("the seeded scripts never exercised %q", k)

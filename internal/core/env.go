@@ -19,6 +19,9 @@ import (
 // when_replicate.
 var mdsKeys = []lua.Value{"auth", "all", "cpu", "mem", "q", "req", "load"}
 
+// mdsLoadField is the index of "load" in mdsKeys.
+const mdsLoadField = 6
+
 func mdsBits(dst []uint64, mdss []balancer.MDSMetrics) []uint64 {
 	for i := range mdss {
 		m := &mdss[i]
@@ -160,14 +163,42 @@ func (h *hookEnv) bindRanks(vals []uint64) {
 	h.vm.Globals.Set("MDSs", h.mdss)
 }
 
-// run evaluates one compiled hook, counting failures.
-func (h *hookEnv) run(c *lua.Chunk) ([]lua.Value, error) {
-	vals, err := h.vm.Run(c)
+// rebindField is bindRanks for a caller that changed one value since the
+// last bind: field f of rank k is now v, and every other value is still the
+// one the shadow records. It stores what bindRanks would store — that field
+// if it differs, every field of any rank table a script wrote to, and the
+// MDSs global — without gathering and comparing every rank's values.
+func (h *hookEnv) rebindField(k, f int, v float64) {
+	n := len(h.keys)
+	changed := h.shadow[k*n+f] != bits(v)
+	h.shadow[k*n+f] = bits(v)
+	for j := range h.ranks {
+		r := &h.ranks[j]
+		switch {
+		case r.t.Writes() != r.writes:
+			for g, b := range h.shadow[j*n : (j+1)*n] {
+				r.t.Set(h.keys[g], lua.Box(math.Float64frombits(b)))
+			}
+		case j == k && changed:
+			r.t.Set(h.keys[f], lua.Box(v))
+		default:
+			continue
+		}
+		r.writes = r.t.Writes()
+	}
+	h.vm.Globals.Set("MDSs", h.mdss)
+}
+
+// run evaluates one compiled hook, counting failures. Every hook reads only
+// its first return value, so that is all run reports; ok is false when the
+// hook returned nothing.
+func (h *hookEnv) run(c *lua.Chunk) (first lua.Value, ok bool, err error) {
+	first, ok, err = h.vm.RunFirst(c)
 	if err != nil {
 		h.HookErrors++
-		return nil, fmt.Errorf("mantle: %s: %w", c.Name, err)
+		return nil, false, fmt.Errorf("mantle: %s: %w", c.Name, err)
 	}
-	return vals, nil
+	return first, ok, nil
 }
 
 // verdict evaluates a hook whose answer is a direction: +1 for a positive
@@ -175,15 +206,15 @@ func (h *hookEnv) run(c *lua.Chunk) ([]lua.Value, error) {
 // collapse to one step so every membership or replica change is made, and
 // can be judged, on its own.
 func (h *hookEnv) verdict(c *lua.Chunk) (int, error) {
-	vals, err := h.run(c)
-	if err != nil || len(vals) == 0 || vals[0] == nil {
+	v, _, err := h.run(c)
+	if err != nil || v == nil {
 		return 0, err
 	}
-	n, ok := lua.Number(vals[0])
+	n, ok := lua.Number(v)
 	switch {
 	case !ok:
 		h.HookErrors++
-		return 0, fmt.Errorf("mantle: %s returned %v, want number", c.Name, lua.TypeOf(vals[0]))
+		return 0, fmt.Errorf("mantle: %s returned %v, want number", c.Name, lua.TypeOf(v))
 	case n > 0:
 		return 1, nil
 	case n < 0:

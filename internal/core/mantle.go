@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"mantle/internal/balancer"
@@ -98,7 +99,10 @@ type LuaBalancer struct {
 	targets *lua.Table
 }
 
-var _ balancer.Balancer = (*LuaBalancer)(nil)
+var (
+	_ balancer.Balancer = (*LuaBalancer)(nil)
+	_ balancer.Scorer   = (*LuaBalancer)(nil)
+)
 
 // NewLuaBalancer compiles the policy. Compilation errors carry the hook
 // name, the script line, and the parser message.
@@ -144,13 +148,19 @@ func (b *LuaBalancer) State() balancer.StateStore { return b.state }
 // VM exposes the underlying interpreter for the policy linter.
 func (b *LuaBalancer) VM() *lua.VM { return b.vm }
 
-func wantNumberResult(h hook, vals []lua.Value) (float64, error) {
-	if len(vals) == 0 {
+// wantNumberResult checks a load hook's result: a number, and a finite one.
+// A NaN passes every comparison a caller clamps with and poisons the sum it
+// joins, so it is a policy error like any other bad result.
+func wantNumberResult(h hook, v lua.Value, ok bool) (float64, error) {
+	if !ok {
 		return 0, fmt.Errorf("mantle: %s returned no value", hookNames[h])
 	}
-	n, ok := lua.Number(vals[0])
-	if !ok {
-		return 0, fmt.Errorf("mantle: %s returned %v, want number", hookNames[h], lua.TypeOf(vals[0]))
+	n, isNum := lua.Number(v)
+	if !isNum {
+		return 0, fmt.Errorf("mantle: %s returned %v, want number", hookNames[h], lua.TypeOf(v))
+	}
+	if math.IsNaN(n) || math.IsInf(n, 0) {
+		return 0, fmt.Errorf("mantle: %s returned %g, want a finite number", hookNames[h], n)
 	}
 	return n, nil
 }
@@ -163,11 +173,11 @@ func (b *LuaBalancer) MetaLoad(d namespace.CounterSnapshot) (float64, error) {
 	b.setNum("READDIR", d.Readdir)
 	b.setNum("FETCH", d.Fetch)
 	b.setNum("STORE", d.Store)
-	vals, err := b.run(b.chunks[hookMetaLoad])
+	v, ok, err := b.run(b.chunks[hookMetaLoad])
 	if err != nil {
 		return 0, err
 	}
-	return wantNumberResult(hookMetaLoad, vals)
+	return wantNumberResult(hookMetaLoad, v, ok)
 }
 
 // MDSLoad implements balancer.Balancer by evaluating mds_bal_mdsload with
@@ -177,15 +187,38 @@ func (b *LuaBalancer) MDSLoad(rank namespace.Rank, e *balancer.Env) (float64, er
 	return b.mdsLoad(rank)
 }
 
+// ScoreRanks implements balancer.Scorer. It binds e once. Between two ranks
+// the environment a loop of MDSLoad calls would bind differs only in the
+// previous rank's load and in total, so only those are stored again, with
+// the scalars, the MDSs global and any rank table a script clobbered.
+func (b *LuaBalancer) ScoreRanks(e *balancer.Env, from int) (int, error) {
+	// The scalars that stay put are boxed once and stored again per rank.
+	who, am, al := lua.Box(float64(e.WhoAmI)+1), lua.Box(e.AuthMetaLoad), lua.Box(e.AllMetaLoad)
+	for r := from; r < len(e.MDSs); r++ {
+		if r == from {
+			b.bindEnv(e)
+		} else {
+			b.bindScalars(who, lua.Box(e.Total), am, al)
+			b.rebindField(r-1, mdsLoadField, e.MDSs[r-1].Load)
+		}
+		load, err := b.mdsLoad(namespace.Rank(r))
+		if err != nil {
+			return r, err
+		}
+		e.Score(r, load)
+	}
+	return len(e.MDSs), nil
+}
+
 // mdsLoad, when, where and howMuch evaluate a hook against the environment
 // already bound (the differential test binds it the old way instead).
 func (b *LuaBalancer) mdsLoad(rank namespace.Rank) (float64, error) {
 	b.setNum("i", float64(rank)+1)
-	vals, err := b.run(b.chunks[hookMDSLoad])
+	v, ok, err := b.run(b.chunks[hookMDSLoad])
 	if err != nil {
 		return 0, err
 	}
-	return wantNumberResult(hookMDSLoad, vals)
+	return wantNumberResult(hookMDSLoad, v, ok)
 }
 
 // When implements balancer.Balancer. A when script may either return a
@@ -198,17 +231,14 @@ func (b *LuaBalancer) When(e *balancer.Env) (bool, error) {
 
 func (b *LuaBalancer) when() (bool, error) {
 	b.vm.Globals.SetString(whenResultVar, nil)
-	vals, err := b.run(b.chunks[hookWhen])
+	v, _, err := b.run(b.chunks[hookWhen])
 	if err != nil {
 		return false, err
 	}
-	if v := b.vm.Globals.GetString(whenResultVar); v != nil {
-		return lua.Truthy(v), nil
+	if set := b.vm.Globals.GetString(whenResultVar); set != nil {
+		return lua.Truthy(set), nil
 	}
-	if len(vals) == 0 {
-		return false, nil
-	}
-	return lua.Truthy(vals[0]), nil
+	return lua.Truthy(v), nil
 }
 
 // Where implements balancer.Balancer: the script populates the 1-based
@@ -222,7 +252,7 @@ func (b *LuaBalancer) where(e *balancer.Env) (balancer.Targets, error) {
 	targets := b.targets
 	targets.Reset()
 	b.vm.Globals.SetString("targets", targets)
-	if _, err := b.run(b.chunks[hookWhere]); err != nil {
+	if _, _, err := b.run(b.chunks[hookWhere]); err != nil {
 		return nil, err
 	}
 	out := balancer.Targets{}
@@ -253,18 +283,18 @@ func (b *LuaBalancer) HowMuch(e *balancer.Env) ([]string, error) {
 }
 
 func (b *LuaBalancer) howMuch() ([]string, error) {
-	vals, err := b.run(b.chunks[hookHowMuch])
+	first, ok, err := b.run(b.chunks[hookHowMuch])
 	if err != nil {
 		return nil, err
 	}
-	if len(vals) == 0 {
+	if !ok {
 		return nil, fmt.Errorf("mantle: %s returned no value", hookNames[hookHowMuch])
 	}
-	switch v := vals[0].(type) {
+	switch v := first.(type) {
 	case string:
 		return []string{v}, nil
 	case *lua.Table:
-		var names []string
+		names := make([]string, 0, v.Len())
 		for i := 1; i <= v.Len(); i++ {
 			s, ok := v.GetInt(i).(string)
 			if !ok {
@@ -277,7 +307,7 @@ func (b *LuaBalancer) howMuch() ([]string, error) {
 		}
 		return names, nil
 	default:
-		return nil, fmt.Errorf("mantle: %s returned %v, want table of strings", hookNames[hookHowMuch], lua.TypeOf(vals[0]))
+		return nil, fmt.Errorf("mantle: %s returned %v, want table of strings", hookNames[hookHowMuch], lua.TypeOf(first))
 	}
 }
 
@@ -290,9 +320,15 @@ func (b *LuaBalancer) bindEnv(e *balancer.Env) {
 	if e.State != nil {
 		b.state = e.State
 	}
-	b.setNum("whoami", float64(e.WhoAmI)+1)
-	b.setNum("total", e.Total)
-	b.setNum("authmetaload", e.AuthMetaLoad)
-	b.setNum("allmetaload", e.AllMetaLoad)
+	b.bindScalars(lua.Box(float64(e.WhoAmI)+1), lua.Box(e.Total), lua.Box(e.AuthMetaLoad), lua.Box(e.AllMetaLoad))
 	b.bindRanks(mdsBits(b.spare[:0], e.MDSs))
+}
+
+// bindScalars publishes the environment's scalar globals, boxed.
+func (b *LuaBalancer) bindScalars(whoami, total, authMetaLoad, allMetaLoad lua.Value) {
+	g := b.vm.Globals
+	g.Set("whoami", whoami)
+	g.Set("total", total)
+	g.Set("authmetaload", authMetaLoad)
+	g.Set("allmetaload", allMetaLoad)
 }

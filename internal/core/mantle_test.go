@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -478,5 +480,49 @@ func TestBalancerName(t *testing.T) {
 	b2 := mustBalancer(t, Policy{})
 	if b2.Name() != "mantle" {
 		t.Fatalf("default name = %q", b2.Name())
+	}
+}
+
+// TestNonFiniteLoadIsPolicyError: a load hook that returns NaN or ±Inf
+// fails like any other bad result. A NaN used to pass the `load < 0` clamp
+// and poison total, so the cluster never migrated, the lint said "policy OK"
+// and no version fell back.
+func TestNonFiniteLoadIsPolicyError(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "nan_mdsload.lua"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, rep, err := CheckPolicyFile("nan_mdsload", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nanMsg = "mantle: mds_bal_mdsload returned NaN, want a finite number"
+	if rep.OK() || !strings.Contains(rep.String(), nanMsg) {
+		t.Fatalf("the lint passed a NaN mdsload:\n%s", rep)
+	}
+	b := mustBalancer(t, p)
+	if _, err := b.MDSLoad(0, envOf(0, 10, 20)); err == nil || err.Error() != nanMsg {
+		t.Fatalf("MDSLoad error = %v, want %q", err, nanMsg)
+	}
+	inf := mustBalancer(t, Policy{MetaLoad: `IWR/0`, MDSLoad: `-MDSs[i]["all"]/0`})
+	if _, err := inf.MetaLoad(namespace.CounterSnapshot{IWR: 1}); err == nil ||
+		err.Error() != "mantle: mds_bal_metaload returned +Inf, want a finite number" {
+		t.Fatalf("MetaLoad error = %v", err)
+	}
+	if _, err := inf.MDSLoad(0, envOf(0, 10)); err == nil || !strings.Contains(err.Error(), "returned -Inf") {
+		t.Fatalf("MDSLoad error = %v", err)
+	}
+
+	// Under a version stack the NaN version is demoted at the first rank
+	// and the previous one scores every rank.
+	vb := balancer.NewVersioned(mustBalancer(t, GreedySpillPolicy()))
+	vb.Push(b)
+	e := envOf(0, 10, 20)
+	e.Total = 0
+	if err := balancer.ScoreAll(vb, e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Total != 30 || vb.Demotions != 1 || vb.Name() != "greedy_spill" {
+		t.Fatalf("after scoring: total %v, demotions %d, active %s; want 30, 1, greedy_spill", e.Total, vb.Demotions, vb.Name())
 	}
 }

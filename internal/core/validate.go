@@ -40,7 +40,9 @@ func (r *ValidationReport) String() string {
 }
 
 // syntheticEnvs builds a spread of cluster states: idle, balanced, skewed,
-// one-hot, and every rank as the decider, for sizes 1..5.
+// one-hot, and every rank as the decider, for sizes 1..5. Load and Total are
+// left zero, as the cluster presents them to mds_bal_mdsload: Validate
+// scores them with the policy's own hook.
 func syntheticEnvs(state balancer.StateStore) []*balancer.Env {
 	var envs []*balancer.Env
 	shapes := [][]float64{
@@ -57,17 +59,15 @@ func syntheticEnvs(state balancer.StateStore) []*balancer.Env {
 	for _, loads := range shapes {
 		for who := range loads {
 			e := &balancer.Env{WhoAmI: namespace.Rank(who), State: state}
-			for i, l := range loads {
+			for _, l := range loads {
 				cpu := l
 				if cpu > 100 {
 					cpu = 100
 				}
 				e.MDSs = append(e.MDSs, balancer.MDSMetrics{
-					Auth: l, All: l, Load: l, CPU: cpu,
+					Auth: l, All: l, CPU: cpu,
 					Mem: 10, Queue: l / 10, Req: l * 2,
 				})
-				e.Total += l
-				_ = i
 			}
 			e.AuthMetaLoad = loads[who]
 			e.AllMetaLoad = loads[who]
@@ -123,11 +123,8 @@ func Validate(p Policy) *ValidationReport {
 
 	for _, e := range syntheticEnvs(lb.State()) {
 		rep.StatesTried++
-		for i := range e.MDSs {
-			if _, err := lb.MDSLoad(namespace.Rank(i), e); err != nil {
-				add("%s", err)
-				break
-			}
+		if err := balancer.ScoreAll(lb, e); err != nil {
+			add("%s", err)
 		}
 		ok, err := lb.When(e)
 		if err != nil {

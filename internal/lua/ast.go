@@ -115,10 +115,15 @@ type (
 	stringExpr struct {
 		line int
 		val  string
+		// boxed is val pre-converted to a Value, as numberExpr.boxed is:
+		// a string converted on every evaluation costs a heap header.
+		boxed Value
 	}
 	nameExpr struct {
 		line int
 		name string
+		// key is name pre-converted to a Value, for storing a global.
+		key Value
 	}
 	// indexExpr is obj[key] (obj.name is sugar for obj["name"]).
 	indexExpr struct {
@@ -154,6 +159,14 @@ type (
 		avals []expr
 	}
 )
+
+func newStringExpr(line int, s string) *stringExpr {
+	return &stringExpr{line: line, val: s, boxed: s}
+}
+
+func newNameExpr(line int, name string) *nameExpr {
+	return &nameExpr{line: line, name: name, key: name}
+}
 
 func (e *nilExpr) exprLine() int    { return e.line }
 func (e *trueExpr) exprLine() int   { return e.line }

@@ -37,6 +37,22 @@ type VM struct {
 	chunk    string
 	printer  PrintWriter
 	rngState uint64
+
+	// stack holds call arguments and return values. A call pushes its
+	// arguments and hands the callee that window; the caller truncates the
+	// stack back once the call returns. A call's results may still sit in
+	// the truncated region (a Lua return pushes them above the arguments,
+	// assert and select return a window of their arguments), so every
+	// caller consumes them before it pushes again.
+	stack []Value
+	// one is the result of max and min: the winning argument itself, handed
+	// back without a fresh slice. It is consumed like any call result.
+	one [1]Value
+	// root is the top-level scope reused by every run of a chunk that
+	// creates no closures (nothing can capture its boxes); rootBusy keeps a
+	// run nested inside another from resetting it.
+	root     scope
+	rootBusy bool
 }
 
 // NewVM returns a VM with the standard library installed and a defensive
@@ -121,13 +137,39 @@ func (vm *VM) tick(line int) {
 	}
 }
 
-// Run executes a compiled chunk and returns its return values. The step
-// counter resets per Run.
-func (vm *VM) Run(chunk *Chunk) (vals []Value, err error) {
+// Run executes a compiled chunk and returns its return values in a slice
+// the caller owns. The step counter resets per Run.
+func (vm *VM) Run(chunk *Chunk) ([]Value, error) {
+	base := len(vm.stack)
+	rets, err := vm.exec(chunk)
+	var out []Value
+	if len(rets) > 0 {
+		out = append(make([]Value, 0, len(rets)), rets...)
+	}
+	vm.unwind(base)
+	return out, err
+}
+
+// RunFirst is Run for a caller that reads only the first return value: it
+// reports that value and whether the chunk returned any value at all, and
+// allocates no result slice.
+func (vm *VM) RunFirst(chunk *Chunk) (first Value, ok bool, err error) {
+	base := len(vm.stack)
+	rets, err := vm.exec(chunk)
+	if len(rets) > 0 {
+		first, ok = rets[0], true
+	}
+	vm.unwind(base)
+	return first, ok, err
+}
+
+// exec runs chunk. Its return values stay on the value stack until the
+// caller unwinds it.
+func (vm *VM) exec(chunk *Chunk) (rets []Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(*RuntimeError); ok {
-				err = re
+				rets, err = nil, re
 				return
 			}
 			panic(r)
@@ -138,11 +180,27 @@ func (vm *VM) Run(chunk *Chunk) (vals []Value, err error) {
 	prevChunk := vm.chunk
 	vm.chunk = chunk.Name
 	defer func() { vm.chunk = prevChunk }()
-	ctrl, out := vm.execBlock(chunk.body, newScope(nil))
+	var env *scope
+	if !chunk.body.makesClosures && !vm.rootBusy {
+		vm.rootBusy = true
+		defer func() { vm.rootBusy = false }()
+		vm.root.reset()
+		env = &vm.root
+	} else {
+		env = newScope(nil)
+	}
+	ctrl, out := vm.execBlock(chunk.body, env)
 	if ctrl == ctrlBreak {
 		return nil, &RuntimeError{ChunkName: chunk.Name, Line: 0, Msg: "break outside loop"}
 	}
 	return out, nil
+}
+
+// unwind truncates the value stack to base, dropping the references the
+// run left above it.
+func (vm *VM) unwind(base int) {
+	clear(vm.stack[base:cap(vm.stack)])
+	vm.stack = vm.stack[:base]
 }
 
 // Eval compiles and runs src in one step.
@@ -201,19 +259,22 @@ func (vm *VM) execStmt(s stmt, env *scope) (control, []Value) {
 			vm.assign(st.lhs[0], vm.evalExpr(st.rhs[0], env), env)
 			break
 		}
-		vals := vm.evalExprList(st.rhs, len(st.lhs), env)
+		base := vm.pushList(st.rhs, len(st.lhs), env)
 		for i, l := range st.lhs {
-			vm.assign(l, vals[i], env)
+			// Index afresh: assigning may evaluate, and grow the stack.
+			vm.assign(l, vm.stack[base+i], env)
 		}
+		vm.stack = vm.stack[:base]
 	case *localStmt:
 		if len(st.names) == 1 && len(st.rhs) == 1 {
 			env.define(st.names[0], vm.evalExpr(st.rhs[0], env))
 			break
 		}
-		vals := vm.evalExprList(st.rhs, len(st.names), env)
+		base := vm.pushList(st.rhs, len(st.names), env)
 		for i, n := range st.names {
-			env.define(n, vals[i])
+			env.define(n, vm.stack[base+i])
 		}
+		vm.stack = vm.stack[:base]
 	case *callStmt:
 		vm.evalCall(st.call, env)
 	case *ifStmt:
@@ -310,15 +371,18 @@ func (vm *VM) execStmt(s stmt, env *scope) (control, []Value) {
 			}
 		}
 	case *genForStmt:
-		vals := vm.evalExprList(st.exprs, 3, env)
-		f, state, ctl := vals[0], vals[1], vals[2]
+		base := vm.pushList(st.exprs, 3, env)
+		f, state, ctl := vm.stack[base], vm.stack[base+1], vm.stack[base+2]
+		vm.stack = vm.stack[:base]
 		var reuse *scope
 		if !st.body.makesClosures {
 			reuse = newScope(env)
 		}
 		for {
 			vm.tick(st.line)
-			rets := vm.call(f, []Value{state, ctl}, st.line)
+			vm.stack = append(vm.stack, state, ctl)
+			rets := vm.call(f, vm.stack[base:base+2:base+2], st.line)
+			vm.stack = vm.stack[:base]
 			if len(rets) == 0 || rets[0] == nil {
 				break
 			}
@@ -347,7 +411,11 @@ func (vm *VM) execStmt(s stmt, env *scope) (control, []Value) {
 	case *doStmt:
 		return vm.execBlock(st.body, vm.blockScope(st.body, env))
 	case *returnStmt:
-		return ctrlReturn, vm.evalExprList(st.exprs, -1, env)
+		// The values stay on the stack: the caller that truncates past
+		// them consumes them first.
+		base := vm.pushList(st.exprs, -1, env)
+		top := len(vm.stack)
+		return ctrlReturn, vm.stack[base:top:top]
 	case *breakStmt:
 		return ctrlBreak, nil
 	case *funcStmt:
@@ -370,7 +438,7 @@ func (vm *VM) assign(l expr, v Value, env *scope) {
 			*box = v
 			return
 		}
-		vm.Globals.Set(t.name, v)
+		vm.Globals.Set(t.key, v)
 	case *indexExpr:
 		obj := vm.evalExpr(t.obj, env)
 		tab, ok := obj.(*Table)
@@ -390,27 +458,31 @@ func (vm *VM) assign(l expr, v Value, env *scope) {
 	}
 }
 
-// evalExprList evaluates an expression list, expanding a trailing call's
-// multiple returns. want < 0 keeps every value; otherwise the result is
-// padded/truncated to exactly want values.
-func (vm *VM) evalExprList(exprs []expr, want int, env *scope) []Value {
-	var vals []Value
+// pushList evaluates an expression list onto the value stack, expanding a
+// trailing call's multiple returns, and returns where the values start.
+// want < 0 keeps every value; otherwise the list is padded/truncated to
+// exactly want values.
+func (vm *VM) pushList(exprs []expr, want int, env *scope) int {
+	base := len(vm.stack)
 	for i, e := range exprs {
 		if i == len(exprs)-1 {
 			if c, ok := e.(*callExpr); ok {
-				vals = append(vals, vm.evalCall(c, env)...)
+				rets := vm.evalCall(c, env)
+				vm.stack = append(vm.stack, rets...)
 				break
 			}
 		}
-		vals = append(vals, vm.evalExpr(e, env))
+		// Evaluate before appending: the evaluation may grow the stack.
+		v := vm.evalExpr(e, env)
+		vm.stack = append(vm.stack, v)
 	}
-	if want < 0 {
-		return vals
+	if want >= 0 {
+		for len(vm.stack)-base < want {
+			vm.stack = append(vm.stack, nil)
+		}
+		vm.stack = vm.stack[:base+want]
 	}
-	for len(vals) < want {
-		vals = append(vals, nil)
-	}
-	return vals[:want]
+	return base
 }
 
 func (vm *VM) evalExpr(e expr, env *scope) Value {
@@ -428,7 +500,7 @@ func (vm *VM) evalExpr(e expr, env *scope) Value {
 		}
 		return ex.val
 	case *stringExpr:
-		return ex.val
+		return ex.boxed
 	case *nameExpr:
 		if box, ok := env.find(ex.name); ok {
 			return *box
@@ -488,20 +560,27 @@ func describeIndex(ex *indexExpr) string {
 	return ""
 }
 
+// evalCall pushes the arguments, calls fn on that window of the stack and
+// truncates the stack back. The results are only valid until the caller's
+// next push.
 func (vm *VM) evalCall(c *callExpr, env *scope) []Value {
 	fn := vm.evalExpr(c.fn, env)
-	var args []Value
+	base := len(vm.stack)
 	if c.method != "" {
 		tab, ok := fn.(*Table)
 		if !ok {
 			vm.errf(c.line, "attempt to call method %q on a %v value", c.method, TypeOf(fn))
 		}
-		self := fn
+		vm.stack = append(vm.stack, fn)
 		fn = tab.Get(c.method)
-		args = append(args, self)
 	}
-	args = append(args, vm.evalExprList(c.args, -1, env)...)
-	return vm.call(fn, args, c.line)
+	vm.pushList(c.args, -1, env)
+	// The window's capacity ends at its length, so a builtin that appends
+	// to its arguments copies them instead of writing over the stack.
+	top := len(vm.stack)
+	rets := vm.call(fn, vm.stack[base:top:top], c.line)
+	vm.stack = vm.stack[:base]
+	return rets
 }
 
 func (vm *VM) call(fn Value, args []Value, line int) []Value {

@@ -148,12 +148,13 @@ func (p *parser) parseStatement() stmt {
 		return &localStmt{line: line, names: names, rhs: rhs}
 	case tokFunction:
 		p.advance()
-		var target expr = &nameExpr{line: p.tok.line, name: p.expect(tokName).text}
+		nameLine := p.tok.line
+		var target expr = newNameExpr(nameLine, p.expect(tokName).text)
 		fname := target.(*nameExpr).name
 		for p.accept(tokDot) {
 			key := p.expect(tokName)
 			fname = fname + "." + key.text
-			target = &indexExpr{line: key.line, obj: target, key: &stringExpr{line: key.line, val: key.text}}
+			target = &indexExpr{line: key.line, obj: target, key: newStringExpr(key.line, key.text)}
 		}
 		proto := p.parseFuncBody(fname, line)
 		return &funcStmt{line: line, target: target, proto: proto}
@@ -314,7 +315,7 @@ func (p *parser) parseSimpleExpr() expr {
 	case tokString:
 		s := p.tok.text
 		p.advance()
-		return &stringExpr{line: line, val: s}
+		return newStringExpr(line, s)
 	case tokFunction:
 		p.advance()
 		proto := p.parseFuncBody("<anonymous>", line)
@@ -332,7 +333,7 @@ func (p *parser) parseSuffixedExpr() expr {
 	var e expr
 	switch p.tok.kind {
 	case tokName:
-		e = &nameExpr{line: line, name: p.tok.text}
+		e = newNameExpr(line, p.tok.text)
 		p.advance()
 	case tokLParen:
 		p.advance()
@@ -347,7 +348,7 @@ func (p *parser) parseSuffixedExpr() expr {
 		case tokDot:
 			p.advance()
 			name := p.expect(tokName)
-			e = &indexExpr{line: line, obj: e, key: &stringExpr{line: name.line, val: name.text}}
+			e = &indexExpr{line: line, obj: e, key: newStringExpr(name.line, name.text)}
 		case tokLBracket:
 			p.advance()
 			key := p.parseExpr()
@@ -371,7 +372,7 @@ func (p *parser) parseSuffixedExpr() expr {
 func (p *parser) parseCallArgs() []expr {
 	switch p.tok.kind {
 	case tokString:
-		s := &stringExpr{line: p.tok.line, val: p.tok.text}
+		s := newStringExpr(p.tok.line, p.tok.text)
 		p.advance()
 		return []expr{s}
 	case tokLBrace:
@@ -400,7 +401,7 @@ func (p *parser) parseTable() expr {
 			t.akeys = append(t.akeys, key)
 			t.avals = append(t.avals, p.parseExpr())
 		case p.tok.kind == tokName && p.peekIsAssign():
-			key := &stringExpr{line: p.tok.line, val: p.tok.text}
+			key := newStringExpr(p.tok.line, p.tok.text)
 			p.advance() // name
 			p.advance() // =
 			t.akeys = append(t.akeys, key)

@@ -130,6 +130,28 @@ func (vm *VM) installStdlib() {
 		return append([]Value{true}, rets...), nil
 	}))
 
+	// select returns its arguments after the n-th (counting from the end
+	// when n < 0), or their number for select('#', ...).
+	g.SetString("select", GoFunc(func(args []Value) ([]Value, error) {
+		if len(args) > 0 && args[0] == "#" {
+			return []Value{Box(float64(len(args) - 1))}, nil
+		}
+		n, err := argNumber(args, 0, "select")
+		if err != nil {
+			return nil, err
+		}
+		i := int(n)
+		if i < 0 {
+			i += len(args)
+		} else if i > len(args) {
+			i = len(args)
+		}
+		if i < 1 {
+			return nil, errors.New("bad argument #1 to 'select' (index out of range)")
+		}
+		return args[i:], nil
+	}))
+
 	g.SetString("unpack", GoFunc(func(args []Value) ([]Value, error) {
 		t, err := argTable(args, 0, "unpack")
 		if err != nil {
@@ -184,8 +206,8 @@ func (vm *VM) installStdlib() {
 
 	// Top-level max/min: the Mantle environment exposes these directly
 	// (Table 2 of the paper).
-	g.SetString("max", GoFunc(stdMax))
-	g.SetString("min", GoFunc(stdMin))
+	g.SetString("max", GoFunc(vm.stdMax))
+	g.SetString("min", GoFunc(vm.stdMin))
 
 	mathT := NewTable()
 	mathT.SetString("floor", GoFunc(math1("floor", math.Floor)))
@@ -194,8 +216,8 @@ func (vm *VM) installStdlib() {
 	mathT.SetString("sqrt", GoFunc(math1("sqrt", math.Sqrt)))
 	mathT.SetString("exp", GoFunc(math1("exp", math.Exp)))
 	mathT.SetString("log", GoFunc(math1("log", math.Log)))
-	mathT.SetString("max", GoFunc(stdMax))
-	mathT.SetString("min", GoFunc(stdMin))
+	mathT.SetString("max", GoFunc(vm.stdMax))
+	mathT.SetString("min", GoFunc(vm.stdMin))
 	mathT.SetString("huge", math.Inf(1))
 	mathT.SetString("pi", math.Pi)
 	mathT.SetString("fmod", GoFunc(func(args []Value) ([]Value, error) {
@@ -619,44 +641,37 @@ func math1(name string, f func(float64) float64) func([]Value) ([]Value, error) 
 	}
 }
 
-func stdMax(args []Value) ([]Value, error) {
-	if len(args) == 0 {
-		return nil, errors.New("bad argument #1 to 'max' (number expected)")
-	}
-	best, err := argNumber(args, 0, "max")
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(args); i++ {
-		n, err := argNumber(args, i, "max")
-		if err != nil {
-			return nil, err
-		}
-		if n > best {
-			best = n
-		}
-	}
-	return []Value{best}, nil
-}
+func (vm *VM) stdMax(args []Value) ([]Value, error) { return vm.extreme(args, "max", false) }
 
-func stdMin(args []Value) ([]Value, error) {
+func (vm *VM) stdMin(args []Value) ([]Value, error) { return vm.extreme(args, "min", true) }
+
+// extreme is max (or, with lowest, min). It returns the winning argument
+// itself through vm.one, so a number comes back without a fresh box or
+// slice; a numeric string comes back converted, as before.
+func (vm *VM) extreme(args []Value, name string, lowest bool) ([]Value, error) {
 	if len(args) == 0 {
-		return nil, errors.New("bad argument #1 to 'min' (number expected)")
+		return nil, fmt.Errorf("bad argument #1 to '%s' (number expected)", name)
 	}
-	best, err := argNumber(args, 0, "min")
+	best, err := argNumber(args, 0, name)
 	if err != nil {
 		return nil, err
 	}
+	win := 0
 	for i := 1; i < len(args); i++ {
-		n, err := argNumber(args, i, "min")
+		n, err := argNumber(args, i, name)
 		if err != nil {
 			return nil, err
 		}
-		if n < best {
-			best = n
+		if (lowest && n < best) || (!lowest && n > best) {
+			best, win = n, i
 		}
 	}
-	return []Value{best}, nil
+	if _, ok := args[win].(float64); ok {
+		vm.one[0] = args[win]
+	} else {
+		vm.one[0] = Box(best)
+	}
+	return vm.one[:], nil
 }
 
 func strIndex(length, i int) int {

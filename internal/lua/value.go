@@ -11,7 +11,7 @@
 // while, repeat, numeric and generic for, break, return; local variables and
 // lexical closures; table constructors; method-call sugar (a:f(x)); a
 // curated stdlib (math, string, table subsets, print, pairs, ipairs, type,
-// tostring, tonumber).
+// tostring, tonumber, select).
 //
 // Not supported (not needed by policies, rejected at parse or runtime):
 // metatables, coroutines, goto, varargs, the io/os libraries.

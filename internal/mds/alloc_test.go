@@ -98,6 +98,60 @@ func TestServedCreateAllocs(t *testing.T) {
 	}
 }
 
+// TestWhenIdleRearmAllocs: while the server stays busy, a whenIdle waiter
+// re-arms its 100 µs poll without allocating. A closure per re-arm made one
+// object per poll, and a saturated rank polls about a million times a run.
+func TestWhenIdleRearmAllocs(t *testing.T) {
+	e, _, m, _, _ := servingRig(t)
+	m.busy = true
+	ran := false
+	m.whenIdle(func(done func()) { ran = true })
+	poll := func() { e.Run(e.Now() + 100*sim.Microsecond) }
+	poll()
+	if got := testing.AllocsPerRun(1000, poll); got != 0 {
+		t.Fatalf("a whenIdle re-arm made %.0f allocations, want 0", got)
+	}
+	if ran {
+		t.Fatal("whenIdle ran while the server was busy")
+	}
+	// The poll after the server frees up runs the waiter, on the same
+	// 100 µs grid.
+	m.busy = false
+	e.Run(e.Now() + 99*sim.Microsecond)
+	if ran {
+		t.Fatal("whenIdle ran between polls")
+	}
+	e.Run(e.Now() + sim.Microsecond)
+	if !ran {
+		t.Fatal("whenIdle did not run at the first poll after the server freed up")
+	}
+}
+
+// TestHeartbeatRoundAllocs: one heartbeat round to seven peers, delivered,
+// allocates one object, the message they share. A copy per peer made seven.
+func TestHeartbeatRoundAllocs(t *testing.T) {
+	h := newHarness(t, 8, noBal, nil)
+	m := h.mdss[0]
+	hb := Heartbeat{From: 0, Auth: 12.5, All: 14, CPU: 40, Queue: 3}
+	round := func() {
+		hb.Seq++
+		m.broadcastHeartbeat(hb)
+		h.engine.RunUntilIdle()
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 1 {
+		t.Fatalf("a heartbeat round made %.0f allocations, want 1", got)
+	}
+	for _, peer := range h.mdss[1:] {
+		if got := peer.hbData[0]; got != hb {
+			t.Fatalf("rank %d holds %+v, want %+v", peer.rank, got, hb)
+		}
+	}
+	if m.Counters.HBsSent != 7*102 {
+		t.Fatalf("HBsSent = %d, want %d", m.Counters.HBsSent, 7*102)
+	}
+}
+
 // TestServiceRecordReuseAcrossCrash: a rank crashes with a service interval
 // and a journal append in flight and recovers inside the interval, so the
 // stale interval, the late journal ack and fresh requests all run while

@@ -130,14 +130,7 @@ func (m *MDS) balancerTick() {
 		m.net.Send(m.addr, m.monAddr, b)
 	}
 	if !aggregated {
-		for r := 0; r < m.numRanks; r++ {
-			if namespace.Rank(r) == m.rank {
-				continue
-			}
-			hbCopy := hb
-			m.net.Send(m.addr, m.peers[r], &hbCopy)
-			m.Counters.HBsSent++
-		}
+		m.broadcastHeartbeat(hb)
 	}
 	if m.draining {
 		m.engine.Schedule(m.cfg.RebalanceDelay, m.drainTick)
@@ -146,6 +139,18 @@ func (m *MDS) balancerTick() {
 	m.engine.Schedule(m.cfg.RebalanceDelay, m.rebalance)
 	if m.rep != nil {
 		m.engine.Schedule(m.cfg.RebalanceDelay, m.replicaTick)
+	}
+}
+
+// broadcastHeartbeat mails hb to every peer as one shared message: a sent
+// message is immutable, and each receiver copies it into its hbData.
+func (m *MDS) broadcastHeartbeat(hb Heartbeat) {
+	for r := 0; r < m.numRanks; r++ {
+		if namespace.Rank(r) == m.rank {
+			continue
+		}
+		m.net.Send(m.addr, m.peers[r], &hb)
+		m.Counters.HBsSent++
 	}
 }
 
@@ -249,18 +254,10 @@ func (m *MDS) rebalance() {
 			rec.Errors = append(rec.Errors, err.Error())
 		}
 	}
-	for r := 0; r < m.numRanks; r++ {
-		load, err := m.bal.MDSLoad(namespace.Rank(r), e)
-		if err != nil {
-			m.Counters.PolicyErrors++
-			recErr(err)
-			return
-		}
-		if load < 0 {
-			load = 0
-		}
-		e.MDSs[r].Load = load
-		e.Total += load
+	if err := balancer.ScoreAll(m.bal, e); err != nil {
+		m.Counters.PolicyErrors++
+		recErr(err)
+		return
 	}
 	ok, err := m.bal.When(e)
 	if err != nil {

@@ -183,17 +183,33 @@ func (m *MDS) handleExportPrep(p *exportPrep) {
 	})
 }
 
-// whenIdle runs fn as soon as the server is not mid-request. fn receives a
-// continuation that resumes normal queue processing.
+// whenIdle runs fn as soon as the server is not mid-request, polling every
+// 100 µs while it is busy. fn receives a continuation that resumes normal
+// queue processing.
 func (m *MDS) whenIdle(fn func(done func())) {
+	w := &idleWaiter{m: m, fn: fn}
+	w.pollFn = w.poll
+	w.poll()
+}
+
+// idleWaiter is one whenIdle caller. Its poll is bound once, so a busy
+// server's re-arm allocates nothing.
+type idleWaiter struct {
+	m      *MDS
+	fn     func(done func())
+	pollFn func() // poll, bound once
+}
+
+func (w *idleWaiter) poll() {
+	m := w.m
 	if m.crashed {
 		return
 	}
 	if !m.busy {
-		fn(func() { m.kick() })
+		w.fn(func() { m.kick() })
 		return
 	}
-	m.engine.Schedule(100*sim.Microsecond, func() { m.whenIdle(fn) })
+	m.engine.Schedule(100*sim.Microsecond, w.pollFn)
 }
 
 // handleExportPayload (importer): journal the import and take authority.

@@ -182,17 +182,9 @@ func (m *MDS) replicaTick() {
 		return
 	}
 	e := m.buildEnv()
-	for r := 0; r < m.numRanks; r++ {
-		load, err := m.bal.MDSLoad(namespace.Rank(r), e)
-		if err != nil {
-			m.Counters.PolicyErrors++
-			return
-		}
-		if load < 0 {
-			load = 0
-		}
-		e.MDSs[r].Load = load
-		e.Total += load
+	if err := balancer.ScoreAll(m.bal, e); err != nil {
+		m.Counters.PolicyErrors++
+		return
 	}
 	for _, cand := range m.replicaCandidates() {
 		path := cand.dir.Path()

@@ -141,21 +141,9 @@ func Replay(records []telemetry.HeartbeatRecord, factory func(rank int) (balance
 			o.Targets = nil
 			o.Selectors = nil
 		}
-		aborted := false
-		for i := range env.MDSs {
-			load, err := inst.bal.MDSLoad(namespace.Rank(i), env)
-			if err != nil {
-				fail(err)
-				aborted = true
-				break
-			}
-			if load < 0 {
-				load = 0
-			}
-			env.MDSs[i].Load = load
-			env.Total += load
-		}
-		if !aborted {
+		if err := balancer.ScoreAll(inst.bal, env); err != nil {
+			fail(err)
+		} else {
 			ok, err := inst.bal.When(env)
 			switch {
 			case err != nil:
