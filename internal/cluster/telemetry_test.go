@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"mantle/internal/core"
@@ -168,5 +169,49 @@ func TestTelemetryArtefactsWellFormed(t *testing.T) {
 	}
 	if len(doc.TraceEvents) < 100 {
 		t.Fatalf("trace has only %d events", len(doc.TraceEvents))
+	}
+}
+
+// TestTraceWithoutMetrics: tracing and the flight recorder work with the
+// metrics registry off. The network, object store, MDS and clients all take
+// their instruments from a nil registry, and a nil instrument records
+// nothing; before that, SetTelemetry dereferenced the nil registry.
+func TestTraceWithoutMetrics(t *testing.T) {
+	run := func(opts *telemetry.Options) (*Result, *telemetry.Telemetry) {
+		cfg := DefaultConfig(3, 5)
+		cfg.MDS.HeartbeatInterval = 500 * sim.Millisecond
+		c, err := New(cfg, LuaBalancers(mustPolicy(t, "greedy_spill")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tel *telemetry.Telemetry
+		if opts != nil {
+			tel = c.EnableTelemetry(*opts)
+		}
+		for i := 0; i < 2; i++ {
+			c.AddClient(workload.Compile(workload.CompileConfig{
+				Root: fmt.Sprintf("/src%d", i), FilesPerDir: 40, HeaderFiles: 20, Seed: int64(i),
+			}))
+		}
+		return c.Run(10 * sim.Minute), tel
+	}
+	plain, _ := run(nil)
+	res, tel := run(&telemetry.Options{Trace: true, TraceNet: true, FlightRecorder: true})
+	if !res.AllDone || res.TotalOps != plain.TotalOps || res.Makespan != plain.Makespan {
+		t.Fatalf("traced run: done %v, ops %d makespan %v; plain ops %d makespan %v",
+			res.AllDone, res.TotalOps, res.Makespan, plain.TotalOps, plain.Makespan)
+	}
+	if tel.Reg != nil {
+		t.Fatal("metrics registry built although Metrics is off")
+	}
+	var trace bytes.Buffer
+	if err := tel.Tracer.WriteJSON(&trace); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace.Bytes(), &doc); err != nil || len(doc.TraceEvents) < 100 {
+		t.Fatalf("trace: %d events, err %v", len(doc.TraceEvents), err)
 	}
 }

@@ -56,9 +56,11 @@ type actor struct {
 	maxReqs  int
 	stopped  bool
 	retiring bool
-	// admit reports whether the rank's MDS can accept another request. It is
-	// only evaluated on the actor goroutine, which is also the only goroutine
-	// mutating the MDS queue, so it needs no locking of its own.
+	// admit reports whether the rank's MDS can accept another request. It
+	// reads the MDS queue, which another goroutine may change under the
+	// shard lock (MDS.Retire, from the elastic coordinator's actor), so the
+	// loop evaluates it under smu (see admitted). It is replaced under both
+	// smu and mu.
 	admit func() bool
 }
 
@@ -203,7 +205,7 @@ func (a *actor) loop(wg *sync.WaitGroup) {
 		switch {
 		case a.ctrl.n > 0:
 			m = a.ctrl.pop()
-		case a.reqs.n > 0 && a.admit():
+		case a.reqs.n > 0 && a.admitted():
 			m = a.reqs.pop()
 		default:
 			a.parked = true
@@ -234,6 +236,24 @@ func (a *actor) loop(wg *sync.WaitGroup) {
 		a.smu.Unlock()
 		a.mu.Lock()
 	}
+}
+
+// admitted evaluates admit under the shard lock. The caller holds the
+// mailbox mutex, which is a leaf (docs/SERVING.md rule 5), so it is dropped
+// while the shard is held. Only the loop pops, so a non-empty request lane
+// stays so; but work may arrive in the window, and notify rings only a
+// parked loop. So the loop counts as parked meanwhile: an arrival leaves a
+// token on wake, and the park that follows a refusal does not sleep
+// through it.
+func (a *actor) admitted() bool {
+	a.parked = true
+	a.mu.Unlock()
+	a.smu.Lock()
+	ok := a.admit()
+	a.smu.Unlock()
+	a.mu.Lock()
+	a.parked = false
+	return ok
 }
 
 // actorTimer is one short timer slot on its actor's heap. As a

@@ -279,3 +279,44 @@ func TestInlineShedReplyRace(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionUnderShard: the loop asks admit under the rank's shard lock
+// (MDS.Retire clears the MDS queue under it from another goroutine), and
+// work that arrives while the loop has dropped its mailbox mutex to ask is
+// not slept through: here the first refusal itself posts a control entry,
+// and nothing else would ever wake the loop.
+func TestAdmissionUnderShard(t *testing.T) {
+	rt := &Runtime{startWall: time.Now()}
+	smu := new(sync.Mutex)
+	a := newActor(rt, 1<<20, smu)
+	posted, served := make(chan struct{}), make(chan struct{})
+	first := true
+	a.admit = func() bool {
+		if smu.TryLock() {
+			smu.Unlock()
+			t.Error("admit ran without the shard lock")
+		}
+		if first {
+			first = false
+			a.post(func() { close(posted) })
+			return false
+		}
+		return true
+	}
+	if !a.offer(mail{fn: func() { close(served) }}) {
+		t.Fatal("offer refused")
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go a.loop(&wg)
+	for _, ch := range []chan struct{}{posted, served} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			// The loop is asleep for good: leave it rather than hang.
+			t.Fatal("the loop slept through work that arrived during admission")
+		}
+	}
+	a.stop()
+	wg.Wait()
+}

@@ -96,10 +96,8 @@ func (m *MDS) balancerTick() {
 	}
 	m.hbData[m.rank] = hb
 	if m.tel != nil {
-		if m.gCPU != nil {
-			m.gCPU.Set(hb.CPU)
-			m.gQueue.Set(hb.Queue)
-		}
+		m.gCPU.Set(hb.CPU)
+		m.gQueue.Set(hb.Queue)
 		if tr := m.tracer(); tr != nil {
 			tr.CounterEvent(telemetry.PIDMDS, int(m.rank), "heartbeat", "mds load",
 				m.engine.Now(),

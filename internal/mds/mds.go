@@ -165,21 +165,19 @@ func (m *MDS) Journal() *rados.Journal { return m.journal }
 // Start; passing nil disables instrumentation again.
 func (m *MDS) SetTelemetry(t *telemetry.Telemetry) {
 	m.tel = t
-	m.hQueueWait, m.hQueueDepth, m.hService = nil, nil, nil
-	m.cServed, m.cForwards, m.cJournal = nil, nil, nil
-	m.gCPU, m.gQueue = nil, nil
-	if t == nil || t.Reg == nil {
-		return
+	var reg *telemetry.Registry // nil: every instrument below is a no-op
+	if t != nil {
+		reg = t.Reg
 	}
 	r := int(m.rank)
-	m.hQueueWait = t.Reg.Histogram("mds.queue_wait_us", r)
-	m.hQueueDepth = t.Reg.Histogram("mds.queue_depth", r)
-	m.hService = t.Reg.Histogram("mds.service_us", r)
-	m.cServed = t.Reg.Counter("mds.served", r)
-	m.cForwards = t.Reg.Counter("mds.forwards", r)
-	m.cJournal = t.Reg.Counter("mds.journal_appends", r)
-	m.gCPU = t.Reg.Gauge("mds.cpu_pct", r)
-	m.gQueue = t.Reg.Gauge("mds.queue_depth_last", r)
+	m.hQueueWait = reg.Histogram("mds.queue_wait_us", r)
+	m.hQueueDepth = reg.Histogram("mds.queue_depth", r)
+	m.hService = reg.Histogram("mds.service_us", r)
+	m.cServed = reg.Counter("mds.served", r)
+	m.cForwards = reg.Counter("mds.forwards", r)
+	m.cJournal = reg.Counter("mds.journal_appends", r)
+	m.gCPU = reg.Gauge("mds.cpu_pct", r)
+	m.gQueue = reg.Gauge("mds.queue_depth_last", r)
 }
 
 // tracer reports the active tracer or nil.
@@ -248,9 +246,7 @@ func (m *MDS) HandleMessage(from simnet.Addr, msg simnet.Message) {
 func (m *MDS) enqueue(r *Request) {
 	if m.tel != nil {
 		r.enqueuedAt = m.engine.Now()
-		if m.hQueueDepth != nil {
-			m.hQueueDepth.Observe(float64(len(m.queue) - m.qhead + 1))
-		}
+		m.hQueueDepth.Observe(float64(len(m.queue) - m.qhead + 1))
 	}
 	if len(m.queue) == cap(m.queue) && m.qhead > 0 && m.qhead >= len(m.queue)/2 {
 		// A queue that never drains: compact before append would grow it.
@@ -591,9 +587,7 @@ func (m *MDS) resolve(r *Request) (res resolved, auth namespace.Rank, err error)
 func (m *MDS) serve(r *Request) {
 	if m.tel != nil && r.enqueuedAt != 0 {
 		wait := m.engine.Now() - r.enqueuedAt
-		if m.hQueueWait != nil {
-			m.hQueueWait.Observe(float64(wait))
-		}
+		m.hQueueWait.Observe(float64(wait))
 		if tr := m.tracer(); tr != nil && wait > 0 {
 			tr.Complete(telemetry.PIDMDS, int(m.rank), "mds", "queue",
 				r.enqueuedAt, wait, telemetry.Arg{Key: "trace", Val: r.TraceID})
@@ -627,9 +621,7 @@ func (m *MDS) serve(r *Request) {
 		m.releaseWriteIntents(r)
 		m.Counters.Forwards++
 		r.Hops++
-		if m.cForwards != nil {
-			m.cForwards.Add(1)
-		}
+		m.cForwards.Add(1)
 		if tr := m.tracer(); tr != nil {
 			tr.Complete(telemetry.PIDMDS, int(m.rank), "mds", "forward "+r.Op.String(),
 				m.engine.Now(), m.cfg.ForwardSvc,
@@ -653,9 +645,7 @@ func (m *MDS) serve(r *Request) {
 	m.Counters.Hits++
 	svc := m.svcTime(r, res)
 	if m.tel != nil {
-		if m.hService != nil {
-			m.hService.Observe(float64(svc))
-		}
+		m.hService.Observe(float64(svc))
 		if tr := m.tel.Tracer; tr != nil {
 			tr.Complete(telemetry.PIDMDS, int(m.rank), "mds", "serve "+r.Op.String(),
 				m.engine.Now(), svc,
@@ -697,18 +687,14 @@ func (m *MDS) execute(s *svcRec) {
 	m.releaseWriteIntents(r)
 	m.Counters.Served++
 	m.reqWindow++
-	if m.cServed != nil {
-		m.cServed.Add(1)
-	}
+	m.cServed.Add(1)
 	if err != nil {
 		m.Counters.Errors++
 	}
 	if r.Op.Mutating() && err == nil {
 		// Journal before replying; the server is free to take
 		// the next request while the journal write completes.
-		if m.cJournal != nil {
-			m.cJournal.Add(1)
-		}
+		m.cJournal.Add(1)
 		if m.tracer() != nil {
 			s.jstart = m.engine.Now()
 		}

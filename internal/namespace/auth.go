@@ -35,8 +35,7 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 		if parent == nil {
 			return 0
 		}
-		frag := parent.dir.fragtree.LeafOfName(n.name)
-		if fs := parent.dir.frags[frag]; fs.auth != RankNone {
+		if fs := parent.dir.fragOf(HashName(n.name)); fs.auth != RankNone {
 			return fs.auth
 		}
 		n = parent
@@ -51,8 +50,7 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 			if parent == nil {
 				return 0
 			}
-			frag := parent.dir.fragtree.LeafOfName(cur.name)
-			if fs := parent.dir.frags[frag]; fs.auth != RankNone {
+			if fs := parent.dir.fragOf(HashName(cur.name)); fs.auth != RankNone {
 				return fs.auth
 			}
 			cur = parent
@@ -82,8 +80,7 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 			rank = 0
 			break
 		}
-		frag := parent.dir.fragtree.LeafOfName(cur.name)
-		if fs := parent.dir.frags[frag]; fs.auth != RankNone {
+		if fs := parent.dir.fragOf(HashName(cur.name)); fs.auth != RankNone {
 			rank = fs.auth
 			break
 		}
@@ -104,9 +101,7 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 func (ns *Namespace) AuthForDentry(dir *Node, name string) Rank {
 	ns.rlock()
 	defer ns.runlock()
-	ds := dir.dir
-	frag := ds.fragtree.LeafOfName(name)
-	if fs := ds.frags[frag]; fs.auth != RankNone {
+	if fs := dir.dir.fragOf(HashName(name)); fs.auth != RankNone {
 		return fs.auth
 	}
 	return ns.effAuthOf(dir)
@@ -167,8 +162,8 @@ func (ns *Namespace) SetFragAuth(dir *Node, frag Frag, rank Rank) {
 }
 
 func (ns *Namespace) setFragAuthLocked(dir *Node, frag Frag, rank Rank) {
-	fs, ok := dir.dir.frags[frag]
-	if !ok {
+	fs := dir.dir.fragState(frag)
+	if fs == nil {
 		panic(fmt.Sprintf("namespace: SetFragAuth(%v): not a live frag of %s", frag, dir.path()))
 	}
 	fs.auth = RankNone
@@ -204,9 +199,9 @@ func (ns *Namespace) clearSubtreeOverrides(n *Node) {
 				delete(ns.overrides, c)
 				removed = true
 			}
-			for f := range c.dir.frags {
-				if _, ok := ns.fragOverrides[fragKey{c, f}]; ok {
-					delete(ns.fragOverrides, fragKey{c, f})
+			for _, fs := range c.dir.frags {
+				if _, ok := ns.fragOverrides[fragKey{c, fs.Frag}]; ok {
+					delete(ns.fragOverrides, fragKey{c, fs.Frag})
 					removed = true
 				}
 			}
@@ -237,7 +232,7 @@ func (ns *Namespace) Freeze(n *Node, frozen bool) {
 func (ns *Namespace) FreezeFrag(dir *Node, frag Frag, frozen bool) {
 	ns.wlock()
 	defer ns.wunlock()
-	if fs, ok := dir.dir.frags[frag]; ok {
+	if fs := dir.dir.fragState(frag); fs != nil {
 		if fs.frozen != frozen {
 			if frozen {
 				ns.frozenFrags++
@@ -262,7 +257,7 @@ func (ns *Namespace) FrozenFor(dir *Node, name string) bool {
 			return false
 		}
 		if ns.frozenFrags > 0 {
-			if fs, ok := ds.frags[ds.fragtree.LeafOfName(name)]; ok && fs.frozen {
+			if ds.fragOf(HashName(name)).frozen {
 				return true
 			}
 		}
@@ -276,7 +271,7 @@ func (ns *Namespace) FrozenFor(dir *Node, name string) bool {
 		return false
 	}
 	// Proof-toggle path: unconditional frag check plus ancestor walk.
-	if fs, ok := ds.frags[ds.fragtree.LeafOfName(name)]; ok && fs.frozen {
+	if ds.fragOf(HashName(name)).frozen {
 		return true
 	}
 	for cur := dir; cur != nil; cur = cur.parent {
@@ -409,7 +404,7 @@ func (ns *Namespace) authLoad(numRanks int, now sim.Time, load func(CounterSnaps
 			// Fragment bound: the frag's own counters move between
 			// ranks; the containing directory's owner keeps the
 			// rest.
-			if fs := e.root.Dir.dir.frags[e.root.Frag]; fs != nil {
+			if fs := e.root.Dir.dir.fragState(e.root.Frag); fs != nil {
 				split(fs.Counters.Snapshot(now), fs.auth, e.dirOwner)
 			}
 			continue
@@ -452,7 +447,7 @@ func (ns *Namespace) ownedNodesLocked(numRanks int) []int {
 	for i := range ns.bidx {
 		e := &ns.bidx[i]
 		if e.root.IsFrag {
-			fs := e.root.Dir.dir.frags[e.root.Frag]
+			fs := e.root.Dir.dir.fragState(e.root.Frag)
 			if fs == nil {
 				continue
 			}
@@ -526,5 +521,5 @@ func (ns *Namespace) recomputeSpread(dir *Node) {
 		ds.rankSpread = 1
 		return
 	}
-	ds.rankSpread = len(owners)
+	ds.rankSpread = int32(len(owners))
 }

@@ -55,7 +55,7 @@ func (ns *Namespace) ensureBoundIndex() {
 		})
 	}
 	for k := range ns.fragOverrides {
-		fs := k.node.dir.frags[k.frag]
+		fs := k.node.dir.fragState(k.frag)
 		if fs == nil {
 			continue
 		}

@@ -6,10 +6,7 @@
 // ranks.
 package namespace
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // Frag identifies a directory fragment as a prefix of the 32-bit dentry hash
 // space, exactly like Ceph's frag_t: Value holds the high Bits bits of the
@@ -27,9 +24,11 @@ var RootFrag = Frag{}
 // rjenkins for dentry hashing for the same reason), so a murmur3-style
 // finaliser spreads names uniformly across fragments.
 func HashName(name string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	x := h.Sum32()
+	x := uint32(2166136261) // FNV-1a, 32-bit, inline: no hash.Hash to allocate
+	for i := 0; i < len(name); i++ {
+		x ^= uint32(name[i])
+		x *= 16777619
+	}
 	x ^= x >> 16
 	x *= 0x85ebca6b
 	x ^= x >> 13
@@ -110,10 +109,13 @@ func (t *FragTree) Leaves() []Frag { return append([]Frag(nil), t.leaves...) }
 func (t *FragTree) NumLeaves() int { return len(t.leaves) }
 
 // LeafOf returns the leaf fragment containing the dentry hash h.
-func (t *FragTree) LeafOf(h uint32) Frag {
-	for _, f := range t.leaves {
+func (t *FragTree) LeafOf(h uint32) Frag { return t.leaves[t.leafIndex(h)] }
+
+// leafIndex returns the position of the leaf containing the dentry hash h.
+func (t *FragTree) leafIndex(h uint32) int {
+	for i, f := range t.leaves {
 		if f.Contains(h) {
-			return f
+			return i
 		}
 	}
 	// Unreachable while the partition invariant holds.

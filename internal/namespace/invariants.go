@@ -13,8 +13,9 @@ import (
 //
 //  1. parent/child links are consistent and names match,
 //  2. per-directory fragment trees partition the hash space and every leaf
-//     has live state,
-//  3. per-fragment entry counts sum to the directory's dentry count,
+//     has live state, at the leaf's position in the frag-state slice,
+//  3. every dentry is stored under its name's hash, and each fragment's
+//     entry count is the number of dentries hashing into it,
 //  4. subtreeNodes equals the recomputed subtree size,
 //  5. every node's effective authority resolves to a valid rank,
 //  6. the override indexes exactly mirror the labels on the tree,
@@ -37,8 +38,7 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
 		if n.parent != nil {
-			child, ok := n.parent.dir.children[n.name]
-			if !ok || child != n {
+			if n.parent.dir.children.get(n.name, HashName(n.name)) != n {
 				return fmt.Errorf("invariant: %s not linked under its parent", n.path())
 			}
 		}
@@ -73,10 +73,13 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 		entries := 0
 		owners := map[Rank]struct{}{}
 		inherited := false
-		for _, f := range leaves {
-			fs, ok := n.dir.frags[f]
-			if !ok {
-				return fmt.Errorf("invariant: %s leaf %v has no state", n.path(), f)
+		if len(n.dir.frags) != len(leaves) {
+			return fmt.Errorf("invariant: %s has %d frag states for %d leaves", n.path(), len(n.dir.frags), len(leaves))
+		}
+		for i, f := range leaves {
+			fs := n.dir.frags[i]
+			if fs.Frag != f {
+				return fmt.Errorf("invariant: %s leaf %d is %v, its state is %v's", n.path(), i, f, fs.Frag)
 			}
 			if !allowFrozen && fs.frozen {
 				return fmt.Errorf("invariant: %s frag %v left frozen", n.path(), f)
@@ -95,41 +98,55 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 				inherited = true
 			}
 		}
-		if len(n.dir.frags) != len(leaves) {
-			return fmt.Errorf("invariant: %s has %d frag states for %d leaves", n.path(), len(n.dir.frags), len(leaves))
+		if entries != int(n.dir.children.n) {
+			return fmt.Errorf("invariant: %s frag entries %d != %d children", n.path(), entries, n.dir.children.n)
 		}
-		if entries != len(n.dir.children) {
-			return fmt.Errorf("invariant: %s frag entries %d != %d children", n.path(), entries, len(n.dir.children))
-		}
-		// Every child must land in the leaf that counts it.
-		for name, child := range n.dir.children {
-			leaf := n.dir.fragtree.LeafOfName(name)
-			if _, ok := n.dir.frags[leaf]; !ok {
-				return fmt.Errorf("invariant: %s child %q hashes to missing frag %v", n.path(), name, leaf)
+		// Every child is stored under its own name's hash, and every frag
+		// counts exactly the children that hash into it.
+		var err error
+		perFrag := make([]int, len(leaves))
+		n.dir.children.each(func(child *Node, h uint32) {
+			if err != nil {
+				return
 			}
-			if err := walk(child); err != nil {
-				return err
+			if h != HashName(child.name) {
+				err = fmt.Errorf("invariant: %s child %q stored under hash %#x", n.path(), child.name, h)
+				return
+			}
+			for i, f := range leaves {
+				if f.Contains(h) {
+					perFrag[i]++
+				}
+			}
+			err = walk(child)
+		})
+		if err != nil {
+			return err
+		}
+		for i, fs := range n.dir.frags {
+			if fs.Entries != perFrag[i] {
+				return fmt.Errorf("invariant: %s frag %v counts %d entries, %d children hash into it", n.path(), fs.Frag, fs.Entries, perFrag[i])
 			}
 		}
 		if inherited {
 			owners[ns.effAuthOf(n)] = struct{}{}
 		}
-		if n.dir.rankSpread != len(owners) {
+		if int(n.dir.rankSpread) != len(owners) {
 			return fmt.Errorf("invariant: %s rankSpread %d, recount %d", n.path(), n.dir.rankSpread, len(owners))
 		}
 		// Subtree size and subdirectory count.
 		size, subdirs := 1, 0
-		for _, c := range n.dir.children {
+		n.dir.children.each(func(c *Node, _ uint32) {
 			size += c.SubtreeNodes()
 			if c.IsDir() {
 				subdirs++
 			}
-		}
+		})
 		if size != int(n.dir.subtreeNodes.Load()) {
 			return fmt.Errorf("invariant: %s subtreeNodes %d, recount %d", n.path(), n.dir.subtreeNodes.Load(), size)
 		}
-		if subdirs != int(n.dir.subdirs) {
-			return fmt.Errorf("invariant: %s subdirs %d, recount %d", n.path(), n.dir.subdirs, subdirs)
+		if subdirs != int(n.dir.children.subdirs) {
+			return fmt.Errorf("invariant: %s subdirs %d, recount %d", n.path(), n.dir.children.subdirs, subdirs)
 		}
 		return nil
 	}

@@ -3,6 +3,7 @@ package namespace
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,9 +121,8 @@ func (ns *Namespace) newDirNode(parent *Node, name string) *Node {
 	dn := &dirNode{
 		Node: Node{name: name, parent: parent, ns: ns, ino: InodeID(ns.nextIno.Add(1))},
 		dirState: dirState{
-			children:     map[string]*Node{},
+			frags:        []*FragState{{Frag: RootFrag, Counters: NewCounters(ns.halfLife), auth: RankNone, ns: ns}},
 			fragtree:     NewFragTree(),
-			frags:        map[Frag]*FragState{},
 			counters:     NewCounters(ns.halfLife),
 			authOverride: RankNone,
 			rankSpread:   1,
@@ -130,7 +130,6 @@ func (ns *Namespace) newDirNode(parent *Node, name string) *Node {
 	}
 	dn.dir = &dn.dirState
 	dn.subtreeNodes.Store(1)
-	dn.frags[RootFrag] = &FragState{Frag: RootFrag, Counters: NewCounters(ns.halfLife), auth: RankNone, ns: ns}
 	ns.count.Add(1)
 	return &dn.Node
 }
@@ -251,10 +250,10 @@ func (ns *Namespace) resolveDirOfIn(d *domain, path string) (*Node, string, erro
 	return cur, parts[len(parts)-1], nil
 }
 
-func (ns *Namespace) attach(parent *Node, n *Node) {
-	parent.childPut(n)
-	frag := parent.dir.fragtree.LeafOfName(n.name)
-	parent.dir.frags[frag].Entries++
+// attach links n under parent; h is HashName(n.name).
+func (ns *Namespace) attach(parent *Node, n *Node, h uint32) {
+	parent.childPut(n, h)
+	parent.dir.fragOf(h).Entries++
 	size := n.SubtreeNodes()
 	for cur := parent; cur != nil; cur = cur.parent {
 		cur.dir.subtreeNodes.Add(int64(size))
@@ -262,9 +261,9 @@ func (ns *Namespace) attach(parent *Node, n *Node) {
 }
 
 func (ns *Namespace) detach(parent *Node, n *Node) {
-	parent.childDel(n)
-	frag := parent.dir.fragtree.LeafOfName(n.name)
-	parent.dir.frags[frag].Entries--
+	h := HashName(n.name)
+	parent.childDel(n, h)
+	parent.dir.fragOf(h).Entries--
 	size := n.SubtreeNodes()
 	for cur := parent; cur != nil; cur = cur.parent {
 		cur.dir.subtreeNodes.Add(int64(-size))
@@ -285,7 +284,8 @@ func (ns *Namespace) createIn(d *domain, parent *Node, name string, isDir bool) 
 	if name == "" || strings.Contains(name, "/") {
 		return nil, fmt.Errorf("%w: bad name %q", ErrInvalidArg, name)
 	}
-	if _, dup := parent.childGet(name); dup {
+	h := HashName(name)
+	if _, dup := parent.childGetHashed(name, h); dup {
 		return nil, fmt.Errorf("%w: %s/%s", ErrExist, parent.path(), name)
 	}
 	var n *Node
@@ -294,7 +294,7 @@ func (ns *Namespace) createIn(d *domain, parent *Node, name string, isDir bool) 
 	} else {
 		n = ns.newFileNode(d, parent, name)
 	}
-	ns.attach(parent, n)
+	ns.attach(parent, n, h)
 	return n, nil
 }
 
@@ -344,11 +344,11 @@ func (ns *Namespace) Remove(parent *Node, name string) error {
 	if parent == nil || !parent.IsDir() {
 		return ErrNotDir
 	}
-	n, ok := parent.dir.children[name]
-	if !ok {
+	n := parent.dir.children.get(name, HashName(name))
+	if n == nil {
 		return fmt.Errorf("%w: %s/%s", ErrNotExist, parent.path(), name)
 	}
-	if n.IsDir() && len(n.dir.children) > 0 {
+	if n.IsDir() && n.dir.children.n > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, n.path())
 	}
 	if ns.invalidate != nil && n.IsDir() {
@@ -388,11 +388,12 @@ func (ns *Namespace) Rename(srcDir *Node, srcName string, dstDir *Node, dstName 
 	if srcDir == nil || !srcDir.IsDir() || dstDir == nil || !dstDir.IsDir() {
 		return ErrNotDir
 	}
-	n, ok := srcDir.dir.children[srcName]
-	if !ok {
+	n := srcDir.dir.children.get(srcName, HashName(srcName))
+	if n == nil {
 		return fmt.Errorf("%w: %s/%s", ErrNotExist, srcDir.path(), srcName)
 	}
-	if _, dup := dstDir.dir.children[dstName]; dup {
+	dstHash := HashName(dstName)
+	if dstDir.dir.children.get(dstName, dstHash) != nil {
 		return fmt.Errorf("%w: %s/%s", ErrExist, dstDir.path(), dstName)
 	}
 	if n.IsDir() {
@@ -413,7 +414,7 @@ func (ns *Namespace) Rename(srcDir *Node, srcName string, dstDir *Node, dstName 
 	ns.detach(srcDir, n)
 	n.name = dstName
 	n.parent = dstDir
-	ns.attach(dstDir, n)
+	ns.attach(dstDir, n, dstHash)
 	ns.invalidateResolves()
 	ns.pathGen++
 	if n.IsDir() {
@@ -462,14 +463,12 @@ func (ns *Namespace) RecordOp(dir *Node, name string, k OpKind, now sim.Time) {
 func (dir *Node) chargeFrags(name string, k OpKind, now sim.Time) {
 	ds := dir.dir
 	if name != "" {
-		frag := ds.fragtree.LeafOfName(name)
-		fs := ds.frags[frag]
+		fs := ds.fragOf(HashName(name))
 		fs.Counters.Hit(k, now)
 		fs.LastAccess = now
 		return
 	}
-	for _, f := range ds.fragtree.leaves {
-		fs := ds.frags[f]
+	for _, fs := range ds.frags {
 		fs.Counters.Hit(k, now)
 		fs.LastAccess = now
 	}
@@ -497,7 +496,8 @@ func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now
 
 // SplitDir fragments one leaf frag of dir into 2^bits children, dividing the
 // parent frag's entries and heat among them according to the actual dentry
-// rebucketing. Returns the new frags.
+// rebucketing (from the hashes the children table stores). Returns the new
+// frags.
 func (ns *Namespace) SplitDir(dir *Node, leaf Frag, bits uint8, now sim.Time) []Frag {
 	ns.wlock()
 	defer ns.wunlock()
@@ -505,34 +505,32 @@ func (ns *Namespace) SplitDir(dir *Node, leaf Frag, bits uint8, now sim.Time) []
 		panic("namespace: SplitDir on file")
 	}
 	ds := dir.dir
-	old := ds.frags[leaf]
+	at := ds.fragIndex(leaf)
 	kids := ds.fragtree.SplitLeaf(leaf, bits)
-	perKid := make(map[Frag]int, len(kids))
-	for name := range ds.children {
-		h := HashName(name)
-		if !leaf.Contains(h) {
-			continue
+	old := ds.frags[at]
+	// The kids of a leaf partition its range in order, so a hash's kid
+	// is its next bits bits below the leaf's prefix.
+	perKid := make([]int, len(kids))
+	ds.children.each(func(_ *Node, h uint32) {
+		if leaf.Contains(h) {
+			perKid[h<<leaf.Bits>>(32-bits)]++
 		}
-		for _, kf := range kids {
-			if kf.Contains(h) {
-				perKid[kf]++
-				break
-			}
-		}
-	}
+	})
 	oldSnap := old.Counters.Snapshot(now)
 	total := old.Entries
-	for _, kf := range kids {
-		fs := &FragState{Frag: kf, Counters: NewCounters(ns.halfLife), auth: old.auth, Entries: perKid[kf], ns: ns}
+	states := make([]*FragState, len(kids))
+	for i, kf := range kids {
+		fs := &FragState{Frag: kf, Counters: NewCounters(ns.halfLife), auth: old.auth, Entries: perKid[i], ns: ns}
 		// Seed the child's heat proportionally to the entries it
 		// inherited so the balancer does not see a fragmented hot
 		// directory as suddenly cold.
 		if total > 0 {
-			share := float64(perKid[kf]) / float64(total)
+			share := float64(perKid[i]) / float64(total)
 			fs.Counters.Seed(oldSnap.Scale(share), now)
 		}
-		ds.frags[kf] = fs
+		states[i] = fs
 	}
+	ds.frags = slices.Replace(ds.frags, at, at+1, states...)
 	if old.auth != RankNone {
 		delete(ns.fragOverrides, fragKey{dir, leaf})
 		for _, kf := range kids {
@@ -547,7 +545,6 @@ func (ns *Namespace) SplitDir(dir *Node, leaf Frag, bits uint8, now sim.Time) []
 	if old.frozen {
 		ns.frozenFrags--
 	}
-	delete(ds.frags, leaf)
 	ns.recomputeSpread(dir)
 	return kids
 }
@@ -564,11 +561,17 @@ func (ns *Namespace) MergeDir(dir *Node, parent Frag, bits uint8, now sim.Time) 
 	}
 	ds := dir.dir
 	kids := parent.Split(bits)
-	states := make([]*FragState, 0, len(kids))
+	// Leaves stay in hash order and a split replaces its leaf in place, so
+	// the kids, when all are leaves, sit together starting at kids[0].
+	at := ds.fragIndex(kids[0])
+	if at < 0 || at+len(kids) > len(ds.frags) {
+		return false
+	}
+	states := ds.frags[at : at+len(kids)]
 	auth := RankNone
 	for i, k := range kids {
-		fs, ok := ds.frags[k]
-		if !ok || fs.frozen {
+		fs := states[i]
+		if fs.Frag != k || fs.frozen {
 			return false
 		}
 		if i == 0 {
@@ -576,7 +579,6 @@ func (ns *Namespace) MergeDir(dir *Node, parent Frag, bits uint8, now sim.Time) 
 		} else if fs.auth != auth {
 			return false
 		}
-		states = append(states, fs)
 	}
 	if !ds.fragtree.Merge(parent, bits) {
 		return false
@@ -586,11 +588,10 @@ func (ns *Namespace) MergeDir(dir *Node, parent Frag, bits uint8, now sim.Time) 
 	for i, k := range kids {
 		merged.Entries += states[i].Entries
 		heat = heat.Add(states[i].Counters.Snapshot(now))
-		delete(ds.frags, k)
 		delete(ns.fragOverrides, fragKey{dir, k})
 	}
 	merged.Counters.Seed(heat, now)
-	ds.frags[parent] = merged
+	ds.frags = slices.Replace(ds.frags, at, at+len(kids), merged)
 	if auth != RankNone {
 		// The kids' frag bounds were deleted above without index
 		// updates; rebuild lazily (SetFragAuth below re-adds the

@@ -27,16 +27,16 @@ const RankNone Rank = -1
 // auth and frozen labels change only under the write lock; their public
 // accessors below take the read lock for callers outside the namespace.
 type FragState struct {
+	ns       *Namespace // the only pointer, first: the collector scans one word
 	Frag     Frag
 	Entries  int
 	Counters Counters
-	auth     Rank
-	frozen   bool
-	ns       *Namespace
 	// LastAccess is when a namespace operation last touched the frag;
 	// the MDS cache model uses it to decide whether serving the frag
 	// needs a fetch from the object store.
 	LastAccess sim.Time
+	auth       Rank
+	frozen     bool
 }
 
 // Auth reports the frag's authority override (RankNone if inherited).
@@ -90,26 +90,29 @@ type Node struct {
 	Size int64
 }
 
-// dirState is the directory half of a node. childMu guards the children map
-// and subdirs in sharded mode (see shard.go); everything else structural is
-// protected by the tree lock.
+// dirState is the directory half of a node, pointer words first. childMu
+// guards the children table in sharded mode (see shard.go); everything else
+// structural is protected by the tree lock.
 type dirState struct {
-	childMu  sync.Mutex
-	children map[string]*Node
+	children childTable
+	// frags holds the live state of each fragtree leaf, in leaf order
+	// (frags[i].Frag == fragtree.leaves[i]): an unfragmented directory
+	// holds one pointer, and a lookup is a scan of a few leaves.
+	frags    []*FragState
 	fragtree *FragTree
-	frags    map[Frag]*FragState
 	counters Counters
+	childMu  sync.Mutex
 
 	authOverride Rank
-	frozen       bool
-	subdirs      int32        // directories among children
 	subtreeNodes atomic.Int64 // nodes in this subtree, including self
-	rankSpread   int          // distinct ranks owning this dir's live frags
 
 	// effMemo packs the memoised EffectiveAuth rank with the authority
 	// generation it was computed under (bumped on any label change).
 	// Written on read paths, hence atomic.
 	effMemo atomic.Uint64
+
+	rankSpread int32 // distinct ranks owning this dir's live frags
+	frozen     bool
 }
 
 // dirNode lays a directory's two halves out in one object, so creating a
@@ -230,10 +233,8 @@ func (n *Node) ChildNames() []string {
 		return []string{}
 	}
 	n.childLock()
-	out := make([]string, 0, len(n.dir.children))
-	for name := range n.dir.children {
-		out = append(out, name)
-	}
+	out := make([]string, 0, n.dir.children.n)
+	n.dir.children.each(func(c *Node, _ uint32) { out = append(out, c.name) })
 	n.childUnlock()
 	sort.Strings(out)
 	return out
@@ -263,7 +264,7 @@ func (n *Node) HasSubdir() bool {
 	}
 	n.childLock()
 	defer n.childUnlock()
-	return n.dir.subdirs > 0
+	return n.dir.children.subdirs > 0
 }
 
 // FragTree exposes the directory's fragment tree (nil for files). The
@@ -297,8 +298,8 @@ func (n *Node) FragStateOf(f Frag) (*FragState, bool) {
 	if n.dir == nil {
 		return nil, false
 	}
-	fs, ok := n.dir.frags[f]
-	return fs, ok
+	fs := n.dir.fragState(f)
+	return fs, fs != nil
 }
 
 // FragOfName returns the leaf fragment holding the dentry name.
@@ -362,5 +363,27 @@ func (n *Node) RankSpread() int {
 	if n.dir == nil || n.dir.rankSpread < 1 {
 		return 1
 	}
-	return n.dir.rankSpread
+	return int(n.dir.rankSpread)
+}
+
+// fragOf returns the state of the leaf fragment holding hash h.
+func (ds *dirState) fragOf(h uint32) *FragState { return ds.frags[ds.fragtree.leafIndex(h)] }
+
+// fragIndex returns the position of leaf f in frags, or -1 if f is not a
+// current leaf.
+func (ds *dirState) fragIndex(f Frag) int {
+	for i, l := range ds.fragtree.leaves {
+		if l == f {
+			return i
+		}
+	}
+	return -1
+}
+
+// fragState returns the state of leaf f, or nil if f is not a current leaf.
+func (ds *dirState) fragState(f Frag) *FragState {
+	if i := ds.fragIndex(f); i >= 0 {
+		return ds.frags[i]
+	}
+	return nil
 }

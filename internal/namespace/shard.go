@@ -20,10 +20,11 @@ import "mantle/internal/sim"
 //     take the write side. Those are balancer-rate events, not op-rate.
 //
 //   - childMu, a per-directory mutex guarding only that directory's dentry
-//     map. Two ranks owning different fragments of one directory can both
-//     insert dentries under the read lock; childMu makes the map itself
+//     table. Two ranks owning different fragments of one directory can both
+//     insert dentries under the read lock; childMu makes the table itself
 //     safe. Readers holding the write lock may skip it (all writers are
-//     excluded), which the invariant walk exploits.
+//     excluded), which the invariant walk, Remove, Rename and SplitDir
+//     exploit.
 //
 // Per-rank mutable hot state that is NOT protected by either lock and relies
 // on single-writer discipline instead (the rank actor owning a fragment is
@@ -174,7 +175,7 @@ func (ns *Namespace) wunlock() {
 	}
 }
 
-// childLock/childUnlock guard one directory's dentry map in sharded mode
+// childLock/childUnlock guard one directory's dentry table in sharded mode
 // (directories only, like every child* helper below: n.dir is not checked).
 // They order strictly after treeMu (taken while holding either side, never
 // released after it) and nothing is acquired under them, so they cannot
@@ -191,38 +192,37 @@ func (n *Node) childUnlock() {
 	}
 }
 
-// childGet/childPut/childDel/childLen are the childMu-safe dentry-map
-// accessors. Code holding the write lock may still read the map directly —
-// every writer path holds either the write lock or (read lock + childMu),
-// both excluded — but all mutations must go through childPut/childDel.
+// childGet/childPut/childDel/childLen are the childMu-safe dentry-table
+// accessors; h is always the name's HashName. Code holding the write lock
+// may still read the table directly — every writer path holds either the
+// write lock or (read lock + childMu), both excluded — but all mutations
+// must go through childPut/childDel.
 func (n *Node) childGet(name string) (*Node, bool) {
-	n.childLock()
-	c, ok := n.dir.children[name]
-	n.childUnlock()
-	return c, ok
+	return n.childGetHashed(name, HashName(name))
 }
 
-func (n *Node) childPut(c *Node) {
+func (n *Node) childGetHashed(name string, h uint32) (*Node, bool) {
 	n.childLock()
-	n.dir.children[c.name] = c
-	if c.IsDir() {
-		n.dir.subdirs++
-	}
+	c := n.dir.children.get(name, h)
+	n.childUnlock()
+	return c, c != nil
+}
+
+func (n *Node) childPut(c *Node, h uint32) {
+	n.childLock()
+	n.dir.children.put(c, h)
 	n.childUnlock()
 }
 
-func (n *Node) childDel(c *Node) {
+func (n *Node) childDel(c *Node, h uint32) {
 	n.childLock()
-	delete(n.dir.children, c.name)
-	if c.IsDir() {
-		n.dir.subdirs--
-	}
+	n.dir.children.del(c.name, h)
 	n.childUnlock()
 }
 
 func (n *Node) childLen() int {
 	n.childLock()
-	l := len(n.dir.children)
+	l := int(n.dir.children.n)
 	n.childUnlock()
 	return l
 }

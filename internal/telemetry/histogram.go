@@ -51,8 +51,11 @@ func bucketBounds(i int) (lo, hi float64) {
 	return math.Ldexp(1, i-1), math.Ldexp(1, i)
 }
 
-// Observe records one value.
+// Observe records one value (nothing, on a nil histogram).
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.counts[bucketOf(v)]++
 	if h.n == 0 || v < h.min {
 		h.min = v

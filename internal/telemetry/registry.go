@@ -13,10 +13,18 @@ import (
 const NoRank = -1
 
 // Counter is a monotonically increasing count.
+//
+// A nil *Registry hands out nil metrics, and updating a nil Counter, Gauge
+// or Histogram does nothing: a cluster traced without metrics keeps one
+// code path for every instrument it was given.
 type Counter struct{ v uint64 }
 
 // Add increases the counter by n.
-func (c *Counter) Add(n uint64) { c.v += n }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v += n
+	}
+}
 
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.v }
@@ -25,7 +33,11 @@ func (c *Counter) Value() uint64 { return c.v }
 type Gauge struct{ v float64 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.v = v
+	}
+}
 
 // Value reports the last set value.
 func (g *Gauge) Value() float64 { return g.v }
@@ -68,6 +80,9 @@ func NewRegistry() *Registry {
 
 // Counter returns (creating if needed) the counter for (name, rank).
 func (r *Registry) Counter(name string, rank int) *Counter {
+	if r == nil {
+		return nil
+	}
 	k := metricKey{name, rank}
 	c, ok := r.counters[k]
 	if !ok {
@@ -79,6 +94,9 @@ func (r *Registry) Counter(name string, rank int) *Counter {
 
 // Gauge returns (creating if needed) the gauge for (name, rank).
 func (r *Registry) Gauge(name string, rank int) *Gauge {
+	if r == nil {
+		return nil
+	}
 	k := metricKey{name, rank}
 	g, ok := r.gauges[k]
 	if !ok {
@@ -90,6 +108,9 @@ func (r *Registry) Gauge(name string, rank int) *Gauge {
 
 // Histogram returns (creating if needed) the histogram for (name, rank).
 func (r *Registry) Histogram(name string, rank int) *Histogram {
+	if r == nil {
+		return nil
+	}
 	k := metricKey{name, rank}
 	h, ok := r.hists[k]
 	if !ok {

@@ -157,3 +157,16 @@ func TestFlightTrace(t *testing.T) {
 		t.Fatalf("got %d events, want 4:\n%s", len(doc.TraceEvents), buf.String())
 	}
 }
+
+// TestNilRegistryHandsOutNoOps: with metrics off the registry is nil; the
+// instruments it hands out are nil, and updating them does nothing.
+func TestNilRegistryHandsOutNoOps(t *testing.T) {
+	var r *Registry
+	c, g, h := r.Counter("c", 0), r.Gauge("g", 0), r.Histogram("h", 0)
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry handed out %p %p %p", c, g, h)
+	}
+	c.Add(1)
+	g.Set(1)
+	h.Observe(1)
+}

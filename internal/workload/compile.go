@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"mantle/internal/mds"
 )
@@ -55,7 +57,10 @@ func DefaultCompile(root string, seed int64) Generator {
 	return Compile(CompileConfig{Root: root, Seed: seed})
 }
 
-// Compile builds the phase-structured generator.
+// Compile builds the phase-structured generator. The op slice is sized
+// exactly up front and every distinct path is formatted once, so a source
+// file's untar create and its compile-phase open or getattr share one
+// string, as do an object file's create and its link-phase getattrs.
 func Compile(cfg CompileConfig) Generator {
 	if len(cfg.Dirs) == 0 {
 		cfg.Dirs = DefaultCompileDirs
@@ -76,26 +81,57 @@ func Compile(cfg CompileConfig) Generator {
 		cfg.LinkPasses = 3
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var ops []Op
+	hotName := map[string]bool{}
+	for _, d := range cfg.HotDirs {
+		hotName[d] = true
+	}
+	nDirs, fpd := len(cfg.Dirs), cfg.FilesPerDir
+	hot := make([]bool, nDirs)
+	dirs := make([]string, nDirs)
+	nHot := 0
+	for i, d := range cfg.Dirs {
+		hot[i] = hotName[d]
+		if hot[i] {
+			nHot++
+		}
+		dirs[i] = cfg.Root + "/" + d
+	}
+
+	// Compile: an open, two header getattrs and an object create per hot
+	// file, one getattr per cold file. Link: a readdir per directory and
+	// ten object getattrs per hot one, each pass. Then the final artifact.
+	n := nHot*4*fpd + (nDirs-nHot)*fpd + cfg.LinkPasses*(nDirs+10*nHot) + 1
+	if !cfg.SkipUntar {
+		n += 2 + cfg.HeaderFiles + nDirs*(1+fpd)
+	}
+	ops := make([]Op, 0, n)
 	phase := PhaseUntar
 	add := func(t mds.OpType, p string) { ops = append(ops, Op{Type: t, Path: p, Phase: phase}) }
 
-	hot := map[string]bool{}
-	for _, d := range cfg.HotDirs {
-		hot[d] = true
+	hdrDir := cfg.Root + "/" + cfg.HeaderDir
+	hdrs := make([]string, cfg.HeaderFiles)
+	for h := range hdrs {
+		hdrs[h] = numbered(hdrDir, "/hdr", h, ".h")
+	}
+	srcs := make([][]string, nDirs)
+	for i := range srcs {
+		srcs[i] = make([]string, fpd)
+		for f := range srcs[i] {
+			srcs[i][f] = numbered(dirs[i], "/src", f, ".c")
+		}
 	}
 
 	// Phase 1: untar — sequential creates across the whole tree.
 	if !cfg.SkipUntar {
 		add(mds.OpMkdir, cfg.Root)
-		add(mds.OpMkdir, cfg.Root+"/"+cfg.HeaderDir)
-		for h := 0; h < cfg.HeaderFiles; h++ {
-			add(mds.OpCreate, fmt.Sprintf("%s/%s/hdr%04d.h", cfg.Root, cfg.HeaderDir, h))
+		add(mds.OpMkdir, hdrDir)
+		for _, h := range hdrs {
+			add(mds.OpCreate, h)
 		}
-		for _, d := range cfg.Dirs {
-			add(mds.OpMkdir, cfg.Root+"/"+d)
-			for f := 0; f < cfg.FilesPerDir; f++ {
-				add(mds.OpCreate, fmt.Sprintf("%s/%s/src%04d.c", cfg.Root, d, f))
+		for i := range dirs {
+			add(mds.OpMkdir, dirs[i])
+			for _, src := range srcs[i] {
+				add(mds.OpCreate, src)
 			}
 		}
 	}
@@ -103,38 +139,56 @@ func Compile(cfg CompileConfig) Generator {
 	// Phase 2: compile — hot directories see open + header getattrs +
 	// object creates; cold directories only dependency checks.
 	phase = PhaseCompile
-	for _, d := range cfg.Dirs {
-		for f := 0; f < cfg.FilesPerDir; f++ {
-			src := fmt.Sprintf("%s/%s/src%04d.c", cfg.Root, d, f)
-			if hot[d] {
-				add(mds.OpOpen, src)
-				for h := 0; h < 2; h++ {
-					add(mds.OpGetattr, fmt.Sprintf("%s/%s/hdr%04d.h",
-						cfg.Root, cfg.HeaderDir, rng.Intn(cfg.HeaderFiles)))
-				}
-				add(mds.OpCreate, fmt.Sprintf("%s/%s/src%04d.o", cfg.Root, d, f))
-			} else {
+	objs := make([][]string, nDirs)
+	for i := range dirs {
+		if hot[i] {
+			objs[i] = make([]string, fpd)
+		}
+		for f, src := range srcs[i] {
+			if !hot[i] {
 				add(mds.OpGetattr, src)
+				continue
 			}
+			add(mds.OpOpen, src)
+			for h := 0; h < 2; h++ {
+				add(mds.OpGetattr, hdrs[rng.Intn(cfg.HeaderFiles)])
+			}
+			objs[i][f] = numbered(dirs[i], "/src", f, ".o")
+			add(mds.OpCreate, objs[i][f])
 		}
 	}
 
 	// Phase 3: link — the readdir flash crowd plus the final artifact.
 	phase = PhaseLink
 	for pass := 0; pass < cfg.LinkPasses; pass++ {
-		for _, d := range cfg.Dirs {
-			add(mds.OpReaddir, cfg.Root+"/"+d)
-			if hot[d] {
+		for i := range dirs {
+			add(mds.OpReaddir, dirs[i])
+			if hot[i] {
 				// The linker stats a sample of objects.
 				for s := 0; s < 10; s++ {
-					add(mds.OpGetattr, fmt.Sprintf("%s/%s/src%04d.o",
-						cfg.Root, d, rng.Intn(cfg.FilesPerDir)))
+					add(mds.OpGetattr, objs[i][rng.Intn(fpd)])
 				}
 			}
 		}
 	}
 	add(mds.OpCreate, cfg.Root+"/vmlinux")
 	return &SliceGen{Ops: ops}
+}
+
+// numbered formats dir+stem+%04d(i)+ext in one allocation.
+func numbered(dir, stem string, i int, ext string) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	var b strings.Builder
+	b.Grow(len(dir) + len(stem) + max(4, len(d)) + len(ext))
+	b.WriteString(dir)
+	b.WriteString(stem)
+	for pad := len(d); pad < 4; pad++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	b.WriteString(ext)
+	return b.String()
 }
 
 // Untar returns only the tree-creation phase (used to pre-populate trees
