@@ -90,7 +90,13 @@ type Client struct {
 	// timeoutID is the request the armed timeout belongs to. One field
 	// suffices: every path into send runs after the previous timeout fired
 	// or was cancelled, so at most one is armed at a time.
-	timeoutID  uint64
+	timeoutID uint64
+	// req is the record of the in-flight op. The MDS answers inside it, so
+	// once that answer has been handled (reqDone) the next send re-issues
+	// from the same record. A record whose reply may still come, because
+	// it timed out and was re-sent, is left to the GC and never reused.
+	req        *mds.Request
+	reqDone    bool
 	backoffEv  sim.Event
 	flushUntil sim.Time
 	done       bool
@@ -251,7 +257,12 @@ func (c *Client) send(op workload.Op) {
 	c.inflightAt = c.engine.Now()
 	c.inflightOp = op
 	rank := c.route(op)
-	req := &mds.Request{
+	if c.req == nil || !c.reqDone {
+		c.req = new(mds.Request)
+	}
+	c.reqDone = false
+	req := c.req
+	*req = mds.Request{
 		ID:       c.inflightID,
 		Client:   c.addr,
 		Op:       op.Type,
@@ -354,6 +365,9 @@ func (c *Client) handleReply(rep *mds.Reply) {
 	if rep.ReqID != c.inflightID {
 		return // stale duplicate (or a reply that lost to its timeout)
 	}
+	// The in-flight record has been answered, so the next send may reuse
+	// it; until then rep (which lives in it) stays readable.
+	c.reqDone = true
 	c.engine.Cancel(c.timeoutEv)
 	c.engine.Cancel(c.backoffEv)
 	c.timeoutsRow = 0

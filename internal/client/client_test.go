@@ -470,10 +470,11 @@ func TestLateReplyCancelsBackoffResend(t *testing.T) {
 	}
 }
 
-// TestIssueReplyCycleAllocs: one issue→reply cycle allocates only its
-// Request once the engine's and the network's free lists are warm. The MDS
-// side answers with one reused Reply, so the count is the client's own.
-// With a closure per hop it was 5: also issueNext's method value, the
+// TestIssueReplyCycleAllocs: one issue→reply cycle allocates nothing once
+// the engine's and the network's free lists are warm: the client re-issues
+// from the record of its answered op. The MDS side answers with one reused
+// Reply, so the count is the client's own. With a Request per op it was 1;
+// with a closure per hop it was 5: also issueNext's method value, the
 // timeout closure and two delivery closures.
 func TestIssueReplyCycleAllocs(t *testing.T) {
 	e := sim.NewEngine(1)
@@ -496,8 +497,8 @@ func TestIssueReplyCycleAllocs(t *testing.T) {
 	cycle := func() { e.Run(e.Now() + 100 + cfg.ThinkTime) }
 	allocs := testing.AllocsPerRun(runs, cycle)
 	t.Logf("issue→reply cycle: %.0f allocs", allocs)
-	if allocs > 1 {
-		t.Fatalf("issue→reply cycle allocates %.0f objects, want <= 1 (the Request)", allocs)
+	if allocs != 0 {
+		t.Fatalf("issue→reply cycle allocates %.0f objects, want 0", allocs)
 	}
 	if c.Completed != runs+1 || c.Timeouts != 0 {
 		t.Fatalf("completed %d, timeouts %d; want %d and 0", c.Completed, c.Timeouts, runs+1)

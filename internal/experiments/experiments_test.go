@@ -1,15 +1,37 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // smallOpts keeps experiment tests quick while still exercising the full
 // pipeline (the CLI default is scale 0.1; CI-grade runs use 0.05).
 func smallOpts() Options { return Options{Seed: 1, Scale: 0.05} }
+
+// seqSweep is the sequential RunAll at smallOpts, run once per test process:
+// the per-figure tests read their reports from it, and the RunAllParallel
+// tests compare against it instead of sweeping again.
+var seqSweep struct {
+	once    sync.Once
+	reports []*Report
+	out     []byte // what the sweep streamed to Out
+}
+
+func sequentialSweep() ([]*Report, []byte) {
+	seqSweep.once.Do(func() {
+		var buf bytes.Buffer
+		o := smallOpts()
+		o.Out = &buf
+		seqSweep.reports = RunAll(o)
+		seqSweep.out = buf.Bytes()
+	})
+	return seqSweep.reports, seqSweep.out
+}
 
 func TestIDsStable(t *testing.T) {
 	ids := IDs()
@@ -54,13 +76,17 @@ func TestReportPlumbing(t *testing.T) {
 
 func runExperiment(t *testing.T, id string) {
 	t.Helper()
-	rep, err := Run(id, smallOpts())
-	if err != nil {
-		t.Fatal(err)
+	reports, _ := sequentialSweep()
+	for _, rep := range reports {
+		if rep.ID != id {
+			continue
+		}
+		if !rep.Pass() {
+			t.Fatalf("%s failed shape checks:\n%s", id, rep)
+		}
+		return
 	}
-	if !rep.Pass() {
-		t.Fatalf("%s failed shape checks:\n%s", id, rep)
-	}
+	t.Fatalf("%s: no report in the sweep", id)
 }
 
 func TestFig1(t *testing.T)      { runExperiment(t, "fig1") }
@@ -97,13 +123,16 @@ func TestPctDelta(t *testing.T) {
 
 // TestReportsDeterministic: the same seed must reproduce an experiment's
 // rendered report byte-for-byte — the property the hard-coded CephFS
-// balancer lacks (Figure 4) and this simulator guarantees per seed.
+// balancer lacks (Figure 4) and this simulator guarantees per seed. One side
+// is the cached sweep's report.
 func TestReportsDeterministic(t *testing.T) {
+	reports, _ := sequentialSweep()
+	byID := map[string]*Report{}
+	for _, r := range reports {
+		byID[r.ID] = r
+	}
 	for _, id := range []string{"fig7", "fig8"} {
-		a, err := Run(id, smallOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := byID[id]
 		b, err := Run(id, smallOpts())
 		if err != nil {
 			t.Fatal(err)

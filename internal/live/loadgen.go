@@ -121,9 +121,16 @@ type pendingOp struct {
 	// is off), which never hit the wire.
 	rank int
 	// key is the singleflight key a coalescing leader carries; its reply
-	// fans out to every waiter registered under the key. "" for waiters and
-	// uncoalesced ops.
-	key string
+	// fans out to every waiter registered under the key. Zero (op 0) for
+	// waiters and uncoalesced ops.
+	key flightKey
+}
+
+// flightKey names a coalescible read: a comparable value, so joining or
+// leading a flight builds no string.
+type flightKey struct {
+	op   mds.OpType
+	path string
 }
 
 // pendShards is the pending-set shard count (power of two). One global map
@@ -163,7 +170,7 @@ type loadgen struct {
 	// flight is the singleflight table: key → waiter request IDs riding on
 	// the in-flight leader with that key.
 	flightMu sync.Mutex
-	flight   map[string][]uint64
+	flight   map[flightKey][]uint64
 
 	replicaRouted atomic.Uint64
 	coalesced     atomic.Uint64
@@ -196,7 +203,7 @@ func newLoadgen(rt *Runtime, cfg LoadConfig) *loadgen {
 		rtr:         newRouter(rt.cfg.Ranks),
 		replication: rt.cfg.Replication,
 		inflight:    make([]atomic.Int64, len(rt.mdsAddrs)),
-		flight:      map[string][]uint64{},
+		flight:      map[flightKey][]uint64{},
 		lat:         &telemetry.ShardedHistogram{},
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -262,7 +269,7 @@ func (lg *loadgen) HandleMessage(from simnet.Addr, msg simnet.Message) {
 				lg.rankLat[r].observe(us)
 			}
 		}
-		if p.key != "" {
+		if p.key.op != 0 {
 			lg.completeWaiters(from, v, p.key)
 		}
 	case *mds.SessionFlush:
@@ -380,7 +387,7 @@ func (lg *loadgen) idleTail() {
 // completeWaiters fans a coalescing leader's outcome out to every waiter
 // registered under its key, charging each waiter's latency from its own
 // scheduled arrival time.
-func (lg *loadgen) completeWaiters(from simnet.Addr, v *mds.Reply, key string) {
+func (lg *loadgen) completeWaiters(from simnet.Addr, v *mds.Reply, key flightKey) {
 	lg.flightMu.Lock()
 	waiters := lg.flight[key]
 	delete(lg.flight, key)
@@ -421,7 +428,7 @@ func (lg *loadgen) issue(op workload.Op, scheduled time.Time) {
 	addr := lg.addrs[int(id)%len(lg.addrs)]
 	s := &lg.pend[id&(pendShards-1)]
 	if lg.replication && !op.Type.Mutating() {
-		key := strconv.Itoa(int(op.Type)) + ":" + op.Path
+		key := flightKey{op.Type, op.Path}
 		// Register the pending entry before joining the flight table so
 		// the leader's fan-out can never observe a waiter id without its
 		// pending entry.
@@ -440,6 +447,17 @@ func (lg *loadgen) issue(op workload.Op, scheduled time.Time) {
 		lg.flightMu.Unlock()
 		rank := lg.routeRead(op, id)
 		s.mu.Lock()
+		if _, ok := s.m[id]; !ok {
+			// Reaped between the two registrations, and already counted as
+			// a timeout: give the key up as a reaped leader does, and let
+			// any waiters expire on their own.
+			s.mu.Unlock()
+			lg.flightMu.Lock()
+			delete(lg.flight, key)
+			lg.flightMu.Unlock()
+			lg.issued.Add(1)
+			return
+		}
 		s.m[id] = pendingOp{scheduled: scheduled, rank: int(rank), key: key}
 		s.mu.Unlock()
 		lg.inflight[rank].Add(1)
@@ -520,7 +538,7 @@ func (lg *loadgen) routeRead(op workload.Op, id uint64) namespace.Rank {
 func (lg *loadgen) reap(now time.Time) {
 	for i := range lg.pend {
 		s := &lg.pend[i]
-		var keys []string
+		var keys []flightKey
 		s.mu.Lock()
 		for id, p := range s.m {
 			if now.Sub(p.scheduled) > lg.cfg.OpTimeout {
@@ -529,7 +547,7 @@ func (lg *loadgen) reap(now time.Time) {
 				if p.rank >= 0 {
 					lg.inflight[p.rank].Add(-1)
 				}
-				if p.key != "" {
+				if p.key.op != 0 {
 					keys = append(keys, p.key)
 				}
 			}
@@ -576,7 +594,7 @@ func (lg *loadgen) flushPending() {
 		s.mu.Unlock()
 	}
 	lg.flightMu.Lock()
-	lg.flight = map[string][]uint64{}
+	lg.flight = map[flightKey][]uint64{}
 	lg.flightMu.Unlock()
 	lg.timeouts.Add(uint64(n))
 }

@@ -323,7 +323,7 @@ func (t *transport) deliver(from, to simnet.Addr, msg simnet.Message) {
 	if r, ok := msg.(*mds.Request); ok {
 		if !ep.a.offer(m) {
 			t.Sheds.Add(1)
-			t.Send(to, r.Client, &mds.Reply{ReqID: r.ID, Err: ErrOverloaded.Error()})
+			t.Send(to, r.Client, r.Answer(ErrOverloaded.Error()))
 			return
 		}
 		t.Delivered.Add(1)

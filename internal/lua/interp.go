@@ -676,6 +676,9 @@ func (vm *VM) evalBin(ex *binExpr, env *scope) Value {
 		if !rok {
 			vm.errf(ex.line, "attempt to concatenate a %v value", TypeOf(r))
 		}
+		if len(ls)+len(rs) > maxStringLen {
+			vm.errf(ex.line, errStringTooLong)
+		}
 		return ls + rs
 	case tokEq:
 		return rawEqual(l, r)

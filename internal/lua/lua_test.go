@@ -586,3 +586,37 @@ func TestPcallDoesNotTrapBudget(t *testing.T) {
 		t.Fatalf("budget hidden by pcall: %v", err)
 	}
 }
+
+// TestRunMemoryBoundedByBudget: every way a script can build a string is
+// capped, so a run's memory stays proportional to its step budget. A
+// doubling loop would otherwise reach 2^40 bytes in 40 steps.
+func TestRunMemoryBoundedByBudget(t *testing.T) {
+	wantError(t, `local s = "x" for i = 1, 40 do s = s .. s end`, "string length overflow")
+	wantError(t, `local s = string.rep("x", 1000) local t = {} for i = 1, 2000 do t[i] = s end return table.concat(t)`, "string length overflow")
+	wantError(t, `return string.format(string.rep("%s", 2000), `+strings.Repeat(`string.rep("x", 1000), `, 1999)+`"x")`, "string length overflow")
+	wantError(t, `local s = string.rep("x", 1000) return string.gsub(string.rep("y", 2000), "y", s)`, "string length overflow")
+	wantError(t, `return string.format("%100d", 1)`, "width or precision too long")
+	wantError(t, `return string.format("%.100f", 1)`, "width or precision too long")
+	wantError(t, `return string.format("%-0100d", 1)`, "width or precision too long")
+	wantError(t, `return string.format("%10.100f", 1)`, "width or precision too long")
+	wantString(t, `return string.format("%5.2f|%-3d|", 1.5, 7)`, " 1.50|7  |")
+	// The flag 0 is not a width digit: these are widths of 10 and 5.
+	wantString(t, `return string.format("%010d|%05.2f|%-010.3f|", 5, 1.5, 2)`, "0000000005|01.50|2.000     |")
+	wantNumber(t, `local s = "x" for i = 1, 20 do s = s .. s end return #s`, 1<<20)
+}
+
+// TestPatternMatchingChargesTheBudget: a backtracking match is work like any
+// other, so a pathological pattern stops at the step budget instead of
+// running unbounded inside one builtin call.
+func TestPatternMatchingChargesTheBudget(t *testing.T) {
+	vm := NewVM()
+	vm.MaxSteps = 5000
+	_, err := vm.Eval("t", `return string.find(string.rep("a", 4000), ".-.-.-b")`)
+	if err == nil || !strings.Contains(err.Error(), ErrBudget) {
+		t.Fatalf("pathological pattern ran past the budget: %v", err)
+	}
+	if vm.Steps() > vm.MaxSteps+1 {
+		t.Fatalf("ran %d steps on a budget of %d", vm.Steps(), vm.MaxSteps)
+	}
+	wantNumber(t, `return (string.find("hello world", "o w"))`, 5)
+}

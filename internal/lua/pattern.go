@@ -25,6 +25,7 @@ type patCapture struct {
 }
 
 type matchState struct {
+	vm    *VM
 	src   string
 	pat   string
 	caps  []patCapture
@@ -256,6 +257,9 @@ func (ms *matchState) minExpand(s, p, ep int) int {
 // match attempts to match pat[p:] against src[s:], returning the end index
 // in src or -1.
 func (ms *matchState) match(s, p int) int {
+	// Each match attempt is a step of the VM's budget: backtracking is
+	// work like any other, and a pattern must not outlast the budget.
+	ms.vm.tick(0)
 	ms.depth++
 	if ms.depth > maxMatchDepth*100 {
 		patErrf("pattern too complex")
@@ -396,7 +400,7 @@ func (ms *matchState) explicitCaptures() []Value {
 // patternFind is the engine entry: returns (matchStart, matchEnd, explicit
 // captures or nil) with matchStart = -1 for no match. init is a 0-based
 // byte offset.
-func patternFind(src, pat string, init int) (start, end int, caps []Value, err error) {
+func patternFind(vm *VM, src, pat string, init int) (start, end int, caps []Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(*patternError); ok {
@@ -407,7 +411,7 @@ func patternFind(src, pat string, init int) (start, end int, caps []Value, err e
 			panic(r)
 		}
 	}()
-	ms := matchState{src: src, pat: pat}
+	ms := matchState{vm: vm, src: src, pat: pat}
 	anchored := strings.HasPrefix(pat, "^")
 	p := 0
 	if anchored {
@@ -457,7 +461,7 @@ func (vm *VM) strGsub(args []Value) ([]Value, error) {
 	pos := 0
 	count := 0
 	for (maxN < 0 || count < maxN) && pos <= len(s) {
-		start, end, caps, err := patternFind(s, pat, pos)
+		start, end, caps, err := patternFind(vm, s, pat, pos)
 		if err != nil {
 			return nil, err
 		}
@@ -499,6 +503,9 @@ func (vm *VM) strGsub(args []Value) ([]Value, error) {
 			b.WriteString(formatNumber(rv))
 		default:
 			return nil, errors.New("invalid replacement value (a " + TypeOf(rep).String() + ")")
+		}
+		if b.Len() > maxStringLen {
+			return nil, errors.New(errStringTooLong)
 		}
 		count++
 		if end == start {

@@ -134,21 +134,21 @@ func TestPatternPolicyUseCase(t *testing.T) {
 
 // patternFind is exercised directly for edge positions.
 func TestPatternFindDirect(t *testing.T) {
-	start, end, caps, err := patternFind("hello", "l+", 0)
+	start, end, caps, err := patternFind(NewVM(), "hello", "l+", 0)
 	if err != nil || start != 2 || end != 4 || caps != nil {
 		t.Fatalf("start=%d end=%d caps=%v err=%v", start, end, caps, err)
 	}
-	start, _, _, err = patternFind("hello", "z", 0)
+	start, _, _, err = patternFind(NewVM(), "hello", "z", 0)
 	if err != nil || start != -1 {
 		t.Fatalf("no-match start=%d err=%v", start, err)
 	}
 	// init beyond the string.
-	start, _, _, _ = patternFind("abc", "a", 5)
+	start, _, _, _ = patternFind(NewVM(), "abc", "a", 5)
 	if start != -1 {
 		t.Fatalf("out-of-range init matched at %d", start)
 	}
 	// Empty pattern matches at init.
-	start, end, _, _ = patternFind("abc", "", 1)
+	start, end, _, _ = patternFind(NewVM(), "abc", "", 1)
 	if start != 1 || end != 1 {
 		t.Fatalf("empty pattern: %d..%d", start, end)
 	}
@@ -171,7 +171,7 @@ func TestPatternLiteralProperty(t *testing.T) {
 		if len(n) == 0 || len(n) > len(h) {
 			return true
 		}
-		start, end, _, err := patternFind(h, n, 0)
+		start, end, _, err := patternFind(NewVM(), h, n, 0)
 		if err != nil {
 			return false
 		}

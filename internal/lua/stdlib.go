@@ -48,6 +48,14 @@ func argTable(args []Value, i int, fn string) (*Table, error) {
 	return t, nil
 }
 
+// maxStringLen bounds every string a script can build (concatenation,
+// string.rep, string.format, table.concat, string.gsub), so the memory a run
+// takes stays proportional to its step budget.
+const maxStringLen = 1 << 20
+
+// errStringTooLong is the error for a string past maxStringLen.
+const errStringTooLong = "string length overflow"
+
 // PrintWriter receives output from the `print` builtin. Defaults to
 // discarding; the policy-lint tool wires it to stdout.
 type PrintWriter func(line string)
@@ -357,7 +365,7 @@ func (vm *VM) installStdlib() {
 		if n < 0 {
 			n = 0
 		}
-		if float64(len(s))*n > 1<<20 {
+		if float64(len(s))*n > maxStringLen {
 			return nil, errors.New("string.rep result too large")
 		}
 		return []Value{strings.Repeat(s, int(n))}, nil
@@ -394,7 +402,7 @@ func (vm *VM) installStdlib() {
 			start := init - 1 + idx
 			return []Value{float64(start + 1), float64(start + len(pat))}, nil
 		}
-		start, end, caps, err := patternFind(s, pat, init-1)
+		start, end, caps, err := patternFind(vm, s, pat, init-1)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +431,7 @@ func (vm *VM) installStdlib() {
 				init = 0
 			}
 		}
-		start, end, caps, err := patternFind(s, pat, init)
+		start, end, caps, err := patternFind(vm, s, pat, init)
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +455,7 @@ func (vm *VM) installStdlib() {
 		pos := 0
 		iter := GoFunc(func([]Value) ([]Value, error) {
 			for pos <= len(s) {
-				start, end, caps, err := patternFind(s, pat, pos)
+				start, end, caps, err := patternFind(vm, s, pat, pos)
 				if err != nil {
 					return nil, err
 				}
@@ -580,10 +588,14 @@ func (vm *VM) installStdlib() {
 			}
 		}
 		parts := make([]string, 0, t.Len())
+		size := 0
 		for i := 1; i <= t.Len(); i++ {
 			s, ok := concatString(t.GetInt(i))
 			if !ok {
 				return nil, fmt.Errorf("invalid value (at index %d) in table for 'concat'", i)
+			}
+			if size += len(s) + len(sep); size > maxStringLen {
+				return nil, errors.New(errStringTooLong)
 			}
 			parts = append(parts, s)
 		}
@@ -681,6 +693,29 @@ func strIndex(length, i int) int {
 	return i
 }
 
+// longFormatNumber reports whether a format spec ("%", flags, width,
+// "." precision, verb) has a width or precision of more than two digits,
+// which Lua 5.1 refuses: it would let one call build an arbitrarily long
+// string. As in Lua's scanformat, the flags come first and are skipped, so
+// "%010d" is the flag 0 and a width of 10.
+func longFormatNumber(spec string) bool {
+	i := 1
+	for i < len(spec) && strings.IndexByte("-+ #0", spec[i]) >= 0 {
+		i++
+	}
+	twoDigits := func() {
+		for n := 0; n < 2 && i < len(spec) && isDigit(spec[i]); n++ {
+			i++
+		}
+	}
+	twoDigits()
+	if i < len(spec) && spec[i] == '.' {
+		i++
+		twoDigits()
+	}
+	return i < len(spec) && isDigit(spec[i])
+}
+
 // stdFormat implements string.format for the verbs policies use:
 // %d %i %f %g %s %x %% with width/precision flags passed through to Go.
 func stdFormat(args []Value) ([]Value, error) {
@@ -707,6 +742,9 @@ func stdFormat(args []Value) ([]Value, error) {
 		}
 		verb := f[j]
 		spec := f[i : j+1]
+		if longFormatNumber(spec) {
+			return nil, errors.New("invalid format (width or precision too long)")
+		}
 		switch verb {
 		case '%':
 			b.WriteByte('%')
@@ -740,6 +778,9 @@ func stdFormat(args []Value) ([]Value, error) {
 			argi++
 		default:
 			return nil, fmt.Errorf("unsupported format verb %%%c", verb)
+		}
+		if b.Len() > maxStringLen {
+			return nil, errors.New(errStringTooLong)
 		}
 		i = j + 1
 	}

@@ -37,11 +37,11 @@ func servingRig(t *testing.T) (*sim.Engine, *simnet.Network, *MDS, simnet.Addr, 
 	return e, n, m, client, replies
 }
 
-// TestServedGetattrAllocs: a served getattr allocates only its Reply. The
-// Request is reused across runs, so the count is the MDS path's own. With a
-// closure per hop it was 7: also the hint slice, the queue's re-grown
-// backing array, the service closure and startBusy's wrapper, and two
-// delivery closures.
+// TestServedGetattrAllocs: a served getattr allocates nothing: the reply
+// rides in the request record, which is reused across runs, so the count is
+// the MDS path's own. With a Reply per answer it was 1; with a closure per
+// hop it was 7: also the hint slice, the queue's re-grown backing array, the
+// service closure and startBusy's wrapper, and two delivery closures.
 func TestServedGetattrAllocs(t *testing.T) {
 	e, n, m, client, replies := servingRig(t)
 	if _, err := m.ns.CreatePath("/a/f", false); err != nil {
@@ -56,20 +56,21 @@ func TestServedGetattrAllocs(t *testing.T) {
 	serve()
 	allocs := testing.AllocsPerRun(1000, serve)
 	t.Logf("served getattr: %.0f allocs", allocs)
-	if allocs > 1 {
-		t.Fatalf("served getattr allocates %.0f objects, want <= 1 (the Reply)", allocs)
+	if allocs != 0 {
+		t.Fatalf("served getattr allocates %.0f objects, want 0", allocs)
 	}
 	if *replies != 1002 {
 		t.Fatalf("%d replies for 1002 requests", *replies)
 	}
 }
 
-// TestServedCreateAllocs: a served create allocates only its Reply too: the
-// file node comes from the namespace's slab and amortises below one per
-// create, and the service interval, journal append and both deliveries
-// allocate nothing. Paths are built before the runs. With a closure per hop
-// it was 11: the getattr's 7 plus the journal-done closure, the journal's
-// apply and done closures, and the pool's scheduled closure.
+// TestServedCreateAllocs: a served create allocates nothing either: the file
+// node comes from the namespace's slab and amortises below one per create,
+// and the service interval, journal append, reply and both deliveries
+// allocate nothing. Paths are built before the runs. With a Reply per answer
+// it was 1; with a closure per hop it was 11: the getattr's 7 plus the
+// journal-done closure, the journal's apply and done closures, and the
+// pool's scheduled closure.
 func TestServedCreateAllocs(t *testing.T) {
 	e, n, m, client, replies := servingRig(t)
 	if _, err := m.ns.CreatePath("/a", true); err != nil {
@@ -90,8 +91,8 @@ func TestServedCreateAllocs(t *testing.T) {
 	serve()
 	allocs := testing.AllocsPerRun(runs, serve)
 	t.Logf("served create: %.0f allocs", allocs)
-	if allocs > 1 {
-		t.Fatalf("served create allocates %.0f objects, want <= 1 (the Reply)", allocs)
+	if allocs != 0 {
+		t.Fatalf("served create allocates %.0f objects, want 0", allocs)
 	}
 	if *replies != runs+2 {
 		t.Fatalf("%d replies for %d requests", *replies, runs+2)

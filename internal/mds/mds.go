@@ -690,6 +690,9 @@ func (m *MDS) execute(s *svcRec) {
 	m.cServed.Add(1)
 	if err != nil {
 		m.Counters.Errors++
+	} else if m.OnServed != nil {
+		// Before the reply: once sent, r belongs to the requester.
+		m.OnServed(m, r)
 	}
 	if r.Op.Mutating() && err == nil {
 		// Journal before replying; the server is free to take
@@ -702,9 +705,6 @@ func (m *MDS) execute(s *svcRec) {
 	} else {
 		s.release()
 		m.reply(r, res, err)
-	}
-	if m.OnServed != nil && err == nil {
-		m.OnServed(m, r)
 	}
 	m.kick()
 }
@@ -901,15 +901,19 @@ func (m *MDS) maybeMerge(dir *namespace.Node, name string) {
 	}
 }
 
-// reply sends the response with routing hints for the touched directory.
+// reply sends the response with routing hints for the touched directory. It
+// answers inside the request record and is the MDS's last touch of it: once
+// sent, the record belongs to the requester again.
 func (m *MDS) reply(r *Request, res resolved, err error) {
 	if m.crashed {
 		return
 	}
-	rep := &Reply{ReqID: r.ID, Served: m.rank, Forwards: r.Hops}
+	var text string
 	if err != nil {
-		rep.Err = err.Error()
+		text = err.Error()
 	}
+	rep := r.Answer(text)
+	rep.Served, rep.Forwards = m.rank, r.Hops
 	if res.dir != nil {
 		h := m.hintFor(res.dir)
 		if m.rep != nil {

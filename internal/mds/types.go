@@ -103,6 +103,21 @@ type Request struct {
 	// must defer through RecordOpRemote: the inline frag hit is reserved
 	// for the single auth writer.
 	viaReplica bool
+
+	// reply is where the MDS answers: MDS.reply fills it and sends
+	// &r.reply, so a reply allocates nothing. Sending it is the MDS's last
+	// touch of the record (DESIGN.md §4, record ownership); the requester
+	// may reuse the record once it has handled that reply.
+	reply Reply
+}
+
+// Answer resets the reply carried in the record to {ReqID: r.ID, Err: err}
+// and returns it for the answering side to complete and send. Sending it
+// hands the record back to the requester, so the sender reads nothing of r
+// afterwards.
+func (r *Request) Answer(err string) *Reply {
+	r.reply = Reply{ReqID: r.ID, Err: err}
+	return &r.reply
 }
 
 // FragHint tells a client which rank owns one fragment of a directory.
@@ -128,7 +143,8 @@ type Hint struct {
 	Replicas []namespace.Rank
 }
 
-// Reply is the MDS response to a Request.
+// Reply is the MDS response to a Request. The MDS answers inside the
+// request record (Request.Answer); a Reply built by hand works the same.
 type Reply struct {
 	ReqID uint64
 	// Err is a human-readable failure ("" = success).
