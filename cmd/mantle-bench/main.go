@@ -1,47 +1,34 @@
 // Command mantle-bench regenerates the paper's tables and figures on the
-// simulated cluster and prints paper-vs-measured shape checks. It doubles as
-// the repository's perf harness: -bench-json runs the hot-path
-// micro-benchmarks and writes a machine-readable BENCH_<label>.json.
+// simulated cluster and prints paper-vs-measured shape checks. Performance is
+// measured by the benchmark, `bash benchmark/run.sh` (benchmark/README.md).
 //
 // Usage:
 //
 //	mantle-bench -run fig7 -scale 0.25 -seed 3
 //	mantle-bench -run all -parallel 8
-//	mantle-bench -bench-json baseline
 //	mantle-bench -run all -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"mantle/internal/experiments"
-	"mantle/internal/perf"
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment id to run (or 'all'); one of: "+join(experiments.IDs()))
+	run := flag.String("run", "all", "experiment id to run (or 'all'); one of: "+strings.Join(experiments.IDs(), ", "))
 	seed := flag.Int64("seed", 1, "random seed")
 	scale := flag.Float64("scale", 0.1, "workload scale relative to the paper (1.0 = 100k creates/client)")
 	parallel := flag.Int("parallel", 1, "run 'all' experiments on N worker goroutines (output stays byte-identical to sequential)")
-	benchJSON := flag.String("bench-json", "", "run the micro-benchmark harness and write BENCH_<label>.json instead of experiments")
-	benchBaseline := flag.String("bench-baseline", "", "with -bench-json: compare against this committed BENCH_*.json and exit nonzero if any ns_per_op regresses past -bench-tolerance")
-	benchHistory := flag.String("bench-history", "", "with -bench-json: comma-separated BENCH_*.json paths (globs allowed, chronological order); gate each benchmark against its fastest historical measurement and print the trend")
-	benchTolerance := flag.Float64("bench-tolerance", 0.25, "allowed fractional ns_per_op regression vs -bench-baseline (0.25 = 25%)")
-	benchHistoryTolerance := flag.Float64("bench-history-tolerance", 0.6, "allowed fractional ns_per_op regression vs each benchmark's fastest committed measurement (looser than -bench-tolerance: the historical best stacks every recording environment's luck)")
-	benchGateSkip := flag.String("bench-gate-skip", "", "regexp of benchmark names exempt from both regression gates (still measured, recorded, and shown in the trend); for points whose wall time is documented load-dominated, e.g. drain-bound open-loop runs — see docs/PERFORMANCE.md")
-	treeDepth := flag.Int("tree-depth", perf.DefaultScale().TreeDepth, "NamespaceScale benchmarks: directory nesting depth")
-	treeWidth := flag.Int("tree-width", perf.DefaultScale().TreeWidth, "NamespaceScale benchmarks: directory fan-out at the bottom of the tree")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
-	perf.ScaleConfig = perf.Scale{TreeDepth: *treeDepth, TreeWidth: *treeWidth}
 
 	memProfilePath = *memProfile
 	if *cpuProfile != "" {
@@ -62,105 +49,25 @@ func main() {
 	}
 	defer writeMemProfile(memProfilePath)
 
-	if *benchJSON != "" {
-		rep := perf.RunAll(*benchJSON)
-		name := "BENCH_" + *benchJSON + ".json"
-		f, err := os.Create(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		f.Close()
-		for _, b := range rep.Benchmarks {
-			fmt.Printf("%-24s %12.0f ns/op %8d allocs/op %10d B/op", b.Name, b.NsPerOp, b.AllocsPerOp, b.BytesPerOp)
-			if b.SimOpsPerSec > 0 {
-				fmt.Printf(" %12.0f simops/sec", b.SimOpsPerSec)
-			}
-			fmt.Println()
-		}
-		fmt.Println("wrote", name)
-		gated := rep
-		if *benchGateSkip != "" {
-			re, err := regexp.Compile(*benchGateSkip)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bad -bench-gate-skip:", err)
-				exit(2)
-			}
-			var dropped []string
-			gated, dropped = rep.WithoutBenchmarks(re)
-			if len(dropped) > 0 {
-				fmt.Printf("gates exempt %s (load-dominated wall time; see docs/PERFORMANCE.md)\n",
-					strings.Join(dropped, ", "))
-			}
-		}
-		if *benchBaseline != "" {
-			bf, err := os.Open(*benchBaseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit(2)
-			}
-			base, err := perf.ReadReport(bf)
-			bf.Close()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit(2)
-			}
-			regs := perf.CompareReports(base, gated, *benchTolerance)
-			if len(regs) > 0 {
-				fmt.Printf("\n%d benchmark(s) regressed vs %s (tolerance %.0f%%):\n",
-					len(regs), *benchBaseline, *benchTolerance*100)
-				for _, r := range regs {
-					fmt.Println(" ", r)
-				}
-				exit(1)
-			}
-			fmt.Printf("no ns_per_op regressions vs %s (tolerance %.0f%%)\n", *benchBaseline, *benchTolerance*100)
-		}
-		if *benchHistory != "" {
-			history, err := readHistory(*benchHistory, name)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit(2)
-			}
-			fmt.Printf("\ntrend across %d committed report(s):\n%s", len(history), perf.Trend(history, rep))
-			regs := perf.CompareHistory(history, gated, *benchHistoryTolerance)
-			if len(regs) > 0 {
-				fmt.Printf("\n%d benchmark(s) regressed vs historical best (tolerance %.0f%%):\n",
-					len(regs), *benchHistoryTolerance*100)
-				for _, r := range regs {
-					fmt.Println(" ", r)
-				}
-				exit(1)
-			}
-			fmt.Printf("no ns_per_op regressions vs historical best (tolerance %.0f%%)\n", *benchHistoryTolerance*100)
-		}
-		return
-	}
-
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Out: os.Stdout}
-	fail := 0
+	var reports []*experiments.Report
+	var err error
 	if *run == "all" {
-		reports, err := experiments.RunAllParallel(opts, *parallel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
-		for _, rep := range reports {
-			if !rep.Pass() {
-				fail++
-			}
-		}
+		reports, err = experiments.RunAllParallel(opts, *parallel)
 	} else {
-		rep, err := experiments.Run(*run, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
+		var rep *experiments.Report
+		rep, err = experiments.Run(*run, opts)
+		reports = []*experiments.Report{rep}
+	}
+	if errors.Is(err, experiments.ErrBadScale) {
+		err = fmt.Errorf("mantle-bench: invalid -scale %g: must be > 0", *scale)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(2)
+	}
+	fail := 0
+	for _, rep := range reports {
 		if !rep.Pass() {
 			fail++
 		}
@@ -205,55 +112,4 @@ func writeMemProfile(path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
-}
-
-// readHistory expands a comma-separated list of paths/globs into parsed
-// reports, preserving the given order (lexical within a glob). The report
-// just written this run (skip) is excluded so a BENCH_* glob cannot gate
-// the run against itself.
-func readHistory(spec, skip string) ([]perf.Report, error) {
-	var out []perf.Report
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		paths, err := filepath.Glob(part)
-		if err != nil {
-			return nil, fmt.Errorf("bench-history %q: %w", part, err)
-		}
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("bench-history %q matched no files", part)
-		}
-		for _, p := range paths {
-			if filepath.Clean(p) == filepath.Clean(skip) {
-				continue
-			}
-			f, err := os.Open(p)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := perf.ReadReport(f)
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", p, err)
-			}
-			if rep.Label == "" {
-				rep.Label = strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")
-			}
-			out = append(out, rep)
-		}
-	}
-	return out, nil
-}
-
-func join(ids []string) string {
-	out := ""
-	for i, id := range ids {
-		if i > 0 {
-			out += ", "
-		}
-		out += id
-	}
-	return out
 }

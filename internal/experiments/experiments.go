@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -31,10 +32,18 @@ type Options struct {
 // DefaultOptions returns a medium-size deterministic configuration.
 func DefaultOptions() Options { return Options{Seed: 1, Scale: 0.1} }
 
-func (o Options) files(paper int) int {
-	if o.Scale <= 0 {
-		o.Scale = 0.1
+// ErrBadScale is returned by Run and RunAllParallel for a Scale that is not
+// a positive number (zero, negative or NaN).
+var ErrBadScale = errors.New("experiments: scale must be > 0")
+
+func (o Options) check() error {
+	if !(o.Scale > 0) {
+		return fmt.Errorf("%w, got %g", ErrBadScale, o.Scale)
 	}
+	return nil
+}
+
+func (o Options) files(paper int) int {
 	n := int(float64(paper) * o.Scale)
 	if n < 500 {
 		n = 500
@@ -131,6 +140,9 @@ func Run(id string, o Options) (*Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 	}
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	return f(o), nil
 }
 
@@ -155,6 +167,9 @@ func RunAll(o Options) []*Report {
 // sequential RunAll with the same Options. workers <= 1 degrades to the
 // sequential path.
 func RunAllParallel(o Options, workers int) ([]*Report, error) {
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	ids := IDs()
 	if workers <= 1 {
 		return RunAll(o), nil
@@ -253,11 +268,7 @@ func pctDelta(baseline, v sim.Time) float64 {
 // opportunities as the paper's full-size jobs.
 func buildCluster(o Options, numMDS int, seed int64, factory cluster.BalancerFactory, tune func(*cluster.Config)) *cluster.Cluster {
 	cfg := cluster.DefaultConfig(numMDS, seed)
-	scale := o.Scale
-	if scale <= 0 {
-		scale = 0.1
-	}
-	hb := sim.Time(float64(10*sim.Second) * scale)
+	hb := sim.Time(float64(10*sim.Second) * o.Scale)
 	if hb < 500*sim.Millisecond {
 		hb = 500 * sim.Millisecond
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,6 +111,27 @@ func TestScaleClampsFiles(t *testing.T) {
 	o = Options{Scale: 1}
 	if got := o.files(100_000); got != 100_000 {
 		t.Fatalf("files = %d", got)
+	}
+}
+
+// TestRejectsBadScale: a scale that is not a positive number is refused
+// before any experiment runs, by Run for one id and by RunAllParallel for
+// the whole sweep at either worker count, and nothing is written.
+func TestRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN()} {
+		var buf bytes.Buffer
+		o := Options{Seed: 1, Scale: scale, Out: &buf}
+		if _, err := Run("fig1", o); !errors.Is(err, ErrBadScale) {
+			t.Errorf("Run at scale %g: err = %v, want ErrBadScale", scale, err)
+		}
+		for _, workers := range []int{1, 4} {
+			if _, err := RunAllParallel(o, workers); !errors.Is(err, ErrBadScale) {
+				t.Errorf("RunAllParallel(%d) at scale %g: err = %v, want ErrBadScale", workers, scale, err)
+			}
+		}
+		if buf.Len() != 0 {
+			t.Errorf("scale %g: wrote %q", scale, buf.String())
+		}
 	}
 }
 
