@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"mantle/internal/cluster"
@@ -48,7 +49,7 @@ func main() {
 		fmt.Fprintf(w, "%s\t%.2fs (%+.1f%%)\t%d\t%d\t%s\n",
 			p.Name, res.Makespan.Seconds(),
 			(float64(baseline)/float64(res.Makespan)-1)*100,
-			res.TotalExports, res.TotalFlushes, served)
+			res.TotalExports, res.TotalFlushes, strings.TrimRight(served, " "))
 	}
 	w.Flush()
 	fmt.Println("\npositive % = faster than no balancing; the paper's claim is that")

@@ -125,8 +125,11 @@ func main() {
 		res := c.Run(30 * sim.Minute)
 		fmt.Printf("%-18s done=%v makespan=%.2fs exports=%d served=",
 			name, res.AllDone, res.Makespan.Seconds(), res.TotalExports)
-		for _, cnt := range res.MDSCounters {
-			fmt.Printf("%d ", cnt.Served)
+		for i, cnt := range res.MDSCounters {
+			if i > 0 {
+				fmt.Print(" ")
+			}
+			fmt.Print(cnt.Served)
 		}
 		fmt.Println()
 	}

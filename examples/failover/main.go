@@ -65,9 +65,9 @@ func main() {
 	}
 	fmt.Printf("clients: %d request timeouts during the outage, %d residual errors\n", timeouts, errs)
 	fmt.Println("\nper-second cluster throughput (watch the outage bubble):")
-	fmt.Print("  ")
+	fmt.Print(" ")
 	for _, p := range res.TotalSeries.Points {
-		fmt.Printf("%5.0f ", p.V)
+		fmt.Printf(" %5.0f", p.V)
 	}
 	fmt.Println()
 	if d, err := c.NS.Resolve("/hot"); err == nil {

@@ -49,3 +49,28 @@ func TestShippedPolicyFiles(t *testing.T) {
 		t.Errorf("policies/ has %d of %d built-ins; regenerate missing ones", seen, len(builtins))
 	}
 }
+
+// TestCheckNamesAMissingBuiltin: the policy language has no string or table
+// library and no print, pcall, select or unpack (docs/POLICIES.md,
+// "Builtins"). A policy that uses one fails the lint, and the problem names
+// what it used.
+func TestCheckNamesAMissingBuiltin(t *testing.T) {
+	for _, c := range []struct{ when, name string }{
+		{`return string.find("abc", "b") ~= nil`, "index global 'string'"},
+		{`local t = {} table.insert(t, 1) return #t > 1`, "index global 'table'"},
+		{`print(whoami) return false`, "call global 'print'"},
+		{`return pcall(error)`, "call global 'pcall'"},
+		{`return select(2, false, true)`, "call global 'select'"},
+		{`return unpack({false})`, "call global 'unpack'"},
+		{`return math.sign(1) > 0`, "call field 'sign'"},
+	} {
+		src := "-- policy: missing\n-- [when]\n" + c.when + "\n"
+		_, rep, err := CheckPolicyFile("missing", src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.when, err)
+		}
+		if rep.OK() || !strings.Contains(rep.String(), c.name+" (a nil value)") {
+			t.Errorf("%s: the lint did not name %s:\n%s", c.when, c.name, rep)
+		}
+	}
+}

@@ -31,32 +31,31 @@ func TestCallPathSemantics(t *testing.T) {
 		{`local t = {n = 10}
 		  function t.add(self, a, b) return self.n + a + b end
 		  return t:add(t:add(1, 2), 3), t:add(0, 0)`, "26,10"},
-		// pcall inside an argument list, truncated and trailing.
+		// A multi-return call inside an argument list, truncated and
+		// trailing.
 		{`local function f(a, b, c, d) return d, c, b, a end
-		  return f(pcall(error, "boom"), 9)`, "nil,nil,9,false"},
+		  local function two() return false, "boom" end
+		  return f(two(), 9)`, "nil,nil,9,false"},
 		{`local function f(a, b, c, d) return d, c, b, a end
-		  return f(1, pcall(function() return 2, 3 end))`, "3,2,true,1"},
-		{`return select(2, pcall(error, "boom"))`, "t:0: boom"},
-		{`local ok = pcall(function() return max(1, nil + 1) end)
-		  return ok, max(3, 4)`, "false,4"},
+		  return f(1, assert(true, 2, 3))`, "3,2,true,1"},
+		{`local function tail(a, b, c) return b, c end
+		  return tail(assert(1, 2, 3))`, "2,3"},
 		// assert returns its own argument window.
 		{`return assert(1, 2, 3)`, "1,2,3"},
 		{`local a, b = assert(4, 5), assert(6, 7) return a, b`, "4,6"},
 		{`return max(assert(3, 8)), min(assert(9, 2))`, "8,2"},
 		{`local t = {assert(1, 2, 3)} return #t, t[3]`, "3,3"},
 		{`local t = {} t[1], t[2] = assert(7, 8) return t[1], t[2]`, "7,8"},
-		// select returns a subslice of it.
-		{`return select(2, "a", "b", "c")`, "b,c"},
-		{`return select(-1, "a", "b", "c")`, "c"},
-		{`return select("#", 1, nil, 3)`, "3"},
-		{`return select(2, select(2, 1, 2, 3))`, "3"},
-		{`local x, y = select(2, 10, 20, 30) return y, x`, "30,20"},
-		{`return select(2, 1, 2), select(2, 3, 4, 5)`, "2,4,5"},
-		{`return select(4, 1, 2)`, ""},
-		// unpack builds its own list.
-		{`return unpack({1, 2, 3})`, "1,2,3"},
-		{`return max(unpack({4, 9, 2}))`, "9"},
-		{`local t = {unpack({1, 2}), unpack({3, 4})} return #t, t[1], t[3]`, "3,1,4"},
+		{`return assert(assert(1, 2), 3)`, "1,3"},
+		{`return assert(1, assert(2, 3, nil))`, "1,2,3,nil"},
+		{`local x, y = assert(10, 20, 30) return y, x`, "20,10"},
+		{`return assert(1, 2), assert(3, 4, 5)`, "1,3,4,5"},
+		// A Lua function's results sit above its arguments.
+		{`local function three() return 4, 9, 2 end return max(three())`, "9"},
+		{`local function two(a) return a, a + 1 end
+		  local t = {two(1), two(3)} return #t, t[1], t[3]`, "3,1,4"},
+		{`local function inc(a, b) return a + 1, b end return inc(inc(inc(1, 9)))`, "4,9"},
+		{`local function none() end return 1, none()`, "1"},
 		// max and min return the winning argument: a number as it was, a
 		// numeric string converted.
 		{`local a = 2.5 return max(a, 1) == a, max("10", 9), type(max("10", 9)), min(-0.5, 3)`, "true,10,number,-0.5"},
@@ -98,7 +97,7 @@ func TestCallPathUnwindsAfterErrors(t *testing.T) {
 		if len(vm.stack) != 0 {
 			t.Fatalf("%d values left on the stack", len(vm.stack))
 		}
-		vals, err := vm.Eval("clean", `local a, b = select(2, 1, 2, 3) return max(a, b), select("#", a, b)`)
+		vals, err := vm.Eval("clean", `local a, b = assert(2, 3) return max(a, b), min(a, b)`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,13 +119,11 @@ func TestCallPathUnwindsAfterErrors(t *testing.T) {
 	vm.MaxSteps = 10_000
 	clean()
 
-	// The budget is not caught by pcall, even from inside an argument list.
-	vm.MaxSteps = 200
-	_, err = vm.Eval("budget-pcall", `return max(1, pcall(function() while true do end end))`)
-	if err == nil || !strings.Contains(err.Error(), ErrBudget) {
-		t.Fatalf("error = %v, want the budget error through pcall", err)
+	// A call of a missing builtin deep in an argument list.
+	_, err = vm.Eval("nil-call", `return max(1, assert(2, min(3, nosuchfn(4, 5))))`)
+	if err == nil || !strings.Contains(err.Error(), "attempt to call global 'nosuchfn' (a nil value)") {
+		t.Fatalf("error = %v, want the nil-call error", err)
 	}
-	vm.MaxSteps = 10_000
 	clean()
 }
 
@@ -177,7 +174,8 @@ func TestRunFirst(t *testing.T) {
 		{`return nil`, nil, true},
 		{`return`, nil, false},
 		{`local a = 1`, nil, false},
-		{`return select(3, 1, 2)`, nil, false},
+		{`local function none() end return none()`, nil, false},
+		{`local function two() return nil, 1 end return two()`, nil, true},
 		{`return "s"`, "s", true},
 	} {
 		chunk, err := Compile("t", c.src)

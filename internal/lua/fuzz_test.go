@@ -24,7 +24,8 @@ const fuzzSteps = 5000
 // small step budget. Compile and Run must never panic, Run must stop at the
 // budget, and a second fresh VM must return the same error text and the
 // same scalar results. The corpus starts from every hook of the shipped
-// policy files, the paper's Listings and the programs in lua_test.go.
+// policy files, the paper's Listings and the programs in the package's
+// other tests.
 func FuzzLuaRun(f *testing.F) {
 	for _, src := range luaSeeds(f) {
 		f.Add(src)
@@ -51,7 +52,6 @@ func runFresh(t *testing.T, chunk *lua.Chunk) string {
 	t.Helper()
 	vm := lua.NewVM()
 	vm.MaxSteps = fuzzSteps
-	vm.SetPrinter(func(string) {})
 	rets, err := vm.Run(chunk)
 	if vm.Steps() > fuzzSteps+1 {
 		t.Fatalf("ran %d steps on a budget of %d", vm.Steps(), fuzzSteps)
@@ -97,20 +97,29 @@ func luaSeeds(tb testing.TB) []string {
 	for _, name := range core.PolicyNames() {
 		addPolicy(core.Policies()[name])
 	}
-	// Every string literal in lua_test.go: its programs and expressions.
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "lua_test.go", nil, 0)
+	// Every string literal in the other tests: their programs and
+	// expressions.
+	tests, err := filepath.Glob("*_test.go")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			if s, err := strconv.Unquote(lit.Value); err == nil {
-				hooks = append(hooks, s)
-			}
+	for _, name := range tests {
+		if name == "fuzz_test.go" {
+			continue
 		}
-		return true
-	})
+		file, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					hooks = append(hooks, s)
+				}
+			}
+			return true
+		})
+	}
 	var out []string
 	for _, h := range hooks {
 		if h = strings.TrimSpace(h); h != "" {

@@ -35,15 +35,14 @@ type VM struct {
 	steps    int64
 	depth    int
 	chunk    string
-	printer  PrintWriter
 	rngState uint64
 
 	// stack holds call arguments and return values. A call pushes its
 	// arguments and hands the callee that window; the caller truncates the
 	// stack back once the call returns. A call's results may still sit in
 	// the truncated region (a Lua return pushes them above the arguments,
-	// assert and select return a window of their arguments), so every
-	// caller consumes them before it pushes again.
+	// assert returns the window of its arguments), so every caller
+	// consumes them before it pushes again.
 	stack []Value
 	// one is the result of max and min: the winning argument itself, handed
 	// back without a fresh slice. It is consumed like any call result.
@@ -214,22 +213,6 @@ func (vm *VM) Eval(name, src string) ([]Value, error) {
 
 // Steps reports how many steps the last Run consumed.
 func (vm *VM) Steps() int64 { return vm.steps }
-
-// protectedCall invokes fn trapping runtime errors (the pcall builtin). The
-// instruction budget is deliberately not trapped: exceeding it must abort
-// the whole run, or a hostile script could loop forever inside pcall.
-func (vm *VM) protectedCall(fn Value, args []Value) (rets []Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if re, ok := r.(*RuntimeError); ok && re.Msg != ErrBudget {
-				rets, err = nil, re
-				return
-			}
-			panic(r)
-		}
-	}()
-	return vm.call(fn, args, 0), nil
-}
 
 // blockScope returns the scope a block executes in: env itself when the
 // block declares no locals (so nothing new can be defined), else a child.
@@ -443,7 +426,7 @@ func (vm *VM) assign(l expr, v Value, env *scope) {
 		obj := vm.evalExpr(t.obj, env)
 		tab, ok := obj.(*Table)
 		if !ok {
-			vm.errf(t.line, "attempt to index a %v value", TypeOf(obj))
+			vm.opErr(t.line, "index", t.obj, env, obj)
 		}
 		key := vm.evalExpr(t.key, env)
 		if key == nil {
@@ -510,7 +493,7 @@ func (vm *VM) evalExpr(e expr, env *scope) Value {
 		obj := vm.evalExpr(ex.obj, env)
 		tab, ok := obj.(*Table)
 		if !ok {
-			vm.errf(ex.line, "attempt to index a %v value%s", TypeOf(obj), describeIndex(ex))
+			vm.opErr(ex.line, "index", ex.obj, env, obj)
 		}
 		return tab.Get(vm.evalExpr(ex.key, env))
 	case *callExpr:
@@ -553,11 +536,24 @@ func (vm *VM) evalExpr(e expr, env *scope) Value {
 	}
 }
 
-func describeIndex(ex *indexExpr) string {
-	if s, ok := ex.key.(*stringExpr); ok {
-		return fmt.Sprintf(" (field %q)", s.val)
+// opErr raises the error for indexing or calling (op) a value v that does
+// not allow it, naming the expression e that produced v in Lua 5.1's words:
+// "attempt to call global 'f' (a nil value)". An expression without a name,
+// such as t[i] or f(), gives "attempt to index a nil value".
+func (vm *VM) opErr(line int, op string, e expr, env *scope, v Value) {
+	switch ex := e.(type) {
+	case *nameExpr:
+		kind := "global"
+		if _, ok := env.find(ex.name); ok {
+			kind = "local"
+		}
+		vm.errf(line, "attempt to %s %s '%s' (a %v value)", op, kind, ex.name, TypeOf(v))
+	case *indexExpr:
+		if s, ok := ex.key.(*stringExpr); ok {
+			vm.errf(line, "attempt to %s field '%s' (a %v value)", op, s.val, TypeOf(v))
+		}
 	}
-	return ""
+	vm.errf(line, "attempt to %s a %v value", op, TypeOf(v))
 }
 
 // evalCall pushes the arguments, calls fn on that window of the stack and
@@ -569,18 +565,32 @@ func (vm *VM) evalCall(c *callExpr, env *scope) []Value {
 	if c.method != "" {
 		tab, ok := fn.(*Table)
 		if !ok {
-			vm.errf(c.line, "attempt to call method %q on a %v value", c.method, TypeOf(fn))
+			vm.opErr(c.line, "index", c.fn, env, fn)
 		}
 		vm.stack = append(vm.stack, fn)
 		fn = tab.Get(c.method)
 	}
 	vm.pushList(c.args, -1, env)
+	if !callable(fn) {
+		if c.method != "" {
+			vm.errf(c.line, "attempt to call method '%s' (a %v value)", c.method, TypeOf(fn))
+		}
+		vm.opErr(c.line, "call", c.fn, env, fn)
+	}
 	// The window's capacity ends at its length, so a builtin that appends
 	// to its arguments copies them instead of writing over the stack.
 	top := len(vm.stack)
 	rets := vm.call(fn, vm.stack[base:top:top], c.line)
 	vm.stack = vm.stack[:base]
 	return rets
+}
+
+func callable(fn Value) bool {
+	switch fn.(type) {
+	case GoFunc, *Function:
+		return true
+	}
+	return false
 }
 
 func (vm *VM) call(fn Value, args []Value, line int) []Value {

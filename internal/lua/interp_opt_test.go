@@ -216,12 +216,11 @@ func TestTableWritesCountsEveryMutation(t *testing.T) {
 		`t[2] = 9`,                // array store
 		`t[#t + 1] = 4`,           // array append
 		`t[#t] = nil`,             // array shrink
-		`table.insert(t, 5)`,      // append through the library
-		`table.insert(t, 1, 0)`,   // the library's direct array shift
-		`table.remove(t)`,         // pop
-		`table.remove(t, 1)`,      // the library's direct array shift
-		`table.sort(t)`,           // in-place reorder
+		`t[1], t.m = 5, 6`,        // multiple assignment
+		`function t.f() end`,      // function definition
 		`local u = t; u["x"] = 2`, // through an alias
+		`local function put(u) u[1] = 7 end put(t)`,                // through an argument
+		`for k in pairs(t) do if k == "x" then t[k] = nil end end`, // during a walk
 	} {
 		before := tab.Writes()
 		if _, err := vm.Eval("w", src); err != nil {
