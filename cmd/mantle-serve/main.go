@@ -56,9 +56,6 @@ func main() {
 	seedBounds := flag.Bool("seed-bounds", true, "pre-partition the zipf working set across the initial ranks (warm client mdsmap); false starts everything on rank 0")
 	mutexProfile := flag.String("mutexprofile", "", "write a lock-contention profile to this file after the run")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file after the run")
-	chaosInterval := flag.Duration("chaos-interval", 0, "crash a live rank this often while load runs (0 = no fault injection)")
-	chaosDown := flag.Duration("chaos-down", 300*time.Millisecond, "how long a chaos-crashed rank stays down before recovery")
-	chaosKind := flag.String("chaos-kind", "crash", "chaos fault flavour: crash | partition (isolate the victim from peers and monitor, clients still reachable)")
 	standbys := flag.Int("standbys", 0, "warm standby pool: a monitor-declared-failed rank is replaced after journal replay (enables the monitor)")
 	monGrace := flag.Duration("mon-grace", 0, "declare a rank failed after this much beacon silence (0 with -standbys derives 4x heartbeat; >0 alone enables the monitor without takeover)")
 	hbMode := flag.String("hb-mode", "allpairs", "load exchange: allpairs (every rank heartbeats every peer, O(ranks^2) msgs/interval) | aggregated (ranks report to the monitor, which disseminates a load map, O(ranks); enables the monitor)")
@@ -213,51 +210,6 @@ func main() {
 	}
 	fmt.Printf("mantle-serve: %d ranks, policy %s, %v @ %.0f op/s (%s workload)\n",
 		*ranks, p.Name, *duration, *rate, wlDesc)
-	if *chaosKind != "crash" && *chaosKind != "partition" {
-		fmt.Fprintf(os.Stderr, "unknown -chaos-kind %q\n", *chaosKind)
-		os.Exit(2)
-	}
-	if *chaosInterval > 0 && *ranks > 1 {
-		fmt.Printf("mantle-serve: %s chaos every %v (down %v)\n", *chaosKind, *chaosInterval, *chaosDown)
-		go func() {
-			// Inject only inside the arrival window so drain measures
-			// recovery, not fresh damage. Victims cycle over ranks
-			// 1..active-1, re-reading membership each round so elastically
-			// grown ranks are targeted too (and a shrunk victim becomes a
-			// no-op); the down time is clamped to the window so recovery
-			// never lands after arrivals stop.
-			until := time.Now().Add(*duration)
-			victim := 1
-			for time.Now().Before(until) {
-				time.Sleep(*chaosInterval)
-				if !time.Now().Before(until) {
-					return
-				}
-				active := rt.ActiveRanks()
-				if active < 2 {
-					continue
-				}
-				if victim >= active {
-					victim = 1
-				}
-				r := victim
-				victim = 1 + victim%(active-1)
-				down := *chaosDown
-				if rem := time.Until(until); down > rem {
-					down = rem
-				}
-				if *chaosKind == "partition" {
-					rt.IsolateRank(r)
-					time.Sleep(down)
-					rt.HealRank(r)
-				} else {
-					rt.CrashRank(r)
-					time.Sleep(down)
-					rt.RecoverRank(r, nil)
-				}
-			}
-		}()
-	}
 	rep, runErr := rt.Run()
 	if rep != nil {
 		rep.Write(os.Stdout)

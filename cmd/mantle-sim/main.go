@@ -148,7 +148,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			exit(2)
 		}
-		if err := faults.Apply(c, plan); err != nil {
+		if err := c.ApplyFaults(plan); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(2)
 		}

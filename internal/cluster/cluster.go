@@ -102,8 +102,9 @@ type Cluster struct {
 	// that grows and shrinks the active rank set at runtime.
 	Elastic *elastic.Coordinator
 
-	// Reassigns counts subtree bounds moved off dead ranks by the
-	// monitor's OnFail hook (failover with no standby left).
+	// Reassigns counts bounds moved off dead ranks: by the monitor's
+	// OnFail hook (failover with no standby left) and by an elastic leave
+	// whose draining rank crashed (ForceReassign).
 	Reassigns uint64
 
 	// Tel is non-nil after EnableTelemetry.
@@ -277,27 +278,7 @@ func (c *Cluster) reassignSubtrees(failed namespace.Rank) {
 			live = append(live, rank)
 		}
 	}
-	if len(live) == 0 {
-		return
-	}
-	i := 0
-	next := func() namespace.Rank {
-		r := live[i%len(live)]
-		i++
-		return r
-	}
-	if c.NS.EffectiveAuth(c.NS.Root()) == failed {
-		c.NS.SetAuthOverride(c.NS.Root(), next())
-		c.Reassigns++
-	}
-	for _, root := range c.NS.SubtreeRoots(failed) {
-		if root.IsFrag {
-			c.NS.SetFragAuth(root.Dir, root.Frag, next())
-		} else {
-			c.NS.SetAuthOverride(root.Dir, next())
-		}
-		c.Reassigns++
-	}
+	c.Reassigns += uint64(c.NS.ReassignBounds(failed, live))
 }
 
 // WedgedMigrations counts export/import state machines still in flight
@@ -481,7 +462,7 @@ type Result struct {
 	PolicyFallbacks  uint64 // balancer versions demoted to last-known-good
 	ExportAborts     uint64 // exports rolled back (timeout / importer death)
 	ImportAborts     uint64 // import intents rolled back
-	SubtreeReassigns uint64 // bounds moved off dead ranks by the monitor
+	SubtreeReassigns uint64 // bounds moved off dead ranks (Cluster.Reassigns)
 	TotalGaveUp      int    // client ops abandoned after the retry budget
 
 	// Elastic membership (zero-valued unless EnableElastic was called).

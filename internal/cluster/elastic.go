@@ -156,27 +156,7 @@ func (h *elasticHost) ForceReassign(rank namespace.Rank, newSize int) {
 			live = append(live, namespace.Rank(r))
 		}
 	}
-	if len(live) == 0 {
-		return
-	}
-	i := 0
-	next := func() namespace.Rank {
-		r := live[i%len(live)]
-		i++
-		return r
-	}
-	if c.NS.EffectiveAuth(c.NS.Root()) == rank {
-		c.NS.SetAuthOverride(c.NS.Root(), next())
-		c.Reassigns++
-	}
-	for _, root := range c.NS.SubtreeRoots(rank) {
-		if root.IsFrag {
-			c.NS.SetFragAuth(root.Dir, root.Frag, next())
-		} else {
-			c.NS.SetAuthOverride(root.Dir, next())
-		}
-		c.Reassigns++
-	}
+	c.Reassigns += uint64(c.NS.ReassignBounds(rank, live))
 }
 
 var _ elastic.Host = (*elasticHost)(nil)

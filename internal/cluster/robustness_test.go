@@ -50,7 +50,7 @@ func TestFaultFreeRunBitIdentical(t *testing.T) {
 			c.AddClient(workload.SharedDirCreates("/shared", i, 1200))
 		}
 		if applyEmptyPlan {
-			if err := faults.Apply(c, faults.Plan{}); err != nil {
+			if err := c.ApplyFaults(faults.Plan{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -311,7 +311,7 @@ func TestChaosSoak(t *testing.T) {
 			for i := 0; i < numMDS; i++ {
 				c.AddClient(workload.SeparateDirCreates("", i, filesPerClient))
 			}
-			if err := faults.Apply(c, cb.plan); err != nil {
+			if err := c.ApplyFaults(cb.plan); err != nil {
 				t.Fatal(err)
 			}
 			res := c.Run(30 * sim.Minute)

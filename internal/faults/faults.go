@@ -1,11 +1,14 @@
 // Package faults is the deterministic fault-injection harness: a Plan is a
 // seedable list of timed events — rank crashes and recoveries, directed or
 // symmetric network partitions, probabilistic per-link message loss and
-// latency, slow or erroring OSD ops, and deliberately broken Lua balancer
-// versions — driven entirely off the virtual clock. Plans load from JSON
-// (the `mantle-sim -faults` flag) or are generated pseudo-randomly for chaos
-// soaks, and compose: applying an empty plan schedules nothing, consumes no
-// randomness, and leaves a run bit-identical to one with no plan at all.
+// latency, slow or erroring OSD ops, deliberately broken Lua balancer
+// versions and elastic grow/shrink — driven off the host's clock. One
+// applier (Apply) drives either host through the small Target surface: the
+// simulator on its virtual clock, the serving runtime on the wall clock.
+// Plans load from JSON (the `-faults` flag of mantle-sim and mantle-serve)
+// or are generated pseudo-randomly for chaos soaks, and compose: applying an
+// empty plan schedules nothing, consumes no randomness, and leaves a run
+// bit-identical to one with no plan at all.
 package faults
 
 import (
@@ -15,9 +18,6 @@ import (
 	"math/rand"
 	"os"
 
-	"mantle/internal/cluster"
-	"mantle/internal/core"
-	"mantle/internal/namespace"
 	"mantle/internal/sim"
 	"mantle/internal/simnet"
 )
@@ -116,12 +116,24 @@ func (p Plan) Save(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// maxSeconds bounds every time and duration in a plan (extra_latency_ms
+// included): far beyond any run, and far below where the clock's int64
+// microseconds overflow — an overflowed time would wrap negative and fire
+// at once.
+const maxSeconds = 1e9
+
 // Validate checks every event against the cluster size before anything is
 // scheduled, so a bad plan fails at load time, not mid-run.
 func (p Plan) Validate(numRanks int) error {
 	for i, ev := range p.Events {
-		if ev.At < 0 {
-			return fmt.Errorf("faults: event %d: negative time %v", i, ev.At)
+		for _, f := range []struct {
+			name string
+			sec  float64
+		}{{"at", ev.At}, {"heal_after", ev.HealAfter}, {"duration", ev.Duration}, {"extra_latency_ms", ev.ExtraLatencyMs / 1e3}} {
+			// Written so that NaN fails too.
+			if !(f.sec >= 0 && f.sec <= maxSeconds) {
+				return fmt.Errorf("faults: event %d: %s is a negative time, NaN or beyond %g s", i, f.name, float64(maxSeconds))
+			}
 		}
 		rankOK := func(r int) bool { return r == Wildcard || (r >= 0 && r < numRanks) }
 		// Link endpoints additionally accept the monitor.
@@ -157,134 +169,163 @@ func (p Plan) Validate(numRanks int) error {
 	return nil
 }
 
-// Apply validates the plan and schedules its events on the cluster's engine.
-// Call after cluster.New and before Run. Rank references resolve at fire
-// time (c.MDSs is re-read), so faults compose with failover replacements.
-// An empty plan schedules nothing and seeds nothing.
-func Apply(c *cluster.Cluster, p Plan) error {
-	// An elastic cluster may grow past NumMDS, so plans validate against
-	// the provisioned rank table, not just the initial active set. A rank
-	// that does not exist when its event fires is skipped.
-	maxRanks := c.Cfg.NumMDS
-	if c.Cfg.MaxMDS > maxRanks {
-		maxRanks = c.Cfg.MaxMDS
-	}
-	if err := p.Validate(maxRanks); err != nil {
+// Links is the fault surface of a transport. *simnet.Network and the live
+// transport both provide it.
+type Links interface {
+	SetFaultSeed(seed int64)
+	Partition(from, to simnet.Addr)
+	Heal(from, to simnet.Addr)
+	HealAll()
+	SetLinkFault(from, to simnet.Addr, f simnet.LinkFault)
+	SetDefaultLinkFault(f simnet.LinkFault)
+}
+
+// Target is the host surface a plan drives: the simulated cluster and the
+// live runtime each adapt themselves to it, so both run the same faults.
+type Target interface {
+	// After runs fn d from now on the host's clock.
+	After(d sim.Time, fn func())
+	// ProvisionedRanks bounds rank references at validation time: an
+	// elastic host may grow past its initial set before an event fires.
+	ProvisionedRanks() int
+	// ActiveRanks is the current active rank count, read at fire time.
+	ActiveRanks() int
+	// RankAddr is active rank r's transport address.
+	RankAddr(r int) simnet.Addr
+	// MonAddr is the monitor's address; ok is false when there is none.
+	MonAddr() (addr simnet.Addr, ok bool)
+	Links() Links
+	CrashRank(r int)
+	RecoverRank(r int)
+	SetOSDFault(slowFactor, errorProb float64, seed int64)
+	ClearOSDFault()
+	// Grow and Shrink are no-ops on a host without an elastic coordinator.
+	Grow()
+	Shrink()
+	// InjectBrokenPolicy pushes core.BrokenPolicy(mode) onto rank r.
+	InjectBrokenPolicy(r int, mode string)
+}
+
+// Apply validates the plan and schedules its events on the target's clock,
+// at their times counted from the call. Rank references resolve at fire
+// time, so faults compose with failover replacements and elastic
+// membership. An empty plan schedules nothing and seeds nothing.
+func Apply(t Target, p Plan) error {
+	if err := p.Validate(t.ProvisionedRanks()); err != nil {
 		return err
 	}
 	if len(p.Events) == 0 {
 		return nil
 	}
 	// Dedicated fault RNGs: the engine's stream stays untouched.
-	c.Net.SetFaultSeed(p.Seed + 1)
-	now := c.Engine.Now()
+	t.Links().SetFaultSeed(p.Seed + 1)
 	for _, ev := range p.Events {
 		ev := ev
-		delay := sim.Time(ev.At*float64(sim.Second)) - now
-		if delay < 0 {
-			delay = 0
-		}
-		c.Engine.Schedule(delay, func() { fire(c, p, ev) })
+		t.After(seconds(ev.At), func() { fire(t, p, ev) })
 	}
 	return nil
 }
+
+func seconds(s float64) sim.Time { return sim.Time(s * float64(sim.Second)) }
 
 // ranksOf expands a possibly-wildcard rank reference against the ranks that
 // exist at fire time (the active set moves under an elastic coordinator).
 // A directed reference to a rank that does not currently exist expands to
 // nothing.
-func ranksOf(c *cluster.Cluster, r int) []namespace.Rank {
+func ranksOf(t Target, r int) []int {
+	active := t.ActiveRanks()
 	if r != Wildcard {
-		if r >= len(c.MDSs) {
+		if r < 0 || r >= active {
 			return nil
 		}
-		return []namespace.Rank{namespace.Rank(r)}
+		return []int{r}
 	}
-	out := make([]namespace.Rank, len(c.MDSs))
+	out := make([]int, active)
 	for i := range out {
-		out[i] = namespace.Rank(i)
+		out[i] = i
 	}
 	return out
 }
 
 // endpointsOf expands a link endpoint reference into transport addresses at
 // fire time: one rank (if it currently exists), every active rank for
-// Wildcard, or the monitor's address for Mon (nothing when the run has no
+// Wildcard, or the monitor's address for Mon (nothing when the host has no
 // monitor).
-func endpointsOf(c *cluster.Cluster, r int) []simnet.Addr {
+func endpointsOf(t Target, r int) []simnet.Addr {
 	if r == Mon {
-		if c.Monitor == nil {
-			return nil
+		if a, ok := t.MonAddr(); ok {
+			return []simnet.Addr{a}
 		}
-		return []simnet.Addr{c.Monitor.Addr()}
+		return nil
 	}
 	var out []simnet.Addr
-	for _, rk := range ranksOf(c, r) {
-		out = append(out, simnet.Addr(rk))
+	for _, rk := range ranksOf(t, r) {
+		out = append(out, t.RankAddr(rk))
 	}
 	return out
 }
 
 // linksOf expands a possibly-wildcard link reference into directed pairs,
 // excluding self-links.
-func linksOf(c *cluster.Cluster, from, to int, symmetric bool) [][2]simnet.Addr {
+func linksOf(t Target, from, to int, symmetric bool) [][2]simnet.Addr {
 	var out [][2]simnet.Addr
-	for _, f := range endpointsOf(c, from) {
-		for _, t := range endpointsOf(c, to) {
-			if f == t {
+	for _, f := range endpointsOf(t, from) {
+		for _, d := range endpointsOf(t, to) {
+			if f == d {
 				continue
 			}
-			out = append(out, [2]simnet.Addr{f, t})
+			out = append(out, [2]simnet.Addr{f, d})
 			if symmetric {
-				out = append(out, [2]simnet.Addr{t, f})
+				out = append(out, [2]simnet.Addr{d, f})
 			}
 		}
 	}
 	return out
 }
 
-func fire(c *cluster.Cluster, p Plan, ev Event) {
+func fire(t Target, p Plan, ev Event) {
+	net := t.Links()
 	switch ev.Kind {
 	case KindCrash:
-		for _, r := range ranksOf(c, ev.Rank) {
-			c.MDSs[r].Crash()
+		for _, r := range ranksOf(t, ev.Rank) {
+			t.CrashRank(r)
 		}
 		if ev.HealAfter > 0 {
 			rank := ev.Rank
-			c.Engine.Schedule(sim.Time(ev.HealAfter*float64(sim.Second)), func() {
-				for _, r := range ranksOf(c, rank) {
-					c.MDSs[r].Recover(nil)
+			t.After(seconds(ev.HealAfter), func() {
+				for _, r := range ranksOf(t, rank) {
+					t.RecoverRank(r)
 				}
 			})
 		}
 	case KindRecover:
-		for _, r := range ranksOf(c, ev.Rank) {
-			c.MDSs[r].Recover(nil)
+		for _, r := range ranksOf(t, ev.Rank) {
+			t.RecoverRank(r)
 		}
 	case KindPartition:
-		links := linksOf(c, ev.From, ev.To, ev.Symmetric)
+		links := linksOf(t, ev.From, ev.To, ev.Symmetric)
 		for _, l := range links {
-			c.Net.Partition(l[0], l[1])
+			net.Partition(l[0], l[1])
 		}
 		if ev.HealAfter > 0 {
-			c.Engine.Schedule(sim.Time(ev.HealAfter*float64(sim.Second)), func() {
+			t.After(seconds(ev.HealAfter), func() {
 				for _, l := range links {
-					c.Net.Heal(l[0], l[1])
+					net.Heal(l[0], l[1])
 				}
 			})
 		}
 	case KindHealAll:
-		c.Net.HealAll()
+		net.HealAll()
 	case KindLinkLoss:
 		f := simnet.LinkFault{
 			LossProb:     ev.LossProb,
 			ExtraLatency: sim.Time(ev.ExtraLatencyMs * float64(sim.Millisecond)),
 		}
 		if ev.From == Wildcard && ev.To == Wildcard {
-			c.Net.SetDefaultLinkFault(f)
+			net.SetDefaultLinkFault(f)
 			if ev.Duration > 0 {
-				c.Engine.Schedule(sim.Time(ev.Duration*float64(sim.Second)), func() {
-					c.Net.SetDefaultLinkFault(simnet.LinkFault{})
+				t.After(seconds(ev.Duration), func() {
+					net.SetDefaultLinkFault(simnet.LinkFault{})
 				})
 			}
 			return
@@ -295,43 +336,33 @@ func fire(c *cluster.Cluster, p Plan, ev Event) {
 		// was retired before the clear (and then afflict a rank regrown
 		// at the same address), and would miss links the fault was never
 		// set on.
-		links := linksOf(c, ev.From, ev.To, ev.Symmetric)
+		links := linksOf(t, ev.From, ev.To, ev.Symmetric)
 		for _, l := range links {
-			c.Net.SetLinkFault(l[0], l[1], f)
+			net.SetLinkFault(l[0], l[1], f)
 		}
 		if ev.Duration > 0 {
-			c.Engine.Schedule(sim.Time(ev.Duration*float64(sim.Second)), func() {
+			t.After(seconds(ev.Duration), func() {
 				for _, l := range links {
-					c.Net.SetLinkFault(l[0], l[1], simnet.LinkFault{})
+					net.SetLinkFault(l[0], l[1], simnet.LinkFault{})
 				}
 			})
 		}
 	case KindOSDSlow:
-		c.Rados.SetFault(ev.SlowFactor, ev.ErrorProb, p.Seed+2)
+		t.SetOSDFault(ev.SlowFactor, ev.ErrorProb, p.Seed+2)
 		if ev.Duration > 0 {
-			c.Engine.Schedule(sim.Time(ev.Duration*float64(sim.Second)), func() {
-				c.Rados.ClearFault()
-			})
+			t.After(seconds(ev.Duration), t.ClearOSDFault)
 		}
 	case KindGrow:
 		// No-ops (refused transitions, no coordinator) are deliberate:
 		// chaos plans race membership changes against other faults, and
 		// a grow landing mid-transition is simply lost, as in a real
 		// cluster where the operator's second max_mds bump waits.
-		if c.Elastic != nil {
-			c.Elastic.Grow()
-		}
+		t.Grow()
 	case KindShrink:
-		if c.Elastic != nil {
-			c.Elastic.Shrink()
-		}
+		t.Shrink()
 	case KindBadPolicy:
-		for _, r := range ranksOf(c, ev.Rank) {
-			// Injection can only fail if the script does not compile;
-			// BrokenPolicy's scripts compile by construction.
-			if err := c.InjectPolicy(r, core.BrokenPolicy(ev.Mode)); err != nil {
-				panic(fmt.Sprintf("faults: bad_policy on rank %d: %v", r, err))
-			}
+		for _, r := range ranksOf(t, ev.Rank) {
+			t.InjectBrokenPolicy(r, ev.Mode)
 		}
 	}
 }

@@ -1,6 +1,7 @@
-package faults
+package faults_test
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -10,7 +11,7 @@ import (
 	"mantle/internal/cluster"
 	"mantle/internal/core"
 	"mantle/internal/elastic"
-	"mantle/internal/mon"
+	"mantle/internal/faults"
 	"mantle/internal/sim"
 	"mantle/internal/simnet"
 	"mantle/internal/workload"
@@ -32,25 +33,25 @@ func newCluster(t *testing.T, numMDS int, seed int64, factory cluster.BalancerFa
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
-	if _, err := Parse([]byte(`{"events":[{"at":1,"kind":"crash","rankk":1}]}`)); err == nil {
+	if _, err := faults.Parse([]byte(`{"events":[{"at":1,"kind":"crash","rankk":1}]}`)); err == nil {
 		t.Fatal("typo field accepted")
 	}
-	p, err := Parse([]byte(`{"seed":7,"events":[{"at":1,"kind":"crash","rank":1}]}`))
+	p, err := faults.Parse([]byte(`{"seed":7,"events":[{"at":1,"kind":"crash","rank":1}]}`))
 	if err != nil || p.Seed != 7 || len(p.Events) != 1 {
 		t.Fatalf("parse: %+v, %v", p, err)
 	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	p := Plan{Name: "rt", Seed: 3, Events: []Event{
-		{At: 1, Kind: KindCrash, Rank: 1, HealAfter: 2},
-		{At: 0.5, Kind: KindLinkLoss, From: Wildcard, To: Wildcard, LossProb: 0.1, Duration: 4},
+	p := faults.Plan{Name: "rt", Seed: 3, Events: []faults.Event{
+		{At: 1, Kind: faults.KindCrash, Rank: 1, HealAfter: 2},
+		{At: 0.5, Kind: faults.KindLinkLoss, From: faults.Wildcard, To: faults.Wildcard, LossProb: 0.1, Duration: 4},
 	}}
 	path := filepath.Join(t.TempDir(), "plan.json")
 	if err := p.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := faults.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,22 +63,36 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestValidateCatchesBadPlans(t *testing.T) {
 	cases := []struct {
 		name string
-		ev   Event
+		ev   faults.Event
 		frag string
 	}{
-		{"unknown kind", Event{At: 1, Kind: "meteor"}, "unknown kind"},
-		{"negative time", Event{At: -1, Kind: KindCrash}, "negative time"},
-		{"rank range", Event{At: 1, Kind: KindCrash, Rank: 9}, "out of range"},
-		{"link range", Event{At: 1, Kind: KindPartition, From: 0, To: 7}, "out of range"},
-		{"loss prob", Event{At: 1, Kind: KindLinkLoss, LossProb: 1.5}, "outside [0,1]"},
-		{"osd knobs", Event{At: 1, Kind: KindOSDSlow, ErrorProb: 2}, "bad OSD knobs"},
-		{"policy mode", Event{At: 1, Kind: KindBadPolicy, Mode: "subtle"}, "unknown bad_policy mode"},
+		{"unknown kind", faults.Event{At: 1, Kind: "meteor"}, "unknown kind"},
+		{"negative time", faults.Event{At: -1, Kind: faults.KindCrash}, "negative time"},
+		{"rank range", faults.Event{At: 1, Kind: faults.KindCrash, Rank: 9}, "out of range"},
+		{"link range", faults.Event{At: 1, Kind: faults.KindPartition, From: 0, To: 7}, "out of range"},
+		{"loss prob", faults.Event{At: 1, Kind: faults.KindLinkLoss, LossProb: 1.5}, "outside [0,1]"},
+		{"osd knobs", faults.Event{At: 1, Kind: faults.KindOSDSlow, ErrorProb: 2}, "bad OSD knobs"},
+		{"policy mode", faults.Event{At: 1, Kind: faults.KindBadPolicy, Mode: "subtle"}, "unknown bad_policy mode"},
+		// Times the clock cannot hold would wrap negative and fire at once.
+		{"time overflow", faults.Event{At: 1e300, Kind: faults.KindCrash}, "at is"},
+		{"time NaN", faults.Event{At: math.NaN(), Kind: faults.KindCrash}, "at is"},
+		{"heal overflow", faults.Event{At: 1, Kind: faults.KindCrash, HealAfter: 1e300}, "heal_after is"},
+		{"negative heal", faults.Event{At: 1, Kind: faults.KindPartition, HealAfter: -1}, "heal_after is"},
+		{"negative duration", faults.Event{At: 1, Kind: faults.KindOSDSlow, Duration: -1}, "duration is"},
+		{"duration +Inf", faults.Event{At: 1, Kind: faults.KindLinkLoss, Duration: math.Inf(1)}, "duration is"},
+		{"negative latency", faults.Event{At: 1, Kind: faults.KindLinkLoss, ExtraLatencyMs: -1}, "extra_latency_ms is"},
+		{"latency overflow", faults.Event{At: 1, Kind: faults.KindLinkLoss, ExtraLatencyMs: 1e300}, "extra_latency_ms is"},
 	}
 	for _, c := range cases {
-		err := Plan{Events: []Event{c.ev}}.Validate(3)
+		err := faults.Plan{Events: []faults.Event{c.ev}}.Validate(3)
 		if err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.frag)
 		}
+	}
+	// The bound itself is a valid time.
+	edge := faults.Event{At: 1e9, Kind: faults.KindLinkLoss, Duration: 1e9, ExtraLatencyMs: 1e12}
+	if err := (faults.Plan{Events: []faults.Event{edge}}).Validate(3); err != nil {
+		t.Errorf("times at the bound rejected: %v", err)
 	}
 }
 
@@ -90,8 +105,8 @@ func TestCrashHealAfterRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AddClient(workload.Creates(workload.CreateConfig{Dir: "/work", Files: 10000, Prefix: "f"}))
-	plan := Plan{Events: []Event{{At: 1, Kind: KindCrash, Rank: 1, HealAfter: 2}}}
-	if err := Apply(c, plan); err != nil {
+	plan := faults.Plan{Events: []faults.Event{{At: 1, Kind: faults.KindCrash, Rank: 1, HealAfter: 2}}}
+	if err := c.ApplyFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Run(5 * sim.Minute)
@@ -112,10 +127,10 @@ func TestPartitionDropsAndHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AddClient(workload.SeparateDirCreates("", 0, 5000))
-	plan := Plan{Events: []Event{
-		{At: 1, Kind: KindPartition, From: 0, To: 1, Symmetric: true, HealAfter: 3},
+	plan := faults.Plan{Events: []faults.Event{
+		{At: 1, Kind: faults.KindPartition, From: 0, To: 1, Symmetric: true, HealAfter: 3},
 	}}
-	if err := Apply(c, plan); err != nil {
+	if err := c.ApplyFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Run(5 * sim.Minute)
@@ -136,10 +151,10 @@ func TestLinkLossIsDeterministic(t *testing.T) {
 		c := newCluster(t, 2, 17, noBal())
 		c.AddClient(workload.SeparateDirCreates("", 0, 4000))
 		c.AddClient(workload.SeparateDirCreates("", 1, 4000))
-		plan := Plan{Seed: 99, Events: []Event{
-			{At: 0.5, Kind: KindLinkLoss, From: Wildcard, To: Wildcard, LossProb: 0.02, ExtraLatencyMs: 0.3, Duration: 5},
+		plan := faults.Plan{Seed: 99, Events: []faults.Event{
+			{At: 0.5, Kind: faults.KindLinkLoss, From: faults.Wildcard, To: faults.Wildcard, LossProb: 0.02, ExtraLatencyMs: 0.3, Duration: 5},
 		}}
-		if err := Apply(c, plan); err != nil {
+		if err := c.ApplyFaults(plan); err != nil {
 			t.Fatal(err)
 		}
 		return c, c.Run(10 * sim.Minute)
@@ -163,10 +178,10 @@ func TestOSDSlowWindowStretchesRun(t *testing.T) {
 		c := newCluster(t, 1, 19, noBal())
 		c.AddClient(workload.SeparateDirCreates("", 0, 5000))
 		if withFault {
-			plan := Plan{Seed: 5, Events: []Event{
-				{At: 0.2, Kind: KindOSDSlow, SlowFactor: 20, ErrorProb: 0.05, Duration: 3},
+			plan := faults.Plan{Seed: 5, Events: []faults.Event{
+				{At: 0.2, Kind: faults.KindOSDSlow, SlowFactor: 20, ErrorProb: 0.05, Duration: 3},
 			}}
-			if err := Apply(c, plan); err != nil {
+			if err := c.ApplyFaults(plan); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -192,8 +207,8 @@ func TestBadPolicyTriggersFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AddClient(workload.SharedDirCreates("/shared", 0, 8000))
-	plan := Plan{Events: []Event{{At: 2, Kind: KindBadPolicy, Rank: Wildcard, Mode: "error"}}}
-	if err := Apply(c, plan); err != nil {
+	plan := faults.Plan{Events: []faults.Event{{At: 2, Kind: faults.KindBadPolicy, Rank: faults.Wildcard, Mode: "error"}}}
+	if err := c.ApplyFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Run(10 * sim.Minute)
@@ -215,7 +230,7 @@ func TestEmptyPlanChangesNothing(t *testing.T) {
 		c := newCluster(t, 2, 29, noBal())
 		c.AddClient(workload.SeparateDirCreates("", 0, 3000))
 		if apply {
-			if err := Apply(c, Plan{}); err != nil {
+			if err := c.ApplyFaults(faults.Plan{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,13 +263,13 @@ func TestElasticFaultEventsDriveMembership(t *testing.T) {
 	// Long enough that both events fire while the run is still live —
 	// the engine stops once the workload drains.
 	c.AddClient(workload.SeparateDirCreates("", 0, 20000))
-	plan := Plan{Events: []Event{
-		{At: 1, Kind: KindGrow},
+	plan := faults.Plan{Events: []faults.Event{
+		{At: 1, Kind: faults.KindGrow},
 		// Past the cooldown after the join commits (t=2), so the shrink
 		// is accepted rather than refused.
-		{At: 6, Kind: KindShrink},
+		{At: 6, Kind: faults.KindShrink},
 	}}
-	if err := Apply(c, plan); err != nil {
+	if err := c.ApplyFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Run(5 * sim.Minute)
@@ -279,11 +294,11 @@ func TestElasticFaultEventsDriveMembership(t *testing.T) {
 func TestElasticFaultsWithoutCoordinatorAreNoops(t *testing.T) {
 	c := newCluster(t, 2, 37, noBal())
 	c.AddClient(workload.SeparateDirCreates("", 0, 2000))
-	plan := Plan{Events: []Event{
-		{At: 1, Kind: KindGrow},
-		{At: 2, Kind: KindShrink},
+	plan := faults.Plan{Events: []faults.Event{
+		{At: 1, Kind: faults.KindGrow},
+		{At: 2, Kind: faults.KindShrink},
 	}}
-	if err := Apply(c, plan); err != nil {
+	if err := c.ApplyFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Run(5 * sim.Minute)
@@ -296,14 +311,14 @@ func TestElasticFaultsWithoutCoordinatorAreNoops(t *testing.T) {
 }
 
 func TestRandomPlanDeterministicAndValid(t *testing.T) {
-	a := RandomPlan(42, 3, 30)
-	b := RandomPlan(42, 3, 30)
+	a := faults.RandomPlan(42, 3, 30)
+	b := faults.RandomPlan(42, 3, 30)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different plans")
 	}
 	kinds := map[string]bool{}
 	for seed := int64(0); seed < 200; seed++ {
-		p := RandomPlan(seed, 3, 30)
+		p := faults.RandomPlan(seed, 3, 30)
 		if err := p.Validate(3); err != nil {
 			t.Fatalf("seed %d: invalid plan: %v", seed, err)
 		}
@@ -314,7 +329,7 @@ func TestRandomPlanDeterministicAndValid(t *testing.T) {
 			kinds[ev.Kind] = true
 		}
 	}
-	for _, k := range []string{KindCrash, KindPartition, KindLinkLoss, KindOSDSlow, KindBadPolicy} {
+	for _, k := range []string{faults.KindCrash, faults.KindPartition, faults.KindLinkLoss, faults.KindOSDSlow, faults.KindBadPolicy} {
 		if !kinds[k] {
 			t.Errorf("200 random plans never produced a %s event", k)
 		}
@@ -322,14 +337,14 @@ func TestRandomPlanDeterministicAndValid(t *testing.T) {
 }
 
 func TestRandomElasticPlanExtendsBasePlan(t *testing.T) {
-	a := RandomElasticPlan(42, 3, 30)
-	b := RandomElasticPlan(42, 3, 30)
+	a := faults.RandomElasticPlan(42, 3, 30)
+	b := faults.RandomElasticPlan(42, 3, 30)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different plans")
 	}
-	// The promise in the doc comment: existing RandomPlan seeds are
+	// The promise in the doc comment: existing faults.RandomPlan seeds are
 	// unchanged — the elastic events are strictly appended.
-	base := RandomPlan(42, 3, 30)
+	base := faults.RandomPlan(42, 3, 30)
 	if len(a.Events) <= len(base.Events) {
 		t.Fatalf("no elastic events appended: %d vs %d", len(a.Events), len(base.Events))
 	}
@@ -337,17 +352,17 @@ func TestRandomElasticPlanExtendsBasePlan(t *testing.T) {
 		t.Fatal("elastic plan perturbed the base plan's events")
 	}
 	for seed := int64(0); seed < 100; seed++ {
-		p := RandomElasticPlan(seed, 3, 30)
+		p := faults.RandomElasticPlan(seed, 3, 30)
 		if err := p.Validate(3); err != nil {
 			t.Fatalf("seed %d: invalid plan: %v", seed, err)
 		}
-		nb := len(RandomPlan(seed, 3, 30).Events)
+		nb := len(faults.RandomPlan(seed, 3, 30).Events)
 		grows, shrinks := 0, 0
 		for _, ev := range p.Events[nb:] {
 			switch ev.Kind {
-			case KindGrow:
+			case faults.KindGrow:
 				grows++
-			case KindShrink:
+			case faults.KindShrink:
 				shrinks++
 			default:
 				t.Fatalf("seed %d: appended a %s event", seed, ev.Kind)
@@ -358,7 +373,7 @@ func TestRandomElasticPlanExtendsBasePlan(t *testing.T) {
 		}
 		// Each pair is appended grow-then-shrink with the shrink later.
 		for i := nb; i < len(p.Events); i += 2 {
-			if p.Events[i].Kind != KindGrow || p.Events[i+1].Kind != KindShrink ||
+			if p.Events[i].Kind != faults.KindGrow || p.Events[i+1].Kind != faults.KindShrink ||
 				p.Events[i+1].At <= p.Events[i].At {
 				t.Fatalf("seed %d: malformed pair %+v %+v", seed, p.Events[i], p.Events[i+1])
 			}
@@ -387,13 +402,13 @@ func TestWildcardPartitionExpandsLiveMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AddClient(workload.SeparateDirCreates("", 0, 20000))
-	plan := Plan{Events: []Event{
-		{At: 1, Kind: KindGrow},
+	plan := faults.Plan{Events: []faults.Event{
+		{At: 1, Kind: faults.KindGrow},
 		// Fires well after the join commits; both ranks heartbeat across
 		// the cut until it heals.
-		{At: 6, Kind: KindPartition, From: Wildcard, To: Wildcard, Symmetric: true, HealAfter: 3},
+		{At: 6, Kind: faults.KindPartition, From: faults.Wildcard, To: faults.Wildcard, Symmetric: true, HealAfter: 3},
 	}}
-	if err := Apply(c, plan); err != nil {
+	if err := c.ApplyFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Run(5 * sim.Minute)
@@ -415,7 +430,11 @@ func TestWildcardPartitionExpandsLiveMembership(t *testing.T) {
 // rank later regrown at the same address.
 func TestLinkLossClearSurvivesShrink(t *testing.T) {
 	c := newCluster(t, 2, 41, noBal())
-	fire(c, Plan{}, Event{Kind: KindLinkLoss, From: 1, To: 0, Symmetric: true, LossProb: 1, Duration: 1})
+	plan := faults.Plan{Events: []faults.Event{{Kind: faults.KindLinkLoss, From: 1, To: 0, Symmetric: true, LossProb: 1, Duration: 1}}}
+	if err := c.ApplyFaults(plan); err != nil {
+		t.Fatal(err)
+	}
+	c.Engine.Run(0) // the fault fires at t=0
 	// Rank 1 leaves the active set before the clear fires (what an elastic
 	// retirement does to the membership slice).
 	c.MDSs = c.MDSs[:1]
@@ -433,36 +452,17 @@ func TestLinkLossClearSurvivesShrink(t *testing.T) {
 	}
 }
 
-// TestMonEndpointValidation: Mon is a link endpoint, never a rank.
+// TestMonEndpointValidation: faults.Mon is a link endpoint, never a rank.
 func TestMonEndpointValidation(t *testing.T) {
-	ok := Plan{Events: []Event{
-		{At: 1, Kind: KindPartition, From: Mon, To: Wildcard, Symmetric: true, HealAfter: 2},
-		{At: 1, Kind: KindLinkLoss, From: 0, To: Mon, LossProb: 0.5, Duration: 1},
+	ok := faults.Plan{Events: []faults.Event{
+		{At: 1, Kind: faults.KindPartition, From: faults.Mon, To: faults.Wildcard, Symmetric: true, HealAfter: 2},
+		{At: 1, Kind: faults.KindLinkLoss, From: 0, To: faults.Mon, LossProb: 0.5, Duration: 1},
 	}}
 	if err := ok.Validate(2); err != nil {
 		t.Fatalf("monitor link endpoints rejected: %v", err)
 	}
-	bad := Plan{Events: []Event{{At: 1, Kind: KindCrash, Rank: Mon}}}
+	bad := faults.Plan{Events: []faults.Event{{At: 1, Kind: faults.KindCrash, Rank: faults.Mon}}}
 	if err := bad.Validate(2); err == nil {
 		t.Fatal("crash accepted the monitor as a rank")
-	}
-}
-
-// TestMonEndpointExpansion: Mon expands to the monitor's address when
-// failover is enabled and to nothing otherwise, so one plan runs against
-// monitored and unmonitored configurations alike.
-func TestMonEndpointExpansion(t *testing.T) {
-	c := newCluster(t, 2, 47, noBal())
-	if links := linksOf(c, Mon, 0, false); len(links) != 0 {
-		t.Fatalf("monitor links on a monitorless cluster: %v", links)
-	}
-	c.EnableFailover(1, mon.DefaultConfig())
-	links := linksOf(c, Mon, Wildcard, true)
-	want := [][2]simnet.Addr{
-		{c.Monitor.Addr(), simnet.Addr(0)}, {simnet.Addr(0), c.Monitor.Addr()},
-		{c.Monitor.Addr(), simnet.Addr(1)}, {simnet.Addr(1), c.Monitor.Addr()},
-	}
-	if !reflect.DeepEqual(links, want) {
-		t.Fatalf("links = %v, want %v", links, want)
 	}
 }

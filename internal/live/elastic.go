@@ -237,25 +237,7 @@ func (h *liveHost) ForceReassign(rank namespace.Rank, newSize int) {
 			live = append(live, namespace.Rank(r))
 		}
 	}
-	if len(live) == 0 {
-		return
-	}
-	i := 0
-	next := func() namespace.Rank {
-		r := live[i%len(live)]
-		i++
-		return r
-	}
-	if rt.ns.EffectiveAuth(rt.ns.Root()) == rank {
-		rt.ns.SetAuthOverride(rt.ns.Root(), next())
-	}
-	for _, root := range rt.ns.SubtreeRoots(rank) {
-		if root.IsFrag {
-			rt.ns.SetFragAuth(root.Dir, root.Frag, next())
-		} else {
-			rt.ns.SetAuthOverride(root.Dir, next())
-		}
-	}
+	rt.reassigns += uint64(rt.ns.ReassignBounds(rank, live))
 }
 
 var _ elastic.Host = (*liveHost)(nil)

@@ -7,203 +7,90 @@ import (
 	"mantle/internal/balancer"
 	"mantle/internal/core"
 	"mantle/internal/faults"
+	"mantle/internal/rados"
 	"mantle/internal/sim"
 	"mantle/internal/simnet"
 )
 
-// ApplyFaults schedules a fault plan against the live runtime: the same
-// JSON vocabulary the simulator's chaos harness runs (crash/recover,
-// directed and symmetric partitions, link loss, OSD slowdowns, broken
-// policies, elastic grow/shrink), driven off the wall clock instead of the
-// virtual one. Wildcard rank references expand against live membership at
-// fire time, and faults.Mon as a link endpoint targets the monitor's
-// address (expanding to nothing when self-healing is off). Call between
-// New and Run. Determinism caveat: wall-clock runs are not reproducible,
-// so — unlike the simulator — the plan's Seed only steers the OSD error
-// stream, not message-loss draws.
+// ApplyFaults schedules a fault plan against the live runtime through the
+// same applier the simulator runs (faults.Apply), driven off the wall clock
+// instead of the virtual one: event times count from the call. Wildcard
+// rank references expand against live membership at fire time, and
+// faults.Mon as a link endpoint targets the monitor's address (expanding to
+// nothing when self-healing is off). The plan's seed steers the transport's
+// loss draws and the OSD error stream, but wall-clock runs are not
+// reproducible. Call between New and Run, or mid-run to fire a plan from
+// now.
 func (rt *Runtime) ApplyFaults(p faults.Plan) error {
-	// Validate against the provisioned rank table (elastic growth may
-	// activate slots beyond the initial set before an event fires).
-	if err := p.Validate(len(rt.mdsAddrs)); err != nil {
-		return err
-	}
-	for _, ev := range p.Events {
-		ev := ev
-		time.AfterFunc(time.Duration(ev.At*float64(time.Second)), func() { rt.fireFault(p, ev) })
-	}
-	return nil
+	return faults.Apply((*faultTarget)(rt), p)
 }
 
-// faultRanks expands a possibly-wildcard rank reference against live
-// membership at fire time.
-func (rt *Runtime) faultRanks(r int) []int {
-	active := rt.ActiveRanks()
-	if r != faults.Wildcard {
-		if r < 0 || r >= active {
-			return nil
-		}
-		return []int{r}
-	}
-	out := make([]int, active)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// faultTarget adapts the runtime to faults.Target.
+type faultTarget Runtime
+
+func (t *faultTarget) rt() *Runtime { return (*Runtime)(t) }
+
+func (t *faultTarget) After(d sim.Time, fn func()) { time.AfterFunc(d.Duration(), fn) }
+
+// ProvisionedRanks is the whole address table: elastic growth may activate
+// slots beyond the initial set before an event fires.
+func (t *faultTarget) ProvisionedRanks() int      { return len(t.mdsAddrs) }
+func (t *faultTarget) ActiveRanks() int           { return t.rt().ActiveRanks() }
+func (t *faultTarget) RankAddr(r int) simnet.Addr { return t.mdsAddrs[r] }
+func (t *faultTarget) Links() faults.Links        { return t.transport }
+func (t *faultTarget) CrashRank(r int)            { t.rt().CrashRank(r) }
+func (t *faultTarget) RecoverRank(r int)          { t.rt().RecoverRank(r, nil) }
+
+func (t *faultTarget) MonAddr() (simnet.Addr, bool) { return liveMonAddr, t.mon != nil }
+
+// SetOSDFault fans the fault out as posted closures: each rank owns a
+// private object-store instance mutated on its actor.
+func (t *faultTarget) SetOSDFault(slowFactor, errorProb float64, seed int64) {
+	t.withStores(func(store *rados.Cluster) { store.SetFault(slowFactor, errorProb, seed) })
 }
 
-// faultEndpoints expands a link endpoint reference into live transport
-// addresses: ranks by membership at fire time, faults.Mon to the monitor.
-func (rt *Runtime) faultEndpoints(r int) []simnet.Addr {
-	if r == faults.Mon {
-		if rt.mon == nil {
-			return nil
-		}
-		return []simnet.Addr{liveMonAddr}
-	}
-	var out []simnet.Addr
-	for _, rk := range rt.faultRanks(r) {
-		out = append(out, rt.mdsAddrs[rk])
-	}
-	return out
-}
-
-func (rt *Runtime) faultLinks(from, to int, symmetric bool) [][2]simnet.Addr {
-	var out [][2]simnet.Addr
-	for _, f := range rt.faultEndpoints(from) {
-		for _, t := range rt.faultEndpoints(to) {
-			if f == t {
-				continue
-			}
-			out = append(out, [2]simnet.Addr{f, t})
-			if symmetric {
-				out = append(out, [2]simnet.Addr{t, f})
-			}
-		}
-	}
-	return out
-}
-
-func (rt *Runtime) fireFault(p faults.Plan, ev faults.Event) {
-	switch ev.Kind {
-	case faults.KindCrash:
-		for _, r := range rt.faultRanks(ev.Rank) {
-			rt.CrashRank(r)
-		}
-		if ev.HealAfter > 0 {
-			rank := ev.Rank
-			time.AfterFunc(time.Duration(ev.HealAfter*float64(time.Second)), func() {
-				for _, r := range rt.faultRanks(rank) {
-					rt.RecoverRank(r, nil)
-				}
-			})
-		}
-	case faults.KindRecover:
-		for _, r := range rt.faultRanks(ev.Rank) {
-			rt.RecoverRank(r, nil)
-		}
-	case faults.KindPartition:
-		// Like the simulator, the heal undoes exactly the fire-time cuts.
-		links := rt.faultLinks(ev.From, ev.To, ev.Symmetric)
-		for _, l := range links {
-			rt.transport.Partition(l[0], l[1])
-		}
-		if ev.HealAfter > 0 {
-			time.AfterFunc(time.Duration(ev.HealAfter*float64(time.Second)), func() {
-				for _, l := range links {
-					rt.transport.Heal(l[0], l[1])
-				}
-			})
-		}
-	case faults.KindHealAll:
-		rt.transport.HealAll()
-	case faults.KindLinkLoss:
-		f := simnet.LinkFault{
-			LossProb:     ev.LossProb,
-			ExtraLatency: sim.Time(ev.ExtraLatencyMs * float64(sim.Millisecond)),
-		}
-		if ev.From == faults.Wildcard && ev.To == faults.Wildcard {
-			rt.transport.SetDefaultLinkFault(f)
-			if ev.Duration > 0 {
-				time.AfterFunc(time.Duration(ev.Duration*float64(time.Second)), func() {
-					rt.transport.SetDefaultLinkFault(simnet.LinkFault{})
-				})
-			}
-			return
-		}
-		links := rt.faultLinks(ev.From, ev.To, ev.Symmetric)
-		for _, l := range links {
-			rt.transport.SetLinkFault(l[0], l[1], f)
-		}
-		if ev.Duration > 0 {
-			time.AfterFunc(time.Duration(ev.Duration*float64(time.Second)), func() {
-				for _, l := range links {
-					rt.transport.SetLinkFault(l[0], l[1], simnet.LinkFault{})
-				}
-			})
-		}
-	case faults.KindOSDSlow:
-		// Each rank owns a private object-store instance mutated on its
-		// actor; fan the fault out as posted closures.
-		rt.withStores(func(store osdFaulter) { store.SetFault(ev.SlowFactor, ev.ErrorProb, p.Seed+2) })
-		if ev.Duration > 0 {
-			time.AfterFunc(time.Duration(ev.Duration*float64(time.Second)), func() {
-				rt.withStores(func(store osdFaulter) { store.ClearFault() })
-			})
-		}
-	case faults.KindGrow:
-		if rt.coord != nil {
-			rt.controller.post(func() { rt.coord.Grow() })
-		}
-	case faults.KindShrink:
-		if rt.coord != nil {
-			rt.controller.post(func() { rt.coord.Shrink() })
-		}
-	case faults.KindBadPolicy:
-		for _, r := range rt.faultRanks(ev.Rank) {
-			rt.injectBrokenPolicy(r, ev.Mode)
-		}
-	}
-}
-
-// osdFaulter is the slice of the rados.Cluster API the fault harness uses.
-type osdFaulter interface {
-	SetFault(slowFactor, errorProb float64, seed int64)
-	ClearFault()
-}
+func (t *faultTarget) ClearOSDFault() { t.withStores((*rados.Cluster).ClearFault) }
 
 // withStores posts fn against every active rank's object store on that
 // rank's actor (membership snapshotted at call time).
-func (rt *Runtime) withStores(fn func(osdFaulter)) {
-	rt.memberMu.RLock()
-	var stores []osdFaulter
-	actors := append([]*actor(nil), rt.actors...)
-	for _, s := range rt.radoses {
-		stores = append(stores, s)
-	}
-	rt.memberMu.RUnlock()
-	for i := range stores {
-		store := stores[i]
+func (t *faultTarget) withStores(fn func(*rados.Cluster)) {
+	t.memberMu.RLock()
+	stores := append([]*rados.Cluster(nil), t.radoses...)
+	actors := append([]*actor(nil), t.actors...)
+	t.memberMu.RUnlock()
+	for i, store := range stores {
+		store := store
 		actors[i].post(func() { fn(store) })
 	}
 }
 
-// injectBrokenPolicy pushes a deliberately broken balancer version onto the
-// rank's Versioned stack, on the rank's actor — the live analogue of the
-// simulator's bad_policy injection.
-func (rt *Runtime) injectBrokenPolicy(r int, mode string) {
-	pol := core.BrokenPolicy(mode)
-	lb, err := core.NewLuaBalancer(pol, core.Options{})
+func (t *faultTarget) Grow() {
+	if t.coord != nil {
+		t.controller.post(func() { t.coord.Grow() })
+	}
+}
+
+func (t *faultTarget) Shrink() {
+	if t.coord != nil {
+		t.controller.post(func() { t.coord.Shrink() })
+	}
+}
+
+// InjectBrokenPolicy pushes a deliberately broken balancer version onto the
+// rank's Versioned stack, on the rank's actor.
+func (t *faultTarget) InjectBrokenPolicy(r int, mode string) {
+	lb, err := core.NewLuaBalancer(core.BrokenPolicy(mode), core.Options{})
 	if err != nil {
 		// BrokenPolicy scripts compile by construction.
 		panic(fmt.Sprintf("live: bad_policy on rank %d: %v", r, err))
 	}
-	rt.memberMu.RLock()
-	if r < 0 || r >= len(rt.mdss) {
-		rt.memberMu.RUnlock()
+	t.memberMu.RLock()
+	if r >= len(t.mdss) {
+		t.memberMu.RUnlock()
 		return
 	}
-	m, a := rt.mdss[r], rt.actors[r]
-	rt.memberMu.RUnlock()
+	m, a := t.mdss[r], t.actors[r]
+	t.memberMu.RUnlock()
 	a.post(func() {
 		if vb, ok := m.Balancer().(*balancer.Versioned); ok {
 			vb.Push(lb)

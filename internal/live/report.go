@@ -77,7 +77,8 @@ type Report struct {
 	// StaleBeacons, beacons rejected by the epoch/sequence filters;
 	// StaleRejects, namespace writes a fenced daemon refused; SelfFences,
 	// daemons that discovered they were replaced and fenced themselves;
-	// Reassigns, subtree moves off failed ranks with no standby.
+	// Reassigns, bounds moved off dead ranks: failed ranks with no standby
+	// left, and draining ranks that crashed mid-leave.
 	MonFailures  uint64
 	MonTakeovers uint64
 	StaleBeacons uint64
@@ -245,6 +246,7 @@ func (rt *Runtime) collect(wedged int) *Report {
 		cs.Lock()
 		rep.Membership = append(rep.Membership, rt.coord.Events...)
 		rep.ElasticOps = rt.coord.Counters
+		rep.Reassigns = rt.reassigns // forced leaves reassign without a monitor
 		cs.Unlock()
 		for _, e := range rep.Membership {
 			if e.Active > rep.PeakRanks {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mantle/internal/balancer"
+	"mantle/internal/faults"
 	"mantle/internal/sim"
 	"mantle/internal/simnet"
 )
@@ -139,11 +140,16 @@ func TestAggregatedPartitionAgesOut(t *testing.T) {
 
 	// Healthy phase: rank 2's vector reaches rank 0 through the monitor.
 	waitFor(2*time.Second, true, "rank 0 never learned rank 2's load")
-	rt.IsolateRank(2)
+	// Cut rank 2 off now; heal_all below undoes it.
+	if err := rt.ApplyFaults(isolate(2, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
 	// Stale phase: past LoadStale the monitor drops the vector and the next
 	// map version erases it from rank 0's table.
 	waitFor(2*time.Second, false, "partitioned rank's stale vector never aged out")
-	rt.HealRank(2)
+	if err := rt.ApplyFaults(faults.Plan{Events: []faults.Event{{Kind: faults.KindHealAll}}}); err != nil {
+		t.Fatal(err)
+	}
 	// Heal phase: fresh beacons re-populate the map.
 	waitFor(2*time.Second, true, "healed rank never re-appeared in the load map")
 

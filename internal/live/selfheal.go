@@ -261,66 +261,7 @@ func (rt *Runtime) reassignFailed(failed namespace.Rank) {
 			live = append(live, namespace.Rank(r))
 		}
 	}
-	if len(live) == 0 {
-		return
-	}
-	i := 0
-	next := func() namespace.Rank {
-		nr := live[i%len(live)]
-		i++
-		return nr
-	}
-	if rt.ns.EffectiveAuth(rt.ns.Root()) == failed {
-		rt.ns.SetAuthOverride(rt.ns.Root(), next())
-		rt.reassigns++
-	}
-	for _, root := range rt.ns.SubtreeRoots(failed) {
-		if root.IsFrag {
-			rt.ns.SetFragAuth(root.Dir, root.Frag, next())
-		} else {
-			rt.ns.SetAuthOverride(root.Dir, next())
-		}
-		rt.reassigns++
-	}
-}
-
-// IsolateRank cuts rank r off from every other rank and the monitor — both
-// directions — while leaving client links intact: the rank keeps receiving
-// requests and believes it is serving, which is exactly the
-// partitioned-but-alive split-brain scenario epoch fencing must resolve.
-// Cuts cover the whole provisioned address table so elastic growth during
-// the partition cannot tunnel past it.
-func (rt *Runtime) IsolateRank(r int) {
-	if r < 0 || r >= len(rt.mdsAddrs) {
-		return
-	}
-	addr := rt.mdsAddrs[r]
-	for o, oa := range rt.mdsAddrs {
-		if o == r {
-			continue
-		}
-		rt.transport.Partition(addr, oa)
-		rt.transport.Partition(oa, addr)
-	}
-	rt.transport.Partition(addr, liveMonAddr)
-	rt.transport.Partition(liveMonAddr, addr)
-}
-
-// HealRank removes IsolateRank's cuts for rank r.
-func (rt *Runtime) HealRank(r int) {
-	if r < 0 || r >= len(rt.mdsAddrs) {
-		return
-	}
-	addr := rt.mdsAddrs[r]
-	for o, oa := range rt.mdsAddrs {
-		if o == r {
-			continue
-		}
-		rt.transport.Heal(addr, oa)
-		rt.transport.Heal(oa, addr)
-	}
-	rt.transport.Heal(addr, liveMonAddr)
-	rt.transport.Heal(liveMonAddr, addr)
+	rt.reassigns += uint64(rt.ns.ReassignBounds(failed, live))
 }
 
 // Monitor exposes the failure detector (nil when self-healing is off).

@@ -192,12 +192,9 @@ func TestLiveSplitBrainFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		time.Sleep(1 * time.Second)
-		rt.IsolateRank(1)
-		time.Sleep(2 * time.Second)
-		rt.HealRank(1)
-	}()
+	if err := rt.ApplyFaults(isolate(1, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := rt.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -295,4 +292,15 @@ func TestApplyFaultsValidates(t *testing.T) {
 	if _, err := rt.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+}
+
+// isolate is the plan that cuts rank off from every other rank and the
+// monitor, both directions, at the given second for dur seconds, while
+// leaving client links intact: the rank keeps receiving requests and
+// believes it is serving (the partitioned-but-alive split brain).
+func isolate(rank int, at, dur float64) faults.Plan {
+	return faults.Plan{Name: "isolate", Events: []faults.Event{
+		{At: at, Kind: faults.KindPartition, From: rank, To: faults.Wildcard, Symmetric: true, HealAfter: dur},
+		{At: at, Kind: faults.KindPartition, From: rank, To: faults.Mon, Symmetric: true, HealAfter: dur},
+	}}
 }

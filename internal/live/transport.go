@@ -221,6 +221,10 @@ func (t *transport) unregisterEpoch(a simnet.Addr, epoch uint64) {
 	t.mu.Unlock()
 }
 
+// SetFaultSeed restarts the loss and jitter stream from seed (a fault plan's
+// seed; wall-clock interleaving still varies the draws run to run).
+func (t *transport) SetFaultSeed(seed int64) { t.rng.state.Store(uint64(seed)) }
+
 // SetLinkFault installs a fault on the directed link from -> to.
 func (t *transport) SetLinkFault(from, to simnet.Addr, f simnet.LinkFault) {
 	t.mu.Lock()

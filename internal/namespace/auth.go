@@ -335,6 +335,35 @@ func (ns *Namespace) subtreeRootsLocked(rank Rank) []SubtreeRoot {
 	return out
 }
 
+// ReassignBounds moves every bound owned by rank onto the ranks in to,
+// round-robin: the root first if rank holds it, then rank's subtree roots in
+// path order. It is how a dead rank's subtrees become answerable again, and
+// returns the number of bounds moved (0 when to is empty).
+func (ns *Namespace) ReassignBounds(rank Rank, to []Rank) int {
+	if len(to) == 0 {
+		return 0
+	}
+	ns.wlock()
+	defer ns.wunlock()
+	moved := 0
+	next := func() Rank {
+		r := to[moved%len(to)]
+		moved++
+		return r
+	}
+	if ns.effAuthOf(ns.root) == rank {
+		ns.setAuthOverrideLocked(ns.root, next())
+	}
+	for _, b := range ns.subtreeRootsLocked(rank) {
+		if b.IsFrag {
+			ns.setFragAuthLocked(b.Dir, b.Frag, next())
+		} else {
+			ns.setAuthOverrideLocked(b.Dir, next())
+		}
+	}
+	return moved
+}
+
 // nearestEnclosingBound finds the subtree root that owns n's parent chain,
 // excluding n's own label.
 func (ns *Namespace) nearestEnclosingBound(n *Node) (*Node, bool) {

@@ -1,6 +1,7 @@
 package namespace
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -219,5 +220,53 @@ func TestRootAuthAlwaysExplicit(t *testing.T) {
 	}
 	if ns.EffectiveAuth(ns.Root()) != 0 {
 		t.Fatal("root auth")
+	}
+}
+
+func TestReassignBounds(t *testing.T) {
+	ns, a, b, _ := buildAuthTree(t)
+	e := mustCreate(t, ns, "/a/e", true)
+	ns.SetAuthOverride(ns.Root(), 1)
+	ns.SetAuthOverride(a, 2)
+	kids := ns.SplitDir(b, RootFrag, 1, 0)
+	ns.SetFragAuth(b, kids[0], 1)
+	ns.SetAuthOverride(e, 1)
+	name0 := ""
+	for i := 0; name0 == ""; i++ {
+		if n := "f" + string(rune('a'+i)); kids[0].ContainsName(n) {
+			name0 = n
+		}
+	}
+
+	before := ns.SubtreeRoots(-1)
+	if got := ns.ReassignBounds(1, nil); got != 0 {
+		t.Fatalf("empty survivor list moved %d bounds", got)
+	}
+	if after := ns.SubtreeRoots(-1); !reflect.DeepEqual(before, after) {
+		t.Fatalf("empty survivor list changed the bounds: %v -> %v", before, after)
+	}
+
+	// The root first, then /a/b's fragment and /a/e in path order,
+	// round-robin over the survivors.
+	if got := ns.ReassignBounds(1, []Rank{3, 4}); got != 3 {
+		t.Fatalf("moved %d bounds, want 3", got)
+	}
+	if r := ns.EffectiveAuth(ns.Root()); r != 3 {
+		t.Fatalf("root on %d, want 3", r)
+	}
+	if r := ns.AuthForDentry(b, name0); r != 4 {
+		t.Fatalf("frag bound on %d, want 4", r)
+	}
+	if r := ns.EffectiveAuth(e); r != 3 {
+		t.Fatalf("/a/e on %d, want 3", r)
+	}
+	if r := ns.EffectiveAuth(a); r != 2 {
+		t.Fatalf("/a moved to %d; it was never rank 1's", r)
+	}
+	if left := ns.SubtreeRoots(1); len(left) != 0 {
+		t.Fatalf("rank 1 still owns %v", left)
+	}
+	if err := ns.CheckInvariants(5, false); err != nil {
+		t.Fatal(err)
 	}
 }
