@@ -6,8 +6,6 @@
 package client
 
 import (
-	"strings"
-
 	"mantle/internal/mds"
 	"mantle/internal/namespace"
 	"mantle/internal/sim"
@@ -48,11 +46,6 @@ type Config struct {
 	// perfect lockstep, and the skew is what makes balancer runs diverge
 	// (Figure 4).
 	StartJitter sim.Time
-	// HintCapacity bounds the client's routing cache (0 = unlimited).
-	// A small cache makes finely-scattered metadata cause repeated
-	// forwards — the "memory needed to cache path prefixes" cost of
-	// losing locality (§2.1 of the paper).
-	HintCapacity int
 }
 
 // DefaultConfig returns standard client behaviour.
@@ -75,10 +68,7 @@ type Client struct {
 	gen    workload.Generator
 	mdss   []simnet.Addr // MDS address by rank
 
-	subtree map[string]namespace.Rank
-	frags   map[string][]mds.FragHint
-	hintAge map[string]uint64
-	ageTick uint64
+	routes *mds.Routes
 
 	nextID      uint64
 	inflightID  uint64
@@ -156,9 +146,7 @@ func New(id int, addr simnet.Addr, engine *sim.Engine, net *simnet.Network,
 		cfg:      cfg,
 		gen:      gen,
 		mdss:     mdss,
-		subtree:  map[string]namespace.Rank{"/": 0},
-		frags:    map[string][]mds.FragHint{},
-		hintAge:  map[string]uint64{},
+		routes:   mds.NewRoutes(),
 		ServedBy: map[namespace.Rank]int{},
 	}
 	c.issueNextFn = c.issueNext
@@ -182,47 +170,7 @@ func (c *Client) Start() {
 	c.issueNext()
 }
 
-// splitPath returns (parentDir, name) for a path; the root has name "".
-func splitPath(p string) (string, string) {
-	if p == "/" || p == "" {
-		return "/", ""
-	}
-	p = strings.TrimRight(p, "/")
-	i := strings.LastIndexByte(p, '/')
-	if i <= 0 {
-		return "/", p[i+1:]
-	}
-	return p[:i], p[i+1:]
-}
-
-// route picks the MDS rank for an operation from learned hints.
-func (c *Client) route(op workload.Op) namespace.Rank {
-	dir, name := splitPath(op.Path)
-	if name != "" {
-		if fh := c.frags[dir]; len(fh) > 0 {
-			h := namespace.HashName(name)
-			for _, f := range fh {
-				if f.Frag.Contains(h) {
-					return c.clampRank(f.Rank)
-				}
-			}
-		}
-	}
-	// Longest-prefix match over subtree hints against the full path.
-	best := ""
-	rank := namespace.Rank(0)
-	for k, r := range c.subtree {
-		if k != "/" && op.Path != k && !strings.HasPrefix(op.Path, k+"/") {
-			continue
-		}
-		if len(k) > len(best) || best == "" {
-			best = k
-			rank = r
-		}
-	}
-	return c.clampRank(rank)
-}
-
+// clampRank maps a learned rank with no address (a stale hint) to rank 0.
 func (c *Client) clampRank(r namespace.Rank) namespace.Rank {
 	if int(r) >= len(c.mdss) || r < 0 {
 		return 0
@@ -256,7 +204,7 @@ func (c *Client) send(op workload.Op) {
 	c.inflightID = c.nextID
 	c.inflightAt = c.engine.Now()
 	c.inflightOp = op
-	rank := c.route(op)
+	rank := c.clampRank(c.routes.Route(op.Path))
 	if c.req == nil || !c.reqDone {
 		c.req = new(mds.Request)
 	}
@@ -372,7 +320,7 @@ func (c *Client) handleReply(rep *mds.Reply) {
 	c.engine.Cancel(c.backoffEv)
 	c.timeoutsRow = 0
 	for _, h := range rep.Hints {
-		c.learn(h)
+		c.routes.Learn(h)
 	}
 	lat := c.engine.Now() - c.inflightAt
 	if rep.Err != "" {
@@ -416,46 +364,8 @@ func (c *Client) handleReply(rep *mds.Reply) {
 	}
 }
 
-// learn folds a routing hint into the client's mapping, evicting the
-// least-recently-learned entry when the cache is bounded.
-func (c *Client) learn(h mds.Hint) {
-	c.ageTick++
-	c.hintAge[h.DirPath] = c.ageTick
-	if len(h.Frags) > 0 {
-		c.frags[h.DirPath] = h.Frags
-		c.subtree[h.DirPath] = h.Rank
-	} else {
-		delete(c.frags, h.DirPath)
-		c.subtree[h.DirPath] = h.Rank
-	}
-	if c.cfg.HintCapacity > 0 {
-		for len(c.subtree) > c.cfg.HintCapacity {
-			oldest := ""
-			var oldestAge uint64
-			for k := range c.subtree {
-				if k == "/" || k == h.DirPath {
-					continue
-				}
-				if age := c.hintAge[k]; oldest == "" || age < oldestAge {
-					oldest, oldestAge = k, age
-				}
-			}
-			if oldest == "" {
-				break
-			}
-			delete(c.subtree, oldest)
-			delete(c.frags, oldest)
-			delete(c.hintAge, oldest)
-		}
-	}
-}
-
 // KnownSubtrees reports how many routing entries the client holds.
-func (c *Client) KnownSubtrees() int { return len(c.subtree) }
+func (c *Client) KnownSubtrees() int { return c.routes.Len() }
 
 // ResetRouting clears learned hints (a fresh mount between phases).
-func (c *Client) ResetRouting() {
-	c.subtree = map[string]namespace.Rank{"/": 0}
-	c.frags = map[string][]mds.FragHint{}
-	c.hintAge = map[string]uint64{}
-}
+func (c *Client) ResetRouting() { c.routes = mds.NewRoutes() }

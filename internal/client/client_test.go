@@ -118,71 +118,6 @@ func TestLearnsSubtreeHints(t *testing.T) {
 	}
 }
 
-func TestLongestPrefixWins(t *testing.T) {
-	e, n, mdss, addrs := newRig(t, 3)
-	c := New(0, simnet.Addr(100), e, n, DefaultConfig(), ops("/a/b/f"), addrs)
-	c.learn(mds.Hint{DirPath: "/a", Rank: 1})
-	c.learn(mds.Hint{DirPath: "/a/b", Rank: 2})
-	c.Start()
-	e.RunUntilIdle()
-	if len(mdss[2].served) != 1 {
-		t.Fatalf("longest prefix ignored: %v %v %v", mdss[0].served, mdss[1].served, mdss[2].served)
-	}
-}
-
-func TestPrefixMatchesWholeComponentsOnly(t *testing.T) {
-	e, n, mdss, addrs := newRig(t, 2)
-	c := New(0, simnet.Addr(100), e, n, DefaultConfig(), ops("/abc/f"), addrs)
-	c.learn(mds.Hint{DirPath: "/ab", Rank: 1}) // must NOT match /abc
-	c.Start()
-	e.RunUntilIdle()
-	if len(mdss[1].served) != 0 {
-		t.Fatal("/ab matched /abc")
-	}
-	_ = mdss
-}
-
-func TestFragRouting(t *testing.T) {
-	e, n, mdss, addrs := newRig(t, 2)
-	kids := namespace.RootFrag.Split(1)
-	var g []workload.Op
-	for i := 0; i < 40; i++ {
-		g = append(g, workload.Op{Type: mds.OpCreate, Path: "/d/" + string(rune('a'+i%26)) + string(rune('a'+i/26))})
-	}
-	c := New(0, simnet.Addr(100), e, n, DefaultConfig(), &workload.SliceGen{Ops: g}, addrs)
-	c.learn(mds.Hint{DirPath: "/d", Rank: 0, Frags: []mds.FragHint{
-		{Frag: kids[0], Rank: 0},
-		{Frag: kids[1], Rank: 1},
-	}})
-	c.Start()
-	e.RunUntilIdle()
-	if len(mdss[0].served) == 0 || len(mdss[1].served) == 0 {
-		t.Fatalf("frag routing not splitting: %d/%d", len(mdss[0].served), len(mdss[1].served))
-	}
-	// Every op went to the rank owning its name's fragment.
-	for _, p := range mdss[1].served {
-		_, name := splitPath(p)
-		if !kids[1].ContainsName(name) {
-			t.Fatalf("%s routed to rank 1 but not in frag", p)
-		}
-	}
-}
-
-func TestFragHintClearedBySubtreeHint(t *testing.T) {
-	e, n, _, addrs := newRig(t, 2)
-	c := New(0, simnet.Addr(100), e, n, DefaultConfig(), ops(), addrs)
-	kids := namespace.RootFrag.Split(1)
-	c.learn(mds.Hint{DirPath: "/d", Rank: 0, Frags: []mds.FragHint{{Frag: kids[0], Rank: 0}, {Frag: kids[1], Rank: 1}}})
-	if len(c.frags) != 1 {
-		t.Fatal("frag hint not stored")
-	}
-	c.learn(mds.Hint{DirPath: "/d", Rank: 1})
-	if len(c.frags) != 0 {
-		t.Fatal("frag hint not cleared by plain hint")
-	}
-	_ = e
-}
-
 func TestErrorsCountedAndRetries(t *testing.T) {
 	e, n, mdss, addrs := newRig(t, 1)
 	mdss[0].errFor = map[string]string{"/bad": "no such dir"}
@@ -269,28 +204,12 @@ func TestStaleReplyIgnored(t *testing.T) {
 func TestResetRouting(t *testing.T) {
 	e, n, _, addrs := newRig(t, 2)
 	c := New(0, simnet.Addr(100), e, n, DefaultConfig(), ops(), addrs)
-	c.learn(mds.Hint{DirPath: "/a", Rank: 1})
+	c.routes.Learn(mds.Hint{DirPath: "/a", Rank: 1})
 	c.ResetRouting()
 	if c.KnownSubtrees() != 1 {
 		t.Fatalf("subtrees = %d", c.KnownSubtrees())
 	}
 	_ = e
-}
-
-func TestSplitPath(t *testing.T) {
-	cases := []struct{ in, dir, name string }{
-		{"/", "/", ""},
-		{"/a", "/", "a"},
-		{"/a/b", "/a", "b"},
-		{"/a/b/", "/a", "b"},
-		{"/a/b/c.txt", "/a/b", "c.txt"},
-	}
-	for _, cse := range cases {
-		d, n := splitPath(cse.in)
-		if d != cse.dir || n != cse.name {
-			t.Errorf("splitPath(%q) = %q,%q want %q,%q", cse.in, d, n, cse.dir, cse.name)
-		}
-	}
 }
 
 func TestClampRank(t *testing.T) {
@@ -324,7 +243,7 @@ func TestRequestTimeoutResends(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RequestTimeout = 50 * sim.Millisecond
 	c := New(0, simnet.Addr(100), e, n, cfg, ops("/a"), addrs)
-	c.learn(mds.Hint{DirPath: "/x", Rank: 0}) // extra routing entry to be dropped
+	c.routes.Learn(mds.Hint{DirPath: "/x", Rank: 0}) // extra routing entry to be dropped
 	c.Start()
 	e.RunUntilIdle()
 	if !c.Done() || c.Completed != 1 {
@@ -355,32 +274,6 @@ func TestStartJitterDelaysFirstOp(t *testing.T) {
 		t.Logf("jitter drew near zero: done at %v", c.DoneAt)
 	}
 	_ = mdss
-}
-
-func TestLearnEvictsLRU(t *testing.T) {
-	e, n, _, addrs := newRig(t, 2)
-	cfg := DefaultConfig()
-	cfg.HintCapacity = 3
-	c := New(0, simnet.Addr(100), e, n, cfg, ops(), addrs)
-	c.learn(mds.Hint{DirPath: "/a", Rank: 1})
-	c.learn(mds.Hint{DirPath: "/b", Rank: 1})
-	c.learn(mds.Hint{DirPath: "/c", Rank: 1}) // "/"+3 > cap → evict /a
-	if c.KnownSubtrees() != 3 {
-		t.Fatalf("entries = %d, want 3 (cap)", c.KnownSubtrees())
-	}
-	if got := c.route(workload.Op{Type: mds.OpCreate, Path: "/a/f"}); got != 0 {
-		t.Fatalf("evicted /a still routed to %d", got)
-	}
-	if got := c.route(workload.Op{Type: mds.OpCreate, Path: "/c/f"}); got != 1 {
-		t.Fatalf("/c lost: routed to %d", got)
-	}
-	// Re-learning refreshes recency: /b is oldest now.
-	c.learn(mds.Hint{DirPath: "/c", Rank: 1})
-	c.learn(mds.Hint{DirPath: "/d", Rank: 1})
-	if got := c.route(workload.Op{Type: mds.OpCreate, Path: "/b/f"}); got != 0 {
-		t.Fatalf("LRU order wrong: /b still present")
-	}
-	_ = e
 }
 
 func TestRetryBudgetGivesUpCleanly(t *testing.T) {

@@ -215,9 +215,15 @@ func TestClientRecordReuseFragHints(t *testing.T) {
 	})
 	kids := namespace.RootFrag.Split(1)
 	for i, dir := range []string{"/d", "/e"} {
-		want := []mds.FragHint{{Frag: kids[0], Rank: namespace.Rank(i)}, {Frag: kids[1], Rank: namespace.Rank(1 - i)}}
-		if got := r.c.frags[dir]; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("frag map of %s = %v, want %v", dir, got, want)
+		for j := 0; j < 16; j++ {
+			name := fmt.Sprintf("f%d", j)
+			want := namespace.Rank(i)
+			if kids[1].ContainsName(name) {
+				want = namespace.Rank(1 - i)
+			}
+			if got := r.c.routes.Route(dir + "/" + name); got != want {
+				t.Fatalf("%s/%s routes to %d, want %d", dir, name, got, want)
+			}
 		}
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -467,7 +467,7 @@ func (lg *loadgen) issue(op workload.Op, scheduled time.Time) {
 		})
 		return
 	}
-	rank := lg.rtr.route(op)
+	rank := lg.rtr.rankFor(op.Path)
 	pr := -1
 	if lg.replication {
 		pr = int(rank)
@@ -492,8 +492,8 @@ func (lg *loadgen) issue(op workload.Op, scheduled time.Time) {
 // hash-derived choices race on instantaneous inflight count (power of two
 // choices — near-optimal load spread without global knowledge).
 func (lg *loadgen) routeRead(op workload.Op, id uint64) namespace.Rank {
-	auth := lg.rtr.route(op)
-	dir, name := splitPath(op.Path)
+	auth := lg.rtr.rankFor(op.Path)
+	dir, name := mds.SplitPath(op.Path)
 	if name == "" {
 		dir = op.Path
 	}
@@ -714,18 +714,16 @@ func (w *latWindow) meanMs(span time.Duration) float64 {
 	return sum / float64(cnt) / 1000
 }
 
-// router is the shared routing cache: the live analogue of the simulated
-// client's hint learning (same longest-prefix and fragment-map rules), made
-// goroutine-safe because replies land on concurrent delivery goroutines
-// while the dispatchers route. Reads (every issue) take the read lock and
-// walk the op path's own prefixes — O(path depth) map probes instead of the
-// old O(cache entries) scan; writes (hint learning, rare and usually
-// idempotent) upgrade only when the hint actually changes something.
+// router is the shared routing cache: the simulated client's routing table
+// (mds.Routes), made goroutine-safe because replies land on concurrent
+// delivery goroutines while the dispatchers route, clamped to the active
+// ranks, and extended with the replica holder sets hints carry. Writes
+// (hint learning, rare and usually idempotent) upgrade to the write lock
+// only when the hint actually changes something.
 type router struct {
 	mu       sync.RWMutex
 	numRanks int
-	subtree  map[string]namespace.Rank
-	frags    map[string][]mds.FragHint
+	routes   *mds.Routes
 	// reps caches replica holder sets per directory, learned from hint
 	// replica lists. Hints from a replication-enabled MDS always carry the
 	// current holder set for the served directory (nil when there are
@@ -736,68 +734,27 @@ type router struct {
 func newRouter(numRanks int) *router {
 	return &router{
 		numRanks: numRanks,
-		subtree:  map[string]namespace.Rank{"/": 0},
-		frags:    map[string][]mds.FragHint{},
+		routes:   mds.NewRoutes(),
 		reps:     map[string][]namespace.Rank{},
 	}
 }
 
-// splitPath returns (parentDir, name) for a path; the root has name "".
-func splitPath(p string) (string, string) {
-	if p == "/" || p == "" {
-		return "/", ""
-	}
-	p = strings.TrimRight(p, "/")
-	i := strings.LastIndexByte(p, '/')
-	if i <= 0 {
-		return "/", p[i+1:]
-	}
-	return p[:i], p[i+1:]
-}
-
-// route picks the MDS rank for an op: fragment hints for the parent first,
-// then longest-prefix subtree match, walking up the path one component at a
-// time (the first hit is the longest matching prefix).
-func (r *router) route(op workload.Op) namespace.Rank {
-	dir, name := splitPath(op.Path)
+// rankFor routes an op on path, mapping a rank outside the active set (a
+// stale hint from before a shrink) to rank 0.
+func (r *router) rankFor(path string) namespace.Rank {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if name != "" {
-		if fh := r.frags[dir]; len(fh) > 0 {
-			h := namespace.HashName(name)
-			for _, f := range fh {
-				if f.Frag.Contains(h) {
-					return r.clamp(f.Rank)
-				}
-			}
-		}
+	if rk := r.routes.Route(path); int(rk) < r.numRanks && rk >= 0 {
+		return rk
 	}
-	p := strings.TrimRight(op.Path, "/")
-	for p != "" && p != "/" {
-		if rk, ok := r.subtree[p]; ok {
-			return r.clamp(rk)
-		}
-		i := strings.LastIndexByte(p, '/')
-		if i <= 0 {
-			break
-		}
-		p = p[:i]
-	}
-	return r.clamp(r.subtree["/"])
-}
-
-func (r *router) clamp(rk namespace.Rank) namespace.Rank {
-	if int(rk) >= r.numRanks || rk < 0 {
-		return 0
-	}
-	return rk
+	return 0
 }
 
 // seed pre-loads a subtree→rank mapping before traffic starts (the
 // SeedBounds warm-mdsmap analogue); later learned hints overwrite it.
 func (r *router) seed(path string, rk namespace.Rank) {
 	r.mu.Lock()
-	r.subtree[path] = rk
+	r.routes.Seed(path, rk)
 	r.mu.Unlock()
 }
 
@@ -816,26 +773,19 @@ func (r *router) setNumRanks(n int) {
 // writers' lock.
 func (r *router) learn(h mds.Hint) {
 	r.mu.RLock()
-	same := r.subtree[h.DirPath] == h.Rank &&
-		fragsEqual(r.frags[h.DirPath], h.Frags) &&
-		ranksEqual(r.reps[h.DirPath], h.Replicas)
+	same := r.routes.Knows(h) && slices.Equal(r.reps[h.DirPath], h.Replicas)
 	r.mu.RUnlock()
 	if same {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(h.Frags) > 0 {
-		r.frags[h.DirPath] = h.Frags
-	} else {
-		delete(r.frags, h.DirPath)
-	}
+	r.routes.Learn(h)
 	if len(h.Replicas) > 0 {
 		r.reps[h.DirPath] = h.Replicas
 	} else {
 		delete(r.reps, h.DirPath)
 	}
-	r.subtree[h.DirPath] = h.Rank
 }
 
 // replicasOf returns the learned replica holder set for dir (nil when none).
@@ -845,30 +795,4 @@ func (r *router) replicasOf(dir string) []namespace.Rank {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.reps[dir]
-}
-
-// ranksEqual reports whether two rank lists are identical.
-func ranksEqual(a, b []namespace.Rank) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fragsEqual reports whether two fragment hint lists are identical.
-func fragsEqual(a, b []mds.FragHint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

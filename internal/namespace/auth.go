@@ -40,22 +40,6 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 		}
 		n = parent
 	}
-	if !ns.hotCaches {
-		// Proof-toggle path: the plain walk, no memo reads or fills.
-		for cur := n; ; {
-			if cur.dir.authOverride != RankNone {
-				return cur.dir.authOverride
-			}
-			parent := cur.parent
-			if parent == nil {
-				return 0
-			}
-			if fs := parent.dir.fragOf(HashName(cur.name)); fs.auth != RankNone {
-				return fs.auth
-			}
-			cur = parent
-		}
-	}
 	if w := n.dir.effMemo.Load(); w>>effRankBits == ns.authGen {
 		return Rank(uint16(w)) - 1
 	}
@@ -122,11 +106,14 @@ func (ns *Namespace) setAuthOverrideLocked(n *Node, rank Rank) {
 		panic("namespace: authority labels attach to directories")
 	}
 	if n.parent == nil {
-		// The root's label always stays explicit.
+		// The root's label always stays explicit. Every directory that
+		// inherits from it may now count a different owner.
 		n.dir.authOverride = rank
 		ns.authGen++
 		ns.bidxDirty = true
 		ns.invalidateResolves()
+		ns.recomputeSpread(n)
+		ns.recomputeDescendantSpreads(n)
 		return
 	}
 	// Stale cached authority before computing the inherited rank: caches
@@ -251,32 +238,14 @@ func (ns *Namespace) FreezeFrag(dir *Node, frag Frag, frozen bool) {
 func (ns *Namespace) FrozenFor(dir *Node, name string) bool {
 	ns.rlock()
 	defer ns.runlock()
-	ds := dir.dir
-	if ns.hotCaches {
-		if ns.frozenDirs == 0 && ns.frozenFrags == 0 {
-			return false
-		}
-		if ns.frozenFrags > 0 {
-			if ds.fragOf(HashName(name)).frozen {
-				return true
-			}
-		}
-		if ns.frozenDirs > 0 {
-			for cur := dir; cur != nil; cur = cur.parent {
-				if cur.dir.frozen {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	// Proof-toggle path: unconditional frag check plus ancestor walk.
-	if ds.fragOf(HashName(name)).frozen {
+	if ns.frozenFrags > 0 && dir.dir.fragOf(HashName(name)).frozen {
 		return true
 	}
-	for cur := dir; cur != nil; cur = cur.parent {
-		if cur.dir.frozen {
-			return true
+	if ns.frozenDirs > 0 {
+		for cur := dir; cur != nil; cur = cur.parent {
+			if cur.dir.frozen {
+				return true
+			}
 		}
 	}
 	return false
@@ -473,6 +442,12 @@ func (ns *Namespace) ownedNodesLocked(numRanks int) []int {
 			out[rank] += v
 		}
 	}
+	// Each node is counted to the nearest directory bound at or above it
+	// (subtree size minus nested bounds), then a dentry in a labelled
+	// fragment moves to the fragment's rank unless it is a bound itself.
+	// Every move takes from the rank that was counted the nodes, so no
+	// rank goes negative and the total is the node count.
+	fragLabels := len(ns.fragOverrides) > 0
 	for i := range ns.bidx {
 		e := &ns.bidx[i]
 		if e.root.IsFrag {
@@ -480,14 +455,26 @@ func (ns *Namespace) ownedNodesLocked(numRanks int) []int {
 			if fs == nil {
 				continue
 			}
+			from := e.root.Dir
+			if from.dir.authOverride == RankNone {
+				from, _ = ns.nearestEnclosingBound(from)
+			}
 			add(fs.auth, fs.Entries)
-			add(e.dirOwner, -fs.Entries)
+			add(from.dir.authOverride, -fs.Entries)
 			continue
 		}
 		n := e.root.Dir
 		v := n.SubtreeNodes()
 		add(n.dir.authOverride, v)
 		if e.encl != nil && e.encl != n {
+			// A labelled fragment holding n's dentry counted it; hand
+			// it back.
+			if fragLabels {
+				if fs := n.parent.dir.fragOf(HashName(n.name)); fs.auth != RankNone {
+					add(fs.auth, -1)
+					v--
+				}
+			}
 			add(e.encl.dir.authOverride, -v)
 		}
 	}

@@ -1,8 +1,11 @@
 package namespace
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"mantle/internal/sim"
 )
 
 func buildAuthTree(t *testing.T) (*Namespace, *Node, *Node, *Node) {
@@ -267,6 +270,73 @@ func TestReassignBounds(t *testing.T) {
 		t.Fatalf("rank 1 still owns %v", left)
 	}
 	if err := ns.CheckInvariants(5, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRootRelabelRefreshesSpread: relabelling the root changes the owner
+// every unlabelled fragment inherits, at the root and below it, so the
+// cached rank spreads must be recounted. (Found by FuzzNamespaceOps.)
+func TestRootRelabelRefreshesSpread(t *testing.T) {
+	ns := New(sim.Second)
+	root := ns.Root()
+	d := mustCreate(t, ns, "/d", true)
+	rootKids := ns.SplitDir(root, RootFrag, 1, 0)
+	dKids := ns.SplitDir(d, RootFrag, 1, 0)
+	ns.SetFragAuth(root, rootKids[0], 1)
+	ns.SetFragAuth(d, dKids[0], 1)
+	if root.RankSpread() != 2 || d.RankSpread() != 2 {
+		t.Fatalf("spreads before relabel: / %d, /d %d; want 2 and 2", root.RankSpread(), d.RankSpread())
+	}
+	ns.SetAuthOverride(root, 1)
+	if root.RankSpread() != 1 || d.RankSpread() != 1 {
+		t.Fatalf("spreads after relabelling / to 1: / %d, /d %d; want 1 and 1", root.RankSpread(), d.RankSpread())
+	}
+	if err := ns.CheckInvariants(4, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOwnedNodesBoundInLabelledFrag: a directory bound whose dentry lies in
+// a labelled fragment, and a fragment bound in a directory owned through
+// its parent's fragment, each count every node once. Both used to take
+// nodes from a rank that was never counted them, which the clamp at zero
+// turned into an overcount. (Found by FuzzNamespaceOps.)
+func TestOwnedNodesBoundInLabelledFrag(t *testing.T) {
+	ns := New(sim.Second)
+	root := ns.Root()
+	mustCreate(t, ns, "/f0", false)
+	d0 := mustCreate(t, ns, "/d0", true)
+	mustCreate(t, ns, "/d0/x", false)
+	mustCreate(t, ns, "/d0/y", false)
+	d1 := mustCreate(t, ns, "/d1", true)
+	ns.SetAuthOverride(root, 2)
+	ns.SetFragAuth(root, RootFrag, 0)
+	ns.SetAuthOverride(d0, 1)
+	ns.SetAuthOverride(d1, 1)
+	// Rank 2 owns /, rank 0 the fragment holding /f0, rank 1 /d0 (three
+	// nodes) and /d1.
+	if got := fmt.Sprint(ns.OwnedNodes(3)); got != "[1 4 1]" {
+		t.Fatalf("OwnedNodes = %s, want [1 4 1]", got)
+	}
+	if err := ns.CheckInvariants(3, true); err != nil {
+		t.Fatal(err)
+	}
+
+	// /p inherits rank 1 through the root fragment; a fragment of /p
+	// labelled 2 takes its dentries from the rank that counted them.
+	ns = New(sim.Second)
+	p := mustCreate(t, ns, "/p", true)
+	for _, name := range []string{"a", "b", "c", "d"} {
+		mustCreate(t, ns, "/p/"+name, false)
+	}
+	ns.SetFragAuth(ns.Root(), RootFrag, 1)
+	ns.SetFragAuth(p, RootFrag, 2)
+	owned := ns.OwnedNodes(3)
+	if total := owned[0] + owned[1] + owned[2]; total != ns.NumNodes() || owned[2] != 4 {
+		t.Fatalf("OwnedNodes = %v: want rank 2 at 4 and a total of %d", owned, ns.NumNodes())
+	}
+	if err := ns.CheckInvariants(3, true); err != nil {
 		t.Fatal(err)
 	}
 }

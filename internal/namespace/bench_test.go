@@ -7,20 +7,9 @@ import (
 	"mantle/internal/sim"
 )
 
-// The namespace hot paths the scale pass optimised, each measured beside its
-// eager twin (every proof toggle flipped, via newEagerNamespace) so the
-// before and after run in the same binary. The trees are a directory spine
-// benchDepth deep with benchWidth entries at its bottom.
+// The namespace hot paths the scale pass optimised. The trees are a
+// directory spine benchDepth deep with benchWidth entries at its bottom.
 const benchDepth, benchWidth = 8, 64
-
-// benchModes are the two sides of each pair.
-var benchModes = []struct {
-	name string
-	new  func(halfLife sim.Time) *Namespace
-}{
-	{"fast", New},
-	{"eager", newEagerNamespace},
-}
 
 // spinePath returns the directory chain "/s0/s1/.../s{benchDepth-1}".
 func spinePath() string {
@@ -55,47 +44,37 @@ func deepFiles(tb testing.TB, ns *Namespace) []string {
 }
 
 // BenchmarkNSRecordOpDeep measures one RecordOp against the deepest spine
-// directory: with lazy propagation it is an append to the deferred log,
-// eagerly a decay-counter hit on every ancestor. The fold is heartbeat-side
-// work (BenchmarkNSHeartbeat16Rank measures it through AuthLoad), so it runs
-// off the timer.
+// directory: an append to the deferred log. The fold is heartbeat-side work
+// (BenchmarkNSHeartbeat16Rank measures it through AuthLoad), so it runs off
+// the timer.
 func BenchmarkNSRecordOpDeep(b *testing.B) {
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			ns := m.new(sim.Second)
-			leaf := buildSpine(b, ns)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ns.RecordOp(leaf, "f", OpIWR, sim.Time(i+1))
-				if ns.PendingHits() >= 1<<16 {
-					b.StopTimer()
-					ns.FlushCounters()
-					b.StartTimer()
-				}
-			}
+	ns := New(sim.Second)
+	leaf := buildSpine(b, ns)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ns.RecordOp(leaf, "f", OpIWR, sim.Time(i+1))
+		if ns.PendingHits() >= 1<<16 {
 			b.StopTimer()
 			ns.FlushCounters()
-		})
+			b.StartTimer()
+		}
 	}
+	b.StopTimer()
+	ns.FlushCounters()
 }
 
 // BenchmarkNSResolveSteady measures steady-state resolution of deep file
-// paths, the repeated-lookup shape of every client op: a cache hit against
-// the per-component walk.
+// paths, the repeated-lookup shape of every client op: a cache hit.
 func BenchmarkNSResolveSteady(b *testing.B) {
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			ns := m.new(sim.Second)
-			paths := deepFiles(b, ns)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ns.Resolve(paths[i%len(paths)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	ns := New(sim.Second)
+	paths := deepFiles(b, ns)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ns.Resolve(paths[i%len(paths)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -117,63 +96,59 @@ func BenchmarkNSCreateStorm1M(b *testing.B) {
 			files[d][f] = fmt.Sprintf("%s/f%d", dirs[d], f)
 		}
 	}
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var hintSink string
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ns := m.new(sim.Second)
-				for _, d := range dirs {
-					if _, err := ns.CreatePath(d, true); err != nil {
-						b.Fatal(err)
-					}
-				}
-				now := sim.Time(0)
-				b.StartTimer()
-				for d := range files {
-					for _, p := range files[d] {
-						dir, name, err := ns.ResolveDirOf(p)
-						if err != nil {
-							b.Fatal(err)
-						}
-						// The serve path checks authority and freezes
-						// before touching the dentry (mds.(*MDS).serve).
-						if ns.AuthForDentry(dir, name) != 0 {
-							b.Fatal("storm dentry not owned by rank 0")
-						}
-						if ns.FrozenFor(dir, name) {
-							b.Fatal("storm tree unexpectedly frozen")
-						}
-						if _, err := ns.Create(dir, name, false); err != nil {
-							b.Fatal(err)
-						}
-						now++
-						ns.RecordOp(dir, name, OpIWR, now)
-						// The reply carries a routing hint: the top of the
-						// same-authority subtree (mds.(*MDS).hintFor).
-						rank := ns.EffectiveAuth(dir)
-						top := dir
-						for q := top.Parent(); q != nil && ns.EffectiveAuth(q) == rank; q = q.Parent() {
-							top = q
-						}
-						hintSink = top.Path()
-						if ns.PendingHits() >= 1<<16 {
-							ns.FlushCounters()
-						}
-					}
-				}
-				ns.FlushCounters()
-				b.StopTimer()
-				if got := ns.NumNodes(); got < targetNodes {
-					b.Fatalf("storm built %d nodes, want >= %d", got, targetNodes)
-				}
-				b.StartTimer()
+	b.ReportAllocs()
+	var hintSink string
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ns := New(sim.Second)
+		for _, d := range dirs {
+			if _, err := ns.CreatePath(d, true); err != nil {
+				b.Fatal(err)
 			}
-			_ = hintSink
-			b.ReportMetric(targetNodes, "creates/op")
-		})
+		}
+		now := sim.Time(0)
+		b.StartTimer()
+		for d := range files {
+			for _, p := range files[d] {
+				dir, name, err := ns.ResolveDirOf(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// The serve path checks authority and freezes
+				// before touching the dentry (mds.(*MDS).serve).
+				if ns.AuthForDentry(dir, name) != 0 {
+					b.Fatal("storm dentry not owned by rank 0")
+				}
+				if ns.FrozenFor(dir, name) {
+					b.Fatal("storm tree unexpectedly frozen")
+				}
+				if _, err := ns.Create(dir, name, false); err != nil {
+					b.Fatal(err)
+				}
+				now++
+				ns.RecordOp(dir, name, OpIWR, now)
+				// The reply carries a routing hint: the top of the
+				// same-authority subtree (mds.(*MDS).hintFor).
+				rank := ns.EffectiveAuth(dir)
+				top := dir
+				for q := top.Parent(); q != nil && ns.EffectiveAuth(q) == rank; q = q.Parent() {
+					top = q
+				}
+				hintSink = top.Path()
+				if ns.PendingHits() >= 1<<16 {
+					ns.FlushCounters()
+				}
+			}
+		}
+		ns.FlushCounters()
+		b.StopTimer()
+		if got := ns.NumNodes(); got < targetNodes {
+			b.Fatalf("storm built %d nodes, want >= %d", got, targetNodes)
+		}
+		b.StartTimer()
 	}
+	_ = hintSink
+	b.ReportMetric(targetNodes, "creates/op")
 }
 
 // BenchmarkNSHeartbeat16Rank measures one balancer heartbeat's namespace
@@ -221,14 +196,15 @@ func BenchmarkNSHeartbeat16Rank(b *testing.B) {
 
 // TestWarmResolveAllocs pins the resolution cache by count rather than by
 // time: a warm Resolve of a file in the deep 64-file directory allocates
-// nothing, where the uncached walk allocates once per call.
+// nothing, where the walk — still the miss path, forced here by staling the
+// cache before each call — allocates once per call.
 func TestWarmResolveAllocs(t *testing.T) {
 	for _, m := range []struct {
-		name string
-		new  func(sim.Time) *Namespace
-		want float64
-	}{{"fast", New, 0}, {"uncached", newEagerNamespace, 1}} {
-		ns := m.new(sim.Second)
+		name  string
+		stale bool
+		want  float64
+	}{{"warm", false, 0}, {"walk", true, 1}} {
+		ns := New(sim.Second)
 		paths := deepFiles(t, ns)
 		for _, p := range paths {
 			if _, err := ns.Resolve(p); err != nil {
@@ -237,6 +213,9 @@ func TestWarmResolveAllocs(t *testing.T) {
 		}
 		i := 0
 		got := testing.AllocsPerRun(1000, func() {
+			if m.stale {
+				ns.invalidateResolves()
+			}
 			if _, err := ns.Resolve(paths[i%len(paths)]); err != nil {
 				t.Fatal(err)
 			}
@@ -250,35 +229,29 @@ func TestWarmResolveAllocs(t *testing.T) {
 
 // TestRecordOpDeepDefers pins lazy counter propagation by count rather than
 // by time: a RecordOp on the deepest spine directory allocates nothing and
-// defers exactly one hit, where the eager walk defers none.
+// defers exactly one hit.
 func TestRecordOpDeepDefers(t *testing.T) {
-	for _, m := range []struct {
-		name  string
-		new   func(sim.Time) *Namespace
-		perOp int
-	}{{"fast", New, 1}, {"eager", newEagerNamespace, 0}} {
-		ns := m.new(sim.Second)
-		leaf := buildSpine(t, ns)
-		now := sim.Time(0)
-		op := func() {
-			now++
-			ns.RecordOp(leaf, "f", OpIWR, now)
-		}
-		// Grow the deferred log once so the measured appends reuse it.
-		for i := 0; i < 2000; i++ {
-			op()
-		}
-		ns.FlushCounters()
-		const ops = 1000
-		for i := 0; i < ops; i++ {
-			op()
-		}
-		if got := ns.PendingHits(); got != m.perOp*ops {
-			t.Errorf("%s: %d ops deferred %d hits, want %d", m.name, ops, got, m.perOp*ops)
-		}
-		ns.FlushCounters()
-		if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
-			t.Errorf("%s: RecordOp allocates %v, want 0", m.name, allocs)
-		}
+	ns := New(sim.Second)
+	leaf := buildSpine(t, ns)
+	now := sim.Time(0)
+	op := func() {
+		now++
+		ns.RecordOp(leaf, "f", OpIWR, now)
+	}
+	// Grow the deferred log once so the measured appends reuse it.
+	for i := 0; i < 2000; i++ {
+		op()
+	}
+	ns.FlushCounters()
+	const ops = 1000
+	for i := 0; i < ops; i++ {
+		op()
+	}
+	if got := ns.PendingHits(); got != ops {
+		t.Errorf("%d ops deferred %d hits, want %d", ops, got, ops)
+	}
+	ns.FlushCounters()
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+		t.Errorf("RecordOp allocates %v, want 0", allocs)
 	}
 }

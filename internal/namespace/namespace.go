@@ -39,15 +39,6 @@ type Namespace struct {
 	overrides     map[*Node]struct{}
 	fragOverrides map[fragKey]struct{}
 
-	// lazy gates the deferred RecordOp log (captured from
-	// DisableLazyCounters at New time); the log itself lives per domain.
-	lazy bool
-
-	// hotCaches gates the per-op ancestor-walk memos (EffectiveAuth,
-	// FrozenFor fast path, Path), captured from DisableHotPathCaches at
-	// New time.
-	hotCaches bool
-
 	// sharded enables the concurrent ownership mode (see shard.go):
 	// treeMu protects tree structure and authority state, def is the
 	// default ownership domain (the only one in sim mode), domains are
@@ -100,13 +91,11 @@ func New(halfLife sim.Time) *Namespace {
 		halfLife:      halfLife,
 		overrides:     map[*Node]struct{}{},
 		fragOverrides: map[fragKey]struct{}{},
-		lazy:          !DisableLazyCounters,
-		hotCaches:     !DisableHotPathCaches,
 		authGen:       1,
 		pathGen:       1,
 		bidxDirty:     true,
 	}
-	ns.def = ns.newDomain()
+	ns.def = newDomain()
 	ns.root = ns.newDirNode(nil, "")
 	ns.root.dir.authOverride = 0
 	ns.overrides[ns.root] = struct{}{}
@@ -476,22 +465,14 @@ func (dir *Node) chargeFrags(name string, k OpKind, now sim.Time) {
 
 // recordOpIn charges the frag counters inline (single-writer per frag: only
 // the owning rank's actor serves ops on it) and defers the ancestor walk
-// into the domain's log.
+// into the domain's log: one append now, the identical sequence of Hit
+// calls replayed in arrival order at the next counter read (see oplog.go).
 func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now sim.Time) {
 	if dir == nil || !dir.IsDir() {
 		return
 	}
 	dir.chargeFrags(name, k, now)
-	if ns.lazy {
-		// Defer the ancestor walk: one append now, the identical
-		// sequence of Hit calls replayed in arrival order at the next
-		// counter read (see oplog.go).
-		d.pendingHits = append(d.pendingHits, hitRec{dir: dir, kind: k, at: now})
-		return
-	}
-	for cur := dir; cur != nil; cur = cur.parent {
-		cur.dir.counters.Hit(k, now)
-	}
+	d.pendingHits = append(d.pendingHits, hitRec{dir: dir, kind: k, at: now})
 }
 
 // SplitDir fragments one leaf frag of dir into 2^bits children, dividing the

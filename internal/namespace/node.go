@@ -166,10 +166,8 @@ func (n *Node) path() string {
 	if n.parent == nil {
 		return "/"
 	}
-	if n.ns.hotCaches {
-		if m := n.pathMemo.Load(); m != nil && m.gen == n.ns.pathGen {
-			return m.p
-		}
+	if m := n.pathMemo.Load(); m != nil && m.gen == n.ns.pathGen {
+		return m.p
 	}
 	var parts []string
 	for cur := n; cur.parent != nil; cur = cur.parent {
@@ -185,9 +183,7 @@ func (n *Node) path() string {
 		buf = append(buf, parts[i]...)
 	}
 	p := string(buf)
-	if n.ns.hotCaches {
-		n.pathMemo.Store(&pathMemo{gen: n.ns.pathGen, p: p})
-	}
+	n.pathMemo.Store(&pathMemo{gen: n.ns.pathGen, p: p})
 	return p
 }
 

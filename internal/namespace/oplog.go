@@ -17,20 +17,6 @@ import (
 // record performs the same DecayCounter.Hit calls on the same counters, so
 // every float operation sequence is unchanged, only deferred.
 
-// DisableLazyCounters reverts new namespaces to the eager ancestor walk in
-// RecordOp. It exists as a proof toggle: equivalence tests and the
-// NamespaceScale benchmarks run both modes and compare.
-var DisableLazyCounters bool
-
-// DisableResolveCache reverts new namespaces to uncached path resolution,
-// the matching proof toggle for the dentry-path cache.
-var DisableResolveCache bool
-
-// DisableHotPathCaches reverts new namespaces to walk-based EffectiveAuth
-// and FrozenFor and uncached Path reconstruction — the remaining per-op
-// ancestor walks the scale pass memoised.
-var DisableHotPathCaches bool
-
 // hitRec is one deferred RecordOp charge against dir and all its ancestors.
 // Records from RecordOpRemote additionally carry the dirfrag charge (frag
 // set, name naming the dentry): the inline frag hit is single-writer — only

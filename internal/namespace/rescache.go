@@ -47,9 +47,6 @@ func (ns *Namespace) cacheGet(d *domain, path string) *Node {
 
 // cachePut records a slow-path resolution success.
 func (ns *Namespace) cachePut(d *domain, path string, n *Node) {
-	if d.resCache == nil {
-		return
-	}
 	if len(d.resCache) >= resolveCacheMax {
 		d.resCache = make(map[string]resolveEnt, resolveCacheMax/4)
 	}
@@ -90,9 +87,6 @@ func splitLast(path string) (prefix, name string, ok bool) {
 // cacheResolve answers Resolve(path) from the cache, nil when the slow path
 // must run (miss, failure, or unsplittable path).
 func (ns *Namespace) cacheResolve(d *domain, path string) *Node {
-	if d.resCache == nil {
-		return nil
-	}
 	if n := ns.cacheGet(d, path); n != nil {
 		return n
 	}
@@ -120,9 +114,6 @@ func (ns *Namespace) cacheResolve(d *domain, path string) *Node {
 // cacheResolveDir answers ResolveDirOf(path) from the cache. Unlike
 // cacheResolve, the final component need not exist — only its directory.
 func (ns *Namespace) cacheResolveDir(d *domain, path string) (*Node, string, bool) {
-	if d.resCache == nil {
-		return nil, "", false
-	}
 	prefix, name, ok := splitLast(path)
 	if !ok {
 		return nil, "", false

@@ -1,6 +1,7 @@
 package namespace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,16 +10,69 @@ import (
 	"mantle/internal/sim"
 )
 
-// newEagerNamespace builds a namespace with every scale-pass proof toggle
-// flipped: eager ancestor counter walks, uncached path resolution and
-// walk-based EffectiveAuth/FrozenFor/Path — the pre-optimisation semantics
-// the fast path must reproduce bit-for-bit.
-func newEagerNamespace(halfLife sim.Time) *Namespace {
-	prevLazy, prevCache, prevHot := DisableLazyCounters, DisableResolveCache, DisableHotPathCaches
-	DisableLazyCounters, DisableResolveCache, DisableHotPathCaches = true, true, true
-	ns := New(halfLife)
-	DisableLazyCounters, DisableResolveCache, DisableHotPathCaches = prevLazy, prevCache, prevHot
-	return ns
+// The scale pass's equivalence proofs. Each fast path is checked against a
+// cold twin built by New and driven so that the fast path never helps it,
+// or against a reference walk kept here rather than in the binary:
+//
+//   - lazy counters: runOpStream calls FlushCounters on the cold twin after
+//     every op, so the fold applies each RecordOp hit at once, in the order
+//     an eager ancestor walk would. Both twins take the same snapshots at
+//     the same times, so in-place decay on read treats them alike;
+//   - resolution cache: runOpStream calls invalidateResolves on the cold twin
+//     before every op and every probe, so each resolution takes the walk;
+//   - hot-path memos: refEffAuth, refFrozenFor and refPath are the plain
+//     ancestor walks, compared with EffectiveAuth, FrozenFor and Path for
+//     every node at each check point.
+
+// refPath is Path without the memo.
+func refPath(n *Node) string {
+	if n.parent == nil {
+		return "/"
+	}
+	p := ""
+	for cur := n; cur.parent != nil; cur = cur.parent {
+		p = "/" + cur.name + p
+	}
+	return p
+}
+
+// refEffAuth is EffectiveAuth without the memo: a file's dentry frag first,
+// then each directory's own label and its dentry's frag in the parent.
+func refEffAuth(n *Node) Rank {
+	if !n.IsDir() {
+		if n.parent == nil {
+			return 0
+		}
+		if fs := n.parent.dir.fragOf(HashName(n.name)); fs.auth != RankNone {
+			return fs.auth
+		}
+		n = n.parent
+	}
+	for cur := n; ; cur = cur.parent {
+		if cur.dir.authOverride != RankNone {
+			return cur.dir.authOverride
+		}
+		if cur.parent == nil {
+			return 0
+		}
+		if fs := cur.parent.dir.fragOf(HashName(cur.name)); fs.auth != RankNone {
+			return fs.auth
+		}
+	}
+}
+
+// refFrozenFor is FrozenFor without the freeze counts: the dentry's frag,
+// then every directory up to the root.
+func refFrozenFor(dir *Node, name string) bool {
+	if dir.dir.fragOf(HashName(name)).frozen {
+		return true
+	}
+	for cur := dir; cur != nil; cur = cur.parent {
+		if cur.dir.frozen {
+			return true
+		}
+	}
+	return false
 }
 
 func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -29,34 +83,34 @@ func snapshotsBitEqual(a, b CounterSnapshot) bool {
 		bitsEqual(a.Store, b.Store)
 }
 
-// compareTrees walks fast and slow in lockstep and fails on the first
+// compareTrees walks fast and cold in lockstep and fails on the first
 // structural or bit-level counter divergence.
-func compareTrees(t *testing.T, fast, slow *Node, now sim.Time) {
+func compareTrees(t testing.TB, fast, cold *Node, now sim.Time) {
 	t.Helper()
-	if fast.Path() != slow.Path() || fast.IsDir() != slow.IsDir() {
+	if fast.Path() != cold.Path() || fast.IsDir() != cold.IsDir() {
 		t.Fatalf("structure diverged: %q dir=%v vs %q dir=%v",
-			fast.Path(), fast.IsDir(), slow.Path(), slow.IsDir())
+			fast.Path(), fast.IsDir(), cold.Path(), cold.IsDir())
 	}
 	if !fast.IsDir() {
 		return
 	}
-	if !snapshotsBitEqual(fast.Load(now), slow.Load(now)) {
-		t.Fatalf("%s: dir counters diverged\n fast %+v\n slow %+v",
-			fast.Path(), fast.Load(now), slow.Load(now))
+	if !snapshotsBitEqual(fast.Load(now), cold.Load(now)) {
+		t.Fatalf("%s: dir counters diverged\n fast %+v\n cold %+v",
+			fast.Path(), fast.Load(now), cold.Load(now))
 	}
-	if fast.RankSpread() != slow.RankSpread() {
-		t.Fatalf("%s: rankSpread %d vs %d", fast.Path(), fast.RankSpread(), slow.RankSpread())
+	if fast.RankSpread() != cold.RankSpread() {
+		t.Fatalf("%s: rankSpread %d vs %d", fast.Path(), fast.RankSpread(), cold.RankSpread())
 	}
-	ff, sf := fast.FragTree().Leaves(), slow.FragTree().Leaves()
-	if len(ff) != len(sf) {
-		t.Fatalf("%s: %d frags vs %d", fast.Path(), len(ff), len(sf))
+	ff, cf := fast.FragTree().Leaves(), cold.FragTree().Leaves()
+	if len(ff) != len(cf) {
+		t.Fatalf("%s: %d frags vs %d", fast.Path(), len(ff), len(cf))
 	}
 	for i, f := range ff {
-		if f != sf[i] {
-			t.Fatalf("%s: frag[%d] %v vs %v", fast.Path(), i, f, sf[i])
+		if f != cf[i] {
+			t.Fatalf("%s: frag[%d] %v vs %v", fast.Path(), i, f, cf[i])
 		}
 		a, _ := fast.FragStateOf(f)
-		b, _ := slow.FragStateOf(f)
+		b, _ := cold.FragStateOf(f)
 		if a.Entries != b.Entries || a.Auth() != b.Auth() {
 			t.Fatalf("%s#%v: entries/auth %d/%d vs %d/%d",
 				fast.Path(), f, a.Entries, a.Auth(), b.Entries, b.Auth())
@@ -66,303 +120,429 @@ func compareTrees(t *testing.T, fast, slow *Node, now sim.Time) {
 		}
 	}
 	names := fast.ChildNames()
-	slowNames := slow.ChildNames()
-	if len(names) != len(slowNames) {
-		t.Fatalf("%s: %d children vs %d", fast.Path(), len(names), len(slowNames))
+	coldNames := cold.ChildNames()
+	if len(names) != len(coldNames) {
+		t.Fatalf("%s: %d children vs %d", fast.Path(), len(names), len(coldNames))
 	}
 	for i, name := range names {
-		if name != slowNames[i] {
-			t.Fatalf("%s: child[%d] %q vs %q", fast.Path(), i, name, slowNames[i])
+		if name != coldNames[i] {
+			t.Fatalf("%s: child[%d] %q vs %q", fast.Path(), i, name, coldNames[i])
 		}
 		fc, _ := fast.Lookup(name)
-		sc, _ := slow.Lookup(name)
-		compareTrees(t, fc, sc, now)
+		cc, _ := cold.Lookup(name)
+		compareTrees(t, fc, cc, now)
 	}
 }
 
 // compareViews checks the balancer-facing aggregates: partition bounds,
 // per-rank load (bit-exact floats) and ownership estimates.
-func compareViews(t *testing.T, fast, slow *Namespace, now sim.Time, numRanks int) {
+func compareViews(t testing.TB, fast, cold *Namespace, now sim.Time, numRanks int) {
 	t.Helper()
-	fr, sr := fast.SubtreeRoots(-1), slow.SubtreeRoots(-1)
-	if len(fr) != len(sr) {
-		t.Fatalf("SubtreeRoots: %d bounds vs %d", len(fr), len(sr))
+	fr, cr := fast.SubtreeRoots(-1), cold.SubtreeRoots(-1)
+	if len(fr) != len(cr) {
+		t.Fatalf("SubtreeRoots: %d bounds vs %d", len(fr), len(cr))
 	}
 	for i := range fr {
-		if fr[i].Path() != sr[i].Path() || fr[i].Rank != sr[i].Rank || fr[i].IsFrag != sr[i].IsFrag {
+		if fr[i].Path() != cr[i].Path() || fr[i].Rank != cr[i].Rank || fr[i].IsFrag != cr[i].IsFrag {
 			t.Fatalf("SubtreeRoots[%d]: %s rank %d vs %s rank %d",
-				i, fr[i].Path(), fr[i].Rank, sr[i].Path(), sr[i].Rank)
+				i, fr[i].Path(), fr[i].Rank, cr[i].Path(), cr[i].Rank)
 		}
 	}
 	fl := fast.AuthLoad(numRanks, now, CounterSnapshot.CephLoad)
-	sl := slow.AuthLoad(numRanks, now, CounterSnapshot.CephLoad)
+	cl := cold.AuthLoad(numRanks, now, CounterSnapshot.CephLoad)
 	for i := range fl {
-		if !bitsEqual(fl[i], sl[i]) {
+		if !bitsEqual(fl[i], cl[i]) {
 			t.Fatalf("AuthLoad[%d]: %v (%x) vs %v (%x)",
-				i, fl[i], math.Float64bits(fl[i]), sl[i], math.Float64bits(sl[i]))
+				i, fl[i], math.Float64bits(fl[i]), cl[i], math.Float64bits(cl[i]))
 		}
 	}
-	fo, so := fast.OwnedNodes(numRanks), slow.OwnedNodes(numRanks)
+	fo, co := fast.OwnedNodes(numRanks), cold.OwnedNodes(numRanks)
 	for i := range fo {
-		if fo[i] != so[i] {
-			t.Fatalf("OwnedNodes[%d]: %d vs %d", i, fo[i], so[i])
+		if fo[i] != co[i] {
+			t.Fatalf("OwnedNodes[%d]: %d vs %d", i, fo[i], co[i])
 		}
 	}
+}
+
+// compareMemos checks Path, EffectiveAuth and FrozenFor for every node of
+// ns against the reference walks: first as the tree stands, then with the
+// middle directory in walk order and one leaf frag of the last one frozen
+// (the op mix freezes nothing, and FrozenFor skips its walk while nothing
+// is frozen). The freezes are undone before it returns.
+func compareMemos(t testing.TB, ns *Namespace) {
+	t.Helper()
+	var dirs []*Node
+	Walk(ns.Root(), func(n *Node) bool {
+		if n.IsDir() {
+			dirs = append(dirs, n)
+		}
+		return true
+	})
+	check := func(when string) {
+		t.Helper()
+		Walk(ns.Root(), func(n *Node) bool {
+			if got, want := n.Path(), refPath(n); got != want {
+				t.Fatalf("%s: Path %q, walk %q", when, got, want)
+			}
+			if got, want := ns.EffectiveAuth(n), refEffAuth(n); got != want {
+				t.Fatalf("%s: EffectiveAuth(%s) %d, walk %d", when, refPath(n), got, want)
+			}
+			if n.IsDir() {
+				for _, name := range append(n.ChildNames(), "absent") {
+					if got, want := ns.FrozenFor(n, name), refFrozenFor(n, name); got != want {
+						t.Fatalf("%s: FrozenFor(%s, %q) %v, walk %v", when, refPath(n), name, got, want)
+					}
+				}
+			}
+			return true
+		})
+	}
+	check("unfrozen")
+	dir, fragDir := dirs[len(dirs)/2], dirs[len(dirs)-1]
+	leaf := fragDir.FragTree().Leaves()[0]
+	ns.Freeze(dir, true)
+	ns.FreezeFrag(fragDir, leaf, true)
+	check("frozen " + refPath(dir) + " and " + refPath(fragDir) + "#" + leaf.String())
+	ns.Freeze(dir, false)
+	ns.FreezeFrag(fragDir, leaf, false)
 }
 
 // compareResolves probes both namespaces with the same path strings —
 // existing paths, missing paths, and malformed ones — and requires identical
-// nodes (by path) and identical error text.
-func compareResolves(t *testing.T, fast, slow *Namespace, probes []string) {
+// nodes (by path) and identical error text. The cold twin's cache is staled
+// before every call, so each of its answers comes from the walk.
+func compareResolves(t testing.TB, fast, cold *Namespace, probes []string) {
 	t.Helper()
 	for _, p := range probes {
 		fn, ferr := fast.Resolve(p)
-		sn, serr := slow.Resolve(p)
-		if (ferr == nil) != (serr == nil) {
-			t.Fatalf("Resolve(%q): err %v vs %v", p, ferr, serr)
+		cold.invalidateResolves()
+		cn, cerr := cold.Resolve(p)
+		if (ferr == nil) != (cerr == nil) {
+			t.Fatalf("Resolve(%q): err %v vs %v", p, ferr, cerr)
 		}
 		if ferr != nil {
-			if ferr.Error() != serr.Error() {
-				t.Fatalf("Resolve(%q): error text %q vs %q", p, ferr, serr)
+			if ferr.Error() != cerr.Error() {
+				t.Fatalf("Resolve(%q): error text %q vs %q", p, ferr, cerr)
 			}
-		} else if fn.Path() != sn.Path() {
-			t.Fatalf("Resolve(%q): %s vs %s", p, fn.Path(), sn.Path())
+		} else if fn.Path() != cn.Path() {
+			t.Fatalf("Resolve(%q): %s vs %s", p, fn.Path(), cn.Path())
 		}
 		fd, fname, ferr2 := fast.ResolveDirOf(p)
-		sd, sname, serr2 := slow.ResolveDirOf(p)
-		if (ferr2 == nil) != (serr2 == nil) {
-			t.Fatalf("ResolveDirOf(%q): err %v vs %v", p, ferr2, serr2)
+		cold.invalidateResolves()
+		cd, cname, cerr2 := cold.ResolveDirOf(p)
+		if (ferr2 == nil) != (cerr2 == nil) {
+			t.Fatalf("ResolveDirOf(%q): err %v vs %v", p, ferr2, cerr2)
 		}
 		if ferr2 != nil {
-			if ferr2.Error() != serr2.Error() {
-				t.Fatalf("ResolveDirOf(%q): error text %q vs %q", p, ferr2, serr2)
+			if ferr2.Error() != cerr2.Error() {
+				t.Fatalf("ResolveDirOf(%q): error text %q vs %q", p, ferr2, cerr2)
 			}
-		} else if fd.Path() != sd.Path() || fname != sname {
-			t.Fatalf("ResolveDirOf(%q): %s/%s vs %s/%s", p, fd.Path(), fname, sd.Path(), sname)
+		} else if fd.Path() != cd.Path() || fname != cname {
+			t.Fatalf("ResolveDirOf(%q): %s/%s vs %s/%s", p, fd.Path(), fname, cd.Path(), cname)
 		}
 	}
 }
 
-// TestScalePassEquivalence drives the optimised namespace (lazy counters,
-// resolution cache, bound index) and the eager one through identical
-// randomized op streams — creates, records, renames, unlinks, label moves,
-// frag splits/merges, freezes — and asserts bit-identical counters, bounds,
-// loads and resolution behaviour throughout, plus full invariants (which
-// include the incremental-vs-rebuilt bound index comparison) on the
-// optimised twin.
-func TestScalePassEquivalence(t *testing.T) {
+// opSource supplies the op stream's choices: a seeded rand for the table
+// test, fuzz bytes for FuzzNamespaceOps.
+type opSource interface {
+	// Intn returns a choice in [0, n).
+	Intn(n int) int
+	// More reports whether the source can drive another step.
+	More() bool
+}
+
+// randSource draws from a seeded rand and records every choice as a
+// uvarint, so the recording replays the same stream through byteSource.
+type randSource struct {
+	rng *rand.Rand
+	rec []byte
+}
+
+func (s *randSource) Intn(n int) int {
+	v := s.rng.Intn(n)
+	s.rec = binary.AppendUvarint(s.rec, uint64(v))
+	return v
+}
+
+func (s *randSource) More() bool { return true }
+
+// byteSource decodes choices from uvarints, each reduced mod n; the stream
+// ends when the bytes do.
+type byteSource []byte
+
+func (s *byteSource) Intn(n int) int {
+	v, k := binary.Uvarint(*s)
+	if k <= 0 {
+		*s = nil
+		return 0
+	}
+	*s = (*s)[k:]
+	return int(v % uint64(n))
+}
+
+func (s *byteSource) More() bool { return len(*s) > 0 }
+
+// runOpStream drives a fast namespace and its cold twin through up to steps
+// ops drawn from src — creates, records, renames, unlinks, label moves,
+// frag labels, splits and merges — and asserts bit-identical counters,
+// bounds, loads, memos and resolution behaviour every 100 steps and at the
+// end, then the trees node by node and full invariants (which include the
+// incremental-vs-rebuilt bound index comparison) on both twins.
+func runOpStream(t testing.TB, src opSource, steps int) {
 	const numRanks = 4
-	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
+	fast := New(sim.Second / 2)
+	cold := New(sim.Second / 2)
+
+	dirs := []string{"/"}
+	files := []string{}
+	gone := []string{} // unlinked files and rename sources
+	now := sim.Time(0)
+
+	// both applies fn to each namespace and insists on the same outcome.
+	both := func(label string, fn func(ns *Namespace) error) {
+		ferr := fn(fast)
+		cold.invalidateResolves()
+		cerr := fn(cold)
+		cold.FlushCounters()
+		if (ferr == nil) != (cerr == nil) {
+			t.Fatalf("%s: fast err %v, cold err %v", label, ferr, cerr)
+		}
+	}
+	childPath := func(parent, name string) string {
+		if parent == "/" {
+			return "/" + name
+		}
+		return parent + "/" + name
+	}
+	// checkpoint compares the twins; its probes cover every path the
+	// stream has named, gone ones included, a name under each live file,
+	// and malformed paths.
+	checkpoint := func(extra ...string) {
+		t.Helper()
+		compareViews(t, fast, cold, now, numRanks)
+		compareMemos(t, fast)
+		compareMemos(t, cold)
+		probes := append([]string{}, dirs...)
+		probes = append(probes, files...)
+		probes = append(probes, gone...)
+		for _, f := range files {
+			probes = append(probes, f+"/x")
+		}
+		probes = append(probes,
+			"/nope", "/nope/deeper", "relative", "", "/", "//",
+			"/a//b", "/d0/.", "/d0/..")
+		compareResolves(t, fast, cold, append(probes, extra...))
+	}
+
+	randDir := func() string { return dirs[src.Intn(len(dirs))] }
+
+	for step := 0; step < steps && src.More(); step++ {
+		now += sim.Time(1 + src.Intn(3_000_000))
+		switch op := src.Intn(20); {
+		case op < 5: // create file
+			p := childPath(randDir(), fmt.Sprintf("f%d", src.Intn(200)))
+			both("create "+p, func(ns *Namespace) error {
+				_, err := ns.CreatePath(p, false)
+				return err
+			})
+			files = append(files, p)
+		case op < 8: // create dir
+			p := childPath(randDir(), fmt.Sprintf("d%d", src.Intn(40)))
+			both("mkdir "+p, func(ns *Namespace) error {
+				_, err := ns.CreatePath(p, true)
+				return err
+			})
+			dirs = append(dirs, p)
+		case op < 14: // record a metadata op
+			d := randDir()
+			name := fmt.Sprintf("f%d", src.Intn(200))
+			kind := OpKind(src.Intn(int(numOpKinds)))
+			at := now
+			both("record "+d, func(ns *Namespace) error {
+				n, err := ns.Resolve(d)
+				if err != nil {
+					return err
+				}
+				ns.RecordOp(n, name, kind, at)
+				return nil
+			})
+		case op < 15: // whole-dir op (readdir)
+			d := randDir()
+			at := now
+			both("readdir "+d, func(ns *Namespace) error {
+				n, err := ns.Resolve(d)
+				if err != nil {
+					return err
+				}
+				ns.RecordOp(n, "", OpReaddir, at)
+				return nil
+			})
+		case op < 16: // unlink a file
+			if len(files) == 0 {
+				continue
+			}
+			i := src.Intn(len(files))
+			p := files[i]
+			// Resolving p on both sides of the unlink catches a cached
+			// entry that outlives it.
+			compareResolves(t, fast, cold, []string{p})
+			both("unlink "+p, func(ns *Namespace) error {
+				dir, name, err := ns.ResolveDirOf(p)
+				if err != nil {
+					return err
+				}
+				return ns.Remove(dir, name)
+			})
+			compareResolves(t, fast, cold, []string{p})
+			files = append(files[:i], files[i+1:]...)
+			gone = append(gone, p)
+		case op < 17: // rename a file into another directory
+			if len(files) == 0 {
+				continue
+			}
+			i := src.Intn(len(files))
+			srcPath := files[i]
+			dstDir := randDir()
+			dstName := fmt.Sprintf("r%d", src.Intn(300))
+			dst := childPath(dstDir, dstName)
+			moved := false
+			compareResolves(t, fast, cold, []string{srcPath, dst})
+			both("rename "+srcPath, func(ns *Namespace) error {
+				sd, sname, err := ns.ResolveDirOf(srcPath)
+				if err != nil {
+					return err
+				}
+				dd, err := ns.Resolve(dstDir)
+				if err != nil {
+					return err
+				}
+				err = ns.Rename(sd, sname, dd, dstName)
+				moved = err == nil
+				return err
+			})
+			compareResolves(t, fast, cold, []string{srcPath, dst})
+			if moved {
+				files[i] = dst
+				gone = append(gone, srcPath)
+			}
+		case op < 19: // move a subtree label
+			d := randDir()
+			rank := Rank(src.Intn(numRanks))
+			both("label "+d, func(ns *Namespace) error {
+				n, err := ns.Resolve(d)
+				if err != nil {
+					return err
+				}
+				ns.SetAuthOverride(n, rank)
+				return nil
+			})
+		default: // label, split or merge a fragment
+			d := randDir()
+			rank := Rank(src.Intn(numRanks))
+			mode := src.Intn(3)
+			pick := src.Intn(1 << 10) // leaf choice, fixed across twins
+			at := now
+			both("frag "+d, func(ns *Namespace) error {
+				n, err := ns.Resolve(d)
+				if err != nil {
+					return err
+				}
+				leaves := n.FragTree().Leaves()
+				leaf := leaves[pick%len(leaves)]
+				switch mode {
+				case 0:
+					ns.SetFragAuth(n, leaf, rank)
+				case 1:
+					if len(leaves) < 8 {
+						ns.SplitDir(n, leaf, 1, at)
+					}
+				default:
+					if leaf.Bits > 0 {
+						ns.MergeDir(n, leaf.Parent(), 1, at)
+					}
+				}
+				return nil
+			})
+		}
+		if step%100 == 99 {
+			checkpoint()
+		}
+	}
+
+	compareTrees(t, fast.Root(), cold.Root(), now)
+	checkpoint(childPath(randDir(), "missing"))
+	if err := fast.CheckInvariants(numRanks, true); err != nil {
+		t.Fatalf("fast invariants: %v", err)
+	}
+	if err := cold.CheckInvariants(numRanks, true); err != nil {
+		t.Fatalf("cold invariants: %v", err)
+	}
+	if got := fast.PendingHits(); got != 0 {
+		t.Fatalf("pending hits after invariant flush: %d", got)
+	}
+}
+
+// scaleSeeds are TestScalePassEquivalence's op streams, also the seed
+// corpus of FuzzNamespaceOps.
+const scaleSeeds, scaleSteps = 6, 800
+
+// TestScalePassEquivalence drives the optimised namespace and its cold twin
+// through six seeded op streams (see runOpStream).
+func TestScalePassEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= scaleSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			fast := New(sim.Second / 2)
-			slow := newEagerNamespace(sim.Second / 2)
-			if fast.def.resCache == nil || !fast.lazy {
-				t.Fatal("fast namespace did not enable the scale pass")
-			}
-			if slow.def.resCache != nil || slow.lazy {
-				t.Fatal("eager namespace still has the scale pass enabled")
-			}
-
-			dirs := []string{"/"}
-			files := []string{}
-			now := sim.Time(0)
-
-			// both applies fn to each namespace and insists on the
-			// same outcome.
-			both := func(label string, fn func(ns *Namespace) error) {
-				ferr := fn(fast)
-				serr := fn(slow)
-				if (ferr == nil) != (serr == nil) {
-					t.Fatalf("%s: fast err %v, slow err %v", label, ferr, serr)
-				}
-			}
-
-			randDir := func() string { return dirs[rng.Intn(len(dirs))] }
-			childPath := func(parent, name string) string {
-				if parent == "/" {
-					return "/" + name
-				}
-				return parent + "/" + name
-			}
-
-			for step := 0; step < 800; step++ {
-				now += sim.Time(1 + rng.Intn(3_000_000))
-				switch op := rng.Intn(20); {
-				case op < 5: // create file
-					p := childPath(randDir(), fmt.Sprintf("f%d", rng.Intn(200)))
-					both("create "+p, func(ns *Namespace) error {
-						_, err := ns.CreatePath(p, false)
-						return err
-					})
-					files = append(files, p)
-				case op < 8: // create dir
-					p := childPath(randDir(), fmt.Sprintf("d%d", rng.Intn(40)))
-					both("mkdir "+p, func(ns *Namespace) error {
-						_, err := ns.CreatePath(p, true)
-						return err
-					})
-					dirs = append(dirs, p)
-				case op < 14: // record a metadata op
-					d := randDir()
-					name := fmt.Sprintf("f%d", rng.Intn(200))
-					kind := OpKind(rng.Intn(int(numOpKinds)))
-					at := now
-					both("record "+d, func(ns *Namespace) error {
-						n, err := ns.Resolve(d)
-						if err != nil {
-							return err
-						}
-						ns.RecordOp(n, name, kind, at)
-						return nil
-					})
-				case op < 15: // whole-dir op (readdir)
-					d := randDir()
-					at := now
-					both("readdir "+d, func(ns *Namespace) error {
-						n, err := ns.Resolve(d)
-						if err != nil {
-							return err
-						}
-						ns.RecordOp(n, "", OpReaddir, at)
-						return nil
-					})
-				case op < 16: // unlink a file
-					if len(files) == 0 {
-						continue
-					}
-					i := rng.Intn(len(files))
-					p := files[i]
-					both("unlink "+p, func(ns *Namespace) error {
-						dir, name, err := ns.ResolveDirOf(p)
-						if err != nil {
-							return err
-						}
-						return ns.Remove(dir, name)
-					})
-					files = append(files[:i], files[i+1:]...)
-				case op < 17: // rename a file into another directory
-					if len(files) == 0 {
-						continue
-					}
-					i := rng.Intn(len(files))
-					src := files[i]
-					dstDir := randDir()
-					dstName := fmt.Sprintf("r%d", rng.Intn(300))
-					dst := childPath(dstDir, dstName)
-					moved := false
-					both("rename "+src, func(ns *Namespace) error {
-						sd, sname, err := ns.ResolveDirOf(src)
-						if err != nil {
-							return err
-						}
-						dd, err := ns.Resolve(dstDir)
-						if err != nil {
-							return err
-						}
-						err = ns.Rename(sd, sname, dd, dstName)
-						moved = err == nil
-						return err
-					})
-					if moved {
-						files[i] = dst
-					}
-				case op < 19: // move a subtree label
-					d := randDir()
-					rank := Rank(rng.Intn(numRanks))
-					both("label "+d, func(ns *Namespace) error {
-						n, err := ns.Resolve(d)
-						if err != nil {
-							return err
-						}
-						ns.SetAuthOverride(n, rank)
-						return nil
-					})
-				default: // label, split or merge a fragment
-					d := randDir()
-					rank := Rank(rng.Intn(numRanks))
-					mode := rng.Intn(3)
-					pick := rng.Intn(1 << 10) // leaf choice, fixed across twins
-					at := now
-					both("frag "+d, func(ns *Namespace) error {
-						n, err := ns.Resolve(d)
-						if err != nil {
-							return err
-						}
-						leaves := n.FragTree().Leaves()
-						leaf := leaves[pick%len(leaves)]
-						switch mode {
-						case 0:
-							ns.SetFragAuth(n, leaf, rank)
-						case 1:
-							if len(leaves) < 8 {
-								ns.SplitDir(n, leaf, 1, at)
-							}
-						default:
-							if leaf.Bits > 0 {
-								ns.MergeDir(n, leaf.Parent(), 1, at)
-							}
-						}
-						return nil
-					})
-				}
-				if step%100 == 99 {
-					compareViews(t, fast, slow, now, numRanks)
-				}
-			}
-
-			compareTrees(t, fast.Root(), slow.Root(), now)
-			compareViews(t, fast, slow, now, numRanks)
-			probes := append([]string{}, dirs...)
-			probes = append(probes, files...)
-			probes = append(probes,
-				"/nope", "/nope/deeper", "relative", "", "/", "//",
-				"/a//b", "/d0/.", "/d0/..", childPath(randDir(), "missing"),
-			)
-			compareResolves(t, fast, slow, probes)
-			if err := fast.CheckInvariants(numRanks, true); err != nil {
-				t.Fatalf("fast invariants: %v", err)
-			}
-			if err := slow.CheckInvariants(numRanks, true); err != nil {
-				t.Fatalf("slow invariants: %v", err)
-			}
-			if got := fast.PendingHits(); got != 0 {
-				t.Fatalf("pending hits after invariant flush: %d", got)
-			}
+			runOpStream(t, &randSource{rng: rand.New(rand.NewSource(seed))}, scaleSteps)
 		})
 	}
 }
 
-// TestLazyCounterSnapshotEquivalence is the focused version of the tentpole
-// claim: identical random (kind, time) hit sequences against a deep chain
-// produce bit-identical snapshots whether ancestors are charged eagerly or
-// folded in one deferred batch.
+// FuzzNamespaceOps decodes fuzz bytes into TestScalePassEquivalence's op
+// mix and requires every check to match between the fast namespace and its
+// cold twin, and invariants to hold on both. The corpus is seeded with the
+// recorded choices of the table test's six streams.
+func FuzzNamespaceOps(f *testing.F) {
+	for seed := int64(1); seed <= scaleSeeds; seed++ {
+		src := &randSource{rng: rand.New(rand.NewSource(seed))}
+		runOpStream(f, src, scaleSteps)
+		f.Add(src.rec)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := byteSource(data)
+		runOpStream(t, &src, scaleSteps)
+	})
+}
+
+// TestLazyCounterSnapshotEquivalence is the focused version of the lazy
+// counter claim: identical random (kind, time) hit sequences against a deep
+// chain produce bit-identical snapshots whether each hit is folded at once
+// or all of them in one deferred batch.
 func TestLazyCounterSnapshotEquivalence(t *testing.T) {
 	const depth = 24
 	rng := rand.New(rand.NewSource(99))
 	fast := New(sim.Second)
-	slow := newEagerNamespace(sim.Second)
+	cold := New(sim.Second)
 	path := ""
 	for i := 0; i < depth; i++ {
 		path += fmt.Sprintf("/d%d", i)
 	}
 	fleaf := mustCreate(t, fast, path, true)
-	sleaf := mustCreate(t, slow, path, true)
+	cleaf := mustCreate(t, cold, path, true)
 	now := sim.Time(0)
 	for i := 0; i < 5000; i++ {
 		now += sim.Time(1 + rng.Intn(500_000))
 		kind := OpKind(rng.Intn(int(numOpKinds)))
 		fast.RecordOp(fleaf, "x", kind, now)
-		slow.RecordOp(sleaf, "x", kind, now)
+		cold.RecordOp(cleaf, "x", kind, now)
+		cold.FlushCounters()
 	}
 	if fast.PendingHits() == 0 {
 		t.Fatal("fast namespace recorded no deferred hits")
 	}
-	for fc, sc := fleaf, sleaf; fc != nil; fc, sc = fc.Parent(), sc.Parent() {
-		if !snapshotsBitEqual(fc.Load(now), sc.Load(now)) {
-			t.Fatalf("%s: lazy snapshot diverged from eager\n lazy  %+v\n eager %+v",
-				fc.Path(), fc.Load(now), sc.Load(now))
+	for fc, cc := fleaf, cleaf; fc != nil; fc, cc = fc.Parent(), cc.Parent() {
+		if !snapshotsBitEqual(fc.Load(now), cc.Load(now)) {
+			t.Fatalf("%s: deferred snapshot diverged from folded-at-once\n fast %+v\n cold %+v",
+				fc.Path(), fc.Load(now), cc.Load(now))
 		}
 	}
 	if got := fast.PendingHits(); got != 0 {

@@ -58,28 +58,21 @@ type domain struct {
 	resCache    map[string]resolveEnt
 }
 
-func (ns *Namespace) newDomain() *domain {
-	d := &domain{}
-	if !DisableResolveCache {
-		d.resCache = make(map[string]resolveEnt)
-	}
-	return d
+func newDomain() *domain {
+	return &domain{resCache: make(map[string]resolveEnt)}
 }
 
 // EnableSharding switches the namespace into the concurrent mode described
 // above and provisions one ownership domain per rank slot. It must be called
 // before any concurrent use (the live runtime calls it at construction,
-// before actors start) and requires lazy counter propagation — the eager
-// ancestor walk writes shared DecayCounters from the op path and cannot be
-// made safe under a read lock.
+// before actors start). The op path is safe under the read lock because
+// RecordOp only appends to the rank's own deferred log; the shared ancestor
+// DecayCounters are written by the fold, under the write lock.
 func (ns *Namespace) EnableSharding(domains int) {
-	if !ns.lazy {
-		panic("namespace: sharding requires lazy counter propagation")
-	}
 	ns.sharded = true
 	ns.domains = make([]*domain, domains)
 	for i := range ns.domains {
-		ns.domains[i] = ns.newDomain()
+		ns.domains[i] = newDomain()
 	}
 }
 

@@ -124,13 +124,20 @@ func TestPoolReuse(t *testing.T) {
 
 // TestPoolingPreservesOrder is the pooled-vs-unpooled determinism gate: the
 // same seeded random workload, with events cancelled mid-flight, must fire
-// in the identical order whether or not slots are recycled.
+// in the identical order whether or not slots are recycled. The unpooled run
+// empties the free list before every Schedule, so each event gets a fresh
+// slot.
 func TestPoolingPreservesOrder(t *testing.T) {
-	run := func(disablePool bool) []int64 {
+	run := func(unpooled bool) []int64 {
 		e := NewEngine(99)
-		e.DisablePool = disablePool
 		var trace []int64
 		var pending []Event
+		schedule := func(d Time, fn func()) Event {
+			if unpooled {
+				e.free = nil
+			}
+			return e.Schedule(d, fn)
+		}
 		var spawn func(id int64)
 		spawn = func(id int64) {
 			trace = append(trace, id, int64(e.Now()))
@@ -140,7 +147,7 @@ func TestPoolingPreservesOrder(t *testing.T) {
 			// Schedule two successors, cancel an old event half the time.
 			for k := int64(0); k < 2; k++ {
 				next := id*2 + k
-				pending = append(pending, e.Schedule(Time(e.Rand().Int63n(50)+1), func() { spawn(next) }))
+				pending = append(pending, schedule(Time(e.Rand().Int63n(50)+1), func() { spawn(next) }))
 			}
 			if len(pending) > 4 && e.Rand().Intn(2) == 0 {
 				idx := e.Rand().Intn(len(pending))
@@ -148,7 +155,7 @@ func TestPoolingPreservesOrder(t *testing.T) {
 				pending = append(pending[:idx], pending[idx+1:]...)
 			}
 		}
-		e.Schedule(0, func() { spawn(1) })
+		schedule(0, func() { spawn(1) })
 		e.RunUntilIdle()
 		return trace
 	}

@@ -85,10 +85,6 @@ type Engine struct {
 	// MaxEvents aborts the run (panic) if more than this many events fire.
 	// Zero means no limit.
 	MaxEvents uint64
-	// DisablePool bypasses the free list so every Schedule allocates a
-	// fresh slot. It exists only for regression tests that prove pooling
-	// changes no event order; production code never sets it.
-	DisablePool bool
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -148,7 +144,7 @@ func (e *Engine) Cancel(ev Event) {
 
 // alloc takes a slot from the free list (or the heap's allocator).
 func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 && !e.DisablePool {
+	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
@@ -164,9 +160,7 @@ func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.idx = -1
-	if !e.DisablePool {
-		e.free = append(e.free, ev)
-	}
+	e.free = append(e.free, ev)
 }
 
 // ---- heap (hand-rolled: container/heap's interface indirection and any
