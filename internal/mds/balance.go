@@ -334,31 +334,40 @@ func (m *MDS) rebalance() {
 	}
 }
 
-// initialUnits enumerates this rank's top-level export candidates: its
-// subtree roots (excluding "/" itself, which is expanded instead).
-func (m *MDS) initialUnits() []exportUnit {
-	var out []exportUnit
-	now := m.engine.Now()
-	for _, root := range m.ns.SubtreeRoots(m.rank) {
+// initialUnits enumerates this rank's top-level export candidates, priced
+// with the metaload policy.
+func (m *MDS) initialUnits() []exportUnit { return m.priced(m.ownedUnits()) }
+
+// expandDir lists the child units of a directory this rank owns, priced
+// with the metaload policy.
+func (m *MDS) expandDir(dir *namespace.Node) []exportUnit {
+	return m.priced(m.childUnits(nil, dir))
+}
+
+// ownedUnits enumerates this rank's top-level units: its subtree roots
+// (excluding "/" itself, which is expanded instead). Loads are left zero:
+// rebalance prices units with the metaload policy (initialUnits), the
+// replica scan reads their directories' heat.
+func (m *MDS) ownedUnits() []exportUnit {
+	roots := m.ns.SubtreeRoots(m.rank)
+	out := make([]exportUnit, 0, len(roots))
+	for _, root := range roots {
 		if root.IsFrag {
 			fs, ok := root.Dir.FragStateOf(root.Frag)
 			if !ok || fs.Frozen() {
 				continue
 			}
-			out = append(out, exportUnit{
-				dir: root.Dir, frag: root.Frag, isFrag: true,
-				load: m.metaLoadOf(fs.Counters.Snapshot(now)),
-			})
+			out = append(out, exportUnit{dir: root.Dir, frag: root.Frag, isFrag: true})
 			continue
 		}
 		if root.Dir.IsRoot() {
-			out = append(out, m.expandDir(root.Dir)...)
+			out = m.childUnits(out, root.Dir)
 			continue
 		}
 		if root.Dir.Frozen() {
 			continue
 		}
-		out = append(out, exportUnit{dir: root.Dir, load: m.metaLoadOf(root.Dir.Load(now))})
+		out = append(out, exportUnit{dir: root.Dir})
 	}
 	return out
 }
@@ -371,11 +380,10 @@ func (m *MDS) divisible(u exportUnit) bool {
 	return u.dir.NumFragLeaves() > 1 || u.dir.HasSubdir()
 }
 
-// expandDir lists the child units of a directory this rank owns: its leaf
-// fragments when fragmented, otherwise its child directories.
-func (m *MDS) expandDir(dir *namespace.Node) []exportUnit {
-	now := m.engine.Now()
-	var out []exportUnit
+// childUnits appends to out the child units of a directory this rank owns:
+// its leaf fragments when fragmented, otherwise its child directories.
+// Loads are left zero, as in ownedUnits.
+func (m *MDS) childUnits(out []exportUnit, dir *namespace.Node) []exportUnit {
 	if dir.NumFragLeaves() > 1 {
 		for _, f := range dir.FragLeaves() {
 			fs, ok := dir.FragStateOf(f)
@@ -389,20 +397,32 @@ func (m *MDS) expandDir(dir *namespace.Node) []exportUnit {
 			if owner != m.rank {
 				continue
 			}
-			out = append(out, exportUnit{
-				dir: dir, frag: f, isFrag: true,
-				load: m.metaLoadOf(fs.Counters.Snapshot(now)),
-			})
+			out = append(out, exportUnit{dir: dir, frag: f, isFrag: true})
 		}
 		return out
 	}
 	dir.Children(func(c *namespace.Node) bool {
 		if c.IsDir() && !c.Frozen() && m.ns.EffectiveAuth(c) == m.rank {
-			out = append(out, exportUnit{dir: c, load: m.metaLoadOf(c.Load(now))})
+			out = append(out, exportUnit{dir: c})
 		}
 		return true
 	})
 	return out
+}
+
+// priced sets each unit's load to the metaload policy's value of its
+// counters (a fragment's own, a directory's aggregate), in unit order.
+func (m *MDS) priced(units []exportUnit) []exportUnit {
+	now := m.engine.Now()
+	for i := range units {
+		u := &units[i]
+		if !u.isFrag {
+			u.load = m.metaLoadOf(u.dir.Load(now))
+		} else if fs, ok := u.dir.FragStateOf(u.frag); ok {
+			u.load = m.metaLoadOf(fs.Counters.Snapshot(now))
+		}
+	}
+	return units
 }
 
 // selectExports partitions the namespace toward a target load: run the

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"slices"
 	"sort"
 
 	"mantle/internal/balancer"
@@ -162,14 +163,24 @@ func (m *MDS) releaseWriteIntents(r *Request) {
 }
 
 // replicaLoad sums the metadata load of the directories this rank holds
-// replicas of — the replica share of the "all" load it advertises.
+// replicas of — the replica share of the "all" load it advertises. The
+// snapshots are read in one batch and summed in path order.
 func (m *MDS) replicaLoad() float64 {
-	var total float64
-	now := m.engine.Now()
-	for _, p := range m.rep.Reg.HeldPaths(m.rank) {
+	paths := m.rep.Reg.HeldPaths(m.rank)
+	if len(paths) == 0 {
+		return 0
+	}
+	dirs := make([]*namespace.Node, 0, len(paths))
+	for _, p := range paths {
 		if node, err := m.nsv.Resolve(p); err == nil && node.IsDir() {
-			total += m.metaLoadOf(node.Load(now))
+			dirs = append(dirs, node)
 		}
+	}
+	snaps := make([]namespace.CounterSnapshot, len(dirs))
+	m.ns.Loads(m.engine.Now(), dirs, snaps)
+	var total float64
+	for _, s := range snaps {
+		total += m.metaLoadOf(s)
 	}
 	return total
 }
@@ -189,12 +200,11 @@ func (m *MDS) replicaTick() {
 	for _, cand := range m.replicaCandidates() {
 		path := cand.dir.Path()
 		holders := m.rep.Reg.Holders(path)
-		snap := cand.dir.Load(m.engine.Now())
 		env := balancer.ReplicaEnv{
 			WhoAmI: m.rank, Active: m.numRanks, MaxReplicas: m.rep.MaxReplicas,
 			Total: e.Total, MDSs: e.MDSs,
-			Path: path, Heat: cand.load,
-			Rd: snap.IRD + snap.Readdir, Wr: snap.IWR,
+			Path: path, Heat: cand.heat,
+			Rd: cand.snap.IRD + cand.snap.Readdir, Wr: cand.snap.IWR,
 			Replicas: len(holders),
 		}
 		verdict := 0
@@ -217,33 +227,43 @@ func (m *MDS) replicaTick() {
 	}
 }
 
+// replicaCand is one read-hot directory the replica scan found.
+type replicaCand struct {
+	dir  *namespace.Node
+	snap namespace.CounterSnapshot // the directory's counters at the scan
+	heat float64                   // snap.CephLoad()
+}
+
 // replicaCandidates lists this rank's hottest whole directories by READ
 // heat (frag units collapse onto their directory: replicas are
 // per-directory). Heat is deliberately not the balancer's MetaLoad — that
 // scalar is migration policy and may weight writes only (greedy_spill uses
 // IWR), which would blind replication to exactly the read-hot directories
-// it exists for. CephLoad keeps the scalar and the rd gate policy-free.
-func (m *MDS) replicaCandidates() []exportUnit {
-	now := m.engine.Now()
-	seen := map[*namespace.Node]bool{}
-	var cands []exportUnit
-	for _, u := range m.initialUnits() {
-		if seen[u.dir] {
+// it exists for. CephLoad keeps the scalar and the rd gate policy-free, so
+// the scan runs no policy, and it reads every unit's snapshot in one batch.
+func (m *MDS) replicaCandidates() []replicaCand {
+	units := m.ownedUnits()
+	dirs := make([]*namespace.Node, len(units))
+	for i, u := range units {
+		dirs[i] = u.dir
+	}
+	snaps := make([]namespace.CounterSnapshot, len(dirs))
+	m.ns.Loads(m.engine.Now(), dirs, snaps)
+	var cands []replicaCand
+	for i, s := range snaps {
+		if s.IRD+s.Readdir <= m.cfg.MinExportLoad {
 			continue
 		}
-		seen[u.dir] = true
-		snap := u.dir.Load(now)
-		if snap.IRD+snap.Readdir <= m.cfg.MinExportLoad {
-			continue
-		}
-		cands = append(cands, exportUnit{dir: u.dir, load: snap.CephLoad()})
+		cands = append(cands, replicaCand{dir: dirs[i], snap: s, heat: s.CephLoad()})
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load > cands[j].load
+		if cands[i].heat != cands[j].heat {
+			return cands[i].heat > cands[j].heat
 		}
 		return cands[i].dir.Path() < cands[j].dir.Path()
 	})
+	// A directory's frag units share its snapshot, so they sort adjacent.
+	cands = slices.CompactFunc(cands, func(a, b replicaCand) bool { return a.dir == b.dir })
 	if len(cands) > 4 {
 		cands = cands[:4]
 	}
@@ -253,15 +273,11 @@ func (m *MDS) replicaCandidates() []exportUnit {
 // grantReplica places one more replica of path on the least-loaded active
 // peer that does not already hold one and is not draining.
 func (m *MDS) grantReplica(path string, e *balancer.Env, holders []namespace.Rank) {
-	holding := make(map[namespace.Rank]bool, len(holders))
-	for _, h := range holders {
-		holding[h] = true
-	}
 	target := namespace.RankNone
 	best := 0.0
 	for r := 0; r < m.numRanks; r++ {
 		rank := namespace.Rank(r)
-		if rank == m.rank || holding[rank] || m.hbData[rank].Draining {
+		if rank == m.rank || slices.Contains(holders, rank) || m.hbData[rank].Draining {
 			continue
 		}
 		if target == namespace.RankNone || e.MDSs[r].Load < best {

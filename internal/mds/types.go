@@ -139,7 +139,9 @@ type Hint struct {
 	Frags []FragHint
 	// Replicas lists ranks holding read replicas of DirPath (replication
 	// enabled only). nil clears any replica set the client learned
-	// earlier — hints always carry the current truth.
+	// earlier — hints always carry the current truth. The slice is the
+	// registry's published holder set, shared by every reply: read it,
+	// store it or compare it, never write into it.
 	Replicas []namespace.Rank
 }
 

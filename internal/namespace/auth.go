@@ -292,14 +292,23 @@ func (ns *Namespace) subtreeRootsLocked(rank Rank) []SubtreeRoot {
 	if len(ns.bidx) == 0 {
 		return nil
 	}
-	out := make([]SubtreeRoot, 0, len(ns.bidx))
+	n := len(ns.bidx)
+	if rank >= 0 {
+		n = 0
+		for i := range ns.bidx {
+			if ns.bidx[i].root.Rank == rank {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]SubtreeRoot, 0, n)
 	for i := range ns.bidx {
 		if rank < 0 || ns.bidx[i].root.Rank == rank {
 			out = append(out, ns.bidx[i].root)
 		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

@@ -119,6 +119,32 @@ func TestSubtreeRootsSorted(t *testing.T) {
 	}
 }
 
+// TestSubtreeRootsSizedToRank: a rank's bound list is allocated for the
+// rank's own bounds, not the whole index (a quarter of it on four ranks).
+func TestSubtreeRootsSizedToRank(t *testing.T) {
+	const ranks, bounds = 4, 4096
+	ns := New(0)
+	for i := 0; i < bounds; i++ {
+		ns.SetAuthOverride(mustCreate(t, ns, fmt.Sprintf("/load/d%04d", i), true), Rank(i%ranks))
+	}
+	total := 0
+	for r := Rank(0); r < ranks; r++ {
+		roots := ns.SubtreeRoots(r)
+		if cap(roots) > 2*len(roots) {
+			t.Errorf("rank %d: cap %d for %d roots", r, cap(roots), len(roots))
+		}
+		total += len(roots)
+	}
+	// Rank 0's labels restate the root's authority, so only "/" is its
+	// bound; every other rank owns a quarter of the index.
+	if total != 1+bounds*(ranks-1)/ranks {
+		t.Fatalf("per-rank lists sum to %d roots", total)
+	}
+	if all := ns.SubtreeRoots(-1); len(all) != total {
+		t.Fatalf("all ranks: %d roots, per-rank lists sum to %d", len(all), total)
+	}
+}
+
 func TestFreezeChecks(t *testing.T) {
 	ns, _, b, c := buildAuthTree(t)
 	mustCreate(t, ns, "/a/b/c/f", false)

@@ -330,6 +330,23 @@ func (n *Node) Load(now sim.Time) CounterSnapshot {
 	return n.dir.counters.Snapshot(now)
 }
 
+// Loads is Node.Load over a batch: out[i] gets dirs[i]'s snapshot at now,
+// all read under one write-lock hold after one flush. out must be at least
+// as long as dirs. Control-plane scans read their snapshots here rather
+// than locking once per directory.
+func (ns *Namespace) Loads(now sim.Time, dirs []*Node, out []CounterSnapshot) {
+	ns.wlock()
+	defer ns.wunlock()
+	ns.flushLocked()
+	for i, n := range dirs {
+		if n.dir == nil {
+			out[i] = CounterSnapshot{}
+			continue
+		}
+		out[i] = n.dir.counters.Snapshot(now)
+	}
+}
+
 // AuthOverride reports the explicit authority label on this directory
 // (RankNone when authority is inherited).
 func (n *Node) AuthOverride() Rank {

@@ -95,3 +95,36 @@ func TestFileNodeMethodsSafe(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadsMatchesLoad: the batch read returns, per directory, what Node.Load
+// returns at the same time — deferred charges folded, files zero — and
+// leaves nothing pending.
+func TestLoadsMatchesLoad(t *testing.T) {
+	ns := New(sim.Second)
+	a := mustCreate(t, ns, "/a", true)
+	b := mustCreate(t, ns, "/a/b", true)
+	f := mustCreate(t, ns, "/a/f", false)
+	for i := 0; i < 50; i++ {
+		at := sim.Time(i) * sim.Millisecond
+		ns.RecordOp(a, "f", OpIRD, at)
+		ns.RecordOp(b, "x", OpIWR, at)
+		if i%3 == 0 {
+			ns.RecordOp(b, "", OpReaddir, at)
+		}
+	}
+	now := 100 * sim.Millisecond
+	dirs := []*Node{b, f, ns.Root(), a, b}
+	got := make([]CounterSnapshot, len(dirs))
+	ns.Loads(now, dirs, got)
+	if n := ns.PendingHits(); n != 0 {
+		t.Fatalf("%d charges left pending", n)
+	}
+	for i, d := range dirs {
+		if want := d.Load(now); got[i] != want {
+			t.Errorf("%s: Loads %+v, Load %+v", d.Path(), got[i], want)
+		}
+	}
+	if got[0].IWR == 0 || got[3].IRD == 0 || got[1] != (CounterSnapshot{}) {
+		t.Fatalf("snapshots %+v", got)
+	}
+}

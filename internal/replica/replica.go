@@ -32,6 +32,7 @@
 package replica
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,7 +51,10 @@ type doneCB struct {
 
 // entry tracks one replicated directory.
 type entry struct {
-	holders  map[namespace.Rank]bool
+	// holders is the published holder set, sorted. Grant and DropRank
+	// replace it wholesale and nothing writes into it, so Holders, Revoke
+	// and BeginWrite hand it out without copying.
+	holders  []namespace.Rank
 	revoking bool
 	pending  map[namespace.Rank]bool // acks outstanding (revoking only)
 	began    time.Time               // revoke start (latency measurement)
@@ -137,15 +141,30 @@ func (reg *Registry) Grant(path string, holder namespace.Rank) bool {
 	}
 	e := reg.entries[path]
 	if e == nil {
-		e = &entry{holders: map[namespace.Rank]bool{}}
+		e = &entry{}
 		reg.entries[path] = e
 	}
-	if e.revoking || e.holders[holder] {
+	i, held := slices.BinarySearch(e.holders, holder)
+	if e.revoking || held {
 		return false
 	}
-	e.holders[holder] = true
+	next := make([]namespace.Rank, 0, len(e.holders)+1)
+	next = append(next, e.holders[:i]...)
+	next = append(next, holder)
+	e.holders = append(next, e.holders[i:]...)
 	reg.grants++
 	return true
+}
+
+// without returns hs minus r in a fresh slice: hs may be published.
+func without(hs []namespace.Rank, r namespace.Rank) []namespace.Rank {
+	out := make([]namespace.Rank, 0, len(hs)-1)
+	for _, h := range hs {
+		if h != r {
+			out = append(out, h)
+		}
+	}
+	return out
 }
 
 // ActiveHolder reports whether r may serve reads of path from its replica:
@@ -154,7 +173,7 @@ func (reg *Registry) ActiveHolder(path string, r namespace.Rank) bool {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	e := reg.entries[path]
-	return e != nil && !e.revoking && e.holders[r]
+	return e != nil && !e.revoking && slices.Contains(e.holders, r)
 }
 
 // HasHolders reports whether any rank holds a replica of path (revoking or
@@ -166,8 +185,10 @@ func (reg *Registry) HasHolders(path string) bool {
 	return e != nil && len(e.holders) > 0
 }
 
-// Holders lists path's replica holders, sorted; nil while a revoke is in
-// flight (the placement must not be advertised to clients mid-teardown).
+// Holders returns path's published holder set, sorted; nil while a revoke
+// is in flight (the placement must not be advertised to clients
+// mid-teardown). The slice is shared and read-only: it allocates nothing,
+// and a later grant or drop publishes a new slice instead of changing it.
 func (reg *Registry) Holders(path string) []namespace.Rank {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -175,22 +196,17 @@ func (reg *Registry) Holders(path string) []namespace.Rank {
 	if e == nil || e.revoking || len(e.holders) == 0 {
 		return nil
 	}
-	out := make([]namespace.Rank, 0, len(e.holders))
-	for r := range e.holders {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return e.holders
 }
 
-// HeldPaths lists the directories r currently holds replicas of (the
-// replica share of the rank's "all" load).
+// HeldPaths lists the directories r currently holds replicas of, sorted
+// (the replica share of the rank's "all" load, summed in this order).
 func (reg *Registry) HeldPaths(r namespace.Rank) []string {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	var out []string
 	for p, e := range reg.entries {
-		if e.holders[r] {
+		if slices.Contains(e.holders, r) {
 			out = append(out, p)
 		}
 	}
@@ -216,9 +232,9 @@ func (reg *Registry) PathsUnder(prefix string) []string {
 // BeginWrite registers rank's write intent on path. When replica holders
 // exist a revoke begins (or is joined), ready is parked for delivery once
 // the path is clear, and wait is true; notify lists the holders the caller
-// must send revoke messages to (non-nil only for the revoke's initiator).
-// The intent is registered in both cases and blocks new grants until
-// EndWrite (or DropRank).
+// must send revoke messages to (non-nil only for the revoke's initiator;
+// the published holder set, read-only). The intent is registered in both
+// cases and blocks new grants until EndWrite (or DropRank).
 func (reg *Registry) BeginWrite(path string, rank namespace.Rank, ready func()) (notify []namespace.Rank, wait bool) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -233,14 +249,7 @@ func (reg *Registry) BeginWrite(path string, rank namespace.Rank, ready func()) 
 		return nil, false
 	}
 	if !e.revoking {
-		e.revoking = true
-		e.began = time.Now()
-		e.pending = make(map[namespace.Rank]bool, len(e.holders))
-		for h := range e.holders {
-			e.pending[h] = true
-			notify = append(notify, h)
-		}
-		sort.Slice(notify, func(i, j int) bool { return notify[i] < notify[j] })
+		notify = e.beginRevoke()
 	}
 	e.done = append(e.done, doneCB{rank: rank, fn: ready})
 	return notify, true
@@ -265,8 +274,9 @@ func (reg *Registry) EndWrite(path string, rank namespace.Rank) {
 }
 
 // Revoke starts tearing down path's replicas without a write intent (a
-// policy verdict). notify lists the holders to message; ok is false when
-// there is nothing to revoke or a revoke is already in flight.
+// policy verdict). notify lists the holders to message (the published
+// holder set, read-only); ok is false when there is nothing to revoke or a
+// revoke is already in flight.
 func (reg *Registry) Revoke(path string) (notify []namespace.Rank, ok bool) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -274,15 +284,19 @@ func (reg *Registry) Revoke(path string) (notify []namespace.Rank, ok bool) {
 	if e == nil || e.revoking || len(e.holders) == 0 {
 		return nil, false
 	}
+	return e.beginRevoke(), true
+}
+
+// beginRevoke marks e revoking with every holder's ack outstanding and
+// returns the holders to message.
+func (e *entry) beginRevoke() []namespace.Rank {
 	e.revoking = true
 	e.began = time.Now()
 	e.pending = make(map[namespace.Rank]bool, len(e.holders))
-	for h := range e.holders {
+	for _, h := range e.holders {
 		e.pending[h] = true
-		notify = append(notify, h)
 	}
-	sort.Slice(notify, func(i, j int) bool { return notify[i] < notify[j] })
-	return notify, true
+	return e.holders
 }
 
 // Ack records holder from's revoke acknowledgement; the last ack completes
@@ -330,8 +344,8 @@ func (reg *Registry) DropRank(r namespace.Rank) {
 	var dones []doneCB
 	for p, e := range reg.entries {
 		changed := false
-		if e.holders[r] {
-			delete(e.holders, r)
+		if slices.Contains(e.holders, r) {
+			e.holders = without(e.holders, r)
 			changed = true
 		}
 		if e.revoking {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"mantle/internal/namespace"
@@ -32,6 +33,99 @@ func TestGrantAndHolders(t *testing.T) {
 	if hp := reg.HeldPaths(1); len(hp) != 1 || hp[0] != "/hot" {
 		t.Fatalf("HeldPaths(1) = %v", hp)
 	}
+	// HeldPaths is sorted whatever the map order: the replica load is
+	// summed in this order, so identical states advertise identical floats.
+	for _, p := range []string{"/z", "/a/b", "/m", "/a", "/hot/x"} {
+		reg.Grant(p, 1)
+	}
+	want1 := []string{"/a", "/a/b", "/hot", "/hot/x", "/m", "/z"}
+	for i := 0; i < 20; i++ {
+		if hp := reg.HeldPaths(1); !reflect.DeepEqual(hp, want1) {
+			t.Fatalf("HeldPaths(1) = %v, want %v", hp, want1)
+		}
+	}
+}
+
+// TestHoldersPublished: Holders hands out the published set without
+// allocating, and a later grant or drop publishes a new slice instead of
+// writing into one a caller may still be reading.
+func TestHoldersPublished(t *testing.T) {
+	reg := NewRegistry()
+	reg.Grant("/d", 3)
+	reg.Grant("/d", 1)
+	got := reg.Holders("/d")
+	if allocs := testing.AllocsPerRun(1000, func() { reg.Holders("/d") }); allocs != 0 {
+		t.Fatalf("Holders allocates %.0f objects, want 0", allocs)
+	}
+	reg.Grant("/d", 2)
+	if !reflect.DeepEqual(got, []namespace.Rank{1, 3}) {
+		t.Fatalf("grant changed a published set: %v", got)
+	}
+	if now := reg.Holders("/d"); !reflect.DeepEqual(now, []namespace.Rank{1, 2, 3}) {
+		t.Fatalf("Holders = %v after grant", now)
+	}
+	got = reg.Holders("/d")
+	reg.DropRank(1)
+	if !reflect.DeepEqual(got, []namespace.Rank{1, 2, 3}) {
+		t.Fatalf("drop changed a published set: %v", got)
+	}
+	if now := reg.Holders("/d"); !reflect.DeepEqual(now, []namespace.Rank{2, 3}) {
+		t.Fatalf("Holders = %v after drop", now)
+	}
+	notify, ok := reg.Revoke("/d")
+	if !ok || !reflect.DeepEqual(notify, []namespace.Rank{2, 3}) {
+		t.Fatalf("Revoke = %v, %v", notify, ok)
+	}
+	if reg.Holders("/d") != nil {
+		t.Fatal("holder set advertised mid-revoke")
+	}
+}
+
+// TestHoldersConcurrent reads published sets on several goroutines while
+// others grant and drop ranks; under -race a write into a published slice
+// shows as a data race.
+func TestHoldersConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	paths := []string{"/a", "/b", "/c"}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				p := paths[(i+w)%len(paths)]
+				reg.Grant(p, namespace.Rank(1+(i*7+w)%5))
+				if i%5 == 4 {
+					reg.DropRank(namespace.Rank(1 + (i+w)%5))
+				}
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				hs := reg.Holders(paths[(i+g)%len(paths)])
+				for j := 1; j < len(hs); j++ {
+					if hs[j-1] >= hs[j] {
+						t.Errorf("holder set %v not strictly sorted", hs)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
 }
 
 func TestWriteIntentBlocksGrant(t *testing.T) {
