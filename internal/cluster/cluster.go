@@ -93,7 +93,7 @@ type Cluster struct {
 	factory  BalancerFactory
 	pool     *rados.Pool
 	retired  []mds.Counters
-	standbys int
+	members  *elastic.Members
 
 	// Monitor is non-nil after EnableFailover.
 	Monitor *mon.Monitor
@@ -104,7 +104,7 @@ type Cluster struct {
 
 	// Reassigns counts bounds moved off dead ranks: by the monitor's
 	// OnFail hook (failover with no standby left) and by an elastic leave
-	// whose draining rank crashed (ForceReassign).
+	// whose draining rank crashed.
 	Reassigns uint64
 
 	// Tel is non-nil after EnableTelemetry.
@@ -155,32 +155,16 @@ func New(cfg Config, factory BalancerFactory) (*Cluster, error) {
 		c.mdsAddrs = append(c.mdsAddrs, simnet.Addr(r))
 	}
 	c.pool = rc.Pool("cephfs_metadata")
+	c.members = elastic.NewMembers(engine, (*host)(c))
 	for r := 0; r < cfg.NumMDS; r++ {
-		m, err := c.buildMDS(namespace.Rank(r))
-		if err != nil {
+		if err := (*host)(c).Build(namespace.Rank(r)); err != nil {
 			return nil, err
 		}
+	}
+	for _, m := range c.MDSs {
 		m.SetClusterSize(cfg.NumMDS)
-		rate := stats.NewRateCounter(fmt.Sprintf("MDS%d", r), cfg.ThroughputWindow)
-		c.perMDS = append(c.perMDS, rate)
-		c.wireMDS(m, rate)
-		c.MDSs = append(c.MDSs, m)
 	}
 	return c, nil
-}
-
-// buildMDS constructs a daemon for a rank using the cluster's factory. The
-// factory's balancer becomes the base version of a balancer.Versioned stack,
-// so later InjectPolicy pushes have a trusted version to fall back to. A
-// single-version stack is a pure pass-through: fault-free runs are
-// bit-identical to an unwrapped balancer.
-func (c *Cluster) buildMDS(rank namespace.Rank) (*mds.MDS, error) {
-	bal, err := c.factory(rank)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: balancer for rank %d: %w", rank, err)
-	}
-	return mds.New(rank, c.mdsAddrs[rank], c.Engine, c.Net, c.NS, c.pool, c.Cfg.MDS,
-		balancer.NewVersioned(bal), c.mdsAddrs), nil
 }
 
 // InjectPolicy compiles p and pushes it as the newest balancer version on
@@ -244,43 +228,6 @@ func (c *Cluster) EnableTelemetry(opts telemetry.Options) *telemetry.Telemetry {
 	return t
 }
 
-// monAddr is where the monitor lives on the shared address space.
-const monAddr = simnet.Addr(1 << 15)
-
-// EnableFailover attaches a monitor with a pool of standby daemons: a rank
-// whose beacons go silent past the grace period is fenced and replaced by a
-// standby, which replays the failed rank's journal before serving (the MON
-// role in the paper's testbed). Call before Run.
-func (c *Cluster) EnableFailover(standbys int, mcfg mon.Config) {
-	c.standbys = standbys
-	c.Monitor = mon.New(monAddr, c.Engine, c.Net, len(c.MDSs), mcfg, c.takeOver)
-	c.Monitor.OnFail = c.reassignSubtrees
-	for r, m := range c.MDSs {
-		m.SetMonitor(monAddr)
-		_ = r
-	}
-}
-
-// reassignSubtrees moves every partition bound owned by a dead rank onto the
-// survivors, round-robin in deterministic path order. The monitor calls it
-// when a rank is declared failed and no standby absorbed the failure —
-// without it, the dead rank's subtrees would stay unanswerable forever.
-func (c *Cluster) reassignSubtrees(failed namespace.Rank) {
-	down := map[namespace.Rank]bool{failed: true}
-	if c.Monitor != nil {
-		for _, r := range c.Monitor.FailedRanks() {
-			down[r] = true
-		}
-	}
-	var live []namespace.Rank
-	for r, m := range c.MDSs {
-		if rank := namespace.Rank(r); !down[rank] && !m.Crashed() {
-			live = append(live, rank)
-		}
-	}
-	c.Reassigns += uint64(c.NS.ReassignBounds(failed, live))
-}
-
 // WedgedMigrations counts export/import state machines still in flight
 // across all live daemons. After a run that should have quiesced, anything
 // non-zero is a wedged migration.
@@ -290,46 +237,6 @@ func (c *Cluster) WedgedMigrations() int {
 		n += m.ExportsInFlight() + m.ImportsInFlight()
 	}
 	return n
-}
-
-// takeOver fences the failed daemon and promotes a standby after journal
-// replay. Returns false when the standby pool is exhausted.
-func (c *Cluster) takeOver(rank namespace.Rank) bool {
-	if c.standbys <= 0 {
-		return false
-	}
-	c.standbys--
-	old := c.MDSs[rank]
-	old.Crash() // fencing: idempotent if it already died
-	replay := c.Cfg.MDS.RecoverBase + sim.Time(old.Journal().Flushed())*c.Cfg.MDS.RecoverPerEntry
-	c.Engine.Schedule(replay, func() {
-		if int(rank) >= len(c.MDSs) {
-			// The elastic coordinator retired the rank while the
-			// standby was replaying (forced leave won the race).
-			c.standbys++
-			return
-		}
-		if c.MDSs[rank] != old || !old.Crashed() {
-			// The rank came back on its own during the replay (e.g. a
-			// fault-plan recovery); return the standby to the pool.
-			c.standbys++
-			return
-		}
-		repl, err := c.buildMDS(rank)
-		if err != nil {
-			// A broken factory cannot be surfaced mid-simulation;
-			// leave the rank down (the monitor keeps reporting it).
-			c.standbys++
-			return
-		}
-		c.retired = append(c.retired, old.Counters)
-		repl.SetClusterSize(len(c.MDSs))
-		c.wireMDS(repl, c.perMDS[rank])
-		repl.Counters.Recoveries++
-		c.MDSs[rank] = repl
-		repl.Start()
-	})
-	return true
 }
 
 // AddClient attaches a closed-loop client running gen.

@@ -1,6 +1,9 @@
 // Package elastic implements the rank membership subsystem: a coordinator
 // that grows and shrinks the active MDS rank pool of a running cluster under
-// policy control, without violating namespace invariants.
+// policy control, without violating namespace invariants, and the monitor's
+// standby takeover and failed-rank reassignment (members.go). All of it is
+// written once for the simulated cluster and the live runtime, over a small
+// per-host seam, Host.
 //
 // Mantle (SC '15) made load *placement* programmable; this package makes
 // membership programmable the same way. A when_elastic Lua hook (see
@@ -38,48 +41,6 @@ import (
 	"mantle/internal/rados"
 	"mantle/internal/sim"
 )
-
-// Host is the cluster surface the coordinator drives. Both the simulated
-// cluster and the live serving runtime implement it; every method is called
-// from the coordinator's clock (the DES engine, or the live runtime's
-// controller actor under the state lock), so implementations need no
-// internal locking beyond what their runtime already provides.
-type Host interface {
-	// ActiveRanks reports the current active rank count.
-	ActiveRanks() int
-	// Metrics returns one signal set per active rank for the hook.
-	Metrics() []core.ElasticRankMetrics
-	// SpawnStandby constructs and network-registers the MDS for a new
-	// rank without starting its balancer tick (the standby phase).
-	SpawnStandby(rank namespace.Rank) error
-	// ActivateRank starts the standby's periodic work and broadcasts the
-	// new active count to every live rank, the monitor, and the request
-	// routers.
-	ActivateRank(rank namespace.Rank, newSize int)
-	// AbortStandby discards a standby that never activated.
-	AbortStandby(rank namespace.Rank)
-	// StartDrain marks an active rank as leaving; it begins exporting
-	// every bound it owns.
-	StartDrain(rank namespace.Rank)
-	// AbortDrain clears the drain mark: the rank returns to full
-	// membership with whatever bounds it still owns.
-	AbortDrain(rank namespace.Rank)
-	// Draining reports whether the rank is currently drain-marked (a
-	// promoted replacement after a mid-drain takeover loses the mark; the
-	// coordinator re-arms it).
-	Draining(rank namespace.Rank) bool
-	// DrainComplete reports whether the rank has fully handed off.
-	DrainComplete(rank namespace.Rank) bool
-	// RankCrashed reports whether the rank's daemon is down.
-	RankCrashed(rank namespace.Rank) bool
-	// RetireRank stops and deregisters the rank and broadcasts the new
-	// active count.
-	RetireRank(rank namespace.Rank, newSize int)
-	// ForceReassign moves every bound still owned by rank onto the
-	// surviving ranks [0, newSize) directly — the completion path when a
-	// draining rank dies mid-handoff.
-	ForceReassign(rank namespace.Rank, newSize int)
-}
 
 // Config tunes the coordinator.
 type Config struct {
@@ -181,7 +142,7 @@ type Counters struct {
 // monitor.
 type Coordinator struct {
 	clock   sim.Clock
-	host    Host
+	m       *Members
 	hook    *core.ElasticHook
 	journal *rados.Journal
 	cfg     Config
@@ -205,10 +166,11 @@ type Coordinator struct {
 	OnEvent func(Event)
 }
 
-// New builds a coordinator. hook may be nil for a cluster driven purely by
+// New builds a coordinator over the cluster's membership; it runs on the
+// membership clock. hook may be nil for a cluster driven purely by
 // Grow/Shrink calls (fault injection, tests); journal may be nil to skip
 // durability (the simulated cluster always passes one).
-func New(clock sim.Clock, host Host, hook *core.ElasticHook, journal *rados.Journal, cfg Config) (*Coordinator, error) {
+func New(m *Members, hook *core.ElasticHook, journal *rados.Journal, cfg Config) (*Coordinator, error) {
 	if cfg.MinRanks < 1 {
 		cfg.MinRanks = 1
 	}
@@ -227,7 +189,7 @@ func New(clock sim.Clock, host Host, hook *core.ElasticHook, journal *rados.Jour
 	if cfg.SustainShrink < 1 {
 		cfg.SustainShrink = 1
 	}
-	return &Coordinator{clock: clock, host: host, hook: hook, journal: journal, cfg: cfg}, nil
+	return &Coordinator{clock: m.clock, m: m, hook: hook, journal: journal, cfg: cfg}, nil
 }
 
 // Epoch reports the number of committed membership changes.
@@ -256,7 +218,7 @@ func (c *Coordinator) Stop() {
 
 // record journals (when configured) and logs one membership event.
 func (c *Coordinator) record(kind EventKind, jk rados.EntryKind, rank namespace.Rank) {
-	ev := Event{T: c.clock.Now(), Kind: kind, Rank: rank, Active: c.host.ActiveRanks()}
+	ev := Event{T: c.clock.Now(), Kind: kind, Rank: rank, Active: c.m.host.Ranks()}
 	c.Events = append(c.Events, ev)
 	if c.journal != nil {
 		c.journal.Append(jk, 64, nil)
@@ -276,10 +238,10 @@ func (c *Coordinator) tick() {
 	}
 	now := c.clock.Now()
 	verdict, err := c.hook.Eval(core.ElasticEnv{
-		Active:   c.host.ActiveRanks(),
+		Active:   c.m.host.Ranks(),
 		MinRanks: c.cfg.MinRanks,
 		MaxRanks: c.cfg.MaxRanks,
-		MDSs:     c.host.Metrics(),
+		MDSs:     c.m.host.Metrics(),
 	})
 	c.Counters.Votes++
 	if err != nil {
@@ -314,11 +276,11 @@ func (c *Coordinator) tick() {
 	}
 }
 
-// Grow begins a join for rank ActiveRanks(). It is exported so the fault
+// Grow begins a join for the next rank. It is exported so the fault
 // harness and tests can force membership changes without a policy vote.
 // Returns false when the pool is at MaxRanks or a transition is in flight.
 func (c *Coordinator) Grow() bool {
-	n := c.host.ActiveRanks()
+	n := c.m.host.Ranks()
 	if c.phase != phaseIdle || n >= c.cfg.MaxRanks {
 		return false
 	}
@@ -327,7 +289,7 @@ func (c *Coordinator) Grow() bool {
 	c.target = rank
 	c.started = c.clock.Now()
 	c.record(EventJoinStart, rados.EntryJoinStart, rank)
-	if err := c.host.SpawnStandby(rank); err != nil {
+	if err := c.m.spawn(rank); err != nil {
 		c.Counters.JoinAborts++
 		c.phase = phaseIdle
 		c.record(EventJoinAbort, rados.EntryJoinAbort, rank)
@@ -345,15 +307,15 @@ func (c *Coordinator) finishJoin() {
 	if c.phase != phaseJoining {
 		return
 	}
-	if c.host.RankCrashed(rank) {
-		c.host.AbortStandby(rank)
+	if c.m.is(rank, Daemon.Crashed) {
+		c.m.retire(rank, int(rank))
 		c.Counters.JoinAborts++
 		c.phase = phaseIdle
 		c.record(EventJoinAbort, rados.EntryJoinAbort, rank)
 		return
 	}
 	newSize := int(rank) + 1
-	c.host.ActivateRank(rank, newSize)
+	c.m.activate(rank, newSize)
 	c.epoch++
 	c.Counters.Grows++
 	c.phase = phaseIdle
@@ -364,7 +326,7 @@ func (c *Coordinator) finishJoin() {
 // Shrink begins a leave for the top rank. Returns false when the pool is at
 // MinRanks (or 1) or a transition is in flight.
 func (c *Coordinator) Shrink() bool {
-	n := c.host.ActiveRanks()
+	n := c.m.host.Ranks()
 	if c.phase != phaseIdle || n <= c.cfg.MinRanks || n <= 1 {
 		return false
 	}
@@ -373,7 +335,7 @@ func (c *Coordinator) Shrink() bool {
 	c.target = rank
 	c.started = c.clock.Now()
 	c.record(EventLeaveStart, rados.EntryLeaveStart, rank)
-	c.host.StartDrain(rank)
+	c.m.host.WithRank(rank, Daemon.StartDrain)
 	c.pollEv = c.clock.Schedule(c.cfg.PollInterval, c.pollLeave)
 	return true
 }
@@ -391,17 +353,17 @@ func (c *Coordinator) pollLeave() {
 	newSize := int(rank)
 	now := c.clock.Now()
 	switch {
-	case c.host.RankCrashed(rank):
-		c.host.ForceReassign(rank, newSize)
-		c.host.RetireRank(rank, newSize)
+	case c.m.is(rank, Daemon.Crashed):
+		c.m.forceReassign(rank, newSize)
+		c.m.retire(rank, newSize)
 		c.epoch++
 		c.Counters.Shrinks++
 		c.Counters.ForcedLeaves++
 		c.phase = phaseIdle
 		c.cooldownTil = now + c.cfg.Cooldown
 		c.record(EventLeaveForced, rados.EntryLeaveCommit, rank)
-	case c.host.DrainComplete(rank):
-		c.host.RetireRank(rank, newSize)
+	case c.m.is(rank, Daemon.DrainComplete):
+		c.m.retire(rank, newSize)
 		c.epoch++
 		c.Counters.Shrinks++
 		c.phase = phaseIdle
@@ -411,16 +373,16 @@ func (c *Coordinator) pollLeave() {
 		// The drain cannot finish (no live donors, or bounds keep
 		// flowing back). Abort: the rank stays active with whatever it
 		// still owns — a consistent, if unshrunk, cluster.
-		c.host.AbortDrain(rank)
+		c.m.host.WithRank(rank, Daemon.AbortDrain)
 		c.Counters.LeaveAborts++
 		c.phase = phaseIdle
 		c.cooldownTil = now + c.cfg.Cooldown
 		c.record(EventLeaveAbort, rados.EntryLeaveAbort, rank)
 	default:
-		if !c.host.Draining(rank) {
+		if !c.m.is(rank, Daemon.Draining) {
 			// A standby takeover rebuilt the daemon without the
 			// drain mark; re-arm so the leave keeps making progress.
-			c.host.StartDrain(rank)
+			c.m.host.WithRank(rank, Daemon.StartDrain)
 		}
 		c.pollEv = c.clock.Schedule(c.cfg.PollInterval, c.pollLeave)
 	}

@@ -5,12 +5,15 @@ import (
 
 	"mantle/internal/core"
 	"mantle/internal/namespace"
+	"mantle/internal/rados"
 	"mantle/internal/sim"
 )
 
 // fakeHost is an in-memory Host: membership is just a counter plus flag
-// maps, so these tests pin the coordinator's own mechanics (sustain,
-// cooldown, single transition in flight, abort paths) without a cluster.
+// maps, and a fakeDaemon reads and writes its rank's flags, so these tests
+// pin the coordinator's own mechanics (sustain, cooldown, single transition
+// in flight, abort paths) through the shared membership steps without a
+// cluster.
 type fakeHost struct {
 	active     int
 	queue      float64
@@ -31,7 +34,33 @@ func newFakeHost(active int) *fakeHost {
 	}
 }
 
-func (h *fakeHost) ActiveRanks() int { return h.active }
+// Ranks counts a warming standby's slot, as the real hosts do.
+func (h *fakeHost) Ranks() int { return h.active + len(h.standbys) }
+
+func (h *fakeHost) WithRank(r namespace.Rank, fn func(Daemon)) { fn(fakeDaemon{h, r}) }
+
+func (h *fakeHost) Build(r namespace.Rank) error {
+	h.standbys[r] = true
+	return nil
+}
+
+func (h *fakeHost) Truncate(n int) {
+	for r := range h.standbys {
+		if int(r) >= n {
+			delete(h.standbys, r)
+		}
+	}
+	h.active = min(h.active, n)
+}
+
+func (h *fakeHost) SetSize(n int) {
+	for r := range h.standbys {
+		if int(r) < n {
+			delete(h.standbys, r)
+		}
+	}
+	h.active = n
+}
 
 func (h *fakeHost) Metrics() []core.ElasticRankMetrics {
 	out := make([]core.ElasticRankMetrics, h.active)
@@ -41,35 +70,31 @@ func (h *fakeHost) Metrics() []core.ElasticRankMetrics {
 	return out
 }
 
-func (h *fakeHost) SpawnStandby(r namespace.Rank) error {
-	h.standbys[r] = true
-	return nil
-}
+func (h *fakeHost) Fence(namespace.Rank) {}
 
-func (h *fakeHost) ActivateRank(r namespace.Rank, newSize int) {
-	delete(h.standbys, r)
-	h.active = newSize
-}
-
-func (h *fakeHost) AbortStandby(r namespace.Rank) { delete(h.standbys, r) }
-
-func (h *fakeHost) StartDrain(r namespace.Rank) { h.draining[r] = true }
-func (h *fakeHost) AbortDrain(r namespace.Rank) { delete(h.draining, r) }
-
-func (h *fakeHost) Draining(r namespace.Rank) bool      { return h.draining[r] }
-func (h *fakeHost) DrainComplete(r namespace.Rank) bool { return h.drained[r] }
-func (h *fakeHost) RankCrashed(r namespace.Rank) bool   { return h.crashed[r] }
-
-func (h *fakeHost) RetireRank(r namespace.Rank, newSize int) {
-	delete(h.draining, r)
-	h.active = newSize
-}
-
-func (h *fakeHost) ForceReassign(r namespace.Rank, newSize int) {
-	h.reassigned = append(h.reassigned, r)
+func (h *fakeHost) Reassign(failed namespace.Rank, _ []namespace.Rank) {
+	h.reassigned = append(h.reassigned, failed)
 }
 
 var _ Host = (*fakeHost)(nil)
+
+type fakeDaemon struct {
+	h *fakeHost
+	r namespace.Rank
+}
+
+func (d fakeDaemon) Start()                  {}
+func (d fakeDaemon) SetClusterSize(int)      {}
+func (d fakeDaemon) StartDrain()             { d.h.draining[d.r] = true }
+func (d fakeDaemon) AbortDrain()             { delete(d.h.draining, d.r) }
+func (d fakeDaemon) Draining() bool          { return d.h.draining[d.r] }
+func (d fakeDaemon) DrainComplete() bool     { return d.h.drained[d.r] }
+func (d fakeDaemon) Crashed() bool           { return d.h.crashed[d.r] }
+func (d fakeDaemon) Fenced() bool            { return d.h.crashed[d.r] }
+func (d fakeDaemon) Retire()                 { delete(d.h.draining, d.r) }
+func (d fakeDaemon) Journal() *rados.Journal { return nil }
+func (d fakeDaemon) ReplayTime() sim.Time    { return 0 }
+func (d fakeDaemon) Epoch() uint64           { return 0 }
 
 func coordCfg() Config {
 	return Config{
@@ -100,7 +125,7 @@ func newCoord(t *testing.T, e *sim.Engine, h Host, cfg Config) *Coordinator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(e, h, hook, nil, cfg)
+	c, err := New(NewMembers(e, h), hook, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"mantle/internal/balancer"
-	"mantle/internal/core"
 	"mantle/internal/elastic"
 	"mantle/internal/mds"
 	"mantle/internal/mon"
@@ -212,15 +211,15 @@ type Runtime struct {
 	// is atomics because daemons consult it from their actor goroutines
 	// while the monitor (controller actor) bumps it — it models state on
 	// the store plane, reachable even when the message plane is cut.
-	// mon, standbys, zombies, takeovers and reassigns are controller-actor
-	// state, guarded by the controller's shard.
-	monitored bool
-	epochs    []atomic.Uint64
-	mon       *mon.Monitor
-	standbys  int
-	zombies   []zombieMDS
-	takeovers []TakeoverEvent
-	reassigns uint64
+	// membership (the standby pool and takeover log with it), mon, zombies
+	// and reassigns are controller-actor state, guarded by the controller's
+	// shard.
+	monitored  bool
+	epochs     []atomic.Uint64
+	membership *elastic.Members
+	mon        *mon.Monitor
+	zombies    []zombieMDS
+	reassigns  uint64
 
 	// repReg is the shared replica placement registry (nil when
 	// Replication is off). Its completion callbacks are dispatched to the
@@ -325,7 +324,7 @@ func New(cfg Config) (*Runtime, error) {
 		})
 	}
 	for r := 0; r < cfg.Ranks; r++ {
-		if _, err := rt.buildRank(r); err != nil {
+		if err := (*host)(rt).Build(namespace.Rank(r)); err != nil {
 			return nil, err
 		}
 	}
@@ -378,70 +377,6 @@ func New(cfg Config) (*Runtime, error) {
 		rt.gen.rtr.seed(hotDirPath, 0)
 	}
 	return rt, nil
-}
-
-// buildRank constructs the actor, clock, object store and MDS for rank r
-// and appends them to the runtime (initial construction and elastic joins).
-// Each rank gets its own object-store instance on its clock, so journal
-// completions post back to the owning actor; journals are rank-named, so
-// nothing is shared between the instances.
-func (rt *Runtime) buildRank(r int) (*mds.MDS, error) {
-	rank := namespace.Rank(r)
-	bal, err := rt.cfg.Factory(rank)
-	if err != nil {
-		return nil, fmt.Errorf("live: balancer for rank %d: %w", r, err)
-	}
-	a := newActor(rt, rt.cfg.MailboxDepth, rt.shards[r])
-	clk := &rankClock{rt: rt, a: a, rng: newRankRand(rt.cfg.Seed, r)}
-	store := rados.NewCluster(clk, rt.cfg.Rados)
-	pool := store.Pool("cephfs_metadata")
-	rt.transport.bind(rt.mdsAddrs[r], a)
-	// Monitored daemons see the transport through a fencing wrapper that
-	// stamps their membership epoch; unmonitored runtimes use the raw
-	// transport, preserving today's behavior exactly.
-	net := simnet.Transport(rt.transport)
-	var epoch uint64
-	if rt.monitored {
-		epoch = rt.epochs[r].Add(1)
-		net = &fencedNet{t: rt.transport, rank: r, epoch: epoch}
-	}
-	m := mds.New(rank, rt.mdsAddrs[r], clk, net, rt.ns, pool,
-		rt.cfg.MDS, balancer.NewVersioned(bal), rt.mdsAddrs)
-	if rt.repReg != nil {
-		// Each rank compiles its own hook (Lua VMs are not goroutine-safe).
-		hook, err := core.NewReplicateHook(rt.cfg.ReplicaPolicy, core.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("live: when_replicate for rank %d: %w", r, err)
-		}
-		maxRep := rt.cfg.ReplicaMax
-		if maxRep <= 0 {
-			maxRep = 2
-		}
-		m.SetReplication(&mds.Replication{
-			Reg:         rt.repReg,
-			When:        hook.Eval,
-			MaxReplicas: maxRep,
-		})
-	}
-	if rt.monitored {
-		rt.wireFencing(m, r, epoch)
-		if rt.mon != nil {
-			// Elastic grow after construction: prime the monitor so a
-			// pre-beacon failure still fences this daemon's epoch.
-			// (Initial ranks are primed in setupMonitor; this path runs
-			// on the controller actor, where monitor state lives.)
-			rt.mon.SetEpoch(rank, epoch)
-		}
-	}
-	limit := rt.cfg.AdmitQueue
-	a.admit = func() bool { return m.QueueLen() < limit }
-	rt.memberMu.Lock()
-	rt.actors = append(rt.actors, a)
-	rt.clocks = append(rt.clocks, clk)
-	rt.mdss = append(rt.mdss, m)
-	rt.radoses = append(rt.radoses, store)
-	rt.memberMu.Unlock()
-	return m, nil
 }
 
 // ctrlShard is the controller actor's state lock (the last shard).

@@ -196,3 +196,64 @@ func TestLiveReplicaPolicyValidation(t *testing.T) {
 		t.Fatal("broken when_replicate accepted")
 	}
 }
+
+// TestTakeoverReplacementKeepsReplication pins that a standby promoted into
+// a replicated cluster serves with replication on: a mutation into a
+// replicated directory the replacement owns must go through
+// revoke-before-write, not apply under the replica another rank serves.
+func TestTakeoverReplacementKeepsReplication(t *testing.T) {
+	cfg := replicaConfig(3, 3000, 2500*time.Millisecond)
+	cfg.Standbys = 1
+	cfg.MonGrace = 600 * time.Millisecond
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory rank 1 owns; rank 0 holds a replica of it once rank 1's
+	// replacement serves.
+	const dir = "/owned1"
+	n, err := rt.ns.CreatePath(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.ns.SetAuthOverride(n, 1)
+	orig := rt.MDS(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		time.Sleep(800 * time.Millisecond)
+		rt.CrashRank(1)
+		for deadline := time.Now().Add(1500 * time.Millisecond); rt.MDS(1) == orig; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				return
+			}
+		}
+		rt.repReg.Grant(dir, 0)
+		addr := rt.gen.addrs[0]
+		rt.transport.Send(addr, rt.mdsAddrs[1],
+			&mds.Request{ID: 1 << 60, Client: addr, Op: mds.OpCreate, Path: dir + "/f"})
+	}()
+	rep, err := rt.Run()
+	<-done
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	repl := rt.MDS(1)
+	if rep.MonTakeovers != 1 || repl == orig {
+		t.Fatalf("takeovers = %d, rank 1 replaced = %v; want one takeover", rep.MonTakeovers, repl != orig)
+	}
+	for r := 0; r < rt.ActiveRanks(); r++ {
+		if !rt.MDS(r).Replicating() {
+			t.Fatalf("rank %d serves without replication after the takeover", r)
+		}
+	}
+	if repl.Counters.ReplicaWriteStalls == 0 {
+		t.Fatal("the replacement applied a mutation into a replicated directory without revoking")
+	}
+	if rep.ReplicaWriteConflicts != 0 {
+		t.Fatalf("CONSISTENCY: %d writes applied over live replicas", rep.ReplicaWriteConflicts)
+	}
+	if rep.InvariantViolation != "" {
+		t.Fatalf("invariants: %s", rep.InvariantViolation)
+	}
+}

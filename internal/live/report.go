@@ -218,8 +218,16 @@ func (rt *Runtime) collect(wedged int) *Report {
 		rep.MonTakeovers = rt.mon.Takeovers
 		rep.StaleBeacons = rt.mon.StaleBeacons
 		rep.Reassigns = rt.reassigns
-		rep.StandbysLeft = rt.standbys
-		rep.Takeovers = append(rep.Takeovers, rt.takeovers...)
+		rep.StandbysLeft = rt.membership.Standbys()
+		for _, to := range rt.membership.Takeovers {
+			rep.Takeovers = append(rep.Takeovers, TakeoverEvent{
+				Rank:           int(to.Rank),
+				Epoch:          to.Epoch,
+				JournalEntries: to.Entries,
+				Replay:         to.Replay.Duration(),
+				MTTR:           (to.Serving - to.Declared).Duration(),
+			})
+		}
 		zombies := append([]zombieMDS(nil), rt.zombies...)
 		cs.Unlock()
 		for _, z := range zombies {

@@ -91,8 +91,11 @@ func (m *MDS) balancerTick() {
 	}
 	// Replica-held load is work this rank does beyond its authority — the
 	// paper's auth/all split, populated for the first time.
+	held := 0
 	if m.rep != nil {
-		hb.All += m.replicaLoad()
+		var load float64
+		load, held = m.replicaLoad()
+		hb.All += load
 	}
 	m.hbData[m.rank] = hb
 	if m.tel != nil {
@@ -120,9 +123,7 @@ func (m *MDS) balancerTick() {
 				Auth: hb.Auth, All: hb.All, CPU: hb.CPU,
 				Mem: hb.Mem, Queue: hb.Queue, Req: hb.Req,
 				Draining: hb.Draining,
-			}
-			if m.rep != nil {
-				b.Load.Replicas = len(m.rep.Reg.HeldPaths(m.rank))
+				Replicas: held,
 			}
 		}
 		m.net.Send(m.addr, m.monAddr, b)

@@ -457,8 +457,7 @@ func (m *MDS) Recover(done func()) {
 		return
 	}
 	m.recovering = true
-	replay := m.cfg.RecoverBase + sim.Time(m.journal.Flushed())*m.cfg.RecoverPerEntry
-	m.engine.Schedule(replay, func() {
+	m.engine.Schedule(m.ReplayTime(), func() {
 		m.recovering = false
 		if m.net.Registered(m.addr) {
 			// Superseded: a replacement daemon owns the rank now.
@@ -479,6 +478,12 @@ func (m *MDS) Recover(done func()) {
 
 // Crashed reports whether the MDS is down.
 func (m *MDS) Crashed() bool { return m.crashed }
+
+// ReplayTime is the modelled cost of replaying this daemon's journal: a
+// fixed base plus a per-entry cost over its durable length.
+func (m *MDS) ReplayTime() sim.Time {
+	return m.cfg.RecoverBase + sim.Time(m.journal.Flushed())*m.cfg.RecoverPerEntry
+}
 
 // SetMonitor makes the MDS send liveness beacons to the monitor each tick.
 func (m *MDS) SetMonitor(addr simnet.Addr) {
@@ -505,6 +510,10 @@ func (m *MDS) Epoch() uint64 { return m.epoch }
 func (m *MDS) superseded() bool {
 	return m.curEpoch != nil && m.curEpoch() > m.epoch
 }
+
+// Fenced reports whether this daemon may no longer serve its rank: it
+// crashed, or the monitor fenced it with a newer epoch.
+func (m *MDS) Fenced() bool { return m.crashed || m.superseded() }
 
 // selfFence is the daemon's reaction to discovering it was replaced (the
 // EBLOCKLISTED respawn in CephFS): crash — releasing frozen migration units

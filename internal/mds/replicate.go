@@ -41,6 +41,9 @@ type Replication struct {
 // SetReplication enables read replication on this rank. Call before Start.
 func (m *MDS) SetReplication(rep *Replication) { m.rep = rep }
 
+// Replicating reports whether read replication is enabled on this rank.
+func (m *MDS) Replicating() bool { return m.rep != nil }
+
 // replicaRead reports whether a misdirected non-mutating request can be
 // served from a local read replica instead of forwarded.
 func (m *MDS) replicaRead(r *Request, res resolved) bool {
@@ -163,12 +166,13 @@ func (m *MDS) releaseWriteIntents(r *Request) {
 }
 
 // replicaLoad sums the metadata load of the directories this rank holds
-// replicas of — the replica share of the "all" load it advertises. The
-// snapshots are read in one batch and summed in path order.
-func (m *MDS) replicaLoad() float64 {
+// replicas of — the replica share of the "all" load it advertises — and
+// reports how many it holds, from one registry scan. The snapshots are read
+// in one batch and summed in path order.
+func (m *MDS) replicaLoad() (load float64, held int) {
 	paths := m.rep.Reg.HeldPaths(m.rank)
 	if len(paths) == 0 {
-		return 0
+		return 0, 0
 	}
 	dirs := make([]*namespace.Node, 0, len(paths))
 	for _, p := range paths {
@@ -178,11 +182,10 @@ func (m *MDS) replicaLoad() float64 {
 	}
 	snaps := make([]namespace.CounterSnapshot, len(dirs))
 	m.ns.Loads(m.engine.Now(), dirs, snaps)
-	var total float64
 	for _, s := range snaps {
-		total += m.metaLoadOf(s)
+		load += m.metaLoadOf(s)
 	}
-	return total
+	return load, len(paths)
 }
 
 // replicaTick is the replication half of the balancer epoch: evaluate

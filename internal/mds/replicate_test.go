@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"mantle/internal/balancer"
+	"mantle/internal/mon"
 	"mantle/internal/replica"
 	"mantle/internal/sim"
+	"mantle/internal/simnet"
 )
 
 // enableReplication wires a shared registry into every rank of the harness
@@ -23,7 +25,7 @@ func enableReplication(h *harness) *replica.Registry {
 }
 
 func TestReplicaReadServedLocally(t *testing.T) {
-	h := newHarness(t, 2, noBal, nil)
+	h := newHarness(t, 2, noBal, func(c *Config) { c.HBAggregated = true })
 	reg := enableReplication(h)
 	h.do(0, OpMkdir, "/a")
 	h.do(0, OpCreate, "/a/f")
@@ -32,6 +34,21 @@ func TestReplicaReadServedLocally(t *testing.T) {
 		t.Fatalf("pre-grant read: err=%q forwards=%d", rep.Err, rep.Forwards)
 	}
 	reg.Grant("/a", 1)
+	// The holder's aggregated beacon carries its replica count, taken
+	// from the same registry scan that prices its replica load.
+	const monAddr = simnet.Addr(500)
+	var beacons []*mon.Beacon
+	h.net.Register(monAddr, simnet.HandlerFunc(func(_ simnet.Addr, msg simnet.Message) {
+		if b, ok := msg.(*mon.Beacon); ok {
+			beacons = append(beacons, b)
+		}
+	}))
+	h.mdss[1].SetMonitor(monAddr)
+	h.mdss[1].balancerTick()
+	h.engine.RunUntilIdle()
+	if len(beacons) != 1 || beacons[0].Load == nil || beacons[0].Load.Replicas != 1 {
+		t.Fatalf("beacons %+v, want one carrying Replicas = 1", beacons)
+	}
 	rep := h.do(1, OpGetattr, "/a/f")
 	if rep.Err != "" || rep.Forwards != 0 {
 		t.Fatalf("replica read: err=%q forwards=%d", rep.Err, rep.Forwards)

@@ -388,14 +388,17 @@ func (m *Monitor) SetEpoch(rank namespace.Rank, epoch uint64) {
 	}
 }
 
-// Promoted grants rank a fresh grace window from now. The sweep's own
-// post-takeover allowance (double grace from the declaration) assumes
-// journal replay is short; a host whose replay can outlast it — the live
-// runtime models replay in wall time — calls Promoted when the replacement
-// actually starts serving, so replay time never eats the first beacon's
-// grace and a slow takeover is not immediately re-declared.
+// Promoted tells the monitor that rank's replacement started serving. The
+// sweep's own post-takeover allowance (double grace from the declaration)
+// assumes journal replay is short; Promoted extends the rank's deadline to a
+// full grace window from now when that is later, so a replay longer than
+// Grace never eats the first beacon's grace and a slow takeover is not
+// re-declared. It never shortens the allowance: after a replay shorter than
+// Grace the deadline stays at declaration + 2×Grace.
 func (m *Monitor) Promoted(rank namespace.Rank) {
-	m.lastSeen[rank] = m.clock.Now()
+	if now := m.clock.Now(); now > m.lastSeen[rank] {
+		m.lastSeen[rank] = now
+	}
 	delete(m.failed, rank)
 }
 

@@ -388,3 +388,58 @@ func TestPromotedGrantsFreshGraceAfterSlowReplay(t *testing.T) {
 		t.Fatal("promoted rank still marked failed")
 	}
 }
+
+// TestPromotedNeverLowersDeadline pins how Promoted and the sweep's own
+// post-takeover allowance combine: the rank's deadline is the later of
+// declaration + 2×Grace and promotion + Grace. A replay shorter than Grace
+// leaves the allowance as the sweep set it; a longer one moves the deadline
+// to promotion + Grace, so the replacement's first beacon is not preempted.
+func TestPromotedNeverLowersDeadline(t *testing.T) {
+	const grace = 2 * sim.Second
+	for _, tc := range []struct {
+		name        string
+		replay      sim.Time
+		firstBeacon sim.Time // 0: the replacement never beacons
+		redeclared  sim.Time // 0: never re-declared
+	}{
+		{"replay shorter than grace", sim.Second, 0, 8 * sim.Second},
+		{"replay between grace and twice grace", 3 * sim.Second, 0, 9 * sim.Second},
+		{"first beacon before promotion plus grace", 3 * sim.Second, 8500 * sim.Millisecond, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, n, m := newMonRig(t, 1, Config{CheckInterval: sim.Second, Grace: grace}, nil)
+			var declared []sim.Time
+			m.takeover = func(r namespace.Rank) bool {
+				declared = append(declared, e.Now())
+				if len(declared) > 1 {
+					return true
+				}
+				e.Schedule(tc.replay, func() { m.Promoted(r) })
+				for s := 0; tc.firstBeacon > 0 && s < 5; s++ {
+					s := s
+					e.Schedule(tc.firstBeacon-e.Now()+sim.Time(s)*sim.Second, func() {
+						beacon(n, m.Addr(), r, uint64(s+1))
+					})
+				}
+				return true
+			}
+			m.Start()
+			e.Run(12 * sim.Second)
+			m.Stop()
+			// Silent from birth: declared on the t=3s sweep, so the
+			// sweep's allowance runs to 3s + 2×Grace = 7s.
+			if len(declared) == 0 || declared[0] != 3*sim.Second {
+				t.Fatalf("declarations at %v, want the first at 3s", declared)
+			}
+			if tc.redeclared == 0 {
+				if len(declared) != 1 || m.RankFailed(0) {
+					t.Fatalf("replacement re-declared before its first beacon: declarations at %v", declared)
+				}
+				return
+			}
+			if len(declared) < 2 || declared[1] != tc.redeclared {
+				t.Fatalf("declarations at %v, want the second at %v", declared, tc.redeclared)
+			}
+		})
+	}
+}

@@ -238,8 +238,9 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseTraceFeatures(t *testing.T) {
-	src := `
+// featureTrace exercises comments, blank lines, case-insensitive op names
+// and a two-path op.
+const featureTrace = `
 # a comment
 
 mkdir /a
@@ -247,7 +248,18 @@ CREATE /a/f
 rename /a/f /a/g
 readdir /a
 `
-	gen, err := ParseTrace(strings.NewReader(src))
+
+// badTraces each fail to parse.
+var badTraces = []string{
+	"explode /a",          // unknown op
+	"create",              // missing path
+	"rename /a",           // missing dst
+	"create relative",     // non-absolute
+	"rename /a /b /extra", // too many args
+}
+
+func TestParseTraceFeatures(t *testing.T) {
+	gen, err := ParseTrace(strings.NewReader(featureTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +276,7 @@ readdir /a
 }
 
 func TestParseTraceErrors(t *testing.T) {
-	cases := []string{
-		"explode /a",          // unknown op
-		"create",              // missing path
-		"rename /a",           // missing dst
-		"create relative",     // non-absolute
-		"rename /a /b /extra", // too many args
-	}
-	for _, src := range cases {
+	for _, src := range badTraces {
 		if _, err := ParseTrace(strings.NewReader(src)); err == nil {
 			t.Errorf("ParseTrace(%q) succeeded, want error", src)
 		}
