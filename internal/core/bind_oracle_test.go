@@ -17,7 +17,9 @@ import (
 // table holds. These tests drive it beside the routine it replaced — bind
 // every field of every rank on every hook, kept here as the oracle — with
 // one random sequence of environment changes and hook calls, and require the
-// same hook results and the same environment tables after every step.
+// same hook results and the same environment tables after every step. The
+// oracle side runs every hook on the tree-walker; the binder's side runs its
+// load hooks as kernels where they compile to one.
 
 // oracleRanks is the old cached MDSs table: the per-rank tables are reused,
 // every field is boxed and stored on every bind.
@@ -40,6 +42,7 @@ func (o *oracleRanks) bind(g *lua.Table, n int, fields func(i int, mt *lua.Table
 		var mt *lua.Table
 		if i < len(o.ranks) {
 			mt = o.ranks[i]
+			o.mdss.SetInt(i+1, mt)
 		} else {
 			mt = lua.NewTable()
 			o.ranks = append(o.ranks, mt)
@@ -125,7 +128,11 @@ func (o *oracleReplicate) Eval(e balancer.ReplicaEnv) (int, error) {
 // pokeLua opens every hook of the differential policies. The test sets the
 // globals poke and pokerank; the hook then misbehaves as asked: it writes a
 // bound field, deletes one, adds a key of its own to a rank's table or to
-// MDSs, or overwrites scalar globals the binder publishes.
+// MDSs, overwrites scalar globals the binder publishes, or puts a table of
+// its own in a rank's slot. (A slot beyond the cluster is a key of the
+// script's own until a bind grows the cluster over it; a tree-walked mdsload
+// binds, a kernel does not, so such a key may outlive a scoring round on one
+// side only. No kernel reads it.)
 const pokeLua = `
 local m = MDSs[pokerank]
 if m then
@@ -135,6 +142,7 @@ if m then
 end
 if poke == 4 then MDSs["note"] = "kept" end
 if poke == 5 then total = -7 whoami = 1 active = -7 end
+if poke == 6 and m then MDSs[pokerank] = {all = 1, q = 2, load = 3} end
 `
 
 var pokePolicy = Policy{
@@ -145,6 +153,16 @@ var pokePolicy = Policy{
 	Where:    pokeLua + `targets[whoami % #MDSs + 1] = MDSs[whoami]["load"] / 2`,
 	HowMuch:  pokeLua + `return {"half", "small"}`,
 }
+
+// pokeKernelPolicy is pokePolicy with an mdsload that runs as a kernel and
+// reads every input a kernel may.
+var pokeKernelPolicy = func() Policy {
+	p := pokePolicy
+	p.Name = "poke_kernel"
+	p.MDSLoad = `MDSs[i]["all"] + MDSs[i]["q"] * 0.5 + total / 8 - whoami + authmetaload - allmetaload / 2 + i ^ 2 +
+		MDSs[i]["auth"] % 7 + MDSs[i]["cpu"] + MDSs[i]["mem"] + MDSs[i]["req"] - MDSs[i]["load"]`
+	return p
+}()
 
 const (
 	pokeElastic = pokeLua + `
@@ -257,14 +275,20 @@ func fmtResult(v any, err error) string {
 
 // family is one hook family under differential test: step applies one
 // scripted change or hook call to both sides and returns what each answered.
+// A kernel skips the bind its tree-walked twin starts with, so after one the
+// two environments may differ until the next binding hook: step sets unbound
+// until then. publish stores what the binder's kernels left behind, as the
+// next tree-walked hook would, before the environments are compared.
 type family struct {
 	name         string
 	fastVM, slow *lua.VM
 	step         func(s *script) (fast, slow string)
+	unbound      bool
+	publish      func()
 }
 
 func setPoke(f *family, s *script) {
-	poke, rank := float64(s.intn(6)), float64(s.intn(10))
+	poke, rank := float64(s.intn(7)), float64(s.intn(10))
 	for _, vm := range []*lua.VM{f.fastVM, f.slow} {
 		vm.Globals.SetString("poke", poke)
 		vm.Globals.SetString("pokerank", rank)
@@ -300,17 +324,32 @@ func resizeMDS(s *script, mdss []balancer.MDSMetrics) []balancer.MDSMetrics {
 	return mdss[:n]
 }
 
-func balanceFamily(t *testing.T) *family {
-	newSide := func() *LuaBalancer {
-		b, err := NewLuaBalancer(pokePolicy, Options{})
+// balanceFamily drives p on the binder's side against the oracle running p
+// with its kernel-shaped load hooks spelled for the tree-walker.
+func balanceFamily(t *testing.T, p Policy) *family {
+	newSide := func(p Policy) *LuaBalancer {
+		b, err := NewLuaBalancer(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	fast, slow := newSide(), &oracleBalancer{LuaBalancer: newSide()}
+	fast := newSide(p)
+	metaKernel, mdsKernel := fast.Kernels()
+	if !metaKernel {
+		t.Fatalf("%s: the metaload does not run as a kernel", p.Name)
+	}
+	tree := p
+	tree.MetaLoad = treeSpelling(p.MetaLoad)
+	if mdsKernel {
+		tree.MDSLoad = treeSpelling(p.MDSLoad)
+	}
+	slow := &oracleBalancer{LuaBalancer: newSide(tree)}
+	if meta, mds := slow.Kernels(); meta || mds {
+		t.Fatalf("%s: the oracle runs a kernel", p.Name)
+	}
 	e := &balancer.Env{MDSs: make([]balancer.MDSMetrics, 3)}
-	f := &family{name: "balance", fastVM: fast.vm, slow: slow.vm}
+	f := &family{name: p.Name, fastVM: fast.vm, slow: slow.vm, publish: fast.publish}
 	f.step = func(s *script) (string, string) {
 		switch s.intn(13) {
 		case 0:
@@ -336,6 +375,7 @@ func balanceFamily(t *testing.T) *family {
 				break
 			}
 			s.seen["rescore"]++
+			f.unbound = f.unbound || mdsKernel
 			r := namespace.Rank(s.intn(len(e.MDSs)))
 			got, gerr := fast.MDSLoad(r, e)
 			slow.bindEnv(e)
@@ -344,16 +384,19 @@ func balanceFamily(t *testing.T) *family {
 			e.Total += got
 			return fmtResult(got, gerr), fmtResult(want, werr)
 		case 8:
+			f.unbound = false
 			got, gerr := fast.When(e)
 			slow.bindEnv(e)
 			want, werr := slow.when()
 			return fmtResult(got, gerr), fmtResult(want, werr)
 		case 9:
+			f.unbound = false
 			got, gerr := fast.Where(e)
 			slow.bindEnv(e)
 			want, werr := slow.where(e)
 			return fmtResult(got, gerr), fmtResult(want, werr)
 		case 10:
+			f.unbound = false
 			got, gerr := fast.HowMuch(e)
 			slow.bindEnv(e)
 			want, werr := slow.howMuch()
@@ -367,6 +410,7 @@ func balanceFamily(t *testing.T) *family {
 			// A whole scoring round: ScoreAll from one bind against the
 			// old binder run once per rank, from the same env.
 			s.seen["scoreall"]++
+			f.unbound = f.unbound || (mdsKernel && len(e.MDSs) > 0)
 			ef, es := cloneEnv(e), cloneEnv(e)
 			gerr := balancer.ScoreAll(fast, ef)
 			var werr error
@@ -401,7 +445,7 @@ func elasticFamily(t *testing.T) *family {
 	}
 	fast, slow := newSide(), &oracleElastic{ElasticHook: newSide()}
 	e := ElasticEnv{Active: 2, MinRanks: 1, MaxRanks: 8, MDSs: make([]ElasticRankMetrics, 2)}
-	f := &family{name: "elastic", fastVM: fast.vm, slow: slow.vm}
+	f := &family{name: "elastic", fastVM: fast.vm, slow: slow.vm, publish: fast.publish}
 	f.step = func(s *script) (string, string) {
 		switch s.intn(8) {
 		case 0, 1:
@@ -441,7 +485,7 @@ func replicateFamily(t *testing.T) *family {
 	}
 	fast, slow := newSide(), &oracleReplicate{ReplicateHook: newSide()}
 	e := balancer.ReplicaEnv{Active: 2, MaxReplicas: 2, Path: "/hot", MDSs: make([]balancer.MDSMetrics, 2)}
-	f := &family{name: "replicate", fastVM: fast.vm, slow: slow.vm}
+	f := &family{name: "replicate", fastVM: fast.vm, slow: slow.vm, publish: fast.publish}
 	f.step = func(s *script) (string, string) {
 		switch s.intn(8) {
 		case 0:
@@ -466,17 +510,21 @@ func replicateFamily(t *testing.T) *family {
 	return f
 }
 
-// runDifferential plays data against all three hook families and returns
+// runDifferential plays data against all four hook families and returns
 // what the run exercised.
 func runDifferential(t *testing.T, data []byte) map[string]int {
 	seen := map[string]int{}
-	for _, f := range []*family{balanceFamily(t), elasticFamily(t), replicateFamily(t)} {
+	for _, f := range []*family{balanceFamily(t, pokePolicy), balanceFamily(t, pokeKernelPolicy), elasticFamily(t), replicateFamily(t)} {
 		s := &script{data: data, seen: seen}
 		for step := 0; s.more(); step++ {
 			fast, slow := f.step(s)
 			if fast != slow {
 				t.Fatalf("%s step %d: binder answered %q, full rebind %q", f.name, step, fast, slow)
 			}
+			if f.unbound {
+				continue
+			}
+			f.publish()
 			if got, want := dumpEnv(f.fastVM), dumpEnv(f.slow); got != want {
 				t.Fatalf("%s step %d: environments differ\nbinder:\n%s\nfull rebind:\n%s", f.name, step, got, want)
 			}
@@ -501,7 +549,7 @@ func TestBindEnvDifferential(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"rescore", "scoreall", "fresh", "grow", "shrink", "nan", "inf", "negzero", "interned",
-		"poke1", "poke2", "poke3", "poke4", "poke5"} {
+		"poke1", "poke2", "poke3", "poke4", "poke5", "poke6"} {
 		if seen[k] == 0 {
 			t.Errorf("the seeded scripts never exercised %q", k)
 		}

@@ -24,10 +24,16 @@ const mdsLoadField = 6
 
 func mdsBits(dst []uint64, mdss []balancer.MDSMetrics) []uint64 {
 	for i := range mdss {
-		m := &mdss[i]
-		dst = append(dst, bits(m.Auth), bits(m.All), bits(m.CPU), bits(m.Mem), bits(m.Queue), bits(m.Req), bits(m.Load))
+		for _, v := range mdsValues(&mdss[i]) {
+			dst = append(dst, bits(v))
+		}
 	}
 	return dst
+}
+
+// mdsValues is one rank's MDSs[i] values in mdsKeys order.
+func mdsValues(m *balancer.MDSMetrics) [7]float64 {
+	return [7]float64{m.Auth, m.All, m.CPU, m.Mem, m.Queue, m.Req, m.Load}
 }
 
 // elasticKeys and elasticBits are MDSs[i] of when_elastic.
@@ -51,6 +57,43 @@ type boundRank struct {
 	writes uint64
 }
 
+// kernel is a hook compiled to Go arithmetic (lua.CompileKernel), with the
+// buffer its inputs are gathered into. A kernel stores no global; but the
+// tree-walked hook it stands for would have left some behind, which a later
+// hook may read. Those are in[:len(leaves)], under the names in leaves, and
+// stale says they have not been stored yet.
+type kernel struct {
+	eval   lua.Kernel
+	in     []float64
+	leaves []lua.Value
+	stale  bool
+}
+
+// compileKernel returns the kernel of chunk over inputs, of which the first
+// len(leaves) are left behind as globals, or nil when chunk is no kernel.
+func (h *hookEnv) compileKernel(chunk *lua.Chunk, inputs []lua.Input, leaves ...lua.Value) *kernel {
+	k := lua.CompileKernel(chunk, h.vm.MaxSteps, inputs)
+	if k == nil {
+		return nil
+	}
+	kn := &kernel{eval: k, in: make([]float64, len(inputs)), leaves: leaves}
+	h.kernels = append(h.kernels, kn)
+	return kn
+}
+
+// publish stores the globals every kernel evaluated since the last publish
+// would have left, so the next tree-walked chunk sees what it would have seen.
+func (h *hookEnv) publish() {
+	for _, k := range h.kernels {
+		if k.stale {
+			for j, name := range k.leaves {
+				h.setNum(name, k.in[j])
+			}
+			k.stale = false
+		}
+	}
+}
+
 // hookEnv is what every hook family evaluates in: a sandboxed VM whose
 // globals persist across invocations, the WRstate/RDstate store, and the
 // cached MDSs table. The MDSs table and its per-rank tables keep their
@@ -68,6 +111,11 @@ type hookEnv struct {
 	// differs from +0); spare is the buffer the next bind's values are
 	// gathered into before the two swap.
 	shadow, spare []uint64
+	// mdssWrites is h.mdss.Writes() as the binder left it; a different count
+	// means a script wrote to MDSs itself, perhaps over a rank's slot.
+	mdssWrites uint64
+	// kernels are the family's hooks that run as Go arithmetic.
+	kernels []*kernel
 
 	// HookErrors counts runtime failures, surfaced by the policy linter,
 	// the MDS log and the elastic coordinator.
@@ -160,7 +208,24 @@ func (h *hookEnv) bindRanks(vals []uint64) {
 		r.writes = r.t.Writes()
 	}
 	h.shadow, h.spare = vals, h.shadow
+	h.restoreSlots()
 	h.vm.Globals.Set("MDSs", h.mdss)
+}
+
+// restoreSlots puts each bound rank's table back into its MDSs slot if a
+// script stored something else there: MDSs[i] is always rank i's table when
+// a hook starts, as its fields are always the caller's values. Keys a script
+// added to MDSs persist.
+func (h *hookEnv) restoreSlots() {
+	if h.mdss.Writes() == h.mdssWrites {
+		return
+	}
+	for i, r := range h.ranks {
+		if h.mdss.GetInt(i+1) != lua.Value(r.t) {
+			h.mdss.SetInt(i+1, r.t)
+		}
+	}
+	h.mdssWrites = h.mdss.Writes()
 }
 
 // rebindField is bindRanks for a caller that changed one value since the
@@ -186,6 +251,7 @@ func (h *hookEnv) rebindField(k, f int, v float64) {
 		}
 		r.writes = r.t.Writes()
 	}
+	h.restoreSlots()
 	h.vm.Globals.Set("MDSs", h.mdss)
 }
 
@@ -193,6 +259,7 @@ func (h *hookEnv) rebindField(k, f int, v float64) {
 // its first return value, so that is all run reports; ok is false when the
 // hook returned nothing.
 func (h *hookEnv) run(c *lua.Chunk) (first lua.Value, ok bool, err error) {
+	h.publish()
 	first, ok, err = h.vm.RunFirst(c)
 	if err != nil {
 		h.HookErrors++

@@ -159,47 +159,62 @@ func TestTargetsTableClearedBetweenInvocations(t *testing.T) {
 // counts rather than timings: one rebalance-shaped round over N ranks — score
 // every rank with MDSLoad, folding each score into the env, then When — used
 // to store 7·N² + 6·N table fields and allocate a box for most of them.
+// Adaptable's mdsload runs as a kernel, which stores nothing; the same hook
+// spelled for the tree-walker is held to the same bounds, and must score
+// every rank to the same bits.
 func TestScoredRoundStaysLinear(t *testing.T) {
 	const n = 64
-	b, err := NewLuaBalancer(AdaptablePolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := envN(n, 0)
-	round := func() {
-		e.Total = 0
-		for r := range e.MDSs {
-			m := &e.MDSs[r]
-			// Every metric of every rank is new this tick.
-			m.Auth, m.All, m.CPU, m.Mem, m.Queue, m.Req, m.Load = m.Auth+0.5, m.All+0.5, m.CPU+0.5, m.Mem+0.5, m.Queue+0.5, m.Req+0.5, 0
-		}
-		for r := range e.MDSs {
-			load, err := b.MDSLoad(namespace.Rank(r), e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.MDSs[r].Load = load
-			e.Total += load
-		}
-		if _, err := b.When(e); err != nil {
+	var scored [2]string
+	for s, mdsLoad := range []string{AdaptablePolicy().MDSLoad, treeSpelling(AdaptablePolicy().MDSLoad)} {
+		p := AdaptablePolicy()
+		p.MDSLoad = mdsLoad
+		b, err := NewLuaBalancer(p, Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	round() // warm: build the tables
-	writes := func() uint64 {
-		w := b.vm.Globals.Writes() + b.mdss.Writes()
-		for _, r := range b.ranks {
-			w += r.t.Writes()
+		if _, kernel := b.Kernels(); kernel != (s == 0) {
+			t.Fatalf("%q runs as a kernel: %v", mdsLoad, kernel)
 		}
-		return w
+		e := envN(n, 0)
+		round := func() {
+			e.Total = 0
+			for r := range e.MDSs {
+				m := &e.MDSs[r]
+				// Every metric of every rank is new this tick.
+				m.Auth, m.All, m.CPU, m.Mem, m.Queue, m.Req, m.Load = m.Auth+0.5, m.All+0.5, m.CPU+0.5, m.Mem+0.5, m.Queue+0.5, m.Req+0.5, 0
+			}
+			for r := range e.MDSs {
+				load, err := b.MDSLoad(namespace.Rank(r), e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.MDSs[r].Load = load
+				e.Total += load
+			}
+			if _, err := b.When(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round() // warm: build the tables
+		scored[s] = envBits(e)
+		writes := func() uint64 {
+			w := b.vm.Globals.Writes() + b.mdss.Writes()
+			for _, r := range b.ranks {
+				w += r.t.Writes()
+			}
+			return w
+		}
+		before := writes()
+		round()
+		if got := writes() - before; got > 16*n {
+			t.Errorf("%q: one %d-rank round made %d table writes, want at most 16·N = %d", mdsLoad, n, got, 16*n)
+		}
+		if got := testing.AllocsPerRun(5, round); got > 1500 {
+			t.Errorf("%q: one %d-rank round made %.0f allocations, want at most 1500", mdsLoad, n, got)
+		}
 	}
-	before := writes()
-	round()
-	if got := writes() - before; got > 16*n {
-		t.Errorf("one %d-rank round made %d table writes, want at most 16·N = %d", n, got, 16*n)
-	}
-	if got := testing.AllocsPerRun(5, round); got > 1500 {
-		t.Errorf("one %d-rank round made %.0f allocations, want at most 1500", n, got)
+	if scored[0] != scored[1] {
+		t.Fatalf("the kernel scored\n%s\nthe tree-walker\n%s", scored[0], scored[1])
 	}
 }
 

@@ -90,11 +90,29 @@ type Options struct {
 	MaxSteps int64
 }
 
+// metaLoadInputs are what a metaload kernel reads, in the order MetaLoad
+// gathers them.
+var metaLoadInputs = []lua.Input{{Name: "IRD"}, {Name: "IWR"}, {Name: "READDIR"}, {Name: "FETCH"}, {Name: "STORE"}}
+
+// mdsLoadInputs are what an mdsload kernel reads, in the order kernelLoad
+// gathers them: i and the four scalars, then MDSs[i][k] for each k in
+// mdsKeys.
+var mdsLoadInputs = func() []lua.Input {
+	in := []lua.Input{{Name: "i"}, {Name: "whoami"}, {Name: "total"}, {Name: "authmetaload"}, {Name: "allmetaload"}}
+	for _, k := range mdsKeys {
+		in = append(in, lua.Input{Name: "MDSs", Index: "i", Key: k.(string)})
+	}
+	return in
+}()
+
 // LuaBalancer runs a Policy. It implements balancer.Balancer.
 type LuaBalancer struct {
 	hookEnv
 	policy Policy
 	chunks [numHooks]*lua.Chunk
+	// metaKernel and mdsKernel are the load hooks compiled to Go arithmetic,
+	// nil for a hook the tree-walker runs.
+	metaKernel, mdsKernel *kernel
 	// targets is cleared, not reallocated, for every where hook.
 	targets *lua.Table
 }
@@ -128,7 +146,22 @@ func NewLuaBalancer(p Policy, opts Options) (*LuaBalancer, error) {
 		}
 		b.chunks[h] = chunk
 	}
+	// A metaload kernel leaves the five counters behind, an mdsload kernel
+	// i. An mdsload kernel skips the bind a tree-walked one starts with,
+	// whose globals only a tree-walked metaload could read before the next
+	// bind (when, where and howmuch bind first), so it needs a metaload
+	// kernel beside it.
+	b.metaKernel = b.compileKernel(b.chunks[hookMetaLoad], metaLoadInputs, "IRD", "IWR", "READDIR", "FETCH", "STORE")
+	if b.metaKernel != nil {
+		b.mdsKernel = b.compileKernel(b.chunks[hookMDSLoad], mdsLoadInputs, "i")
+	}
 	return b, nil
+}
+
+// Kernels reports which load hooks run as Go arithmetic rather than on the
+// interpreter.
+func (b *LuaBalancer) Kernels() (metaLoad, mdsLoad bool) {
+	return b.metaKernel != nil, b.mdsKernel != nil
 }
 
 // Name implements balancer.Balancer.
@@ -159,6 +192,12 @@ func wantNumberResult(h hook, v lua.Value, ok bool) (float64, error) {
 	if !isNum {
 		return 0, fmt.Errorf("mantle: %s returned %v, want number", hookNames[h], lua.TypeOf(v))
 	}
+	return wantFinite(h, n)
+}
+
+// wantFinite is wantNumberResult's check of a number, which is all a
+// kernel's result needs.
+func wantFinite(h hook, n float64) (float64, error) {
 	if math.IsNaN(n) || math.IsInf(n, 0) {
 		return 0, fmt.Errorf("mantle: %s returned %g, want a finite number", hookNames[h], n)
 	}
@@ -166,8 +205,15 @@ func wantNumberResult(h hook, v lua.Value, ok bool) (float64, error) {
 }
 
 // MetaLoad implements balancer.Balancer by evaluating mds_bal_metaload with
-// the dirfrag's counters bound to IRD/IWR/READDIR/FETCH/STORE.
+// the dirfrag's counters bound to IRD/IWR/READDIR/FETCH/STORE (handed to
+// the kernel, when there is one).
 func (b *LuaBalancer) MetaLoad(d namespace.CounterSnapshot) (float64, error) {
+	if k := b.metaKernel; k != nil {
+		in := k.in[:5]
+		in[0], in[1], in[2], in[3], in[4] = d.IRD, d.IWR, d.Readdir, d.Fetch, d.Store
+		k.stale = true
+		return wantFinite(hookMetaLoad, k.eval(in))
+	}
 	b.setNum("IRD", d.IRD)
 	b.setNum("IWR", d.IWR)
 	b.setNum("READDIR", d.Readdir)
@@ -183,15 +229,45 @@ func (b *LuaBalancer) MetaLoad(d namespace.CounterSnapshot) (float64, error) {
 // MDSLoad implements balancer.Balancer by evaluating mds_bal_mdsload with
 // the global i set to the 1-based rank being scored.
 func (b *LuaBalancer) MDSLoad(rank namespace.Rank, e *balancer.Env) (float64, error) {
+	if b.mdsKernel != nil {
+		return b.kernelLoad(e, int(rank))
+	}
 	b.bindEnv(e)
 	return b.mdsLoad(rank)
 }
 
-// ScoreRanks implements balancer.Scorer. It binds e once. Between two ranks
-// the environment a loop of MDSLoad calls would bind differs only in the
+// kernelLoad is MDSLoad through the mdsload kernel, reading e directly. Of
+// what a bind does it keeps the one effect that is not a global: the state
+// store.
+func (b *LuaBalancer) kernelLoad(e *balancer.Env, r int) (float64, error) {
+	if e.State != nil {
+		b.state = e.State
+	}
+	k := b.mdsKernel
+	in := k.in[:5+len(mdsKeys)]
+	in[0], in[1], in[2], in[3], in[4] = float64(r)+1, float64(e.WhoAmI)+1, e.Total, e.AuthMetaLoad, e.AllMetaLoad
+	vals := mdsValues(&e.MDSs[r])
+	copy(in[5:], vals[:])
+	k.stale = true
+	return wantFinite(hookMDSLoad, k.eval(in))
+}
+
+// ScoreRanks implements balancer.Scorer. A kernel reads each rank from e
+// and binds nothing. The tree-walker binds e once: between two ranks the
+// environment a loop of MDSLoad calls would bind differs only in the
 // previous rank's load and in total, so only those are stored again, with
 // the scalars, the MDSs global and any rank table a script clobbered.
 func (b *LuaBalancer) ScoreRanks(e *balancer.Env, from int) (int, error) {
+	if b.mdsKernel != nil {
+		for r := from; r < len(e.MDSs); r++ {
+			load, err := b.kernelLoad(e, r)
+			if err != nil {
+				return r, err
+			}
+			e.Score(r, load)
+		}
+		return len(e.MDSs), nil
+	}
 	// The scalars that stay put are boxed once and stored again per rank.
 	who, am, al := lua.Box(float64(e.WhoAmI)+1), lua.Box(e.AuthMetaLoad), lua.Box(e.AllMetaLoad)
 	for r := from; r < len(e.MDSs); r++ {

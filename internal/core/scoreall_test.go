@@ -132,16 +132,28 @@ type scoreSide struct {
 	vb       *balancer.Versioned
 }
 
-func newScoreSide(t *testing.T, scripts []string) *scoreSide {
+// kernelScripts are the scripts above that run as kernels.
+var kernelScripts = map[string]bool{"plain": true, "negative": true}
+
+// newScoreSide builds a side; tree spells its kernel scripts for the
+// tree-walker.
+func newScoreSide(t *testing.T, scripts []string, tree bool) *scoreSide {
 	s := &scoreSide{}
 	for i, name := range scripts {
+		src := scoreScripts[name]
+		if tree && kernelScripts[name] {
+			src = treeSpelling(src)
+		}
 		lb, err := NewLuaBalancer(Policy{
 			Name:    fmt.Sprintf("v%d_%s", i, name),
-			MDSLoad: scoreScripts[name],
+			MDSLoad: src,
 			When:    `return total > 0 and MDSs[whoami]["load"] >= total / #MDSs`,
 		}, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, kernel := lb.Kernels(); kernel != (kernelScripts[name] && !tree) {
+			t.Fatalf("%s (tree spelling: %v) runs as a kernel: %v", name, tree, kernel)
 		}
 		s.versions = append(s.versions, lb)
 	}
@@ -154,6 +166,15 @@ func newScoreSide(t *testing.T, scripts []string) *scoreSide {
 		s.bal = s.vb
 	}
 	return s
+}
+
+// demotions is the line of a state that names the active version and the
+// demotions ("" for a side of one version).
+func demotions(state string) string {
+	if i := strings.LastIndex(state, "\nactive "); i >= 0 {
+		return state[i+1:]
+	}
+	return ""
 }
 
 // state renders every version's hook environment and the demotions.
@@ -183,28 +204,41 @@ func TestScoreAllMatchesLoop(t *testing.T) {
 		for seed := int64(1); seed <= 8; seed++ {
 			name := fmt.Sprintf("%s/seed%d", strings.Join(stack, "+"), seed)
 			rng := rand.New(rand.NewSource(seed))
-			fast, slow := newScoreSide(t, stack), newScoreSide(t, stack)
+			fast, slow := newScoreSide(t, stack, false), newScoreSide(t, stack, false)
+			// The stack with its kernels spelled for the tree-walker: it
+			// must score to the same bits and decide the same.
+			tree := newScoreSide(t, stack, true)
 			// Several ticks on the same balancers, so the binder's cached
 			// tables and shadow carry over from one scoring to the next.
 			for tick := 0; tick < 6; tick++ {
 				e := scoreEnv(rng, tick%3 == 2)
 				errat := float64(1 + rng.Intn(len(e.MDSs)+2))
-				for _, side := range []*scoreSide{fast, slow} {
+				for _, side := range []*scoreSide{fast, slow, tree} {
 					for _, lb := range side.versions {
 						lb.vm.Globals.SetString("errat", errat)
 					}
 				}
-				ef, es := cloneEnv(e), cloneEnv(e)
+				ef, es, et := cloneEnv(e), cloneEnv(e), cloneEnv(e)
 				gotErr := balancer.ScoreAll(fast.bal, ef)
 				wantErr := loopScore(slow.bal, es)
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Fatalf("%s tick %d: ScoreAll error %v, loop error %v", name, tick, gotErr, wantErr)
+				treeErr := balancer.ScoreAll(tree.bal, et)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(gotErr) != fmt.Sprint(treeErr) {
+					t.Fatalf("%s tick %d: ScoreAll error %v, loop error %v, tree-walked ScoreAll error %v", name, tick, gotErr, wantErr, treeErr)
 				}
 				if got, want := envBits(ef), envBits(es); got != want {
 					t.Fatalf("%s tick %d: ScoreAll left env\n%s\nthe loop\n%s", name, tick, got, want)
 				}
-				if got, want := fast.state(), slow.state(); got != want {
+				if got, want := envBits(ef), envBits(et); got != want {
+					t.Fatalf("%s tick %d: ScoreAll left env\n%s\nthe tree-walker\n%s", name, tick, got, want)
+				}
+				got := fast.state()
+				if want := slow.state(); got != want {
 					t.Fatalf("%s tick %d: hook state after ScoreAll\n%s\nafter the loop\n%s", name, tick, got, want)
+				}
+				// Until the next bind the tree-walker's globals hold what
+				// scoring bound; the demotions must agree now.
+				if got, want := demotions(got), demotions(tree.state()); got != want {
+					t.Fatalf("%s tick %d: after ScoreAll %s, on the tree-walker %s", name, tick, got, want)
 				}
 				// The next hook binds the scored env over what scoring left.
 				gotWhen, gerr := fast.bal.When(ef)
@@ -212,8 +246,16 @@ func TestScoreAllMatchesLoop(t *testing.T) {
 				if gotWhen != wantWhen || fmt.Sprint(gerr) != fmt.Sprint(werr) {
 					t.Fatalf("%s tick %d: When %v/%v after ScoreAll, %v/%v after the loop", name, tick, gotWhen, gerr, wantWhen, werr)
 				}
-				if got, want := fast.state(), slow.state(); got != want {
+				treeWhen, terr := tree.bal.When(et)
+				if gotWhen != treeWhen || fmt.Sprint(gerr) != fmt.Sprint(terr) {
+					t.Fatalf("%s tick %d: When %v/%v after ScoreAll, %v/%v on the tree-walker", name, tick, gotWhen, gerr, treeWhen, terr)
+				}
+				got = fast.state()
+				if want := slow.state(); got != want {
 					t.Fatalf("%s tick %d: hook state after When\n%s\nwant\n%s", name, tick, got, want)
+				}
+				if want := tree.state(); got != want {
+					t.Fatalf("%s tick %d: hook state after When\n%s\non the tree-walker\n%s", name, tick, got, want)
 				}
 			}
 		}
@@ -223,7 +265,7 @@ func TestScoreAllMatchesLoop(t *testing.T) {
 // TestScoreAllDemotesAtTheFailingRank pins the resume point: ranks before
 // the failure keep the demoted version's scores, the rest get the base's.
 func TestScoreAllDemotesAtTheFailingRank(t *testing.T) {
-	side := newScoreSide(t, []string{"plain", "error_at"})
+	side := newScoreSide(t, []string{"plain", "error_at"}, false)
 	for _, lb := range side.versions {
 		lb.vm.Globals.SetString("errat", 3.0)
 	}
@@ -247,34 +289,48 @@ func TestScoreAllDemotesAtTheFailingRank(t *testing.T) {
 }
 
 // TestScoredTickAllocs pins what a 64-rank Adaptable scoring round plus its
-// When costs in heap objects once the tables exist: three boxes per rank —
-// the bind stores each rank's changed "all", and scoring stores the rank's
-// load and the running total — and a handful for When. The per-rank MDSLoad
-// loop, with a scope, a result slice and four scalar boxes per call, made
-// 781.
+// When costs in heap objects once the tables exist: at most three boxes per
+// rank — the bind stores each rank's changed "all", and scoring stores the
+// rank's load and the running total — and a handful for When. The per-rank
+// MDSLoad loop, with a scope, a result slice and four scalar boxes per call,
+// made 781. Adaptable's mdsload runs as a kernel, which stores nothing while
+// scoring; the same hook spelled for the tree-walker is held to the same
+// bound, and must score every rank to the same bits.
 func TestScoredTickAllocs(t *testing.T) {
 	const n = 64
-	b, err := NewLuaBalancer(AdaptablePolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := envN(n, 0.25)
-	round := func() {
-		e.Total = 0
-		for r := range e.MDSs {
-			m := &e.MDSs[r]
-			m.All, m.Load = m.All+0.5, 0
-		}
-		if err := balancer.ScoreAll(b, e); err != nil {
+	var scored [2]string
+	for s, mdsLoad := range []string{AdaptablePolicy().MDSLoad, treeSpelling(AdaptablePolicy().MDSLoad)} {
+		p := AdaptablePolicy()
+		p.MDSLoad = mdsLoad
+		b, err := NewLuaBalancer(p, Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.When(e); err != nil {
-			t.Fatal(err)
+		if _, kernel := b.Kernels(); kernel != (s == 0) {
+			t.Fatalf("%q runs as a kernel: %v", mdsLoad, kernel)
+		}
+		e := envN(n, 0.25)
+		round := func() {
+			e.Total = 0
+			for r := range e.MDSs {
+				m := &e.MDSs[r]
+				m.All, m.Load = m.All+0.5, 0
+			}
+			if err := balancer.ScoreAll(b, e); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.When(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round()
+		scored[s] = envBits(e)
+		const limit = 3*n + 16
+		if got := testing.AllocsPerRun(20, round); got > limit {
+			t.Errorf("%q: a %d-rank ScoreAll + When made %.0f allocations, want at most 3·N + 16 = %d", mdsLoad, n, got, limit)
 		}
 	}
-	round()
-	const limit = 3*n + 16
-	if got := testing.AllocsPerRun(20, round); got > limit {
-		t.Errorf("a %d-rank ScoreAll + When made %.0f allocations, want at most 3·N + 16 = %d", n, got, limit)
+	if scored[0] != scored[1] {
+		t.Fatalf("the kernel scored\n%s\nthe tree-walker\n%s", scored[0], scored[1])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mantle/internal/balancer"
+	"mantle/internal/lua"
 	"mantle/internal/namespace"
 )
 
@@ -20,6 +21,9 @@ type ValidationReport struct {
 	WhenTrueStates int
 	// StatesTried is the number of synthetic cluster states evaluated.
 	StatesTried int
+	// Runs says, for each load hook of a policy that compiled, whether it
+	// runs as Go arithmetic or on the interpreter.
+	Runs []string
 }
 
 // OK reports whether validation found no problems.
@@ -30,13 +34,24 @@ func (r *ValidationReport) String() string {
 	var b strings.Builder
 	if r.OK() {
 		fmt.Fprintf(&b, "policy OK: %d/%d synthetic states would migrate\n", r.WhenTrueStates, r.StatesTried)
-		return b.String()
+	} else {
+		fmt.Fprintf(&b, "policy has %d problem(s):\n", len(r.Problems))
+		for _, p := range r.Problems {
+			fmt.Fprintf(&b, "  - %s\n", p)
+		}
 	}
-	fmt.Fprintf(&b, "policy has %d problem(s):\n", len(r.Problems))
-	for _, p := range r.Problems {
-		fmt.Fprintf(&b, "  - %s\n", p)
+	for _, run := range r.Runs {
+		fmt.Fprintf(&b, "%s\n", run)
 	}
 	return b.String()
+}
+
+// runsAs describes how one load hook runs.
+func runsAs(h hook, kernel bool) string {
+	if kernel {
+		return hookNames[h] + " runs as a kernel (Go arithmetic)"
+	}
+	return hookNames[h] + " runs on the interpreter"
 }
 
 // syntheticEnvs builds a spread of cluster states: idle, balanced, skewed,
@@ -98,6 +113,11 @@ func Validate(p Policy) *ValidationReport {
 	if err != nil {
 		rep.Problems = append(rep.Problems, err.Error())
 		return rep
+	}
+	meta, mds := lb.Kernels()
+	rep.Runs = []string{runsAs(hookMetaLoad, meta), runsAs(hookMDSLoad, mds)}
+	if !meta && lua.CompileKernel(lb.chunks[hookMDSLoad], lb.vm.MaxSteps, mdsLoadInputs) != nil {
+		rep.Runs[1] += ": it is kernel arithmetic, but an mdsload kernel needs a metaload kernel beside it"
 	}
 	seen := map[string]bool{}
 	add := func(format string, args ...any) {

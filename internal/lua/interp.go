@@ -662,21 +662,7 @@ func (vm *VM) evalBin(ex *binExpr, env *scope) Value {
 		if !rok {
 			vm.errf(ex.line, "attempt to perform arithmetic on a %v value", TypeOf(r))
 		}
-		switch ex.op {
-		case tokPlus:
-			return Box(ln + rn)
-		case tokMinus:
-			return Box(ln - rn)
-		case tokStar:
-			return Box(ln * rn)
-		case tokSlash:
-			return Box(ln / rn)
-		case tokPercent:
-			// Lua %: result has the sign of the divisor.
-			return Box(ln - math.Floor(ln/rn)*rn)
-		case tokCaret:
-			return Box(math.Pow(ln, rn))
-		}
+		return Box(arith(ex.op, ln, rn))
 	case tokConcat:
 		ls, lok := concatString(l)
 		rs, rok := concatString(r)
@@ -756,7 +742,7 @@ func (vm *VM) evalUn(ex *unExpr, env *scope) Value {
 		if !ok {
 			vm.errf(ex.line, "attempt to perform arithmetic on a %v value", TypeOf(v))
 		}
-		return Box(-n)
+		return Box(negate(n))
 	case tokNot:
 		return !Truthy(v)
 	case tokHash:

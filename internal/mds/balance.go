@@ -412,13 +412,27 @@ func (m *MDS) childUnits(out []exportUnit, dir *namespace.Node) []exportUnit {
 }
 
 // priced sets each unit's load to the metaload policy's value of its
-// counters (a fragment's own, a directory's aggregate), in unit order.
+// counters (a fragment's own, a directory's aggregate), in unit order. The
+// directory units' snapshots are read in one batch: one write hold and one
+// op-log flush, not one of each per unit.
 func (m *MDS) priced(units []exportUnit) []exportUnit {
 	now := m.engine.Now()
+	var dirs []*namespace.Node
+	for _, u := range units {
+		if !u.isFrag {
+			dirs = append(dirs, u.dir)
+		}
+	}
+	var snaps []namespace.CounterSnapshot
+	if len(dirs) > 0 {
+		snaps = make([]namespace.CounterSnapshot, len(dirs))
+		m.ns.Loads(now, dirs, snaps)
+	}
 	for i := range units {
 		u := &units[i]
 		if !u.isFrag {
-			u.load = m.metaLoadOf(u.dir.Load(now))
+			u.load = m.metaLoadOf(snaps[0])
+			snaps = snaps[1:]
 		} else if fs, ok := u.dir.FragStateOf(u.frag); ok {
 			u.load = m.metaLoadOf(fs.Counters.Snapshot(now))
 		}

@@ -37,44 +37,42 @@ func (k OpKind) String() string {
 }
 
 // Counters is the set of decaying popularity counters CephFS keeps per
-// directory (and, here, per dirfrag).
+// directory (and, here, per dirfrag). The five share one half-life, kept
+// here once rather than in each counter.
 type Counters struct {
-	c [numOpKinds]stats.DecayCounter
+	c        [numOpKinds]stats.DecayCounter
+	halfLife sim.Time
 }
 
 // NewCounters returns counters with the given half-life.
 func NewCounters(halfLife sim.Time) Counters {
-	var cs Counters
-	for i := range cs.c {
-		cs.c[i] = stats.NewDecayCounter(halfLife)
-	}
-	return cs
+	return Counters{halfLife: halfLife}
 }
 
 // Hit records one operation of kind k at time now.
-func (cs *Counters) Hit(k OpKind, now sim.Time) { cs.c[k].Hit(now, 1) }
+func (cs *Counters) Hit(k OpKind, now sim.Time) { cs.c[k].Hit(now, 1, cs.halfLife) }
 
 // Get reports the decayed value of counter k.
-func (cs *Counters) Get(k OpKind, now sim.Time) float64 { return cs.c[k].Get(now) }
+func (cs *Counters) Get(k OpKind, now sim.Time) float64 { return cs.c[k].Get(now, cs.halfLife) }
 
 // Seed adds a snapshot's values into the counters at time now; used when a
 // fragment split divides a parent frag's heat among its children.
 func (cs *Counters) Seed(s CounterSnapshot, now sim.Time) {
-	cs.c[OpIRD].Hit(now, s.IRD)
-	cs.c[OpIWR].Hit(now, s.IWR)
-	cs.c[OpReaddir].Hit(now, s.Readdir)
-	cs.c[OpFetch].Hit(now, s.Fetch)
-	cs.c[OpStore].Hit(now, s.Store)
+	cs.c[OpIRD].Hit(now, s.IRD, cs.halfLife)
+	cs.c[OpIWR].Hit(now, s.IWR, cs.halfLife)
+	cs.c[OpReaddir].Hit(now, s.Readdir, cs.halfLife)
+	cs.c[OpFetch].Hit(now, s.Fetch, cs.halfLife)
+	cs.c[OpStore].Hit(now, s.Store, cs.halfLife)
 }
 
 // Snapshot captures all counters at time now.
 func (cs *Counters) Snapshot(now sim.Time) CounterSnapshot {
 	return CounterSnapshot{
-		IRD:     cs.c[OpIRD].Get(now),
-		IWR:     cs.c[OpIWR].Get(now),
-		Readdir: cs.c[OpReaddir].Get(now),
-		Fetch:   cs.c[OpFetch].Get(now),
-		Store:   cs.c[OpStore].Get(now),
+		IRD:     cs.Get(OpIRD, now),
+		IWR:     cs.Get(OpIWR, now),
+		Readdir: cs.Get(OpReaddir, now),
+		Fetch:   cs.Get(OpFetch, now),
+		Store:   cs.Get(OpStore, now),
 	}
 }
 

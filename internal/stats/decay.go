@@ -13,26 +13,21 @@ import (
 // DecayCounter is an exponentially decaying counter equivalent to the
 // popularity counters CephFS stores in each directory. A hit adds weight;
 // the value halves every half-life. Decay is applied lazily on access, so
-// idle counters cost nothing.
+// idle counters cost nothing. The counter does not store its half-life:
+// counters that share one (a namespace has one) keep it once and pass it to
+// every call. A zero or negative half-life never decays.
 type DecayCounter struct {
-	val      float64
-	last     sim.Time
-	halfLife sim.Time
-}
-
-// NewDecayCounter returns a counter with the given half-life. A zero or
-// negative half-life yields a counter that never decays.
-func NewDecayCounter(halfLife sim.Time) DecayCounter {
-	return DecayCounter{halfLife: halfLife}
+	val  float64
+	last sim.Time
 }
 
 // decayTo folds elapsed time into val.
-func (c *DecayCounter) decayTo(now sim.Time) {
+func (c *DecayCounter) decayTo(now, halfLife sim.Time) {
 	if now <= c.last {
 		return
 	}
-	if c.halfLife > 0 && c.val != 0 {
-		elapsed := float64(now-c.last) / float64(c.halfLife)
+	if halfLife > 0 && c.val != 0 {
+		elapsed := float64(now-c.last) / float64(halfLife)
 		c.val *= math.Exp2(-elapsed)
 		if c.val < 1e-9 {
 			c.val = 0
@@ -42,14 +37,14 @@ func (c *DecayCounter) decayTo(now sim.Time) {
 }
 
 // Hit adds delta at time now.
-func (c *DecayCounter) Hit(now sim.Time, delta float64) {
-	c.decayTo(now)
+func (c *DecayCounter) Hit(now sim.Time, delta float64, halfLife sim.Time) {
+	c.decayTo(now, halfLife)
 	c.val += delta
 }
 
 // Get reports the decayed value at time now.
-func (c *DecayCounter) Get(now sim.Time) float64 {
-	c.decayTo(now)
+func (c *DecayCounter) Get(now, halfLife sim.Time) float64 {
+	c.decayTo(now, halfLife)
 	return c.val
 }
 
@@ -58,6 +53,3 @@ func (c *DecayCounter) Reset(now sim.Time) {
 	c.val = 0
 	c.last = now
 }
-
-// HalfLife reports the configured half-life.
-func (c *DecayCounter) HalfLife() sim.Time { return c.halfLife }

@@ -12,61 +12,64 @@ import (
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestDecayCounterHalves(t *testing.T) {
-	c := NewDecayCounter(10 * sim.Second)
-	c.Hit(0, 100)
-	if got := c.Get(10 * sim.Second); !almostEqual(got, 50, 1e-9) {
+	const hl = 10 * sim.Second
+	var c DecayCounter
+	c.Hit(0, 100, hl)
+	if got := c.Get(10*sim.Second, hl); !almostEqual(got, 50, 1e-9) {
 		t.Fatalf("after one half-life got %v, want 50", got)
 	}
-	if got := c.Get(30 * sim.Second); !almostEqual(got, 12.5, 1e-9) {
+	if got := c.Get(30*sim.Second, hl); !almostEqual(got, 12.5, 1e-9) {
 		t.Fatalf("after three half-lives got %v, want 12.5", got)
 	}
 }
 
 func TestDecayCounterAccumulates(t *testing.T) {
-	c := NewDecayCounter(10 * sim.Second)
-	c.Hit(0, 8)
-	c.Hit(10*sim.Second, 6) // 8 decayed to 4, plus 6 = 10
-	if got := c.Get(10 * sim.Second); !almostEqual(got, 10, 1e-9) {
+	const hl = 10 * sim.Second
+	var c DecayCounter
+	c.Hit(0, 8, hl)
+	c.Hit(10*sim.Second, 6, hl) // 8 decayed to 4, plus 6 = 10
+	if got := c.Get(10*sim.Second, hl); !almostEqual(got, 10, 1e-9) {
 		t.Fatalf("got %v, want 10", got)
 	}
 }
 
 func TestDecayCounterNoDecay(t *testing.T) {
-	c := NewDecayCounter(0)
-	c.Hit(0, 5)
-	c.Hit(100*sim.Second, 5)
-	if got := c.Get(1000 * sim.Second); got != 10 {
+	var c DecayCounter
+	c.Hit(0, 5, 0)
+	c.Hit(100*sim.Second, 5, 0)
+	if got := c.Get(1000*sim.Second, 0); got != 10 {
 		t.Fatalf("no-decay counter got %v, want 10", got)
 	}
 }
 
 func TestDecayCounterReset(t *testing.T) {
-	c := NewDecayCounter(sim.Second)
-	c.Hit(0, 42)
+	var c DecayCounter
+	c.Hit(0, 42, sim.Second)
 	c.Reset(sim.Second)
-	if c.Get(sim.Second) != 0 {
+	if c.Get(sim.Second, sim.Second) != 0 {
 		t.Fatal("reset did not zero counter")
 	}
 }
 
 func TestDecayCounterUnderflowToZero(t *testing.T) {
-	c := NewDecayCounter(sim.Millisecond)
-	c.Hit(0, 1)
-	if got := c.Get(10 * sim.Second); got != 0 {
+	var c DecayCounter
+	c.Hit(0, 1, sim.Millisecond)
+	if got := c.Get(10*sim.Second, sim.Millisecond); got != 0 {
 		t.Fatalf("tiny residue should clamp to zero, got %v", got)
 	}
 }
 
 // Property: decay is monotone nonincreasing without hits, and never negative.
 func TestDecayMonotoneProperty(t *testing.T) {
+	const hl = 5 * sim.Second
 	f := func(initial uint32, steps []uint16) bool {
-		c := NewDecayCounter(5 * sim.Second)
-		c.Hit(0, float64(initial%10000))
+		var c DecayCounter
+		c.Hit(0, float64(initial%10000), hl)
 		now := sim.Time(0)
-		prev := c.Get(0)
+		prev := c.Get(0, hl)
 		for _, s := range steps {
 			now += sim.Time(s)
-			v := c.Get(now)
+			v := c.Get(now, hl)
 			if v < 0 || v > prev+1e-9 {
 				return false
 			}
@@ -81,15 +84,16 @@ func TestDecayMonotoneProperty(t *testing.T) {
 
 // Property: splitting an interval in two gives the same decay as one step.
 func TestDecayCompositionProperty(t *testing.T) {
+	const hl = 7 * sim.Second
 	f := func(a, b uint16) bool {
-		c1 := NewDecayCounter(7 * sim.Second)
-		c1.Hit(0, 1000)
-		one := c1.Get(sim.Time(a) + sim.Time(b))
+		var c1 DecayCounter
+		c1.Hit(0, 1000, hl)
+		one := c1.Get(sim.Time(a)+sim.Time(b), hl)
 
-		c2 := NewDecayCounter(7 * sim.Second)
-		c2.Hit(0, 1000)
-		c2.Get(sim.Time(a))
-		two := c2.Get(sim.Time(a) + sim.Time(b))
+		var c2 DecayCounter
+		c2.Hit(0, 1000, hl)
+		c2.Get(sim.Time(a), hl)
+		two := c2.Get(sim.Time(a)+sim.Time(b), hl)
 		return almostEqual(one, two, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
