@@ -31,7 +31,7 @@ func (ns *Namespace) EffectiveAuth(n *Node) Rank {
 // so racing stores are idempotent.
 func (ns *Namespace) effAuthOf(n *Node) Rank {
 	if !n.IsDir() {
-		parent := n.parent
+		parent := n.parent.Load()
 		if parent == nil {
 			return 0
 		}
@@ -57,7 +57,7 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 			rank = cur.dir.authOverride
 			break
 		}
-		parent := cur.parent
+		parent := cur.parent.Load()
 		if parent == nil {
 			// Root without a label (cannot happen via the public
 			// API); fall back to rank 0.
@@ -71,7 +71,7 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 		cur = parent
 	}
 	word := packEff(ns.authGen, rank)
-	for c := n; ; c = c.parent {
+	for c := n; ; c = c.parent.Load() {
 		c.dir.effMemo.Store(word)
 		if c == cur {
 			break
@@ -105,7 +105,7 @@ func (ns *Namespace) setAuthOverrideLocked(n *Node, rank Rank) {
 	if !n.IsDir() {
 		panic("namespace: authority labels attach to directories")
 	}
-	if n.parent == nil {
+	if n.parent.Load() == nil {
 		// The root's label always stays explicit. Every directory that
 		// inherits from it may now count a different owner.
 		n.dir.authOverride = rank
@@ -242,7 +242,7 @@ func (ns *Namespace) FrozenFor(dir *Node, name string) bool {
 		return true
 	}
 	if ns.frozenDirs > 0 {
-		for cur := dir; cur != nil; cur = cur.parent {
+		for cur := dir; cur != nil; cur = cur.parent.Load() {
 			if cur.dir.frozen {
 				return true
 			}
@@ -345,7 +345,7 @@ func (ns *Namespace) ReassignBounds(rank Rank, to []Rank) int {
 // nearestEnclosingBound finds the subtree root that owns n's parent chain,
 // excluding n's own label.
 func (ns *Namespace) nearestEnclosingBound(n *Node) (*Node, bool) {
-	for cur := n.parent; cur != nil; cur = cur.parent {
+	for cur := n.parent.Load(); cur != nil; cur = cur.parent.Load() {
 		if cur.dir.authOverride != RankNone {
 			return cur, true
 		}
@@ -479,7 +479,7 @@ func (ns *Namespace) ownedNodesLocked(numRanks int) []int {
 			// A labelled fragment holding n's dentry counted it; hand
 			// it back.
 			if fragLabels {
-				if fs := n.parent.dir.fragOf(HashName(n.name)); fs.auth != RankNone {
+				if fs := n.parent.Load().dir.fragOf(HashName(n.name)); fs.auth != RankNone {
 					add(fs.auth, -1)
 					v--
 				}
@@ -507,7 +507,7 @@ func (ns *Namespace) recomputeDescendantSpreads(n *Node) {
 	}
 	ns.ensureBoundIndex()
 	prefix := "/"
-	if n.parent != nil {
+	if n.parent.Load() != nil {
 		prefix = n.path() + "/"
 	}
 	var last *Node

@@ -129,7 +129,7 @@ func (ns *Namespace) bidxRefreshBelow(dir *Node) {
 		return
 	}
 	var prefixes []string
-	if dir.parent == nil {
+	if dir.parent.Load() == nil {
 		prefixes = []string{"/"} // every key descends from the root
 	} else {
 		base := dir.path()

@@ -37,8 +37,8 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 	frozenDirs, frozenFrags := 0, 0
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
-		if n.parent != nil {
-			if n.parent.dir.children.get(n.name, HashName(n.name)) != n {
+		if n.parent.Load() != nil {
+			if n.parent.Load().dir.children.get(n.name, HashName(n.name)) != n {
 				return fmt.Errorf("invariant: %s not linked under its parent", n.path())
 			}
 		}
@@ -58,10 +58,10 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 			frozenDirs++
 		}
 		if n.dir.authOverride != RankNone {
-			if _, ok := ns.overrides[n]; !ok && n.parent != nil {
+			if _, ok := ns.overrides[n]; !ok && n.parent.Load() != nil {
 				return fmt.Errorf("invariant: %s has label %d missing from the override index", n.path(), n.dir.authOverride)
 			}
-			if n.parent != nil {
+			if n.parent.Load() != nil {
 				seenOverrides++
 			}
 		}

@@ -108,8 +108,9 @@ func (ns *Namespace) SetInvalidateHook(fn func(path string)) { ns.invalidate = f
 
 func (ns *Namespace) newDirNode(parent *Node, name string) *Node {
 	dn := &dirNode{
-		Node: Node{name: name, parent: parent, ns: ns, ino: InodeID(ns.nextIno.Add(1))},
+		Node: Node{name: name, ino: InodeID(ns.nextIno.Add(1))},
 		dirState: dirState{
+			ns:           ns,
 			frags:        []*FragState{{Frag: RootFrag, Counters: NewCounters(ns.halfLife), auth: RankNone, ns: ns}},
 			fragtree:     NewFragTree(),
 			counters:     NewCounters(ns.halfLife),
@@ -118,6 +119,7 @@ func (ns *Namespace) newDirNode(parent *Node, name string) *Node {
 		},
 	}
 	dn.dir = &dn.dirState
+	dn.parent.Store(parent)
 	dn.subtreeNodes.Store(1)
 	ns.count.Add(1)
 	return &dn.Node
@@ -135,8 +137,7 @@ func (ns *Namespace) newFileNode(d *domain, parent *Node, name string) *Node {
 	d.fileSlab = d.fileSlab[1:]
 	n.name = name
 	n.ino = InodeID(ns.nextIno.Add(1))
-	n.parent = parent
-	n.ns = ns
+	n.parent.Store(parent)
 	ns.count.Add(1)
 	return n
 }
@@ -244,7 +245,7 @@ func (ns *Namespace) attach(parent *Node, n *Node, h uint32) {
 	parent.childPut(n, h)
 	parent.dir.fragOf(h).Entries++
 	size := n.SubtreeNodes()
-	for cur := parent; cur != nil; cur = cur.parent {
+	for cur := parent; cur != nil; cur = cur.parent.Load() {
 		cur.dir.subtreeNodes.Add(int64(size))
 	}
 }
@@ -254,7 +255,7 @@ func (ns *Namespace) detach(parent *Node, n *Node) {
 	parent.childDel(n, h)
 	parent.dir.fragOf(h).Entries--
 	size := n.SubtreeNodes()
-	for cur := parent; cur != nil; cur = cur.parent {
+	for cur := parent; cur != nil; cur = cur.parent.Load() {
 		cur.dir.subtreeNodes.Add(int64(-size))
 	}
 }
@@ -361,8 +362,10 @@ func (ns *Namespace) Remove(parent *Node, name string) error {
 		n.dir.effMemo.Store(0)
 	}
 	ns.detach(parent, n)
-	n.parent = nil
-	n.pathMemo.Store(nil)
+	n.parent.Store(nil)
+	if n.IsDir() {
+		n.dir.pathMemo.Store(nil)
+	}
 	ns.count.Add(int64(-n.SubtreeNodes()))
 	ns.invalidateResolves()
 	return nil
@@ -386,7 +389,7 @@ func (ns *Namespace) Rename(srcDir *Node, srcName string, dstDir *Node, dstName 
 		return fmt.Errorf("%w: %s/%s", ErrExist, dstDir.path(), dstName)
 	}
 	if n.IsDir() {
-		for cur := dstDir; cur != nil; cur = cur.parent {
+		for cur := dstDir; cur != nil; cur = cur.parent.Load() {
 			if cur == n {
 				return fmt.Errorf("%w: rename into own subtree", ErrInvalidArg)
 			}
@@ -402,7 +405,7 @@ func (ns *Namespace) Rename(srcDir *Node, srcName string, dstDir *Node, dstName 
 	ns.flushLocked()
 	ns.detach(srcDir, n)
 	n.name = dstName
-	n.parent = dstDir
+	n.parent.Store(dstDir)
 	ns.attach(dstDir, n, dstHash)
 	ns.invalidateResolves()
 	ns.pathGen++

@@ -72,19 +72,20 @@ func packEff(gen uint64, r Rank) uint64 {
 // Node is a dentry/inode pair in the namespace tree. Inodes are embedded in
 // directories, as in CephFS, so migrating a directory carries its inodes.
 //
-// Files are > 95 % of nodes, so Node holds only what a file uses — 64 bytes,
-// pointer words first so the collector's scan of a file slab stops at 48 —
+// Files are > 95 % of nodes, so Node holds only what a file uses — 48 bytes,
+// pointer words first so the collector's scan of a file slab stops at 32 —
 // and everything directory-only sits behind dir. The field is named, not
 // embedded, so every access to directory state shows its nil-for-files deref.
+// A file reaches its namespace through its parent (see nsOf); a removed file
+// has no parent and so no namespace, and its accessors answer without a lock.
 type Node struct {
-	name   string
-	parent *Node
-	ns     *Namespace // owning namespace (always set): locks, flush hooks, cache generations
-	dir    *dirState  // nil for files
-	// pathMemo memoises Path(); valid while its gen matches the namespace
-	// generation (bumped on rename). Written on read paths, hence atomic.
-	pathMemo atomic.Pointer[pathMemo]
-	ino      InodeID
+	name string
+	// parent is written only under the write lock, but a file loads it
+	// with no lock held to find the namespace whose lock it then takes,
+	// hence atomic.
+	parent atomic.Pointer[Node]
+	dir    *dirState // nil for files
+	ino    InodeID
 
 	// File state.
 	Size int64
@@ -94,12 +95,16 @@ type Node struct {
 // guards the children table in sharded mode (see shard.go); everything else
 // structural is protected by the tree lock.
 type dirState struct {
+	ns       *Namespace // owning namespace: locks, flush hooks, cache generations
 	children childTable
 	// frags holds the live state of each fragtree leaf, in leaf order
 	// (frags[i].Frag == fragtree.leaves[i]): an unfragmented directory
 	// holds one pointer, and a lookup is a scan of a few leaves.
 	frags    []*FragState
 	fragtree *FragTree
+	// pathMemo memoises Path(); valid while its gen matches the namespace
+	// generation (bumped on rename). Written on read paths, hence atomic.
+	pathMemo atomic.Pointer[pathMemo]
 	counters Counters
 	childMu  sync.Mutex
 
@@ -122,10 +127,25 @@ type dirNode struct {
 	dirState
 }
 
+// nsOf returns the namespace n belongs to: a directory carries it, a file
+// reaches it through its parent. A removed file has no parent and gets nil,
+// whose lock helpers lock nothing: nothing else can reach the file to
+// change it.
+func (n *Node) nsOf() *Namespace {
+	if n.dir != nil {
+		return n.dir.ns
+	}
+	if p := n.parent.Load(); p != nil {
+		return p.dir.ns
+	}
+	return nil
+}
+
 // Name reports the dentry name ("" for the root).
 func (n *Node) Name() string {
-	n.ns.rlock()
-	defer n.ns.runlock()
+	ns := n.nsOf()
+	ns.rlock()
+	defer ns.runlock()
 	return n.name
 }
 
@@ -134,9 +154,10 @@ func (n *Node) Ino() InodeID { return n.ino }
 
 // Parent reports the containing directory (nil for the root).
 func (n *Node) Parent() *Node {
-	n.ns.rlock()
-	defer n.ns.runlock()
-	return n.parent
+	ns := n.nsOf()
+	ns.rlock()
+	defer ns.runlock()
+	return n.parent.Load()
 }
 
 // IsDir reports whether the node is a directory.
@@ -144,18 +165,20 @@ func (n *Node) IsDir() bool { return n.dir != nil }
 
 // IsRoot reports whether the node is the namespace root.
 func (n *Node) IsRoot() bool {
-	n.ns.rlock()
-	defer n.ns.runlock()
-	return n.parent == nil
+	ns := n.nsOf()
+	ns.rlock()
+	defer ns.runlock()
+	return n.parent.Load() == nil
 }
 
-// Path reconstructs the absolute path of the node. The result is memoised
-// per node and invalidated wholesale on rename (the only operation that can
+// Path reconstructs the absolute path of the node. A directory's result is
+// memoised and invalidated wholesale on rename (the only operation that can
 // move an attached node), so repeated calls — forward hints, bound sorting —
-// cost one comparison.
+// cost one comparison; a file's is its parent's plus its name.
 func (n *Node) Path() string {
-	n.ns.rlock()
-	defer n.ns.runlock()
+	ns := n.nsOf()
+	ns.rlock()
+	defer ns.runlock()
 	return n.path()
 }
 
@@ -163,14 +186,19 @@ func (n *Node) Path() string {
 // already hold it (either side suffices: the memo is atomic and fills are
 // idempotent per generation).
 func (n *Node) path() string {
-	if n.parent == nil {
+	parent := n.parent.Load()
+	if parent == nil {
 		return "/"
 	}
-	if m := n.pathMemo.Load(); m != nil && m.gen == n.ns.pathGen {
+	if n.dir == nil {
+		return joinPath(parent.path(), n.name)
+	}
+	ns := n.dir.ns
+	if m := n.dir.pathMemo.Load(); m != nil && m.gen == ns.pathGen {
 		return m.p
 	}
 	var parts []string
-	for cur := n; cur.parent != nil; cur = cur.parent {
+	for cur := n; cur.parent.Load() != nil; cur = cur.parent.Load() {
 		parts = append(parts, cur.name)
 	}
 	size := 0
@@ -183,16 +211,25 @@ func (n *Node) path() string {
 		buf = append(buf, parts[i]...)
 	}
 	p := string(buf)
-	n.pathMemo.Store(&pathMemo{gen: n.ns.pathGen, p: p})
+	n.dir.pathMemo.Store(&pathMemo{gen: ns.pathGen, p: p})
 	return p
+}
+
+// joinPath appends name to the directory path dir.
+func joinPath(dir, name string) string {
+	if dir == "/" {
+		return "/" + name
+	}
+	return dir + "/" + name
 }
 
 // Depth reports the number of edges from the root.
 func (n *Node) Depth() int {
-	n.ns.rlock()
-	defer n.ns.runlock()
+	ns := n.nsOf()
+	ns.rlock()
+	defer ns.runlock()
 	d := 0
-	for cur := n; cur.parent != nil; cur = cur.parent {
+	for cur := n.parent.Load(); cur != nil; cur = cur.parent.Load() {
 		d++
 	}
 	return d
@@ -275,33 +312,33 @@ func (n *Node) FragTree() *FragTree {
 
 // NumFragLeaves reports how many leaf fragments the directory has.
 func (n *Node) NumFragLeaves() int {
-	n.ns.rlock()
-	defer n.ns.runlock()
+	n.dir.ns.rlock()
+	defer n.dir.ns.runlock()
 	return n.dir.fragtree.NumLeaves()
 }
 
 // FragLeaves returns the directory's leaf fragments (a copy).
 func (n *Node) FragLeaves() []Frag {
-	n.ns.rlock()
-	defer n.ns.runlock()
+	n.dir.ns.rlock()
+	defer n.dir.ns.runlock()
 	return n.dir.fragtree.Leaves()
 }
 
 // FragStateOf returns the live state for a leaf fragment.
 func (n *Node) FragStateOf(f Frag) (*FragState, bool) {
-	n.ns.rlock()
-	defer n.ns.runlock()
 	if n.dir == nil {
 		return nil, false
 	}
+	n.dir.ns.rlock()
+	defer n.dir.ns.runlock()
 	fs := n.dir.fragState(f)
 	return fs, fs != nil
 }
 
 // FragOfName returns the leaf fragment holding the dentry name.
 func (n *Node) FragOfName(name string) Frag {
-	n.ns.rlock()
-	defer n.ns.runlock()
+	n.dir.ns.rlock()
+	defer n.dir.ns.runlock()
 	return n.dir.fragtree.LeafOfName(name)
 }
 
@@ -311,7 +348,9 @@ func (n *Node) FragOfName(name string) Frag {
 // Sharded-mode callers must be quiesced: the returned pointer is only stable
 // against concurrent flushes while nothing else is running.
 func (n *Node) Counters() *Counters {
-	n.ns.FlushCounters()
+	if ns := n.nsOf(); ns != nil {
+		ns.FlushCounters()
+	}
 	if n.dir == nil {
 		return &Counters{}
 	}
@@ -321,9 +360,13 @@ func (n *Node) Counters() *Counters {
 // Load reports the directory's counter snapshot at time now (zero for a
 // file), folding in any deferred RecordOp charges first.
 func (n *Node) Load(now sim.Time) CounterSnapshot {
-	n.ns.wlock()
-	defer n.ns.wunlock()
-	n.ns.flushLocked()
+	ns := n.nsOf()
+	if ns == nil {
+		return CounterSnapshot{}
+	}
+	ns.wlock()
+	defer ns.wunlock()
+	ns.flushLocked()
 	if n.dir == nil {
 		return CounterSnapshot{}
 	}
@@ -350,19 +393,22 @@ func (ns *Namespace) Loads(now sim.Time, dirs []*Node, out []CounterSnapshot) {
 // AuthOverride reports the explicit authority label on this directory
 // (RankNone when authority is inherited).
 func (n *Node) AuthOverride() Rank {
-	n.ns.rlock()
-	defer n.ns.runlock()
 	if n.dir == nil {
 		return RankNone
 	}
+	n.dir.ns.rlock()
+	defer n.dir.ns.runlock()
 	return n.dir.authOverride
 }
 
 // Frozen reports whether the directory subtree is mid-migration.
 func (n *Node) Frozen() bool {
-	n.ns.rlock()
-	defer n.ns.runlock()
-	return n.dir != nil && n.dir.frozen
+	if n.dir == nil {
+		return false
+	}
+	n.dir.ns.rlock()
+	defer n.dir.ns.runlock()
+	return n.dir.frozen
 }
 
 // RankSpread reports how many distinct MDS ranks own live fragments of this
@@ -371,9 +417,12 @@ func (n *Node) Frozen() bool {
 // (fragstat scatter-gather), which is what makes over-distribution hurt in
 // the paper's Figures 7 and 8.
 func (n *Node) RankSpread() int {
-	n.ns.rlock()
-	defer n.ns.runlock()
-	if n.dir == nil || n.dir.rankSpread < 1 {
+	if n.dir == nil {
+		return 1
+	}
+	n.dir.ns.rlock()
+	defer n.dir.ns.runlock()
+	if n.dir.rankSpread < 1 {
 		return 1
 	}
 	return int(n.dir.rankSpread)

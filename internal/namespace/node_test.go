@@ -9,14 +9,15 @@ import (
 )
 
 // TestNodeSizePinned: files are > 95 % of nodes (sim-compile holds 650 k),
-// so Node carries only what a file uses and is pinned at 64 bytes — re-pin
+// so Node carries only what a file uses and is pinned at 48 bytes (64 while
+// it carried its namespace and path memo, which moved into dirState) — re-pin
 // down, never up. A directory pays for its dirState in the same allocation:
 // creating one costs 5 allocations, measured (dirNode, frag tree and its
 // leaf array, frag slice, frag state); it cost 7 while the children and the
 // frag states were maps.
 func TestNodeSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got > 64 {
-		t.Fatalf("Node is %d bytes, pinned at 64", got)
+	if got := unsafe.Sizeof(Node{}); got > 48 {
+		t.Fatalf("Node is %d bytes, pinned at 48", got)
 	}
 	ns := New(sim.Second)
 	names := make([]string, 1100)
@@ -36,7 +37,8 @@ func TestNodeSizePinned(t *testing.T) {
 }
 
 // TestFileNodeMethodsSafe: a file node has no dirState, and every exported
-// accessor must keep answering for it what the one-struct Node answered.
+// accessor must keep answering for it what the one-struct Node answered —
+// also once it is removed, when it no longer reaches a namespace.
 func TestFileNodeMethodsSafe(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		ns := New(sim.Second)
@@ -90,6 +92,24 @@ func TestFileNodeMethodsSafe(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("Parent after Remove", f.Parent() == nil)
+		check("Name after Remove", f.Name() == "g")
+		check("IsRoot after Remove", f.IsRoot())
+		check("Path after Remove", f.Path() == "/")
+		check("Depth after Remove", f.Depth() == 0)
+		check("NumChildren after Remove", f.NumChildren() == 0)
+		check("SubtreeNodes after Remove", f.SubtreeNodes() == 1)
+		c, ok = f.Lookup("x")
+		check("Lookup after Remove", c == nil && !ok)
+		check("ChildNames after Remove", len(f.ChildNames()) == 0)
+		check("HasSubdir after Remove", !f.HasSubdir())
+		fs, ok = f.FragStateOf(RootFrag)
+		check("FragStateOf after Remove", fs == nil && !ok)
+		check("AuthOverride after Remove", f.AuthOverride() == RankNone)
+		check("Frozen after Remove", !f.Frozen())
+		check("RankSpread after Remove", f.RankSpread() == 1)
+		check("Load after Remove", f.Load(sim.Second) == CounterSnapshot{})
+		check("Counters after Remove", f.Counters().Snapshot(sim.Second) == CounterSnapshot{})
+		check("EffectiveAuth after Remove", ns.EffectiveAuth(f) == 0)
 		if err := ns.CheckInvariants(1, false); err != nil {
 			t.Fatalf("sharded=%v: %v", sharded, err)
 		}
@@ -126,5 +146,51 @@ func TestLoadsMatchesLoad(t *testing.T) {
 	}
 	if got[0].IWR == 0 || got[3].IRD == 0 || got[1] != (CounterSnapshot{}) {
 		t.Fatalf("snapshots %+v", got)
+	}
+}
+
+// TestFileAccessorsRaceRename: a file finds the lock it reads under through
+// its parent pointer, which a rename or unlink rewrites under the write
+// lock. Readers on other goroutines must see the old or the new parent,
+// never a torn one. Run under -race.
+func TestFileAccessorsRaceRename(t *testing.T) {
+	ns := New(sim.Second)
+	ns.EnableSharding(2)
+	a := mustCreate(t, ns, "/a", true)
+	b := mustCreate(t, ns, "/b", true)
+	f := mustCreate(t, ns, "/a/f", false)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			from, to := a, b
+			if i%2 == 1 {
+				from, to = b, a
+			}
+			if err := ns.Rename(from, "f", to, "f"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := ns.Remove(a, "f"); err != nil {
+			t.Error(err)
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if f.Parent() != nil || f.Path() != "/" {
+				t.Fatalf("removed file still reports parent %v, path %q", f.Parent(), f.Path())
+			}
+			return
+		default:
+		}
+		if p := f.Parent(); p != nil && p != a && p != b {
+			t.Fatalf("parent %v", p)
+		}
+		_ = f.Name()
+		_ = f.Path()
+		_ = f.IsRoot()
+		_ = f.Depth()
 	}
 }

@@ -43,7 +43,7 @@ func (d *domain) flush() {
 		if r.frag {
 			r.dir.chargeFrags(r.name, r.kind, r.at)
 		}
-		for cur := r.dir; cur != nil; cur = cur.parent {
+		for cur := r.dir; cur != nil; cur = cur.parent.Load() {
 			cur.dir.counters.Hit(r.kind, r.at)
 		}
 		recs[i].dir = nil // release the node for GC once folded

@@ -26,11 +26,11 @@ import (
 
 // refPath is Path without the memo.
 func refPath(n *Node) string {
-	if n.parent == nil {
+	if n.parent.Load() == nil {
 		return "/"
 	}
 	p := ""
-	for cur := n; cur.parent != nil; cur = cur.parent {
+	for cur := n; cur.parent.Load() != nil; cur = cur.parent.Load() {
 		p = "/" + cur.name + p
 	}
 	return p
@@ -40,22 +40,22 @@ func refPath(n *Node) string {
 // then each directory's own label and its dentry's frag in the parent.
 func refEffAuth(n *Node) Rank {
 	if !n.IsDir() {
-		if n.parent == nil {
+		if n.parent.Load() == nil {
 			return 0
 		}
-		if fs := n.parent.dir.fragOf(HashName(n.name)); fs.auth != RankNone {
+		if fs := n.parent.Load().dir.fragOf(HashName(n.name)); fs.auth != RankNone {
 			return fs.auth
 		}
-		n = n.parent
+		n = n.parent.Load()
 	}
-	for cur := n; ; cur = cur.parent {
+	for cur := n; ; cur = cur.parent.Load() {
 		if cur.dir.authOverride != RankNone {
 			return cur.dir.authOverride
 		}
-		if cur.parent == nil {
+		if cur.parent.Load() == nil {
 			return 0
 		}
-		if fs := cur.parent.dir.fragOf(HashName(cur.name)); fs.auth != RankNone {
+		if fs := cur.parent.Load().dir.fragOf(HashName(cur.name)); fs.auth != RankNone {
 			return fs.auth
 		}
 	}
@@ -67,7 +67,7 @@ func refFrozenFor(dir *Node, name string) bool {
 	if dir.dir.fragOf(HashName(name)).frozen {
 		return true
 	}
-	for cur := dir; cur != nil; cur = cur.parent {
+	for cur := dir; cur != nil; cur = cur.parent.Load() {
 		if cur.dir.frozen {
 			return true
 		}

@@ -142,28 +142,29 @@ func (v *View) RecordOpRemote(dir *Node, name string, k OpKind, now sim.Time) {
 	v.ns.runlock()
 }
 
-// Lock helpers: no-ops until EnableSharding.
+// Lock helpers: no-ops until EnableSharding, and on the nil namespace a
+// removed file reports (see Node.nsOf).
 
 func (ns *Namespace) rlock() {
-	if ns.sharded {
+	if ns != nil && ns.sharded {
 		ns.treeMu.RLock()
 	}
 }
 
 func (ns *Namespace) runlock() {
-	if ns.sharded {
+	if ns != nil && ns.sharded {
 		ns.treeMu.RUnlock()
 	}
 }
 
 func (ns *Namespace) wlock() {
-	if ns.sharded {
+	if ns != nil && ns.sharded {
 		ns.treeMu.Lock()
 	}
 }
 
 func (ns *Namespace) wunlock() {
-	if ns.sharded {
+	if ns != nil && ns.sharded {
 		ns.treeMu.Unlock()
 	}
 }
@@ -174,13 +175,13 @@ func (ns *Namespace) wunlock() {
 // released after it) and nothing is acquired under them, so they cannot
 // participate in a cycle.
 func (n *Node) childLock() {
-	if n.ns.sharded {
+	if n.dir.ns.sharded {
 		n.dir.childMu.Lock()
 	}
 }
 
 func (n *Node) childUnlock() {
-	if n.ns.sharded {
+	if n.dir.ns.sharded {
 		n.dir.childMu.Unlock()
 	}
 }
