@@ -413,29 +413,23 @@ func (m *MDS) childUnits(out []exportUnit, dir *namespace.Node) []exportUnit {
 
 // priced sets each unit's load to the metaload policy's value of its
 // counters (a fragment's own, a directory's aggregate), in unit order. The
-// directory units' snapshots are read in one batch: one write hold and one
-// op-log flush, not one of each per unit.
+// snapshots are read in one batch: one write hold and one op-log flush, not
+// one of each per unit, and never a fragment's counters outside the lock
+// that a replica-served charge's flush writes them under.
 func (m *MDS) priced(units []exportUnit) []exportUnit {
-	now := m.engine.Now()
-	var dirs []*namespace.Node
-	for _, u := range units {
-		if !u.isFrag {
-			dirs = append(dirs, u.dir)
-		}
+	if len(units) == 0 {
+		return units
 	}
-	var snaps []namespace.CounterSnapshot
-	if len(dirs) > 0 {
-		snaps = make([]namespace.CounterSnapshot, len(dirs))
-		m.ns.Loads(now, dirs, snaps)
+	batch := make([]namespace.LoadUnit, len(units))
+	for i, u := range units {
+		batch[i] = namespace.LoadUnit{Dir: u.dir, Frag: u.frag, IsFrag: u.isFrag}
 	}
+	m.ns.Loads(m.engine.Now(), batch)
 	for i := range units {
-		u := &units[i]
-		if !u.isFrag {
-			u.load = m.metaLoadOf(snaps[0])
-			snaps = snaps[1:]
-		} else if fs, ok := u.dir.FragStateOf(u.frag); ok {
-			u.load = m.metaLoadOf(fs.Counters.Snapshot(now))
+		if units[i].isFrag && !batch[i].OK {
+			continue
 		}
+		units[i].load = m.metaLoadOf(batch[i].Snap)
 	}
 	return units
 }

@@ -128,3 +128,49 @@ func TestPricedMatchesPerUnitLoads(t *testing.T) {
 		t.Errorf("the frozen directory was priced:\n%s", got)
 	}
 }
+
+// TestPricedFragRaceRemoteCharges: on the live host a replica holder's reads
+// are charged to the authority's fragment counters through the op log, and
+// the holder's next counter read folds them in under the write lock on its
+// own goroutine. The authority pricing its fragment units at the same time
+// must read those counters under the same lock. Run under -race.
+func TestPricedFragRaceRemoteCharges(t *testing.T) {
+	h := newHarness(t, 2, noBal, nil)
+	h.ns.EnableSharding(2)
+	for _, m := range h.mdss {
+		m.nsv = h.ns.View(int(m.rank))
+	}
+	reg := enableReplication(h)
+	d, err := h.ns.CreatePath("/hot", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ns.SplitDir(d, namespace.RootFrag, 2, 0)
+	reg.Grant("/hot", 1)
+	auth, holder := h.mdss[0], h.mdss[1]
+	if units := auth.childUnits(nil, d); len(units) != 4 || !units[0].isFrag {
+		t.Fatalf("rank 0 should own four fragment units, got %+v", units)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			holder.nsv.RecordOpRemote(d, nameOf(i), namespace.OpIRD, 0)
+			if _, held := holder.replicaLoad(); held != 1 {
+				t.Errorf("holder holds %d replicas", held)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		auth.priced(auth.childUnits(nil, d))
+	}
+	<-done
+	var load float64
+	for _, u := range auth.priced(auth.childUnits(nil, d)) {
+		load += u.load
+	}
+	if load == 0 {
+		t.Fatal("the holder's reads never reached the fragments' price")
+	}
+}

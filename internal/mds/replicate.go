@@ -174,16 +174,15 @@ func (m *MDS) replicaLoad() (load float64, held int) {
 	if len(paths) == 0 {
 		return 0, 0
 	}
-	dirs := make([]*namespace.Node, 0, len(paths))
+	dirs := make([]namespace.LoadUnit, 0, len(paths))
 	for _, p := range paths {
 		if node, err := m.nsv.Resolve(p); err == nil && node.IsDir() {
-			dirs = append(dirs, node)
+			dirs = append(dirs, namespace.LoadUnit{Dir: node})
 		}
 	}
-	snaps := make([]namespace.CounterSnapshot, len(dirs))
-	m.ns.Loads(m.engine.Now(), dirs, snaps)
-	for _, s := range snaps {
-		load += m.metaLoadOf(s)
+	m.ns.Loads(m.engine.Now(), dirs)
+	for _, d := range dirs {
+		load += m.metaLoadOf(d.Snap)
 	}
 	return load, len(paths)
 }
@@ -246,18 +245,18 @@ type replicaCand struct {
 // the scan runs no policy, and it reads every unit's snapshot in one batch.
 func (m *MDS) replicaCandidates() []replicaCand {
 	units := m.ownedUnits()
-	dirs := make([]*namespace.Node, len(units))
+	dirs := make([]namespace.LoadUnit, len(units))
 	for i, u := range units {
-		dirs[i] = u.dir
+		dirs[i] = namespace.LoadUnit{Dir: u.dir}
 	}
-	snaps := make([]namespace.CounterSnapshot, len(dirs))
-	m.ns.Loads(m.engine.Now(), dirs, snaps)
+	m.ns.Loads(m.engine.Now(), dirs)
 	var cands []replicaCand
-	for i, s := range snaps {
+	for _, d := range dirs {
+		s := d.Snap
 		if s.IRD+s.Readdir <= m.cfg.MinExportLoad {
 			continue
 		}
-		cands = append(cands, replicaCand{dir: dirs[i], snap: s, heat: s.CephLoad()})
+		cands = append(cands, replicaCand{dir: d.Dir, snap: s, heat: s.CephLoad()})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].heat != cands[j].heat {

@@ -373,20 +373,38 @@ func (n *Node) Load(now sim.Time) CounterSnapshot {
 	return n.dir.counters.Snapshot(now)
 }
 
-// Loads is Node.Load over a batch: out[i] gets dirs[i]'s snapshot at now,
-// all read under one write-lock hold after one flush. out must be at least
-// as long as dirs. Control-plane scans read their snapshots here rather
-// than locking once per directory.
-func (ns *Namespace) Loads(now sim.Time, dirs []*Node, out []CounterSnapshot) {
+// LoadUnit names one set of counters for Loads: a directory's aggregate, or
+// with IsFrag one leaf fragment's own. Snap and OK are Loads' answer.
+type LoadUnit struct {
+	Dir    *Node
+	Frag   Frag
+	IsFrag bool
+
+	Snap CounterSnapshot // the counters at now; zero for a file
+	OK   bool            // false for a file, or a frag that is no longer a leaf
+}
+
+// Loads snapshots every unit's counters at now, in unit order, under one
+// write-lock hold after one flush. Control-plane scans read their snapshots
+// here rather than locking once per unit; a fragment's counters in
+// particular take remote charges from the flush, so they are only read
+// under the write lock.
+func (ns *Namespace) Loads(now sim.Time, units []LoadUnit) {
 	ns.wlock()
 	defer ns.wunlock()
 	ns.flushLocked()
-	for i, n := range dirs {
-		if n.dir == nil {
-			out[i] = CounterSnapshot{}
-			continue
+	for i := range units {
+		u := &units[i]
+		u.Snap, u.OK = CounterSnapshot{}, false
+		switch d := u.Dir.dir; {
+		case d == nil:
+		case u.IsFrag:
+			if fs := d.fragState(u.Frag); fs != nil {
+				u.Snap, u.OK = fs.Counters.Snapshot(now), true
+			}
+		default:
+			u.Snap, u.OK = d.counters.Snapshot(now), true
 		}
-		out[i] = n.dir.counters.Snapshot(now)
 	}
 }
 

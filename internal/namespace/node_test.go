@@ -117,35 +117,50 @@ func TestFileNodeMethodsSafe(t *testing.T) {
 }
 
 // TestLoadsMatchesLoad: the batch read returns, per directory, what Node.Load
-// returns at the same time — deferred charges folded, files zero — and
+// returns at the same time, and per fragment what its own counters hold —
+// deferred charges folded, files and stale frags zero and not OK — and
 // leaves nothing pending.
 func TestLoadsMatchesLoad(t *testing.T) {
 	ns := New(sim.Second)
 	a := mustCreate(t, ns, "/a", true)
 	b := mustCreate(t, ns, "/a/b", true)
 	f := mustCreate(t, ns, "/a/f", false)
+	kids := ns.SplitDir(b, RootFrag, 1, 0)
 	for i := 0; i < 50; i++ {
 		at := sim.Time(i) * sim.Millisecond
 		ns.RecordOp(a, "f", OpIRD, at)
-		ns.RecordOp(b, "x", OpIWR, at)
+		ns.RecordOp(b, fmt.Sprintf("x%d", i), OpIWR, at)
 		if i%3 == 0 {
 			ns.RecordOp(b, "", OpReaddir, at)
 		}
 	}
+	ns.View(0).RecordOpRemote(b, "y", OpIRD, 60*sim.Millisecond)
 	now := 100 * sim.Millisecond
-	dirs := []*Node{b, f, ns.Root(), a, b}
-	got := make([]CounterSnapshot, len(dirs))
-	ns.Loads(now, dirs, got)
+	units := []LoadUnit{{Dir: b}, {Dir: f}, {Dir: ns.Root()}, {Dir: b, Frag: kids[1], IsFrag: true},
+		{Dir: a}, {Dir: b, Frag: RootFrag, IsFrag: true}, {Dir: b, Frag: kids[0], IsFrag: true}, {Dir: b}}
+	ns.Loads(now, units)
 	if n := ns.PendingHits(); n != 0 {
 		t.Fatalf("%d charges left pending", n)
 	}
-	for i, d := range dirs {
-		if want := d.Load(now); got[i] != want {
-			t.Errorf("%s: Loads %+v, Load %+v", d.Path(), got[i], want)
+	for i, u := range units {
+		want, ok := u.Dir.Load(now), u.Dir.IsDir()
+		if u.IsFrag {
+			want, ok = CounterSnapshot{}, false
+			if fs, live := u.Dir.FragStateOf(u.Frag); live {
+				want, ok = fs.Counters.Snapshot(now), true
+			}
+		}
+		if u.Snap != want || u.OK != ok {
+			t.Errorf("unit %d (%s frag=%v/%v): Loads %+v ok=%v, want %+v ok=%v",
+				i, u.Dir.Path(), u.IsFrag, u.Frag, u.Snap, u.OK, want, ok)
 		}
 	}
-	if got[0].IWR == 0 || got[3].IRD == 0 || got[1] != (CounterSnapshot{}) {
-		t.Fatalf("snapshots %+v", got)
+	if units[0].Snap.IWR == 0 || units[4].Snap.IRD == 0 || units[1].OK ||
+		units[3].Snap.IWR == 0 || units[6].Snap.IWR == 0 || units[5].OK {
+		t.Fatalf("snapshots %+v", units)
+	}
+	if units[3].Snap.IRD+units[6].Snap.IRD == 0 {
+		t.Fatal("the remote charge was not folded into its fragment before the snapshot")
 	}
 }
 
