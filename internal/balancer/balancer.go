@@ -92,6 +92,15 @@ type Balancer interface {
 	HowMuch(e *Env) ([]string, error)
 }
 
+// Seeder is an optional Balancer extension for a policy whose MetaLoad may
+// read its own rank's scalars (whoami, authmetaload, allmetaload). A tick
+// binds them only after the heartbeat that prices units with MetaLoad, so
+// Seed publishes them for a fresh rank, both loads zero; the MDS calls it
+// once, when the daemon is built.
+type Seeder interface {
+	Seed(whoami namespace.Rank)
+}
+
 // Scorer is an optional Balancer extension that scores many ranks in one
 // call. ScoreRanks must leave e exactly as calling MDSLoad for each rank from
 // `from` on, in order, and recording each result with e.Score would. It

@@ -28,6 +28,9 @@ import (
 type Versioned struct {
 	mu    sync.Mutex
 	stack []Balancer // stack[len-1] is active; stack[0] is the base
+	// seed is the rank Seed was called with, passed on to later pushes.
+	seed   namespace.Rank
+	seeded bool
 
 	// Demotions counts versions demoted over the Versioned's lifetime.
 	// Read it only from the owning rank's context (or after quiescing).
@@ -54,6 +57,19 @@ func NewVersioned(base Balancer) *Versioned {
 	return &Versioned{stack: []Balancer{base}}
 }
 
+// Seed implements Seeder: every version that is a Seeder is seeded, and so
+// is every version pushed later, whose VM no tick has bound yet.
+func (v *Versioned) Seed(whoami namespace.Rank) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.seed, v.seeded = whoami, true
+	for _, b := range v.stack {
+		if s, ok := b.(Seeder); ok {
+			s.Seed(whoami)
+		}
+	}
+}
+
 // Push installs b as the new active version. The previous active version
 // becomes the fallback.
 func (v *Versioned) Push(b Balancer) {
@@ -61,6 +77,9 @@ func (v *Versioned) Push(b Balancer) {
 		panic("balancer: nil balancer version")
 	}
 	v.mu.Lock()
+	if s, ok := b.(Seeder); ok && v.seeded {
+		s.Seed(v.seed)
+	}
 	v.stack = append(v.stack, b)
 	v.mu.Unlock()
 }

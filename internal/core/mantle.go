@@ -120,6 +120,7 @@ type LuaBalancer struct {
 var (
 	_ balancer.Balancer = (*LuaBalancer)(nil)
 	_ balancer.Scorer   = (*LuaBalancer)(nil)
+	_ balancer.Seeder   = (*LuaBalancer)(nil)
 )
 
 // NewLuaBalancer compiles the policy. Compilation errors carry the hook
@@ -202,6 +203,15 @@ func wantFinite(h hook, n float64) (float64, error) {
 		return 0, fmt.Errorf("mantle: %s returned %g, want a finite number", hookNames[h], n)
 	}
 	return n, nil
+}
+
+// Seed implements balancer.Seeder: it publishes the scalars of metaload's
+// environment that a tick's bind would, for a rank that has not ticked yet —
+// whoami, and both loads zero.
+func (b *LuaBalancer) Seed(whoami namespace.Rank) {
+	b.setNum("whoami", float64(whoami)+1)
+	b.setNum("authmetaload", 0)
+	b.setNum("allmetaload", 0)
 }
 
 // MetaLoad implements balancer.Balancer by evaluating mds_bal_metaload with

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mantle/internal/namespace"
 )
 
 // The policies/ directory ships every built-in policy in injectable file
@@ -72,5 +74,35 @@ func TestCheckNamesAMissingBuiltin(t *testing.T) {
 		if rep.OK() || !strings.Contains(rep.String(), c.name+" (a nil value)") {
 			t.Errorf("%s: the lint did not name %s:\n%s", c.when, c.name, rep)
 		}
+	}
+}
+
+// TestMetaLoadReadsItsScalarsBeforeATick: metaload's documented environment
+// includes whoami, authmetaload and allmetaload, and a rank's first
+// heartbeat prices units before any tick has bound them. The shipped
+// adaptable policy with whoami added to its metaload must still lint clean.
+func TestMetaLoadReadsItsScalarsBeforeATick(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "policies", "adaptable.lua"))
+	if err != nil {
+		t.Skipf("policies dir unavailable: %v", err)
+	}
+	src := strings.Replace(string(data), "-- [metaload]\nIWR + IRD\n", "-- [metaload]\nIWR + IRD + whoami + authmetaload + allmetaload\n", 1)
+	if src == string(data) {
+		t.Fatal("adaptable.lua's metaload is no longer IWR + IRD; update the test")
+	}
+	_, rep, err := CheckPolicyFile("adaptable", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("metaload reading its own scalars failed the lint:\n%s", rep)
+	}
+	lb, err := NewLuaBalancer(Policy{MetaLoad: "IWR + whoami + authmetaload + allmetaload"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Seed(2)
+	if v, err := lb.MetaLoad(namespace.CounterSnapshot{IWR: 4}); err != nil || v != 7 {
+		t.Fatalf("seeded rank 2's metaload = %v, %v; want 4 + 3", v, err)
 	}
 }

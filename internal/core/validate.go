@@ -128,7 +128,9 @@ func Validate(p Policy) *ValidationReport {
 		}
 	}
 
-	// Metaload over representative counter snapshots.
+	// Metaload over representative counter snapshots, on a rank that has
+	// not ticked yet, as a fresh rank's first heartbeat runs it.
+	lb.Seed(0)
 	for _, d := range []namespace.CounterSnapshot{
 		{},
 		{IWR: 100},

@@ -139,6 +139,11 @@ func New(rank namespace.Rank, addr simnet.Addr, engine sim.Clock, net simnet.Tra
 		imports:  map[uint64]*importState{},
 		sessions: map[simnet.Addr]bool{},
 	}
+	// The first heartbeat prices units before any tick has bound the
+	// policy's environment.
+	if s, ok := bal.(balancer.Seeder); ok {
+		s.Seed(rank)
+	}
 	net.Register(addr, m)
 	return m
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mantle/internal/balancer"
+	"mantle/internal/core"
 	"mantle/internal/namespace"
 	"mantle/internal/sim"
 )
@@ -172,5 +173,31 @@ func TestPricedFragRaceRemoteCharges(t *testing.T) {
 	}
 	if load == 0 {
 		t.Fatal("the holder's reads never reached the fragments' price")
+	}
+}
+
+// TestFirstHeartbeatPricesWithOwnScalars: a fresh rank's first heartbeat
+// prices its units with metaload before any tick has bound the policy's
+// environment. A metaload that reads whoami (documented in its environment)
+// must price them, not fail on a nil global.
+func TestFirstHeartbeatPricesWithOwnScalars(t *testing.T) {
+	h := newHarness(t, 2, func() balancer.Balancer {
+		lb, err := core.NewLuaBalancer(core.Policy{MetaLoad: "IWR + IRD + whoami"}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return balancer.NewVersioned(lb)
+	}, nil)
+	h.do(0, OpMkdir, "/a")
+	for i := 0; i < 20; i++ {
+		h.do(0, OpCreate, "/a/"+nameOf(i))
+	}
+	m := h.mdss[0]
+	m.balancerTick()
+	if m.Counters.PolicyErrors != 0 {
+		t.Fatalf("the first heartbeat's metaload failed %d times", m.Counters.PolicyErrors)
+	}
+	if hb := m.LastHeartbeat(); hb.Auth <= 20 {
+		t.Fatalf("rank 0 reported auth load %v, want the creates' heat plus whoami", hb.Auth)
 	}
 }
