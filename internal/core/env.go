@@ -177,14 +177,7 @@ func (h *hookEnv) setNum(name lua.Value, v float64) {
 func (h *hookEnv) bindRanks(vals []uint64) {
 	n := len(h.keys)
 	want := len(vals) / n
-	// Drop cached ranks beyond the current cluster size (top-down, so the
-	// table's array part strips trailing entries).
-	for i := len(h.ranks); i > want; i-- {
-		h.mdss.SetInt(i, nil)
-	}
-	if len(h.ranks) > want {
-		h.ranks = h.ranks[:want]
-	}
+	h.dropRanks(want)
 	for len(h.ranks) < want {
 		// A new table holds nothing: a write count it cannot have forces
 		// the first bind to store every field.
@@ -210,6 +203,18 @@ func (h *hookEnv) bindRanks(vals []uint64) {
 	h.shadow, h.spare = vals, h.shadow
 	h.restoreSlots()
 	h.vm.Globals.Set("MDSs", h.mdss)
+}
+
+// dropRanks drops the cached rank tables beyond a cluster of n ranks
+// (top-down, so the table's array part strips trailing entries), and with
+// them every key a script added to those tables.
+func (h *hookEnv) dropRanks(n int) {
+	for i := len(h.ranks); i > n; i-- {
+		h.mdss.SetInt(i, nil)
+	}
+	if len(h.ranks) > n {
+		h.ranks = h.ranks[:n]
+	}
 }
 
 // restoreSlots puts each bound rank's table back into its MDSs slot if a

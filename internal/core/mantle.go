@@ -247,11 +247,16 @@ func (b *LuaBalancer) MDSLoad(rank namespace.Rank, e *balancer.Env) (float64, er
 }
 
 // kernelLoad is MDSLoad through the mdsload kernel, reading e directly. Of
-// what a bind does it keeps the one effect that is not a global: the state
-// store.
+// what a bind does it keeps the two effects that the next bind would not
+// redo: the state store, and dropping the rank tables of a cluster that
+// shrank — a later bind that grows it again makes fresh tables, without the
+// keys a script added to the dropped ones.
 func (b *LuaBalancer) kernelLoad(e *balancer.Env, r int) (float64, error) {
 	if e.State != nil {
 		b.state = e.State
+	}
+	if len(e.MDSs) < len(b.ranks) {
+		b.dropRanks(len(e.MDSs))
 	}
 	k := b.mdsKernel
 	in := k.in[:5+len(mdsKeys)]

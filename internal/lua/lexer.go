@@ -2,6 +2,7 @@ package lua
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -302,11 +303,9 @@ func (l *lexer) lexNumber(line int) token {
 			l.pos++
 		}
 		text := l.src[start:l.pos]
-		var v uint64
-		if _, err := fmt.Sscanf(text, "0x%x", &v); err != nil {
-			if _, err := fmt.Sscanf(text, "0X%x", &v); err != nil {
-				l.errf("malformed number %q", text)
-			}
+		v, err := strconv.ParseUint(text[2:], 16, 64)
+		if err != nil {
+			l.errf("malformed number %q", text)
 		}
 		return token{kind: tokNumber, num: float64(v), line: line}
 	}
@@ -323,8 +322,8 @@ func (l *lexer) lexNumber(line int) token {
 		}
 	}
 	text := l.src[start:l.pos]
-	var f float64
-	if _, err := fmt.Sscanf(text, "%g", &f); err != nil || strings.Count(text, ".") > 1 {
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil || strings.Count(text, ".") > 1 {
 		l.errf("malformed number %q", text)
 	}
 	return token{kind: tokNumber, num: f, line: line}

@@ -327,6 +327,23 @@ func (t *Table) Keys() []Value {
 	return append(keys, rest...)
 }
 
+// Range calls fn for every entry until fn returns false: the array part
+// first, in index order (a slot may hold nil), then the hash part in no
+// particular order. It is Keys for a caller that needs no order, without the
+// allocation and the sort.
+func (t *Table) Range(fn func(k, v Value) bool) {
+	for i, v := range t.arr {
+		if !fn(float64(i+1), v) {
+			return
+		}
+	}
+	for k, v := range t.hash {
+		if !fn(k, v) {
+			return
+		}
+	}
+}
+
 func keyLess(a, b Value) bool {
 	ta, tb := TypeOf(a), TypeOf(b)
 	if ta != tb {
