@@ -15,13 +15,13 @@ func Example() {
 	// mm      |      ........        .:--:|
 	// drivers |       ........         :..|
 	// net     |        ........        .:.|
-	// lib     |          .......        :.|
+	// lib     |         ........        :.|
 	// crypto  |           ........      .:|
 	// sound   |            ........      :|
 	// scripts |             ........     .|
 	//
 	// per-MDS request rate over time:
-	//   mds.0:  3447  3440  2989  1188  1018  1020  1083  1860  1858  1857  1856  1855  2523  1970
-	//   mds.1:     0     0   903  1895  2030  2026  2115  3630  3630  3636  3637  3637  4823  4923
-	//   mds.2:     0     0   904  1907  2032  2024  2133  3632  3633  3642  3632  3638  4830  4861
+	//   mds.0:  3447  3440  2984  1187  1018  1020  1081  1860  1858  1857  1860  1856  2526  1954
+	//   mds.1:     0     0   902  1906  2024  2025  2114  3634  3636  3633  3631  3632  4813  4913
+	//   mds.2:     0     0   904  1905  2023  2022  2117  3634  3624  3639  3633  3636  4805  4924
 }

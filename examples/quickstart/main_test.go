@@ -5,7 +5,7 @@ package main
 func Example() {
 	main()
 	// Output:
-	// done=true in 4.53s of virtual time, 16001 ops at 3531 req/s
+	// done=true in 4.52s of virtual time, 16001 ops at 3538 req/s
 	// the directory fragmented 5 time(s) and 4 dirfrags migrated
 	//   mds.0 served 11729 requests
 	//   mds.1 served 4272 requests

@@ -59,7 +59,7 @@ func scaleArtifactDigest(t *testing.T, seed int64, addClients func(c *Cluster)) 
 func TestScalePassArtifactsPinned(t *testing.T) {
 	const (
 		wantShared = "8b4bf0f7720dc3d7fa80bfd34321d7bf00034e758b7d6abf812d223b1939d5ae"
-		wantChurn  = "3dba774c008982f17584170debed3620c7d06f64dd5edf1b120799b95a4d034a"
+		wantChurn  = "94da77d92404d4e6d568e65be78d990121b5f7848dd7739c7d639aaaac1d4760"
 	)
 	gotShared := scaleArtifactDigest(t, 21, func(c *Cluster) {
 		for i := 0; i < 3; i++ {

@@ -2,6 +2,7 @@ package mds
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"mantle/internal/namespace"
@@ -99,32 +100,100 @@ func TestServedCreateAllocs(t *testing.T) {
 	}
 }
 
-// TestWhenIdleRearmAllocs: while the server stays busy, a whenIdle waiter
-// re-arms its 100 µs poll without allocating. A closure per re-arm made one
-// object per poll, and a saturated rank polls about a million times a run.
-func TestWhenIdleRearmAllocs(t *testing.T) {
-	e, _, m, _, _ := servingRig(t)
+// TestWhenIdleRunsAtIntervalEnd: work handed to whenIdle while the server
+// is busy runs when the current service interval ends, ahead of the request
+// queued behind it, in the order it arrived. It replaced a 100 µs poll that
+// a saturated rank never found idle, so its exports never packed. Pending
+// work costs no allocation once the list has grown, and a Crash or a Retire
+// drops it.
+func TestWhenIdleRunsAtIntervalEnd(t *testing.T) {
+	e, n, m, client, replies := servingRig(t)
+	if _, err := m.ns.CreatePath("/a/f", false); err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	m.OnServed = func(_ *MDS, r *Request) { log = append(log, "req"+strconv.FormatUint(r.ID, 10)) }
+	for id := uint64(1); id <= 3; id++ {
+		n.Send(client, 0, &Request{ID: id, Client: client, Op: OpGetattr, Path: "/a/f"})
+	}
+	e.Run(e.Now() + 100*sim.Microsecond) // delivered: req1 in service, req2 and req3 queued
+	if !m.busy || m.QueueLen() != 2 {
+		t.Fatalf("busy=%v queued=%d, want req1 in service and two queued", m.busy, m.QueueLen())
+	}
+	var at []sim.Time
+	m.whenIdle(func(done func()) {
+		// Holds the server for 1 ms, as an export's packing does.
+		log = append(log, "pack")
+		at = append(at, e.Now())
+		m.busy = true
+		e.Schedule(sim.Millisecond, func() {
+			m.busy = false
+			log = append(log, "packed")
+			done()
+		})
+	})
+	m.whenIdle(func(done func()) {
+		log = append(log, "ack")
+		at = append(at, e.Now())
+		done()
+	})
+	e.RunUntilIdle()
+	want := "req1 pack packed ack req2 req3"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+	if at[1]-at[0] != sim.Millisecond {
+		t.Fatalf("the second item ran %v after the first, want when the first let go", at[1]-at[0])
+	}
+	if *replies != 3 {
+		t.Fatalf("%d replies, want 3", *replies)
+	}
+
+	// Not busy: the work runs at once.
+	ran := 0
+	fn := func(done func()) { ran++; done() }
+	m.whenIdle(fn)
+	if ran != 1 {
+		t.Fatal("whenIdle on an idle server did not run at once")
+	}
+	// Busy: the list grows once, then takes waiters without allocating.
+	cycle := func() {
+		m.busy = true
+		for i := 0; i < 8; i++ {
+			m.whenIdle(fn)
+		}
+		m.busy = false
+		m.kick()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("eight pending waiters made %.0f allocations, want 0", got)
+	}
+	if ran != 1+8*102 {
+		t.Fatalf("ran %d waiters, want %d", ran, 1+8*102)
+	}
+
+	// A crash drops what was pending; the recovered daemon never runs it.
 	m.busy = true
-	ran := false
-	m.whenIdle(func(done func()) { ran = true })
-	poll := func() { e.Run(e.Now() + 100*sim.Microsecond) }
-	poll()
-	if got := testing.AllocsPerRun(1000, poll); got != 0 {
-		t.Fatalf("a whenIdle re-arm made %.0f allocations, want 0", got)
+	m.whenIdle(fn)
+	m.Crash()
+	m.Recover(nil)
+	e.Run(e.Now() + m.ReplayTime())
+	m.Stop()
+	if m.Crashed() {
+		t.Fatal("the daemon did not recover")
 	}
-	if ran {
-		t.Fatal("whenIdle ran while the server was busy")
+	m.kick()
+	if ran != 1+8*102 {
+		t.Fatal("work pending at a crash ran after recovery")
 	}
-	// The poll after the server frees up runs the waiter, on the same
-	// 100 µs grid.
+	m.busy = true
+	m.whenIdle(fn)
+	m.Retire()
 	m.busy = false
-	e.Run(e.Now() + 99*sim.Microsecond)
-	if ran {
-		t.Fatal("whenIdle ran between polls")
-	}
-	e.Run(e.Now() + sim.Microsecond)
-	if !ran {
-		t.Fatal("whenIdle did not run at the first poll after the server freed up")
+	m.kick()
+	if ran != 1+8*102 {
+		t.Fatal("work pending at a retire ran")
 	}
 }
 

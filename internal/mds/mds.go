@@ -41,6 +41,12 @@ type MDS struct {
 	qhead    int
 	deferred []*Request
 	busy     bool
+	// idle[idleHead:] is the work waiting for the server between two
+	// service intervals (see whenIdle), in arrival order; the head resets
+	// when it drains, as the queue's does.
+	idle     []func(done func())
+	idleHead int
+	kickFn   func() // kick, bound once: the done every idle item is handed
 	// svcFree holds idle service records (see svcRec).
 	svcFree []*svcRec
 
@@ -139,6 +145,7 @@ func New(rank namespace.Rank, addr simnet.Addr, engine sim.Clock, net simnet.Tra
 		imports:  map[uint64]*importState{},
 		sessions: map[simnet.Addr]bool{},
 	}
+	m.kickFn = m.kick
 	// The first heartbeat prices units before any tick has bound the
 	// policy's environment.
 	if s, ok := bal.(balancer.Seeder); ok {
@@ -263,9 +270,22 @@ func (m *MDS) enqueue(r *Request) {
 	m.kick()
 }
 
-// kick starts serving the next queued request if idle.
+// kick starts the server's next piece of work if it is not busy: pending
+// idle work first (see whenIdle), then the next queued request.
 func (m *MDS) kick() {
-	if m.busy || m.qhead == len(m.queue) {
+	if m.busy {
+		return
+	}
+	if m.idleHead < len(m.idle) {
+		fn := m.idle[m.idleHead]
+		m.idle[m.idleHead] = nil
+		if m.idleHead++; m.idleHead == len(m.idle) {
+			m.idle, m.idleHead = m.idle[:0], 0
+		}
+		fn(m.kickFn)
+		return
+	}
+	if m.qhead == len(m.queue) {
 		return
 	}
 	r := m.queue[m.qhead]
@@ -409,6 +429,7 @@ func (m *MDS) Crash() {
 	m.Stop()
 	m.queue, m.qhead = nil, 0
 	m.deferred = nil
+	m.idle, m.idleHead = nil, 0
 	m.busy = false
 	// In-flight migrations die with the daemon. The freeze lives on the
 	// shared namespace, so the units this exporter froze must be released

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -865,5 +866,68 @@ func TestImportTimeoutRollsBackIntent(t *testing.T) {
 	}
 	if m1.Journal().Flushed() <= flushedBefore {
 		t.Fatal("no rollback entry journaled")
+	}
+}
+
+// TestSaturatedRankExports: a rank whose queue never empties still packs
+// and commits its exports. Requests arrive open-loop faster than rank 0
+// serves them: getattrs of the root, which no export moves, and creates in
+// three directories, which give the balancer something to export. Its queue
+// only grows, so it is never idle between two requests, and an export must
+// take its turn at the end of a service interval. At the end no request is left parked on a frozen unit.
+func TestSaturatedRankExports(t *testing.T) {
+	h := newHarness(t, 2, func() balancer.Balancer { return balancer.NewCephFS() },
+		func(c *Config) {
+			c.HeartbeatInterval = 500 * sim.Millisecond
+			c.RebalanceDelay = 100 * sim.Millisecond
+		})
+	for d := 0; d < 3; d++ {
+		h.do(0, OpMkdir, "/hot"+strconv.Itoa(d))
+	}
+	const loop = simnet.Addr(7777)
+	h.net.Register(loop, simnet.HandlerFunc(func(simnet.Addr, simnet.Message) {}))
+	stop, next := false, 0
+	var arrive func()
+	arrive = func() {
+		if stop {
+			return
+		}
+		next++
+		req := &Request{ID: uint64(next), Client: loop, Op: OpGetattr, Path: "/"}
+		if next%4 == 0 {
+			req.Op, req.Path = OpCreate, "/hot"+strconv.Itoa(next/4%3)+"/"+nameOf(next)
+		}
+		h.net.Send(loop, 0, req)
+		h.engine.Schedule(50*sim.Microsecond, arrive)
+	}
+	arrive()
+	m := h.mdss[0]
+	for _, r := range h.mdss {
+		r.Start()
+	}
+	saturated := 0
+	for end := h.engine.Now() + 3*sim.Second; h.engine.Now() < end; {
+		h.engine.Run(h.engine.Now() + 100*sim.Millisecond)
+		if m.busy && m.QueueLen() > 0 {
+			saturated++
+		}
+	}
+	if saturated < 28 {
+		t.Fatalf("rank 0 was saturated at only %d of 30 samples: the scenario does not load it", saturated)
+	}
+	if m.Counters.Exports == 0 {
+		t.Fatalf("a saturated rank 0 committed no export (%d aborts, %d in flight)",
+			m.Counters.ExportAborts, m.ExportsInFlight())
+	}
+	stop = true
+	for _, r := range h.mdss {
+		r.Stop()
+	}
+	h.engine.RunUntilIdle()
+	for _, r := range h.mdss {
+		if len(r.deferred) != 0 || r.ExportsInFlight() != 0 || r.QueueLen() != 0 {
+			t.Fatalf("rank %d ended with %d deferred, %d queued, %d exports in flight",
+				r.rank, len(r.deferred), r.QueueLen(), r.ExportsInFlight())
+		}
 	}
 }

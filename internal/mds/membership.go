@@ -81,6 +81,7 @@ func (m *MDS) Retire() {
 	m.retired = true
 	m.queue, m.qhead = nil, 0
 	m.deferred = nil
+	m.idle, m.idleHead = nil, 0
 	m.busy = false
 	// A retired rank's replicas and revoke obligations leave with it
 	// (mirrors Crash — Retire does not go through Crash).

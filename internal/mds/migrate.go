@@ -162,8 +162,8 @@ func (m *MDS) handleExportPrep(p *exportPrep) {
 		return
 	}
 	pack := m.cfg.ExportFreezeOverhead + sim.Time(st.nodes)*m.cfg.ExportPerInode
-	// Packing competes with request service: bill it as busy time as
-	// soon as the server frees up.
+	// Packing competes with request service: bill it as busy time at the
+	// end of the current service interval.
 	m.whenIdle(func(done func()) {
 		m.busy = true
 		m.rollWindows()
@@ -183,33 +183,16 @@ func (m *MDS) handleExportPrep(p *exportPrep) {
 	})
 }
 
-// whenIdle runs fn as soon as the server is not mid-request, polling every
-// 100 µs while it is busy. fn receives a continuation that resumes normal
-// queue processing.
+// whenIdle runs fn the next time the server is between two service
+// intervals: now if it is not busy, else when the current interval ends,
+// ahead of the next queued request (as CephFS handles an export step in
+// turn in its dispatch loop, however long the queue). Pending work runs in
+// the order it arrived and dies with a Crash or a Retire. fn receives the
+// continuation that resumes the server, which it calls once it no longer
+// holds the server.
 func (m *MDS) whenIdle(fn func(done func())) {
-	w := &idleWaiter{m: m, fn: fn}
-	w.pollFn = w.poll
-	w.poll()
-}
-
-// idleWaiter is one whenIdle caller. Its poll is bound once, so a busy
-// server's re-arm allocates nothing.
-type idleWaiter struct {
-	m      *MDS
-	fn     func(done func())
-	pollFn func() // poll, bound once
-}
-
-func (w *idleWaiter) poll() {
-	m := w.m
-	if m.crashed {
-		return
-	}
-	if !m.busy {
-		w.fn(func() { m.kick() })
-		return
-	}
-	m.engine.Schedule(100*sim.Microsecond, w.pollFn)
+	m.idle = append(m.idle, fn)
+	m.kick()
 }
 
 // handleExportPayload (importer): journal the import and take authority.

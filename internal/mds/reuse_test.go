@@ -224,11 +224,11 @@ func TestRequestRecordReuseReplicaRead(t *testing.T) {
 	h.engine.RunUntilIdle()
 	rc.check(t, []string{
 		"t=1715 id=3 err=\"\" served=1 fwd=0 /@0/f0/r[],/a@0/f0/r[]",
-		"t=1900 id=4 err=\"\" served=0 fwd=1 /@0/f0/r[],/a@0/f0/r[]",
 		"t=1975 id=6 err=\"namespace: no such entry: /a/g\" served=1 fwd=0",
-		"t=2250 id=8 err=\"\" served=0 fwd=0 /@0/f0/r[],/a@0/f0/r[]",
-		"t=2310 id=7 err=\"\" served=0 fwd=1 /@0/f0/r[],/a@0/f0/r[]",
-		"t=2390 id=5 err=\"\" served=0 fwd=0 /@0/f0/r[],/a@0/f0/r[]",
+		"t=2165 id=4 err=\"\" served=0 fwd=1 /@0/f0/r[],/a@0/f0/r[]",
+		"t=2305 id=5 err=\"\" served=0 fwd=0 /@0/f0/r[],/a@0/f0/r[]",
+		"t=2360 id=7 err=\"\" served=0 fwd=1 /@0/f0/r[],/a@0/f0/r[]",
+		"t=2425 id=8 err=\"\" served=0 fwd=0 /@0/f0/r[],/a@0/f0/r[]",
 	})
 	if h.mdss[1].Counters.ReplicaReads == 0 || h.mdss[0].Counters.ReplicaWriteStalls == 0 {
 		t.Fatalf("replica reads %d, write stalls %d: the scenario no longer covers both",
