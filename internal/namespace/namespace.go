@@ -126,7 +126,7 @@ func (ns *Namespace) newDirNode(parent *Node, name string) *Node {
 }
 
 // fileSlabSize is the bump-allocation block for file nodes; 512 nodes per
-// heap allocation keeps blocks at 32 KiB.
+// heap allocation keeps blocks at 20 KiB.
 const fileSlabSize = 512
 
 func (ns *Namespace) newFileNode(d *domain, parent *Node, name string) *Node {

@@ -72,9 +72,8 @@ func packEff(gen uint64, r Rank) uint64 {
 // Node is a dentry/inode pair in the namespace tree. Inodes are embedded in
 // directories, as in CephFS, so migrating a directory carries its inodes.
 //
-// Files are > 95 % of nodes, so Node holds only what a file uses — 48 bytes,
-// pointer words first so the collector's scan of a file slab stops at 32 —
-// and everything directory-only sits behind dir. The field is named, not
+// Files are > 95 % of nodes, so Node holds only what a file uses — 40 bytes,
+// pointer words first — and everything directory-only sits behind dir. The field is named, not
 // embedded, so every access to directory state shows its nil-for-files deref.
 // A file reaches its namespace through its parent (see nsOf); a removed file
 // has no parent and so no namespace, and its accessors answer without a lock.
@@ -86,9 +85,6 @@ type Node struct {
 	parent atomic.Pointer[Node]
 	dir    *dirState // nil for files
 	ino    InodeID
-
-	// File state.
-	Size int64
 }
 
 // dirState is the directory half of a node, pointer words first. childMu

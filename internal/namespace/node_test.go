@@ -9,15 +9,15 @@ import (
 )
 
 // TestNodeSizePinned: files are > 95 % of nodes (sim-compile holds 650 k),
-// so Node carries only what a file uses and is pinned at 48 bytes (64 while
-// it carried its namespace and path memo, which moved into dirState) — re-pin
-// down, never up. A directory pays for its dirState in the same allocation:
+// so Node carries only what a file uses and is pinned at 40 bytes (64 while
+// it carried its namespace and path memo, which moved into dirState, and a
+// Size field nothing read) — re-pin down, never up. A directory pays for its dirState in the same allocation:
 // creating one costs 5 allocations, measured (dirNode, frag tree and its
 // leaf array, frag slice, frag state); it cost 7 while the children and the
 // frag states were maps.
 func TestNodeSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got > 48 {
-		t.Fatalf("Node is %d bytes, pinned at 48", got)
+	if got := unsafe.Sizeof(Node{}); got > 40 {
+		t.Fatalf("Node is %d bytes, pinned at 40", got)
 	}
 	ns := New(sim.Second)
 	names := make([]string, 1100)
