@@ -195,6 +195,10 @@ func TestWhenIdleRunsAtIntervalEnd(t *testing.T) {
 	if ran != 1+8*102 {
 		t.Fatal("work pending at a retire ran")
 	}
+	m.whenIdle(fn)
+	if ran != 1+8*102 {
+		t.Fatal("a retired daemon took idle work")
+	}
 }
 
 // TestHeartbeatRoundAllocs: one heartbeat round to seven peers, delivered,

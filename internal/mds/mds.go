@@ -608,12 +608,15 @@ func (m *MDS) resolve(r *Request) (res resolved, auth namespace.Rank, err error)
 		if e != nil {
 			return res, 0, e
 		}
-		if node.IsRoot() {
+		// One read-lock hold each for the parent and the name: every
+		// accessor takes the tree lock, which all ranks share.
+		parent := node.Parent()
+		if parent == nil {
 			res = resolved{dir: node, node: node}
 			return res, m.ns.EffectiveAuth(node), nil
 		}
-		res = resolved{dir: node.Parent(), name: node.Name(), node: node}
-		return res, m.ns.AuthForDentry(node.Parent(), node.Name()), nil
+		res = resolved{dir: parent, name: node.Name(), node: node}
+		return res, m.ns.AuthForDentry(parent, res.name), nil
 	}
 }
 

@@ -187,10 +187,13 @@ func (m *MDS) handleExportPrep(p *exportPrep) {
 // intervals: now if it is not busy, else when the current interval ends,
 // ahead of the next queued request (as CephFS handles an export step in
 // turn in its dispatch loop, however long the queue). Pending work runs in
-// the order it arrived and dies with a Crash or a Retire. fn receives the
-// continuation that resumes the server, which it calls once it no longer
-// holds the server.
+// the order it arrived and dies with a Crash or a Retire; a crashed daemon
+// takes none. fn receives the continuation that resumes the server, which
+// it calls once it no longer holds the server.
 func (m *MDS) whenIdle(fn func(done func())) {
+	if m.crashed {
+		return
+	}
 	m.idle = append(m.idle, fn)
 	m.kick()
 }

@@ -302,8 +302,8 @@ func (m *MDS) handleReplicaGrant(from simnet.Addr, g *replicaGrant) {}
 
 // handleReplicaRevoke (holder): stop serving the path from the replica
 // (the registry already marks the entry revoking, so replicaRead refuses
-// new reads) and ack once the server is idle — any replica read already
-// admitted has finished by then.
+// new reads) and ack at the end of the current service interval (see
+// whenIdle) — any replica read already admitted has finished by then.
 func (m *MDS) handleReplicaRevoke(rv *replicaRevoke) {
 	if m.rep == nil {
 		return

@@ -73,10 +73,11 @@ func packEff(gen uint64, r Rank) uint64 {
 // directories, as in CephFS, so migrating a directory carries its inodes.
 //
 // Files are > 95 % of nodes, so Node holds only what a file uses — 40 bytes,
-// pointer words first — and everything directory-only sits behind dir. The field is named, not
-// embedded, so every access to directory state shows its nil-for-files deref.
-// A file reaches its namespace through its parent (see nsOf); a removed file
-// has no parent and so no namespace, and its accessors answer without a lock.
+// pointer words first — and everything directory-only sits behind dir. The
+// field is named, not embedded, so every access to directory state shows its
+// nil-for-files deref. A file reaches its namespace through its parent (see
+// nsOf); a removed file has no parent and so no namespace, and its accessors
+// answer without a lock.
 type Node struct {
 	name string
 	// parent is written only under the write lock, but a file loads it
