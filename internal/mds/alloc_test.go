@@ -102,8 +102,8 @@ func TestServedCreateAllocs(t *testing.T) {
 
 // TestWhenIdleRunsAtIntervalEnd: work handed to whenIdle while the server
 // is busy runs when the current service interval ends, ahead of the request
-// queued behind it, in the order it arrived. It replaced a 100 µs poll that
-// a saturated rank never found idle, so its exports never packed. Pending
+// queued behind it, in the order it arrived: a saturated rank is never idle
+// between two requests, so that is the only turn its exports get. Pending
 // work costs no allocation once the list has grown, and a Crash or a Retire
 // drops it.
 func TestWhenIdleRunsAtIntervalEnd(t *testing.T) {
