@@ -320,7 +320,9 @@ func (c *Client) handleReply(rep *mds.Reply) {
 	c.engine.Cancel(c.backoffEv)
 	c.timeoutsRow = 0
 	for _, h := range rep.Hints {
-		c.routes.Learn(h)
+		if !c.routes.Knows(h) {
+			c.routes.Learn(h)
+		}
 	}
 	lat := c.engine.Now() - c.inflightAt
 	if rep.Err != "" {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"fmt"
 	"testing"
 
 	"mantle/internal/mds"
@@ -395,5 +396,59 @@ func TestIssueReplyCycleAllocs(t *testing.T) {
 	}
 	if c.Completed != runs+1 || c.Timeouts != 0 {
 		t.Fatalf("completed %d, timeouts %d; want %d and 0", c.Completed, c.Timeouts, runs+1)
+	}
+}
+
+// TestRepeatedHintLeavesRoutesUntouched: a reply restating a hint the client
+// holds leaves its route table as it was — it keeps routing by the fragment
+// map it learned first, not by the repeated reply's copy — and allocates
+// nothing, while a changed hint is still learned.
+func TestRepeatedHintLeavesRoutesUntouched(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := simnet.New(e, simnet.Config{Latency: 50})
+	halves := namespace.RootFrag.Split(1)
+	name := "f"
+	for i := 0; !halves[1].Contains(namespace.HashName(name)); i++ {
+		name = fmt.Sprintf("f%d", i)
+	}
+	path := "/d/" + name
+	fragHint := func(r0, r1 namespace.Rank) mds.Hint {
+		return mds.Hint{DirPath: "/d", Frags: []mds.FragHint{{Frag: halves[0], Rank: r0}, {Frag: halves[1], Rank: r1}}}
+	}
+	hint := fragHint(0, 1)
+	rep := &mds.Reply{}
+	for _, a := range []simnet.Addr{0, 1} {
+		n.Register(a, simnet.HandlerFunc(func(_ simnet.Addr, msg simnet.Message) {
+			req := msg.(*mds.Request)
+			rep.ReqID = req.ID
+			rep.Hints = append(rep.Hints[:0], hint)
+			n.Send(a, req.Client, rep)
+		}))
+	}
+	stream := make([]workload.Op, 300)
+	for i := range stream {
+		stream[i] = workload.Op{Type: mds.OpGetattr, Path: path}
+	}
+	cfg := DefaultConfig()
+	c := New(0, simnet.Addr(100), e, n, cfg, &workload.SliceGen{Ops: stream}, []simnet.Addr{0, 1})
+	c.Start()
+	cycle := func() { e.Run(e.Now() + 100 + cfg.ThinkTime) }
+	cycle()
+	if got := c.routes.Route(path); got != 1 {
+		t.Fatalf("first hint routes %s to %d, want 1", path, got)
+	}
+	repeat := fragHint(0, 1) // equal to what the client holds, in a new slice
+	hint = repeat
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a repeated hint costs %.0f allocs per reply, want 0", allocs)
+	}
+	repeat.Frags[1].Rank = 0 // the reply's copy changes after it was handled
+	if got := c.routes.Route(path); got != 1 {
+		t.Errorf("after repeats %s routes to %d, want 1: a repeated hint rewrote the table", path, got)
+	}
+	hint = fragHint(1, 0)
+	cycle()
+	if got := c.routes.Route(path); got != 0 {
+		t.Errorf("a changed hint routes %s to %d, want 0", path, got)
 	}
 }

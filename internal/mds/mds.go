@@ -953,7 +953,7 @@ func (m *MDS) reply(r *Request, res resolved, err error) {
 	rep := r.Answer(text)
 	rep.Served, rep.Forwards = m.rank, r.Hops
 	if res.dir != nil {
-		h := m.hintFor(res.dir)
+		h := hintFor(m.ns, res.dir)
 		if m.rep != nil {
 			// Replica placement rides on every hint for the exact
 			// directory: nil Replicas clears whatever the client learned
@@ -978,16 +978,9 @@ func (m *MDS) reply(r *Request, res resolved, err error) {
 // hintFor builds the client routing hint: the top of the same-authority
 // subtree containing dir, plus per-fragment authorities when dir's frags
 // are split across ranks.
-func (m *MDS) hintFor(dir *namespace.Node) Hint {
-	rank := m.ns.EffectiveAuth(dir)
-	top := dir
-	for p := top.Parent(); p != nil; p = p.Parent() {
-		if m.ns.EffectiveAuth(p) != rank {
-			break
-		}
-		top = p
-	}
-	h := Hint{DirPath: top.Path(), Rank: rank}
+func hintFor(ns *namespace.Namespace, dir *namespace.Node) Hint {
+	top, rank := ns.SubtreeTop(dir)
+	h := Hint{DirPath: top, Rank: rank}
 	// Fragment-level hints are attached for the exact directory.
 	if dir.NumFragLeaves() > 1 {
 		split := false

@@ -196,14 +196,16 @@ func BenchmarkNSHeartbeat16Rank(b *testing.B) {
 
 // TestWarmResolveAllocs pins the resolution cache by count rather than by
 // time: a warm Resolve of a file in the deep 64-file directory allocates
-// nothing, where the walk — still the miss path, forced here by staling the
-// cache before each call — allocates once per call.
+// nothing, and neither does the walk — the miss path, forced here by staling
+// the cache before each call — for Resolve or ResolveDirOf, since it walks
+// the path in place instead of splitting it (it allocated once per call).
 func TestWarmResolveAllocs(t *testing.T) {
 	for _, m := range []struct {
 		name  string
 		stale bool
+		dirOf bool
 		want  float64
-	}{{"warm", false, 0}, {"walk", true, 1}} {
+	}{{"warm", false, false, 0}, {"walk", true, false, 0}, {"cold ResolveDirOf", true, true, 0}} {
 		ns := New(sim.Second)
 		paths := deepFiles(t, ns)
 		for _, p := range paths {
@@ -216,13 +218,19 @@ func TestWarmResolveAllocs(t *testing.T) {
 			if m.stale {
 				ns.invalidateResolves()
 			}
-			if _, err := ns.Resolve(paths[i%len(paths)]); err != nil {
+			var err error
+			if m.dirOf {
+				_, _, err = ns.ResolveDirOf(paths[i%len(paths)])
+			} else {
+				_, err = ns.Resolve(paths[i%len(paths)])
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
 		if got != m.want {
-			t.Errorf("%s: warm Resolve allocates %v, want %v", m.name, got, m.want)
+			t.Errorf("%s: Resolve allocates %v, want %v", m.name, got, m.want)
 		}
 	}
 }

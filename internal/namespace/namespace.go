@@ -153,25 +153,35 @@ func (ns *Namespace) HalfLife() sim.Time { return ns.halfLife }
 
 // SplitPath breaks an absolute path into components. "/" yields nil.
 func SplitPath(path string) ([]string, error) {
+	trimmed, err := trimPath(path)
+	if err != nil || trimmed == "" {
+		return nil, err
+	}
+	return strings.Split(trimmed, "/"), nil
+}
+
+// trimPath validates path by SplitPath's rules and returns its components
+// still joined by single slashes ("" for the root), so a walk can take them
+// one strings.Cut at a time without splitting the path.
+func trimPath(path string) (string, error) {
 	if path == "" || path[0] != '/' {
-		return nil, fmt.Errorf("%w: path %q is not absolute", ErrInvalidArg, path)
+		return "", fmt.Errorf("%w: path %q is not absolute", ErrInvalidArg, path)
 	}
 	trimmed := strings.Trim(path, "/")
-	if trimmed == "" {
-		return nil, nil
-	}
-	parts := strings.Split(trimmed, "/")
-	for _, p := range parts {
+	for rest, more := trimmed, trimmed != ""; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, "/")
 		if p == "" || p == "." || p == ".." {
-			return nil, fmt.Errorf("%w: path %q contains %q", ErrInvalidArg, path, p)
+			return "", fmt.Errorf("%w: path %q contains %q", ErrInvalidArg, path, p)
 		}
 	}
-	return parts, nil
+	return trimmed, nil
 }
 
 // Resolve walks an absolute path to its node. Steady-state lookups are
-// answered by the resolution cache (see rescache.go); misses and every
-// failure take the original component walk so error values are unchanged.
+// answered by the directory cache plus one probe (see rescache.go); misses
+// and every failure walk the path component by component, in place, and
+// report SplitPath's validation errors before any lookup error.
 func (ns *Namespace) Resolve(path string) (*Node, error) {
 	ns.rlock()
 	defer ns.runlock()
@@ -182,12 +192,15 @@ func (ns *Namespace) resolveIn(d *domain, path string) (*Node, error) {
 	if n := ns.cacheResolve(d, path); n != nil {
 		return n, nil
 	}
-	parts, err := SplitPath(path)
+	rest, err := trimPath(path)
 	if err != nil {
 		return nil, err
 	}
+	var parent *Node
 	cur := ns.root
-	for _, p := range parts {
+	for more := rest != ""; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, "/")
 		if !cur.IsDir() {
 			return nil, fmt.Errorf("%w: %s", ErrNotDir, cur.path())
 		}
@@ -195,9 +208,9 @@ func (ns *Namespace) resolveIn(d *domain, path string) (*Node, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %s/%s", ErrNotExist, cur.path(), p)
 		}
-		cur = next
+		parent, cur = cur, next
 	}
-	ns.cachePut(d, path, cur)
+	ns.cacheWalked(d, path, parent, cur)
 	return cur, nil
 }
 
@@ -216,15 +229,19 @@ func (ns *Namespace) resolveDirOfIn(d *domain, path string) (*Node, string, erro
 	if dir, name, ok := ns.cacheResolveDir(d, path); ok {
 		return dir, name, nil
 	}
-	parts, err := SplitPath(path)
+	rest, err := trimPath(path)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
+	if rest == "" {
 		return nil, "", fmt.Errorf("%w: cannot take parent of root", ErrInvalidArg)
 	}
 	cur := ns.root
-	for _, p := range parts[:len(parts)-1] {
+	for {
+		p, tail, more := strings.Cut(rest, "/")
+		if !more {
+			break // p is the final component
+		}
 		next, ok := cur.childGet(p)
 		if !ok {
 			return nil, "", fmt.Errorf("%w: %s/%s", ErrNotExist, cur.path(), p)
@@ -232,12 +249,10 @@ func (ns *Namespace) resolveDirOfIn(d *domain, path string) (*Node, string, erro
 		if !next.IsDir() {
 			return nil, "", fmt.Errorf("%w: %s", ErrNotDir, next.path())
 		}
-		cur = next
+		cur, rest = next, tail
 	}
-	if prefix, _, ok := splitLast(path); ok && prefix != "" {
-		ns.cachePut(d, prefix, cur)
-	}
-	return cur, parts[len(parts)-1], nil
+	ns.cacheWalked(d, path, cur, nil)
+	return cur, rest, nil
 }
 
 // attach links n under parent; h is HashName(n.name).
@@ -360,6 +375,7 @@ func (ns *Namespace) Remove(parent *Node, name string) error {
 		// The detached node must not keep serving memoised authority
 		// (or, below, path) state from its old location.
 		n.dir.effMemo.Store(0)
+		n.dir.topMemo.Store(0)
 	}
 	ns.detach(parent, n)
 	n.parent.Store(nil)

@@ -4,63 +4,63 @@ import (
 	"strings"
 )
 
-// Dentry-path resolution cache.
+// Directory resolution cache.
 //
-// Resolve and ResolveDirOf used to split the path string and walk one child
-// map per component on every request. The cache maps previously resolved
-// path strings straight to their nodes so steady-state resolution is one
-// lookup (plus at most one child-map lookup for the final component).
+// A CephFS MDS looks a dentry up by (directory, name). The cache does the
+// same: it maps the path of a previously walked directory straight to its
+// node, and answers any path as that directory plus one child-table probe
+// for the final component. It holds directories only — never a file — so
+// its size follows the number of directories a rank has walked, not the
+// number of files it has touched, and a stream of distinct file names in
+// known directories never fills it.
 //
 // Invalidation is by generation: Remove, Rename, SetAuthOverride and
 // SetFragAuth bump resGen, instantly staling every entry. Creates never
-// invalidate — they only add paths, and a cached path→node mapping for an
-// existing entry stays true when a sibling appears. The auth bumps are
-// conservative (a label move never changes the path→node mapping) but keep
-// the cache's lifetime rules identical to the subtree partition's, which
-// makes reasoning about migration races trivial; migrations are
-// heartbeat-rate events, so the cost is one cold lookup per path afterwards.
+// invalidate — they only add paths, and a cached path→directory mapping
+// stays true when a sibling appears. The auth bumps are conservative (a
+// label move never changes the path→node mapping) but keep the cache's
+// lifetime rules identical to the subtree partition's, which makes
+// reasoning about migration races trivial; migrations are heartbeat-rate
+// events, so the cost is one cold walk per directory afterwards.
 //
-// Only slow-path successes populate the cache, keyed by the exact input
-// string, so a hit is by construction the answer the uncached walk gave for
-// that same string. The fast path additionally answers "<cached-dir>/name"
-// by one child lookup; it refuses any split that could change validation
+// Only slow-path successes populate the cache: the walk stores the
+// directory holding the final component, keyed by the path's prefix, and
+// the final node itself when it is a directory. A stored key is therefore
+// a path the walk accepted and resolved to that directory, so "<key>/name"
+// walks to the same directory and then probes name — exactly the fast
+// path. The fast path refuses any split that could change validation
 // semantics (empty, "." or ".." final components, doubled slashes) and
-// falls back to the slow path for every failure so error text is identical.
+// falls back to the walk for every failure, so error text is identical.
 
 // resolveCacheMax bounds the entry count; the map is dropped wholesale when
-// full (steady-state working sets are far smaller; an adversarial stream of
-// distinct paths just round-robins the memory).
+// full (a rank's directories are far fewer; an adversarial stream of
+// distinct directories just round-robins the memory).
 const resolveCacheMax = 1 << 16
 
 type resolveEnt struct {
-	node *Node
-	gen  uint64
+	dir *Node
+	gen uint64
 }
 
-// cacheGet answers path from the domain's cache, nil on miss or stale entry.
+// cacheGet answers a directory path from the domain's cache, nil on miss or
+// stale entry.
 func (ns *Namespace) cacheGet(d *domain, path string) *Node {
 	if e, ok := d.resCache[path]; ok && e.gen == ns.resGen.Load() {
-		return e.node
+		return e.dir
 	}
 	return nil
 }
 
-// cachePut records a slow-path resolution success.
-func (ns *Namespace) cachePut(d *domain, path string, n *Node) {
+// cachePut records a directory the slow path walked to.
+func (ns *Namespace) cachePut(d *domain, path string, dir *Node) {
 	if len(d.resCache) >= resolveCacheMax {
 		d.resCache = make(map[string]resolveEnt, resolveCacheMax/4)
 	}
-	d.resCache[path] = resolveEnt{node: n, gen: ns.resGen.Load()}
+	d.resCache[path] = resolveEnt{dir: dir, gen: ns.resGen.Load()}
 }
 
 // invalidateResolves stales every domain's cached resolutions.
 func (ns *Namespace) invalidateResolves() { ns.resGen.Add(1) }
-
-// simpleComponent reports whether name is a valid single path component by
-// SplitPath's rules (no separators, not empty, not "." or "..").
-func simpleComponent(name string) bool {
-	return name != "" && name != "." && name != ".." && !strings.Contains(name, "/")
-}
 
 // splitLast splits path into a directory prefix and final component for the
 // cache fast path. ok is false whenever the split could diverge from
@@ -71,8 +71,8 @@ func splitLast(path string) (prefix, name string, ok bool) {
 	if i < 0 || path[0] != '/' {
 		return "", "", false
 	}
-	name = path[i+1:]
-	if !simpleComponent(name) {
+	name = path[i+1:] // holds no slash: i is the last one
+	if name == "" || name == "." || name == ".." {
 		return "", "", false
 	}
 	if i == 0 {
@@ -84,31 +84,15 @@ func splitLast(path string) (prefix, name string, ok bool) {
 	return path[:i], name, true
 }
 
-// cacheResolve answers Resolve(path) from the cache, nil when the slow path
-// must run (miss, failure, or unsplittable path).
+// cacheResolve answers Resolve(path) as a cached directory plus one probe,
+// nil when the slow path must run (miss, failure, or unsplittable path).
 func (ns *Namespace) cacheResolve(d *domain, path string) *Node {
-	if n := ns.cacheGet(d, path); n != nil {
-		return n
-	}
-	prefix, name, ok := splitLast(path)
+	dir, name, ok := ns.cacheResolveDir(d, path)
 	if !ok {
 		return nil
 	}
-	dir := ns.root
-	if prefix != "" {
-		if dir = ns.cacheGet(d, prefix); dir == nil {
-			return nil
-		}
-	}
-	if !dir.IsDir() {
-		return nil // slow path reports ErrNotDir with the right message
-	}
-	child, ok2 := dir.childGet(name)
-	if !ok2 {
-		return nil // slow path reports ErrNotExist
-	}
-	ns.cachePut(d, path, child)
-	return child
+	child, _ := dir.childGet(name)
+	return child // nil: the slow path reports ErrNotExist
 }
 
 // cacheResolveDir answers ResolveDirOf(path) from the cache. Unlike
@@ -122,8 +106,25 @@ func (ns *Namespace) cacheResolveDir(d *domain, path string) (*Node, string, boo
 		return ns.root, name, true
 	}
 	dir := ns.cacheGet(d, prefix)
-	if dir == nil || !dir.IsDir() {
+	if dir == nil {
 		return nil, "", false
 	}
 	return dir, name, true
+}
+
+// cacheWalked records what a successful walk of path passed through: parent,
+// the directory holding the final component, and the final node n when it
+// is a directory (ResolveDirOf passes nil). Paths the fast path would not
+// split are not recorded.
+func (ns *Namespace) cacheWalked(d *domain, path string, parent, n *Node) {
+	prefix, _, ok := splitLast(path)
+	if !ok {
+		return
+	}
+	if prefix != "" {
+		ns.cachePut(d, prefix, parent)
+	}
+	if n != nil && n.IsDir() {
+		ns.cachePut(d, path, n)
+	}
 }

@@ -1,7 +1,6 @@
 package rados
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 )
@@ -15,7 +14,6 @@ type Journal struct {
 	prefix    string
 	chunkSize int
 
-	seq     uint64
 	written uint64 // bytes appended across all entries
 	pending int
 	flushed uint64 // entries fully durable
@@ -37,7 +35,8 @@ func NewJournal(pool *Pool, prefix string, chunkSize int) *Journal {
 	return &Journal{pool: pool, prefix: prefix, chunkSize: chunkSize}
 }
 
-// EntryKind labels journal entries for post-run inspection.
+// EntryKind labels a journal entry at its call site; the journal charges
+// the entry's header but keeps no bytes of it.
 type EntryKind uint8
 
 // Journal entry kinds used by the MDS.
@@ -102,16 +101,16 @@ func (k EntryKind) String() string {
 	}
 }
 
-// entryHeaderSize is the stored part of an entry: kind, seq and payload size.
+// entryHeaderSize is the per-entry header (kind, seq and payload size)
+// charged on top of the payload.
 const entryHeaderSize = 16
 
 // Append journals an entry of the given kind and payload size, invoking done
 // when it is durable on all replicas. Experiments depend on entry sizes and
-// latencies, not on replayable bytes, so the object store is charged for the
-// whole entry (header plus payload) but the journal object keeps only the
-// header; the payload is counted in Object.Size.
+// latencies, not on replayable bytes, and nothing replays a journal, so the
+// object store is charged for the whole entry (header plus payload) and the
+// journal object counts it in Object.Size and Version but stores no bytes.
 func (j *Journal) Append(kind EntryKind, payloadSize int, done func()) {
-	j.seq++
 	chunk := j.written / uint64(j.chunkSize)
 	if j.curObj == "" || chunk != j.curChunk {
 		j.curChunk = chunk
@@ -120,7 +119,7 @@ func (j *Journal) Append(kind EntryKind, payloadSize int, done func()) {
 	j.written += uint64(entryHeaderSize + payloadSize)
 	j.pending++
 	e := j.alloc()
-	e.obj, e.kind, e.seq, e.payload, e.done = j.curObj, kind, j.seq, payloadSize, done
+	e.obj, e.payload, e.done = j.curObj, payloadSize, done
 	j.pool.cluster.engine.Schedule(j.pool.charge(e.obj, entryHeaderSize+payloadSize), e.ackedFn)
 }
 
@@ -130,8 +129,6 @@ func (j *Journal) Append(kind EntryKind, payloadSize int, done func()) {
 type journalEntry struct {
 	j       *Journal
 	obj     string
-	kind    EntryKind
-	seq     uint64
 	payload int
 	done    func()
 	ackedFn func()
@@ -150,22 +147,11 @@ func (j *Journal) alloc() *journalEntry {
 	return e
 }
 
-// acked runs once every replica has the entry: it stores the header, counts
-// the entry durable, releases the record and runs done.
+// acked runs once every replica has the entry: it commits the entry to its
+// object, counts it durable, releases the record and runs done.
 func (e *journalEntry) acked() {
 	j := e.j
-	obj := j.pool.commit(e.obj)
-	var hdr [entryHeaderSize]byte
-	hdr[0] = byte(e.kind)
-	binary.LittleEndian.PutUint64(hdr[1:9], e.seq)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(e.payload))
-	if len(obj.Data) == cap(obj.Data) {
-		// Double: append grows a large slice by a quarter, which
-		// allocates five bytes for each one the object keeps.
-		obj.Data = append(make([]byte, 0, 2*cap(obj.Data)+entryHeaderSize), obj.Data...)
-	}
-	obj.Data = append(obj.Data, hdr[:]...)
-	obj.Size += uint64(entryHeaderSize + e.payload)
+	j.pool.commit(e.obj).Size += uint64(entryHeaderSize + e.payload)
 	done := e.done
 	e.obj, e.done = "", nil
 	j.free = append(j.free, e)

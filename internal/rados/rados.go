@@ -59,7 +59,7 @@ type Object struct {
 	Data []byte
 	// Size is the logical length of the byte stream written to the object.
 	// It exceeds len(Data) where a writer stored less than it accounted:
-	// journal objects hold entry headers and only count the payload.
+	// journal objects store no bytes and only count their entries.
 	Size  uint64
 	OMap  map[string][]byte
 	XAttr map[string][]byte
