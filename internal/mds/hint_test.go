@@ -8,10 +8,10 @@ import (
 	"mantle/internal/sim"
 )
 
-// hintForWalk is hintFor as it was before the subtree-top memo: one
-// EffectiveAuth per ancestor up to the top of the same-authority subtree.
-// It builds paths from names, not from the path memo, so it does not share
-// the state it checks.
+// hintForWalk is hintFor as it was before Namespace.SubtreeTop: one
+// EffectiveAuth lock hold per ancestor up to the top of the same-authority
+// subtree. It builds paths from names, not from the path memo, so it does
+// not share the state it checks.
 func hintForWalk(ns *namespace.Namespace, dir *namespace.Node) Hint {
 	rank := ns.EffectiveAuth(dir)
 	top := dir
@@ -54,10 +54,11 @@ func pathByNames(n *namespace.Node) string {
 	return p
 }
 
-// TestSubtreeHintMatchesWalk: the memoised hint equals the ancestor walk for
-// every directory after each change that can move a subtree's top or its
-// path — a label change, a fragment-authority change, a split, a merge, a
-// rename of an ancestor and a removal — with the memos warm before each.
+// TestSubtreeHintMatchesWalk: the hint equals the ancestor walk for every
+// directory after each change that can move a subtree's top or its path — a
+// label change, a fragment-authority change, a split, a merge, a rename of
+// an ancestor and a removal — with the authority and path memos warm before
+// each.
 func TestSubtreeHintMatchesWalk(t *testing.T) {
 	ns := namespace.New(sim.Second)
 	for _, p := range []string{"/a/b/c/d", "/a/b/c/gone", "/a/e/f", "/x/y"} {

@@ -83,31 +83,15 @@ func (ns *Namespace) effAuthOf(n *Node) Rank {
 // SubtreeTop reports the rank authoritative for dir and the path of the
 // top of its same-authority subtree: the highest ancestor reached from dir
 // through directories of that same effective rank. It is what a reply hint
-// names, answered under one read-lock hold.
-//
-// The distance to the top is memoised on dir against authGen. Only a label
-// change or a directory rename (both bump authGen) can move the top; a
-// removed directory's memo is cleared with its parent link. The path is the
-// top's own memo, which a rename anywhere stales through pathGen, so a
-// memo hit allocates nothing and a fill allocates only a stale path.
+// names, answered under one read-lock hold: each ancestor's rank is its
+// effective-authority memo, and the path is the top's own path memo.
 func (ns *Namespace) SubtreeTop(dir *Node) (string, Rank) {
 	ns.rlock()
 	defer ns.runlock()
 	rank := ns.effAuthOf(dir)
 	top := dir
-	if w := dir.dir.topMemo.Load(); w>>effRankBits == ns.authGen {
-		for up := uint16(w); up > 0; up-- {
-			top = top.parent.Load()
-		}
-		return top.path(), rank
-	}
-	up := uint64(0)
 	for p := top.parent.Load(); p != nil && ns.effAuthOf(p) == rank; p = p.parent.Load() {
 		top = p
-		up++
-	}
-	if up < 1<<effRankBits {
-		dir.dir.topMemo.Store(ns.authGen<<effRankBits | up)
 	}
 	return top.path(), rank
 }

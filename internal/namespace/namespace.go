@@ -375,7 +375,6 @@ func (ns *Namespace) Remove(parent *Node, name string) error {
 		// The detached node must not keep serving memoised authority
 		// (or, below, path) state from its old location.
 		n.dir.effMemo.Store(0)
-		n.dir.topMemo.Store(0)
 	}
 	ns.detach(parent, n)
 	n.parent.Store(nil)

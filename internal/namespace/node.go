@@ -112,10 +112,6 @@ type dirState struct {
 	// generation it was computed under (bumped on any label change).
 	// Written on read paths, hence atomic.
 	effMemo atomic.Uint64
-	// topMemo packs how many levels above this directory the top of its
-	// same-authority subtree sits with the authority generation that
-	// answer was computed under (see SubtreeTop).
-	topMemo atomic.Uint64
 
 	rankSpread int32 // distinct ranks owning this dir's live frags
 	frozen     bool

@@ -163,8 +163,8 @@ func unwrapKind(err error) error {
 }
 
 // TestSubtreeTopConcurrent: rank goroutines read subtree tops, filling the
-// memos under the read lock, while labels move under the write lock; once
-// quiet, every directory's answer equals an ancestor walk.
+// authority memos under the read lock, while labels move under the write
+// lock; once quiet, every directory's answer equals an ancestor walk.
 func TestSubtreeTopConcurrent(t *testing.T) {
 	ns := New(sim.Second)
 	ns.EnableSharding(4)
