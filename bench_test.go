@@ -80,24 +80,6 @@ func BenchmarkScaleStudy(b *testing.B) { runFig(b, "scale") }
 
 // ---- substrate micro-benchmarks ----
 
-// BenchmarkTable1CephFSPolicy measures the hard-coded Table 1 policy's
-// decision cost (Go-native path).
-func BenchmarkTable1CephFSPolicy(b *testing.B) {
-	pol := balancer.NewCephFS()
-	e := &balancer.Env{WhoAmI: 0, State: &balancer.MemState{}}
-	for i := 0; i < 5; i++ {
-		// Rank 0 holds the most load so Where computes real targets.
-		e.MDSs = append(e.MDSs, balancer.MDSMetrics{Load: float64(10 * (5 - i)), Auth: 5, All: 8, Queue: 2, Req: 100})
-		e.Total += float64(10 * (5 - i))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := pol.Where(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTable2MantleHooks measures a full Mantle decision round (the
 // Table 2 environment marshalled into Lua, when + where + howmuch executed).
 func BenchmarkTable2MantleHooks(b *testing.B) {

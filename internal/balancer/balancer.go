@@ -1,14 +1,13 @@
 // Package balancer defines the load-balancing policy framework: the metrics
 // environment each MDS evaluates (Table 2 of the paper), the Balancer policy
 // interface (the four decisions Mantle decouples: load calculation, when,
-// where, how-much), the dirfrag selectors, and Go-native implementations of
-// the paper's balancers — the hard-coded CephFS policy of Table 1, Greedy
-// Spill (Listing 1/2), Fill & Spill (Listing 3), and the Adaptable balancer
-// (Listing 4).
+// where, how-much), the dirfrag selectors, and NoBalancer, which never
+// migrates.
 //
-// Lua-injected policies (the Mantle contribution) implement the same
-// interface in package core, so the MDS mechanism is identical whichever way
-// policies are authored.
+// The paper's balancers are Lua policies (policies/*.lua), run by package
+// core through the same interface; a Go type that implements it is a
+// balancer too, so the MDS mechanism is identical whichever way a policy is
+// authored.
 package balancer
 
 import (

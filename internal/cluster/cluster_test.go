@@ -58,7 +58,7 @@ func TestSingleMDSSingleClientCreates(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() *Result {
-		c, err := New(DefaultConfig(3, 42), GoBalancers(func() balancer.Balancer { return balancer.NewCephFS() }))
+		c, err := New(DefaultConfig(3, 42), LuaBalancers(core.DefaultPolicy()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestSeedChangesOutcome(t *testing.T) {
 	run := func(seed int64) *Result {
-		c, err := New(DefaultConfig(3, seed), GoBalancers(func() balancer.Balancer { return balancer.NewCephFS() }))
+		c, err := New(DefaultConfig(3, seed), LuaBalancers(core.DefaultPolicy()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestFeedbackPolicyBalances(t *testing.T) {
 	cfg := DefaultConfig(3, 31)
 	cfg.MDS.HeartbeatInterval = sim.Second
 	cfg.MDS.RebalanceDelay = 200 * sim.Millisecond
-	c, err := New(cfg, LuaBalancers(core.FeedbackPolicy()))
+	c, err := New(cfg, LuaBalancers(core.Policies()["feedback"]))
 	if err != nil {
 		t.Fatal(err)
 	}

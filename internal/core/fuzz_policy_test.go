@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"mantle/internal/namespace"
@@ -18,16 +16,8 @@ const policyFuzzSteps = 5000
 // lint's synthetic states, and no run may escape that budget. The corpus
 // starts from the shipped policies/*.lua.
 func FuzzPolicyFile(f *testing.F) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "policies", "*.lua"))
-	if err != nil || len(files) == 0 {
-		f.Fatalf("no shipped policies to seed from (%v)", err)
-	}
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(data))
+	for _, p := range policyFiles() {
+		f.Add(FormatPolicyFile(p))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := ParsePolicyFile("fuzz", src)

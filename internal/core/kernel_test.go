@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,10 +79,10 @@ func TestKernelPublishesGlobals(t *testing.T) {
 	}
 }
 
-// TestShippedHooksRunAsKernels: every shipped policy, in code and in
-// policies/, prices a dirfrag and scores a rank with Go arithmetic.
+// TestShippedHooksRunAsKernels: every policy of policies/ prices a dirfrag
+// and scores a rank with Go arithmetic.
 func TestShippedHooksRunAsKernels(t *testing.T) {
-	check := func(name string, p Policy) {
+	for name, p := range policyFiles() {
 		b, err := NewLuaBalancer(p, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -92,25 +90,5 @@ func TestShippedHooksRunAsKernels(t *testing.T) {
 		if meta, mds := b.Kernels(); !meta || !mds {
 			t.Errorf("%s: metaload runs as a kernel: %v, mdsload: %v", name, meta, mds)
 		}
-	}
-	for name, p := range Policies() {
-		check(name, p)
-	}
-	dir := filepath.Join("..", "..", "policies")
-	files, err := filepath.Glob(filepath.Join(dir, "*.lua"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no policy files in %s: %v", dir, err)
-	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := strings.TrimSuffix(filepath.Base(f), ".lua")
-		p, err := ParsePolicyFile(name, string(data))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		check(f, p)
 	}
 }

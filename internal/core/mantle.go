@@ -3,10 +3,11 @@
 // to migrate, "where" to send load, and "how much" accuracy — are injectable
 // Lua scripts evaluated against the environment of Table 2.
 //
-// A Policy is five scripts. LuaBalancer compiles them once and implements
-// the same balancer.Balancer interface as the Go-native policies, so the MDS
-// mechanism (dynamic subtree partitioning, dirfrag export, heartbeats) is
-// untouched — exactly the policy/mechanism split the paper argues for.
+// A Policy is five scripts; the built-ins are the files of policies/. A
+// LuaBalancer compiles them once and implements balancer.Balancer, the
+// interface a Go policy implements too, so the MDS mechanism (dynamic
+// subtree partitioning, dirfrag export, heartbeats) is untouched — exactly
+// the policy/mechanism split the paper argues for.
 // Scripts run on a per-MDS VM whose globals persist across invocations, so
 // the paper's listings — which pass values from the "when" hook to the
 // "where" hook through globals like `t` and `go_` — work as written.

@@ -1,54 +1,89 @@
 package core
 
 import (
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mantle/internal/namespace"
+	"mantle/policies"
 )
 
-// The policies/ directory ships every built-in policy in injectable file
-// form. This test keeps the files parseable, valid, and in sync with the
-// in-code definitions.
-func TestShippedPolicyFiles(t *testing.T) {
-	dir := filepath.Join("..", "..", "policies")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Skipf("policies dir unavailable: %v", err)
+// TestBuiltinsGolden pins the built-ins: `mantle-policy list`, `show` of
+// each, and every parametrised variant, against text captured when the
+// listings were still Go strings. A variant whose override matches nothing
+// panics in the rendering.
+func TestBuiltinsGolden(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("== mantle-policy list\n")
+	for _, n := range PolicyNames() {
+		b.WriteString(n + "\n")
 	}
-	builtins := Policies()
-	seen := 0
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".lua") {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".lua")
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	show := func(title string, p Policy) { fmt.Fprintf(&b, "== %s\n%s", title, FormatPolicyFile(p)) }
+	for _, n := range PolicyNames() {
+		show("mantle-policy show "+n, Policies()[n])
+	}
+	for _, f := range []float64{0.10, 0.25, 0.50} {
+		show(fmt.Sprintf("FillAndSpillPolicyWithFraction(%g)", f), FillAndSpillPolicyWithFraction(f))
+	}
+	for _, s := range []float64{0.05, 0.25, 1} {
+		show(fmt.Sprintf("ConservativePolicy(3000*%g+50)", s), ConservativePolicy(3000*s+50))
+	}
+	show("CoalescePolicy(50)", CoalescePolicy(50))
+	for _, m := range []string{"error", "garbage"} {
+		show(fmt.Sprintf("BrokenPolicy(%q)", m), BrokenPolicy(m))
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "builtins.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("the built-ins moved from testdata/builtins.golden:\n%s", got)
+	}
+}
+
+// TestOverrideMissPanics: an override whose text is not in the hook, or is
+// in it twice, stops the program instead of shipping the file's value.
+func TestOverrideMissPanics(t *testing.T) {
+	for _, old := range []string{"myLoad > 99 and", "MDSs"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("override of %q did not panic", old)
+				}
+			}()
+			override(builtin("adaptable_conservative").When, old, "")
+		}()
+	}
+}
+
+// TestShippedPolicyFiles: every file of policies/ parses and passes the
+// lint, and each balancer file is byte-identical to `mantle-policy show` of
+// itself.
+func TestShippedPolicyFiles(t *testing.T) {
+	files, err := fs.Glob(policies.Files, "*.lua")
+	if err != nil || len(files) != len(policyFiles()) {
+		t.Fatalf("%d files, %d parsed: %v", len(files), len(policyFiles()), err)
+	}
+	for _, f := range files {
+		data, err := policies.Files.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := strings.TrimSuffix(f, ".lua")
 		p, rep, err := CheckPolicyFile(name, string(data))
 		if err != nil {
-			t.Errorf("%s: %v", e.Name(), err)
-			continue
+			t.Fatalf("%s: %v", f, err)
 		}
 		if !rep.OK() {
-			t.Errorf("%s failed validation:\n%s", e.Name(), rep)
+			t.Errorf("%s failed validation:\n%s", f, rep)
 		}
-		builtin, ok := builtins[name]
-		if !ok {
-			continue // custom example policies are fine
+		if _, ok := Policies()[name]; ok && FormatPolicyFile(p) != string(data) {
+			t.Errorf("%s is not in the form `mantle-policy show` prints", f)
 		}
-		seen++
-		if strings.TrimSpace(p.When) != strings.TrimSpace(builtin.When) ||
-			strings.TrimSpace(p.Where) != strings.TrimSpace(builtin.Where) {
-			t.Errorf("%s drifted from the built-in definition; regenerate with `mantle-policy show %s`", e.Name(), name)
-		}
-	}
-	if seen != len(builtins) {
-		t.Errorf("policies/ has %d of %d built-ins; regenerate missing ones", seen, len(builtins))
 	}
 }
 
@@ -82,9 +117,9 @@ func TestCheckNamesAMissingBuiltin(t *testing.T) {
 // heartbeat prices units before any tick has bound them. The shipped
 // adaptable policy with whoami added to its metaload must still lint clean.
 func TestMetaLoadReadsItsScalarsBeforeATick(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "policies", "adaptable.lua"))
+	data, err := policies.Files.ReadFile("adaptable.lua")
 	if err != nil {
-		t.Skipf("policies dir unavailable: %v", err)
+		t.Fatal(err)
 	}
 	src := strings.Replace(string(data), "-- [metaload]\nIWR + IRD\n", "-- [metaload]\nIWR + IRD + whoami + authmetaload + allmetaload\n", 1)
 	if src == string(data) {

@@ -41,20 +41,6 @@ const (
 	ReplicateRevoke = -1
 )
 
-// DefaultReplicateScript is the built-in when_replicate policy: replicate a
-// directory whose load is well above its fair share and read-dominated;
-// revoke once it cools off or writes pick up (each write pays a revoke round
-// trip, so a write-heavy replica is pure cost).
-const DefaultReplicateScript = `
-local mean = total / active
-if replicas > 0 and (heat < mean / 2 or wr * 2 > rd) then
-	return -1
-end
-if replicas < max_replicas and heat > 2 * mean and rd > 4 * wr then
-	return 1
-end
-return 0`
-
 // ReplicateHook is a compiled when_replicate script. Like ElasticHook it
 // owns its VM: each rank holds its own hook, and evaluation never races the
 // rank's balancing hooks (both run on the rank's execution lane, but the
@@ -64,10 +50,13 @@ type ReplicateHook struct {
 	chunk *lua.Chunk
 }
 
-// NewReplicateHook compiles src (empty = DefaultReplicateScript).
+// NewReplicateHook compiles src (empty = the when_replicate hook of
+// policies/replicate.lua: replicate a directory whose load is well above its
+// fair share and read-dominated, and revoke once it cools off or writes pick
+// up, since each write pays a revoke round trip).
 func NewReplicateHook(src string, opts Options) (*ReplicateHook, error) {
 	if strings.TrimSpace(src) == "" {
-		src = DefaultReplicateScript
+		src = builtin("replicate").WhenReplicate
 	}
 	chunk, err := compile("when_replicate", src)
 	if err != nil {

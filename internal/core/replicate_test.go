@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -104,8 +105,66 @@ func TestValidateCatchesBadReplicateHook(t *testing.T) {
 	if rep := Validate(p); rep.OK() {
 		t.Fatal("validate accepted a syntactically broken when_replicate")
 	}
-	good := Policy{Name: "good", WhenReplicate: DefaultReplicateScript}
+	good := Policy{Name: "good", WhenReplicate: builtin("replicate").WhenReplicate}
 	if rep := Validate(good); !rep.OK() {
 		t.Fatalf("validate rejected the default script: %s", rep)
+	}
+}
+
+// replicateOracle is the default when_replicate rule as it was written in Go
+// source before policies/replicate.lua became the default: the same
+// branches, with the file's hot_factor and read_ratio as literals.
+const replicateOracle = `
+local mean = total / active
+if replicas > 0 and (heat < mean / 2 or wr * 2 > rd) then
+	return -1
+end
+if replicas < max_replicas and heat > 2 * mean and rd > 4 * wr then
+	return 1
+end
+return 0`
+
+// TestDefaultReplicateMatchesOracle: the default hook votes as the oracle
+// does on the validator's envs and on seeded random ones whose heat, rd and
+// wr sit near the thresholds.
+func TestDefaultReplicateMatchesOracle(t *testing.T) {
+	def, err := NewReplicateHook("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := NewReplicateHook(replicateOracle, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := syntheticReplicateEnvs()
+	rng := rand.New(rand.NewSource(1))
+	pick := func(vals ...float64) float64 { return vals[rng.Intn(len(vals))] }
+	for i := 0; i < 4000; i++ {
+		n := 1 + rng.Intn(6)
+		e := balancer.ReplicaEnv{WhoAmI: 0, Active: n, MaxReplicas: 2, Path: "/hot", Replicas: rng.Intn(4)}
+		for r := 0; r < n; r++ {
+			l := pick(0, 1, 10, 50, 100*rng.Float64())
+			e.MDSs = append(e.MDSs, balancer.MDSMetrics{Auth: l, All: l, Load: l})
+			e.Total += l
+		}
+		mean := e.Total / float64(n)
+		e.Heat = pick(0, mean/2, 2*mean, 2*mean+1e-9, 4*mean*rng.Float64())
+		e.Wr = pick(0, 1, 10, 100*rng.Float64())
+		e.Rd = pick(0, 2*e.Wr, 4*e.Wr, 4*e.Wr+1, 1000*rng.Float64())
+		envs = append(envs, e)
+	}
+	seen := map[int]int{}
+	for i, e := range envs {
+		got, gerr := def.Eval(e)
+		want, werr := oracle.Eval(e)
+		if got != want || (gerr == nil) != (werr == nil) {
+			t.Fatalf("env %d %+v: policies/replicate.lua votes %d (%v), the oracle %d (%v)", i, e, got, gerr, want, werr)
+		}
+		seen[got]++
+	}
+	for _, v := range []int{ReplicateGrant, ReplicateRevoke, ReplicateHold} {
+		if seen[v] == 0 {
+			t.Errorf("no env drew the vote %d: %v", v, seen)
+		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"mantle/internal/balancer"
+	"mantle/internal/core"
 	"mantle/internal/sim"
 )
 
@@ -36,7 +36,7 @@ func benchLiveServeNRank(b *testing.B, ranks int) {
 	var total uint64
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(ranks, int64(i+1))
-		cfg.Factory = goFactory(func() balancer.Balancer { return balancer.NewGreedySpill() })
+		cfg.Factory = luaFactory(core.GreedySpillPolicy())
 		cfg.MDS.HeartbeatInterval = 200 * sim.Millisecond
 		cfg.MDS.RebalanceDelay = 20 * sim.Millisecond
 		if ranks >= 512 {
@@ -70,7 +70,7 @@ func benchLiveServeHotDir(b *testing.B, replication bool) {
 	var p99 float64
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(4, int64(i+1))
-		cfg.Factory = goFactory(func() balancer.Balancer { return balancer.NewGreedySpill() })
+		cfg.Factory = luaFactory(core.GreedySpillPolicy())
 		cfg.MDS.HeartbeatInterval = 50 * sim.Millisecond
 		cfg.MDS.RebalanceDelay = 20 * sim.Millisecond
 		if replication {

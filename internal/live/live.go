@@ -131,7 +131,7 @@ type Config struct {
 	// leaves every replication code path dormant.
 	Replication bool
 	// ReplicaPolicy is the when_replicate Lua hook source ("" uses
-	// core.DefaultReplicateScript).
+	// policies/replicate.lua).
 	ReplicaPolicy string
 	// ReplicaMax caps replicas per directory (default 2).
 	ReplicaMax int

@@ -5,19 +5,19 @@ import (
 	"time"
 
 	"mantle/internal/balancer"
+	"mantle/internal/core"
 	"mantle/internal/namespace"
 	"mantle/internal/sim"
 )
 
-// goFactory adapts a Go-native policy constructor (tests avoid Lua VMs to
-// keep -race runs quick; cmd/mantle-serve exercises the Lua path).
-func goFactory(mk func() balancer.Balancer) BalancerFactory {
-	return func(namespace.Rank) (balancer.Balancer, error) { return mk(), nil }
+// luaFactory builds each rank's balancer from p, as mantle-serve does.
+func luaFactory(p core.Policy) BalancerFactory {
+	return func(namespace.Rank) (balancer.Balancer, error) { return core.NewLuaBalancer(p, core.Options{}) }
 }
 
 func testConfig(ranks int, rate float64, dur time.Duration) Config {
 	cfg := DefaultConfig(ranks, 7)
-	cfg.Factory = goFactory(func() balancer.Balancer { return balancer.NewGreedySpill() })
+	cfg.Factory = luaFactory(core.GreedySpillPolicy())
 	cfg.MDS.HeartbeatInterval = 200 * sim.Millisecond
 	cfg.MDS.RebalanceDelay = 20 * sim.Millisecond
 	cfg.MDS.RecoverBase = 50 * sim.Millisecond

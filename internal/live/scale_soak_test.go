@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"mantle/internal/balancer"
+	"mantle/internal/core"
 	"mantle/internal/faults"
 	"mantle/internal/sim"
 	"mantle/internal/simnet"
@@ -41,7 +41,7 @@ func TestLiveScaleSoak(t *testing.T) {
 	}
 
 	cfg := DefaultConfig(ranks, *soakSeed)
-	cfg.Factory = goFactory(func() balancer.Balancer { return balancer.NewGreedySpill() })
+	cfg.Factory = luaFactory(core.GreedySpillPolicy())
 	cfg.MDS.HeartbeatInterval = 250 * sim.Millisecond
 	cfg.MDS.RebalanceDelay = 25 * sim.Millisecond
 	cfg.HBAggregated = true

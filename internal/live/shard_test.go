@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"mantle/internal/balancer"
+	"mantle/internal/core"
 	"mantle/internal/sim"
 )
 
@@ -105,7 +105,7 @@ func TestLive128RankFaultSoak(t *testing.T) {
 	}
 	const ranks = 128
 	cfg := DefaultConfig(ranks, 7)
-	cfg.Factory = goFactory(func() balancer.Balancer { return balancer.NewGreedySpill() })
+	cfg.Factory = luaFactory(core.GreedySpillPolicy())
 	cfg.MDS.HeartbeatInterval = 500 * sim.Millisecond
 	cfg.MDS.RebalanceDelay = 50 * sim.Millisecond
 	cfg.MDS.RecoverBase = 50 * sim.Millisecond

@@ -5,7 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -14,6 +14,7 @@ import (
 
 	"mantle/internal/core"
 	"mantle/internal/lua"
+	"mantle/policies"
 )
 
 // fuzzSteps is the step budget of a fuzzed run: small, so a looping input
@@ -79,12 +80,12 @@ func luaSeeds(tb testing.TB) []string {
 	addPolicy := func(p core.Policy) {
 		hooks = append(hooks, p.MetaLoad, p.MDSLoad, p.When, p.Where, p.HowMuch, p.WhenElastic, p.WhenReplicate)
 	}
-	files, err := filepath.Glob(filepath.Join("..", "..", "policies", "*.lua"))
+	files, err := fs.Glob(policies.Files, "*.lua")
 	if err != nil || len(files) == 0 {
 		tb.Fatalf("no policy files: %v", err)
 	}
 	for _, name := range files {
-		data, err := os.ReadFile(name)
+		data, err := policies.Files.ReadFile(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -93,9 +94,6 @@ func luaSeeds(tb testing.TB) []string {
 			tb.Fatalf("%s: %v", name, err)
 		}
 		addPolicy(p)
-	}
-	for _, name := range core.PolicyNames() {
-		addPolicy(core.Policies()[name])
 	}
 	// Every string literal in the other tests: their programs and
 	// expressions.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mantle/internal/balancer"
+	"mantle/internal/core"
 	"mantle/internal/namespace"
 	"mantle/internal/rados"
 	"mantle/internal/sim"
@@ -22,6 +23,17 @@ type harness struct {
 	replies []*Reply
 	flushes int
 	nextID  uint64
+}
+
+// cephfs builds Table 1's balancer as it ships.
+func cephfs(t *testing.T) func() balancer.Balancer {
+	return func() balancer.Balancer {
+		b, err := core.NewLuaBalancer(core.DefaultPolicy(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 }
 
 func newHarness(t *testing.T, n int, bal func() balancer.Balancer, tune func(*Config)) *harness {
@@ -361,7 +373,7 @@ func TestFragMigration(t *testing.T) {
 }
 
 func TestHeartbeatTickAndRebalanceWithCephFS(t *testing.T) {
-	h := newHarness(t, 2, func() balancer.Balancer { return balancer.NewCephFS() },
+	h := newHarness(t, 2, cephfs(t),
 		func(c *Config) {
 			c.HeartbeatInterval = 500 * sim.Millisecond
 			c.RebalanceDelay = 100 * sim.Millisecond
@@ -876,7 +888,7 @@ func TestImportTimeoutRollsBackIntent(t *testing.T) {
 // only grows, so it is never idle between two requests, and an export must
 // take its turn at the end of a service interval. At the end no request is left parked on a frozen unit.
 func TestSaturatedRankExports(t *testing.T) {
-	h := newHarness(t, 2, func() balancer.Balancer { return balancer.NewCephFS() },
+	h := newHarness(t, 2, cephfs(t),
 		func(c *Config) {
 			c.HeartbeatInterval = 500 * sim.Millisecond
 			c.RebalanceDelay = 100 * sim.Millisecond
