@@ -95,6 +95,11 @@ func luaSeeds(tb testing.TB) []string {
 		}
 		addPolicy(p)
 	}
+	// The built-ins as internal/core serves them, which is the path every
+	// run takes.
+	for _, name := range core.PolicyNames() {
+		addPolicy(core.Policies()[name])
+	}
 	// Every string literal in the other tests: their programs and
 	// expressions.
 	tests, err := filepath.Glob("*_test.go")
