@@ -2,6 +2,7 @@ package balancer_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mantle/internal/balancer"
@@ -118,6 +119,10 @@ func TestCephFSWhereScalesToExcess(t *testing.T) {
 
 func TestGreedySpillNeighbour(t *testing.T) {
 	b := compile(t, core.GreedySpillPolicy())
+	// Listing 1 counts inode writes only.
+	if got, err := b.MetaLoad(namespace.CounterSnapshot{IRD: 9, IWR: 4}); err != nil || got != 4 {
+		t.Fatalf("metaload = %v, %v, want IWR only", got, err)
+	}
 	e := envWithLoads(0, 10, 0, 0, 0)
 	targets := decide(t, b, e)
 	if len(targets) != 1 || targets[1] != 5 {
@@ -183,6 +188,9 @@ func TestFillAndSpillThreeStrikes(t *testing.T) {
 	if hot() || hot() {
 		t.Fatal("streak not reset by cool sample")
 	}
+	if !hot() {
+		t.Fatal("three hot samples after the cool one should spill")
+	}
 }
 
 func TestFillAndSpillWhere(t *testing.T) {
@@ -206,6 +214,10 @@ func TestFillAndSpillWhere(t *testing.T) {
 
 func TestAdaptableMajorityCondition(t *testing.T) {
 	b := compile(t, core.AdaptablePolicy())
+	// Listing 4 weighs inode reads and writes alike.
+	if got, err := b.MetaLoad(namespace.CounterSnapshot{IRD: 3, IWR: 4}); err != nil || got != 7 {
+		t.Fatalf("metaload = %v, %v, want IRD+IWR", got, err)
+	}
 	// 60% of total and the max → migrate.
 	if !when(t, b, envWithLoads(0, 60, 20, 20)) {
 		t.Fatal("majority holder should migrate")
@@ -230,7 +242,7 @@ func TestAdaptableWhereFillsToMean(t *testing.T) {
 		t.Fatalf("targets = %v", targets)
 	}
 	how, err := b.HowMuch(e)
-	if err != nil || len(how) != 4 {
+	if err != nil || !slices.Equal(how, []string{"half", "small", "big", "big_small"}) {
 		t.Fatalf("howmuch = %v, %v", how, err)
 	}
 }

@@ -3,7 +3,7 @@ package balancer
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // FragCandidate is one exportable unit (dirfrag or whole subtree) offered to
@@ -19,28 +19,60 @@ type FragCandidate struct {
 // IDs. Selectors must not mutate cands.
 type Selector func(cands []FragCandidate, target float64) []int
 
-// Shipped sums the load of the chosen candidates.
+// Shipped sums the load of the chosen candidates, in chosen order. An ID
+// names the last candidate that carries it, and an ID no candidate carries
+// ships nothing. Every caller numbers its candidates by position, which
+// finds each load by index; other numberings fall back to a scan.
 func Shipped(cands []FragCandidate, chosen []int) float64 {
-	byID := make(map[int]float64, len(cands))
-	for _, c := range cands {
-		byID[c.ID] = c.Load
+	positional := true
+	for i := range cands {
+		if cands[i].ID != i {
+			positional = false
+			break
+		}
 	}
 	sum := 0.0
 	for _, id := range chosen {
-		sum += byID[id]
+		switch {
+		case !positional:
+			sum += loadOf(cands, id)
+		case uint(id) < uint(len(cands)):
+			sum += cands[id].Load
+		}
 	}
 	return sum
 }
 
-func sortedCopy(cands []FragCandidate, desc bool) []FragCandidate {
-	out := append([]FragCandidate(nil), cands...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if desc {
-			return out[i].Load > out[j].Load
+// loadOf is the load of the last candidate carrying id, 0 if none does.
+func loadOf(cands []FragCandidate, id int) float64 {
+	for i := len(cands) - 1; i >= 0; i-- {
+		if cands[i].ID == id {
+			return cands[i].Load
 		}
-		return out[i].Load < out[j].Load
-	})
+	}
+	return 0
+}
+
+func sortedCopy(cands []FragCandidate, desc bool) []FragCandidate {
+	out := slices.Clone(cands)
+	if desc {
+		slices.SortStableFunc(out, func(a, b FragCandidate) int { return byLoad(b, a) })
+	} else {
+		slices.SortStableFunc(out, byLoad)
+	}
 	return out
+}
+
+// byLoad orders candidates by ascending load. Loads that compare neither
+// way (a NaN) are equal, as they were to sort.SliceStable's less.
+func byLoad(a, b FragCandidate) int {
+	switch {
+	case a.Load < b.Load:
+		return -1
+	case a.Load > b.Load:
+		return 1
+	}
+	return 0
 }
 
 // BigFirst ships the largest candidates until the target is reached — the

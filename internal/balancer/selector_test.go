@@ -2,6 +2,8 @@ package balancer
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +188,94 @@ func TestSelectorProperty(t *testing.T) {
 func TestShippedEmpty(t *testing.T) {
 	if Shipped(nil, nil) != 0 {
 		t.Fatal("empty shipped should be 0")
+	}
+}
+
+// shippedOracle and sortedOracle are Shipped and sortedCopy as they were
+// before selection stopped allocating per selector: a map from ID to load,
+// and sort.SliceStable. The rewrites must return the same bits and orders.
+func shippedOracle(cands []FragCandidate, chosen []int) float64 {
+	byID := make(map[int]float64, len(cands))
+	for _, c := range cands {
+		byID[c.ID] = c.Load
+	}
+	sum := 0.0
+	for _, id := range chosen {
+		sum += byID[id]
+	}
+	return sum
+}
+
+func sortedOracle(cands []FragCandidate, desc bool) []FragCandidate {
+	out := append([]FragCandidate(nil), cands...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if desc {
+			return out[i].Load > out[j].Load
+		}
+		return out[i].Load < out[j].Load
+	})
+	return out
+}
+
+// TestSelectionMatchesOracles: over positional, shuffled, duplicated and
+// missing IDs, and loads with ties, NaNs and signed zeros, Shipped sums to
+// the oracle's bits and sortedCopy orders as sort.SliceStable did.
+func TestSelectionMatchesOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := []float64{0, math.Copysign(0, -1), 1, 1, 2.5, 1e-300, 7, math.NaN(), math.Inf(1), 13.3, 13.3}
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(40)
+		cands := make([]FragCandidate, n)
+		for i := range cands {
+			cands[i] = FragCandidate{ID: i, Load: pool[rng.Intn(len(pool))]}
+			if trial%3 == 0 {
+				cands[i].Load = rng.Float64() * 100
+			}
+		}
+		switch trial % 4 {
+		case 1: // shuffled IDs
+			rng.Shuffle(n, func(i, j int) { cands[i].ID, cands[j].ID = cands[j].ID, cands[i].ID })
+		case 2: // duplicated and out-of-range IDs
+			for i := range cands {
+				cands[i].ID = rng.Intn(n+3) - 1
+			}
+		}
+		chosen := make([]int, rng.Intn(n+2))
+		for i := range chosen {
+			chosen[i] = rng.Intn(n+4) - 2
+		}
+		if got, want := Shipped(cands, chosen), shippedOracle(cands, chosen); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Shipped %v, oracle %v\n%+v %v", trial, got, want, cands, chosen)
+		}
+		for _, desc := range []bool{false, true} {
+			got, want := sortedCopy(cands, desc), sortedOracle(cands, desc)
+			for i := range want {
+				if got[i].ID != want[i].ID || math.Float64bits(got[i].Load) != math.Float64bits(want[i].Load) {
+					t.Fatalf("trial %d desc=%v: sorted %+v, oracle %+v", trial, desc, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestChooseFragsAllocs pins what arbitration over the four selectors
+// allocates for 64 candidates: per selector, the sorted copy and the chosen
+// IDs' growth; no map and no sort swapper (40 allocations with them).
+// Re-pin down only.
+func TestChooseFragsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	loads := make([]float64, 64)
+	for i := range loads {
+		loads[i] = rng.Float64() * 100
+	}
+	cands := candidates(loads)
+	names := []string{"big_first", "small_first", "big_small", "half"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := ChooseFrags(names, cands, 600); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 19 {
+		t.Errorf("ChooseFrags allocates %v times, want at most 19", allocs)
 	}
 }

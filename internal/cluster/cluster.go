@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 
 	"mantle/internal/balancer"
 	"mantle/internal/client"
@@ -276,12 +277,25 @@ func (c *Cluster) PrePopulateTree(dir, prefix string, n int) error {
 	if err != nil {
 		return err
 	}
+	buf := []byte(prefix)
 	for i := 0; i < n; i++ {
-		if _, err := c.NS.Create(d, fmt.Sprintf("%s%07d", prefix, i), false); err != nil {
+		buf = appendPadded(buf[:len(prefix)], i, 7)
+		if _, err := c.NS.Create(d, string(buf), false); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendPadded appends i >= 0 in decimal, zero-padded to width digits: what
+// fmt's %0*d prints, without fmt's cost per name.
+func appendPadded(b []byte, i, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	for pad := len(d); pad < width; pad++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // PreAssign statically pins a subtree to a rank before the run (the

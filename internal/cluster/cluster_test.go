@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -588,5 +590,34 @@ func TestResultCSVWriters(t *testing.T) {
 	}
 	if !strings.HasPrefix(cl[1], "0,3001,") {
 		t.Fatalf("client row = %q", cl[1])
+	}
+}
+
+// TestPrePopulateTreeNames: the names PrePopulateTree builds without fmt are
+// byte for byte what %s%07d printed, past seven digits too.
+func TestPrePopulateTreeNames(t *testing.T) {
+	for _, i := range []int{0, 7, 42, 999_999, 1_000_000, 9_999_999, 10_000_000, 12_345_678, 123_456_789} {
+		if got, want := string(appendPadded([]byte("f"), i, 7)), fmt.Sprintf("%s%07d", "f", i); got != want {
+			t.Errorf("index %d: %q, want %q", i, got, want)
+		}
+	}
+	c, err := New(DefaultConfig(1, 1), noBalance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1200
+	if err := c.PrePopulateTree("/pre/d00", "file", n); err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.NS.Resolve("/pre/d00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("%s%07d", "file", i)
+	}
+	if got := d.ChildNames(); !slices.Equal(got, want) {
+		t.Fatalf("children %d, want %d, first %q", len(got), n, got[:min(3, len(got))])
 	}
 }

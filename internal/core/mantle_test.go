@@ -101,176 +101,6 @@ func TestDefaultWhenAndWhere(t *testing.T) {
 	}
 }
 
-func TestGreedySpillListing(t *testing.T) {
-	b := mustBalancer(t, GreedySpillPolicy())
-	if got, _ := b.MetaLoad(namespace.CounterSnapshot{IRD: 9, IWR: 4}); got != 4 {
-		t.Fatalf("metaload = %v, want IWR only", got)
-	}
-	e := envOf(0, 10, 0, 0, 0)
-	e.AllMetaLoad = 10
-	ok, err := b.When(e)
-	if err != nil || !ok {
-		t.Fatalf("when = %v, %v", ok, err)
-	}
-	targets, err := b.Where(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if targets[1] != 5 {
-		t.Fatalf("targets = %v", targets)
-	}
-	how, _ := b.HowMuch(e)
-	if len(how) != 1 || how[0] != "half" {
-		t.Fatalf("howmuch = %v", how)
-	}
-	// Busy neighbour blocks the spill.
-	if ok, _ := b.When(envOf(0, 10, 8, 0, 0)); ok {
-		t.Fatal("spilled onto busy neighbour")
-	}
-	// Last rank must not error (the guard the listing omits).
-	if ok, err := b.When(envOf(3, 0, 0, 0, 10)); err != nil || ok {
-		t.Fatalf("last rank: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestGreedySpillEvenListing(t *testing.T) {
-	b := mustBalancer(t, GreedySpillEvenPolicy())
-	// Rank 0 of 4 (whoami=1): t = floor(4/2)+1 = 3 → rank index 2.
-	e := envOf(0, 10, 0, 0, 0)
-	ok, err := b.When(e)
-	if err != nil || !ok {
-		t.Fatalf("when: %v %v", ok, err)
-	}
-	targets, err := b.Where(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if targets[2] != 5 {
-		t.Fatalf("targets = %v, want rank 2", targets)
-	}
-	// Rank 2 loaded (whoami=3): t = floor(2/2)+3 = 4 → rank 3.
-	e2 := envOf(2, 5, 0, 5, 0)
-	if ok, _ := b.When(e2); !ok {
-		t.Fatal("rank 2 should spill")
-	}
-	targets2, _ := b.Where(e2)
-	if targets2[3] != 2.5 {
-		t.Fatalf("targets = %v, want rank 3", targets2)
-	}
-	// Rank 0 again: half-way (2) is busy → walk back to rank 1. The
-	// where hook consumes the `t` computed by when, so when runs first.
-	e3 := envOf(0, 5, 0, 5, 2.5)
-	if ok, _ := b.When(e3); !ok {
-		t.Fatal("rank 0 should spill to rank 1")
-	}
-	targets3, _ := b.Where(e3)
-	if math.Abs(targets3[1]-2.5) > 1e-9 {
-		t.Fatalf("targets = %v, want rank 1", targets3)
-	}
-	// Saturated cluster: nowhere to go.
-	if ok, _ := b.When(envOf(0, 5, 5, 5, 5)); ok {
-		t.Fatal("saturated cluster still spilled")
-	}
-}
-
-func TestFillAndSpillListingThreeStrikes(t *testing.T) {
-	b := mustBalancer(t, FillAndSpillPolicy())
-	hotEnv := envOf(0, 40, 0)
-	hotEnv.MDSs[0].CPU = 95
-	coolEnv := envOf(0, 40, 0)
-	coolEnv.MDSs[0].CPU = 10
-	// WRstate/RDstate live in the caller-provided store (the MDS's); both
-	// views of the same MDS must share it.
-	coolEnv.State = hotEnv.State
-
-	when := func(e *balancer.Env) bool {
-		ok, err := b.When(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ok
-	}
-	if when(hotEnv) || when(hotEnv) {
-		t.Fatal("fired before 3 straight hot samples")
-	}
-	if !when(hotEnv) {
-		t.Fatal("3rd hot sample should fire")
-	}
-	targets, err := b.Where(hotEnv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if targets[1] != 10 { // load/4
-		t.Fatalf("targets = %v", targets)
-	}
-	// Reset after firing; cool sample also resets.
-	if when(hotEnv) {
-		t.Fatal("did not reset after firing")
-	}
-	if when(coolEnv) {
-		t.Fatal("cool sample fired")
-	}
-	if when(hotEnv) || when(hotEnv) {
-		t.Fatal("streak not restarted")
-	}
-	if !when(hotEnv) {
-		t.Fatal("should fire after fresh streak")
-	}
-}
-
-func TestAdaptableListing(t *testing.T) {
-	b := mustBalancer(t, AdaptablePolicy())
-	if got, _ := b.MetaLoad(namespace.CounterSnapshot{IRD: 3, IWR: 4}); got != 7 {
-		t.Fatalf("metaload = %v", got)
-	}
-	// Majority holder migrates, filling others to the mean.
-	e := envOf(0, 90, 0, 0)
-	if ok, _ := b.When(e); !ok {
-		t.Fatal("majority holder should migrate")
-	}
-	targets, err := b.Where(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if targets[1] != 30 || targets[2] != 30 {
-		t.Fatalf("targets = %v", targets)
-	}
-	how, _ := b.HowMuch(e)
-	want := []string{"half", "small", "big", "big_small"}
-	if len(how) != len(want) {
-		t.Fatalf("howmuch = %v", how)
-	}
-	for i := range want {
-		if how[i] != want[i] {
-			t.Fatalf("howmuch = %v", how)
-		}
-	}
-	// Non-majority or non-max does not migrate.
-	if ok, _ := b.When(envOf(0, 40, 30, 30)); ok {
-		t.Fatal("non-majority migrated")
-	}
-	if ok, _ := b.When(envOf(0, 30, 65, 5)); ok {
-		t.Fatal("non-max migrated")
-	}
-}
-
-func TestConservativeAndTooAggressiveVariants(t *testing.T) {
-	cons := mustBalancer(t, ConservativePolicy(50))
-	if ok, _ := cons.When(envOf(0, 40, 0, 0)); ok {
-		t.Fatal("conservative fired below floor")
-	}
-	if ok, _ := cons.When(envOf(0, 60, 0, 0)); !ok {
-		t.Fatal("conservative should fire above floor")
-	}
-	aggr := mustBalancer(t, TooAggressivePolicy())
-	if ok, _ := aggr.When(envOf(0, 34, 33, 33)); !ok {
-		t.Fatal("too-aggressive should fire on slight imbalance")
-	}
-	if ok, _ := aggr.When(envOf(1, 34, 33, 33)); ok {
-		t.Fatal("below-mean rank fired")
-	}
-}
-
 func TestWhenThenFragmentCompletion(t *testing.T) {
 	// The paper writes when-hooks as bare `if ... then` fragments.
 	p := Policy{

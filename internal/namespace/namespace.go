@@ -458,8 +458,11 @@ func Walk(n *Node, fn func(*Node) bool) {
 // empty name for whole-directory operations (readdir).
 func (ns *Namespace) RecordOp(dir *Node, name string, k OpKind, now sim.Time) {
 	ns.rlock()
-	ns.recordOpIn(ns.def, dir, name, k, now)
+	full := ns.recordOpIn(ns.def, dir, name, k, now)
 	ns.runlock()
+	if full {
+		ns.flushFull(ns.def)
+	}
 }
 
 // chargeFrags charges one op of kind k against the dirfrag holding name (or
@@ -485,12 +488,15 @@ func (dir *Node) chargeFrags(name string, k OpKind, now sim.Time) {
 // the owning rank's actor serves ops on it) and defers the ancestor walk
 // into the domain's log: one append now, the identical sequence of Hit
 // calls replayed in arrival order at the next counter read (see oplog.go).
-func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now sim.Time) {
+// It reports whether the log has reached maxPendingHits; the caller then
+// drops the read lock and folds it (flushFull).
+func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now sim.Time) (full bool) {
 	if dir == nil || !dir.IsDir() {
-		return
+		return false
 	}
 	dir.chargeFrags(name, k, now)
 	d.pendingHits = append(d.pendingHits, hitRec{dir: dir, kind: k, at: now})
+	return len(d.pendingHits) >= maxPendingHits
 }
 
 // SplitDir fragments one leaf frag of dir into 2^bits children, dividing the

@@ -17,6 +17,14 @@ import (
 // record performs the same DecayCounter.Hit calls on the same counters, so
 // every float operation sequence is unchanged, only deferred.
 
+// maxPendingHits bounds every domain's log. A RecordOp that leaves the log
+// holding this many records folds it before returning, so the log's
+// capacity stops at the bound instead of growing with throughput × the
+// interval between counter reads. Folding early replays the same Hit calls
+// in the same order, with no counter read in between (every read folds
+// first), so the counters come out bit-identical.
+const maxPendingHits = 4096
+
 // hitRec is one deferred RecordOp charge against dir and all its ancestors.
 // Records from RecordOpRemote additionally carry the dirfrag charge (frag
 // set, name naming the dentry): the inline frag hit is single-writer — only
@@ -50,6 +58,17 @@ func (d *domain) flush() {
 	}
 }
 
+// flushFull folds d's log once a RecordOp has found it at the bound. The
+// op decided under the read lock and dropped it; the fold takes the write
+// lock, since it writes the ancestors' shared counters. In sharded mode a
+// rank's own RecordOps are the only appends to its domain, but a counter
+// read may have folded it in between, which only leaves less to fold.
+func (ns *Namespace) flushFull(d *domain) {
+	ns.wlock()
+	d.flush()
+	ns.wunlock()
+}
+
 // FlushCounters folds every deferred hit into the directory counters along
 // each record's ancestor chain, in arrival order. It is invoked
 // automatically before any directory counter is read and before structural
@@ -75,6 +94,7 @@ func (ns *Namespace) flushLocked() {
 }
 
 // PendingHits reports the number of un-folded RecordOp charges (test hook).
+// After any RecordOp returns, no domain holds more than maxPendingHits-1.
 func (ns *Namespace) PendingHits() int {
 	ns.wlock()
 	defer ns.wunlock()

@@ -516,7 +516,8 @@ func FuzzNamespaceOps(f *testing.F) {
 // TestLazyCounterSnapshotEquivalence is the focused version of the lazy
 // counter claim: identical random (kind, time) hit sequences against a deep
 // chain produce bit-identical snapshots whether each hit is folded at once
-// or all of them in one deferred batch.
+// or deferred. The sequence runs past maxPendingHits twice, so the deferred
+// side folds in batches of the bound and then once more at the read.
 func TestLazyCounterSnapshotEquivalence(t *testing.T) {
 	const depth = 24
 	rng := rand.New(rand.NewSource(99))
@@ -529,7 +530,7 @@ func TestLazyCounterSnapshotEquivalence(t *testing.T) {
 	fleaf := mustCreate(t, fast, path, true)
 	cleaf := mustCreate(t, cold, path, true)
 	now := sim.Time(0)
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < 2*maxPendingHits+808; i++ {
 		now += sim.Time(1 + rng.Intn(500_000))
 		kind := OpKind(rng.Intn(int(numOpKinds)))
 		fast.RecordOp(fleaf, "x", kind, now)

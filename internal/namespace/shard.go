@@ -67,7 +67,9 @@ func newDomain() *domain {
 // before any concurrent use (the live runtime calls it at construction,
 // before actors start). The op path is safe under the read lock because
 // RecordOp only appends to the rank's own deferred log; the shared ancestor
-// DecayCounters are written by the fold, under the write lock.
+// DecayCounters are written by the fold, under the write lock, which a
+// RecordOp also takes, after dropping the read lock, when it fills its log
+// to maxPendingHits.
 func (ns *Namespace) EnableSharding(domains int) {
 	ns.sharded = true
 	ns.domains = make([]*domain, domains)
@@ -119,11 +121,15 @@ func (v *View) Create(parent *Node, name string, isDir bool) (*Node, error) {
 }
 
 // RecordOp is Namespace.RecordOp logging into the rank's own deferred-hit
-// log; the flush (under the write lock) folds all domains.
+// log; the flush (under the write lock) folds all domains, and a log that
+// reaches maxPendingHits is folded on its own.
 func (v *View) RecordOp(dir *Node, name string, k OpKind, now sim.Time) {
 	v.ns.rlock()
-	v.ns.recordOpIn(v.d, dir, name, k, now)
+	full := v.ns.recordOpIn(v.d, dir, name, k, now)
 	v.ns.runlock()
+	if full {
+		v.ns.flushFull(v.d)
+	}
 }
 
 // RecordOpRemote charges an op served by a rank that is NOT the directory's
@@ -139,7 +145,11 @@ func (v *View) RecordOpRemote(dir *Node, name string, k OpKind, now sim.Time) {
 	}
 	v.ns.rlock()
 	v.d.pendingHits = append(v.d.pendingHits, hitRec{dir: dir, name: name, kind: k, at: now, frag: true})
+	full := len(v.d.pendingHits) >= maxPendingHits
 	v.ns.runlock()
+	if full {
+		v.ns.flushFull(v.d)
+	}
 }
 
 // Lock helpers: no-ops until EnableSharding, and on the nil namespace a

@@ -36,13 +36,6 @@ type CompileConfig struct {
 	SkipUntar bool
 }
 
-// Compile phase tags carried on each Op.
-const (
-	PhaseUntar   = "untar"
-	PhaseCompile = "compile"
-	PhaseLink    = "link"
-)
-
 // DefaultCompileDirs mirrors a kernel tree's top level.
 var DefaultCompileDirs = []string{
 	"arch", "kernel", "fs", "mm", "drivers",

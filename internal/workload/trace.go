@@ -23,7 +23,11 @@ import (
 //
 // Op names match mds.OpType strings. A `#phase name` directive tags every
 // following op with that phase (rate shapers key off the link phase); plain
-// comments are ignored.
+// comments are ignored. The phase names form a closed set: untar, compile,
+// link and hot, or nothing at all (`#phase` alone) to clear the tag. Any
+// other name is an error carrying its line number. The name may be glued to
+// the directive (`#phaselink`), so a comment that begins with "#phase" is a
+// directive too.
 
 var opByName = map[string]mds.OpType{
 	"create": mds.OpCreate, "mkdir": mds.OpMkdir, "getattr": mds.OpGetattr,
@@ -37,13 +41,16 @@ func ParseTrace(r io.Reader) (*SliceGen, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	lineNo := 0
-	phase := ""
+	phase := PhaseNone
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			if rest, ok := strings.CutPrefix(line, "#phase"); ok {
-				phase = strings.TrimSpace(rest)
+				name := strings.TrimSpace(rest)
+				if phase, ok = parsePhase(name); !ok {
+					return nil, fmt.Errorf("trace line %d: unknown phase %q", lineNo, name)
+				}
 			}
 			continue
 		}
@@ -80,7 +87,7 @@ func ParseTrace(r io.Reader) (*SliceGen, error) {
 // WriteTrace renders operations in the trace format.
 func WriteTrace(w io.Writer, ops []Op) error {
 	bw := bufio.NewWriter(w)
-	phase := ""
+	phase := PhaseNone
 	for _, op := range ops {
 		if op.Phase != phase {
 			phase = op.Phase

@@ -11,20 +11,58 @@ import (
 	"mantle/internal/mds"
 )
 
-// Op is one metadata operation to issue.
+// Op is one metadata operation to issue. Phase sits beside Type, in what
+// would otherwise be padding before Path, so an op is 40 bytes:
+// TestOpSizePinned holds it there.
 type Op struct {
-	Type    mds.OpType
+	Type mds.OpType
+	// Phase tags which workload phase produced the op (PhaseNone for
+	// untagged generators). Rate shapers key off it (the link-phase flash
+	// crowd).
+	Phase   Phase
 	Path    string
 	DstPath string
-	// Phase tags which workload phase produced the op ("" for untagged
-	// generators). Rate shapers key off it (the link-phase flash crowd).
-	Phase string
 }
 
-// PhaseHot tags ops the hot-directory scenario aims at the single shared
-// directory (the hotspot-mitigation workload), mirroring the link-phase
-// flash-crowd tagging.
-const PhaseHot = "hot"
+// Phase is a workload phase tag. The set is closed: the compile job's three
+// phases and the hot-directory scenario's.
+type Phase uint8
+
+// Workload phases. The zero value is the untagged phase.
+const (
+	PhaseNone Phase = iota
+	// PhaseUntar, PhaseCompile and PhaseLink are the compile job's phases.
+	PhaseUntar
+	PhaseCompile
+	PhaseLink
+	// PhaseHot tags ops the hot-directory scenario aims at the single
+	// shared directory (the hotspot-mitigation workload), mirroring the
+	// link-phase flash-crowd tagging.
+	PhaseHot
+	numPhases
+)
+
+// phaseNames are the trace names of the phases, indexed by Phase.
+var phaseNames = [numPhases]string{"", "untar", "compile", "link", "hot"}
+
+// String returns the phase's trace name ("" for PhaseNone).
+func (p Phase) String() string {
+	if p < numPhases {
+		return phaseNames[p]
+	}
+	return fmt.Sprintf("Phase(%d)", uint8(p))
+}
+
+// parsePhase maps a trace name to its phase; ok is false for a name outside
+// the closed set.
+func parsePhase(name string) (p Phase, ok bool) {
+	for i, n := range phaseNames {
+		if n == name {
+			return Phase(i), true
+		}
+	}
+	return 0, false
+}
 
 // Generator produces a client's operation stream. Next returns ok=false
 // when the stream is exhausted.

@@ -3,6 +3,7 @@ package workload
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mantle/internal/mds"
 )
@@ -279,6 +280,47 @@ func TestParseTraceErrors(t *testing.T) {
 	for _, src := range badTraces {
 		if _, err := ParseTrace(strings.NewReader(src)); err == nil {
 			t.Errorf("ParseTrace(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestOpSizePinned holds an op at 40 bytes: the one-byte Phase rides in the
+// padding after Type. A compile job retains every op it will issue, so a
+// wider op is paid for per op. Re-pin down only.
+func TestOpSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 40", got)
+	}
+}
+
+// TestParseTracePhases: every phase in the closed set survives a trace
+// round trip under its name, and any other name is refused with the line it
+// is on.
+func TestParseTracePhases(t *testing.T) {
+	var ops []Op
+	for p := PhaseNone; p < numPhases; p++ {
+		ops = append(ops, Op{Type: mds.OpMkdir, Path: "/" + p.String(), Phase: p})
+	}
+	var b strings.Builder
+	if err := WriteTrace(&b, ops); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := ParseTrace(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, b.String())
+	}
+	for i, op := range drain(gen) {
+		if op != ops[i] {
+			t.Errorf("op %d = %+v, want %+v", i, op, ops[i])
+		}
+	}
+	if got := PhaseLink.String(); got != "link" {
+		t.Errorf("PhaseLink.String() = %q", got)
+	}
+	for _, bad := range []string{"#phase linker", "#phase Link", "#phaseless", "#phase link hot"} {
+		_, err := ParseTrace(strings.NewReader("mkdir /a\n" + bad + "\ncreate /a/f\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2: unknown phase") {
+			t.Errorf("%q: err = %v, want an unknown phase on line 2", bad, err)
 		}
 	}
 }
