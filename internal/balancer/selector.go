@@ -9,7 +9,7 @@ import (
 // FragCandidate is one exportable unit (dirfrag or whole subtree) offered to
 // a selector.
 type FragCandidate struct {
-	// ID is the caller's index for the candidate.
+	// ID is the candidate's position in the list offered to the selector.
 	ID int
 	// Load is the candidate's metadata load under the active policy.
 	Load float64
@@ -20,37 +20,15 @@ type FragCandidate struct {
 type Selector func(cands []FragCandidate, target float64) []int
 
 // Shipped sums the load of the chosen candidates, in chosen order. An ID
-// names the last candidate that carries it, and an ID no candidate carries
-// ships nothing. Every caller numbers its candidates by position, which
-// finds each load by index; other numberings fall back to a scan.
+// outside the candidate list ships nothing.
 func Shipped(cands []FragCandidate, chosen []int) float64 {
-	positional := true
-	for i := range cands {
-		if cands[i].ID != i {
-			positional = false
-			break
-		}
-	}
 	sum := 0.0
 	for _, id := range chosen {
-		switch {
-		case !positional:
-			sum += loadOf(cands, id)
-		case uint(id) < uint(len(cands)):
+		if uint(id) < uint(len(cands)) {
 			sum += cands[id].Load
 		}
 	}
 	return sum
-}
-
-// loadOf is the load of the last candidate carrying id, 0 if none does.
-func loadOf(cands []FragCandidate, id int) float64 {
-	for i := len(cands) - 1; i >= 0; i-- {
-		if cands[i].ID == id {
-			return cands[i].Load
-		}
-	}
-	return 0
 }
 
 func sortedCopy(cands []FragCandidate, desc bool) []FragCandidate {

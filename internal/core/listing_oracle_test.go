@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"mantle/internal/balancer"
-	"mantle/internal/lua"
 	"mantle/internal/namespace"
 )
 
@@ -318,31 +316,16 @@ func hookRun(b balancer.Balancer, tick *balancer.Env, state *balancer.MemState, 
 	return out + fmt.Sprintf("where %v, %d targets; howmuch %v %v state %#v\n", err, len(targets), how, herr, state.Read()), true
 }
 
-// listingChunks are the listings' hooks, parsed once per process: every
-// run shares them, and starts from a fresh VM and state of its own.
-var listingChunks = sync.OnceValues(func() ([][numHooks]*lua.Chunk, error) {
-	out := make([][numHooks]*lua.Chunk, len(listingPairs))
-	for i, pair := range listingPairs {
-		chunks, err := compileHooks(pair.policy)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = chunks
-	}
-	return out, nil
-})
-
 // runListingDifferential plays data as a sequence of ticks against every
 // listing and its oracle, one balancer each for the whole run, and returns
 // how often each listing's when fired.
 func runListingDifferential(t *testing.T, data []byte) map[string]int {
-	chunks, err := listingChunks()
-	if err != nil {
-		t.Fatal(err)
-	}
 	fired := map[string]int{}
-	for i, pair := range listingPairs {
-		lb := newLuaBalancer(pair.policy, chunks[i], Options{})
+	for _, pair := range listingPairs {
+		lb, err := NewLuaBalancer(pair.policy, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		oracle := pair.oracle()
 		var lState, oState balancer.MemState
 		s := &script{data: data}

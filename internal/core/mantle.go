@@ -127,17 +127,8 @@ var (
 // NewLuaBalancer compiles the policy. Compilation errors carry the hook
 // name, the script line, and the parser message.
 func NewLuaBalancer(p Policy, opts Options) (*LuaBalancer, error) {
-	chunks, err := compileHooks(p)
-	if err != nil {
-		return nil, err
-	}
-	return newLuaBalancer(p, chunks, opts), nil
-}
-
-// compileHooks parses the policy's five hooks, an empty one falling back to
-// the default policy's.
-func compileHooks(p Policy) ([numHooks]*lua.Chunk, error) {
-	var chunks [numHooks]*lua.Chunk
+	b := &LuaBalancer{policy: p, targets: lua.NewTable()}
+	b.init(mdsKeys, opts)
 	defaults := DefaultPolicy()
 	srcs := [numHooks]string{p.MetaLoad, p.MDSLoad, p.When, p.Where, p.HowMuch}
 	defs := [numHooks]string{defaults.MetaLoad, defaults.MDSLoad, defaults.When, defaults.Where, defaults.HowMuch}
@@ -153,18 +144,10 @@ func compileHooks(p Policy) ([numHooks]*lua.Chunk, error) {
 		}
 		chunk, err := compile(hookNames[h], src)
 		if err != nil {
-			return chunks, err
+			return nil, err
 		}
-		chunks[h] = chunk
+		b.chunks[h] = chunk
 	}
-	return chunks, nil
-}
-
-// newLuaBalancer runs compiled hooks in a fresh VM with fresh state. A
-// chunk is not written to when it runs, so balancers may share one.
-func newLuaBalancer(p Policy, chunks [numHooks]*lua.Chunk, opts Options) *LuaBalancer {
-	b := &LuaBalancer{policy: p, chunks: chunks, targets: lua.NewTable()}
-	b.init(mdsKeys, opts)
 	// A metaload kernel leaves the five counters behind, an mdsload kernel
 	// i. An mdsload kernel skips the bind a tree-walked one starts with,
 	// whose globals only a tree-walked metaload could read before the next
@@ -174,7 +157,7 @@ func newLuaBalancer(p Policy, chunks [numHooks]*lua.Chunk, opts Options) *LuaBal
 	if b.metaKernel != nil {
 		b.mdsKernel = b.compileKernel(b.chunks[hookMDSLoad], mdsLoadInputs, "i")
 	}
-	return b
+	return b, nil
 }
 
 // Kernels reports which load hooks run as Go arithmetic rather than on the

@@ -457,12 +457,7 @@ func Walk(n *Node, fn func(*Node) bool) {
 // namespace operation hits that directory or any of its children"). Pass an
 // empty name for whole-directory operations (readdir).
 func (ns *Namespace) RecordOp(dir *Node, name string, k OpKind, now sim.Time) {
-	ns.rlock()
-	full := ns.recordOpIn(ns.def, dir, name, k, now)
-	ns.runlock()
-	if full {
-		ns.flushFull(ns.def)
-	}
+	ns.recordOpIn(ns.def, dir, name, k, now, false)
 }
 
 // chargeFrags charges one op of kind k against the dirfrag holding name (or
@@ -488,15 +483,31 @@ func (dir *Node) chargeFrags(name string, k OpKind, now sim.Time) {
 // the owning rank's actor serves ops on it) and defers the ancestor walk
 // into the domain's log: one append now, the identical sequence of Hit
 // calls replayed in arrival order at the next counter read (see oplog.go).
-// It reports whether the log has reached maxPendingHits; the caller then
-// drops the read lock and folds it (flushFull).
-func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now sim.Time) (full bool) {
+// A remote charge (View.RecordOpRemote) defers the frag hit into the log
+// too. It appends under the read lock; a log that has reached
+// maxPendingHits is then folded under the write lock, taken after the read
+// lock is dropped, so the lock order stays shard → ns. In sharded mode a
+// rank's own ops are the only appends to its domain, but a counter read may
+// fold the log in between, which only leaves less to fold.
+func (ns *Namespace) recordOpIn(d *domain, dir *Node, name string, k OpKind, now sim.Time, remote bool) {
 	if dir == nil || !dir.IsDir() {
-		return false
+		return
 	}
-	dir.chargeFrags(name, k, now)
-	d.pendingHits = append(d.pendingHits, hitRec{dir: dir, kind: k, at: now})
-	return len(d.pendingHits) >= maxPendingHits
+	ns.rlock()
+	r := hitRec{dir: dir, kind: k, at: now}
+	if remote {
+		r.name, r.frag = name, true
+	} else {
+		dir.chargeFrags(name, k, now)
+	}
+	d.pendingHits = append(d.pendingHits, r)
+	full := len(d.pendingHits) >= maxPendingHits
+	ns.runlock()
+	if full {
+		ns.wlock()
+		d.flush()
+		ns.wunlock()
+	}
 }
 
 // SplitDir fragments one leaf frag of dir into 2^bits children, dividing the

@@ -22,7 +22,8 @@ import (
 // capacity stops at the bound instead of growing with throughput × the
 // interval between counter reads. Folding early replays the same Hit calls
 // in the same order, with no counter read in between (every read folds
-// first), so the counters come out bit-identical.
+// first), so in a single domain (the simulator's) the counters come out
+// bit-identical. Across rank domains see flushLocked.
 const maxPendingHits = 4096
 
 // hitRec is one deferred RecordOp charge against dir and all its ancestors.
@@ -58,17 +59,6 @@ func (d *domain) flush() {
 	}
 }
 
-// flushFull folds d's log once a RecordOp has found it at the bound. The
-// op decided under the read lock and dropped it; the fold takes the write
-// lock, since it writes the ancestors' shared counters. In sharded mode a
-// rank's own RecordOps are the only appends to its domain, but a counter
-// read may have folded it in between, which only leaves less to fold.
-func (ns *Namespace) flushFull(d *domain) {
-	ns.wlock()
-	d.flush()
-	ns.wunlock()
-}
-
 // FlushCounters folds every deferred hit into the directory counters along
 // each record's ancestor chain, in arrival order. It is invoked
 // automatically before any directory counter is read and before structural
@@ -83,9 +73,10 @@ func (ns *Namespace) FlushCounters() {
 // flushLocked replays the default domain first, then the rank domains in
 // rank order. In sim mode only the default domain ever holds records, so
 // replay order — and every folded float — is exactly the single-log
-// behaviour. Across concurrently-filled rank domains there is no global
-// arrival order to preserve; per-domain order plus a fixed domain order
-// keeps the fold deterministic given identical per-rank histories.
+// behaviour, bound or no bound. Across concurrently-filled rank domains
+// there is no global arrival order to preserve, and the fold is not
+// deterministic: a rank whose log reaches maxPendingHits folds it on its
+// own, at a point that depends on scheduling, ahead of the other domains.
 func (ns *Namespace) flushLocked() {
 	ns.def.flush()
 	for _, d := range ns.domains {

@@ -124,12 +124,7 @@ func (v *View) Create(parent *Node, name string, isDir bool) (*Node, error) {
 // log; the flush (under the write lock) folds all domains, and a log that
 // reaches maxPendingHits is folded on its own.
 func (v *View) RecordOp(dir *Node, name string, k OpKind, now sim.Time) {
-	v.ns.rlock()
-	full := v.ns.recordOpIn(v.d, dir, name, k, now)
-	v.ns.runlock()
-	if full {
-		v.ns.flushFull(v.d)
-	}
+	v.ns.recordOpIn(v.d, dir, name, k, now, false)
 }
 
 // RecordOpRemote charges an op served by a rank that is NOT the directory's
@@ -140,16 +135,7 @@ func (v *View) RecordOp(dir *Node, name string, k OpKind, now sim.Time) {
 // attribution is unchanged, only deferred: the auth's when_replicate still
 // sees replica-served reads in the directory's counters.
 func (v *View) RecordOpRemote(dir *Node, name string, k OpKind, now sim.Time) {
-	if dir == nil || !dir.IsDir() {
-		return
-	}
-	v.ns.rlock()
-	v.d.pendingHits = append(v.d.pendingHits, hitRec{dir: dir, name: name, kind: k, at: now, frag: true})
-	full := len(v.d.pendingHits) >= maxPendingHits
-	v.ns.runlock()
-	if full {
-		v.ns.flushFull(v.d)
-	}
+	v.ns.recordOpIn(v.d, dir, name, k, now, true)
 }
 
 // Lock helpers: no-ops until EnableSharding, and on the nil namespace a
