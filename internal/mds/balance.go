@@ -412,10 +412,11 @@ func (m *MDS) childUnits(out []exportUnit, dir *namespace.Node) []exportUnit {
 }
 
 // priced sets each unit's load to the metaload policy's value of its
-// counters (a fragment's own, a directory's aggregate), in unit order. The
-// snapshots are read in one batch: one write hold and one op-log flush, not
-// one of each per unit, and never a fragment's counters outside the lock
-// that a replica-served charge's flush writes them under.
+// counters (a fragment's with its subdirectories', a directory's
+// aggregate), in unit order. The snapshots are read in one batch: one write
+// hold and one op-log flush, not one of each per unit, and never a
+// fragment's counters outside the lock that a replica-served charge's flush
+// writes them under.
 func (m *MDS) priced(units []exportUnit) []exportUnit {
 	if len(units) == 0 {
 		return units

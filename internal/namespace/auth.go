@@ -18,7 +18,7 @@ import (
 // directory's own label and its dentry's fragment in the *parent* — never
 // the directory's own fragments — which is what lets fragment-bound owners
 // be computed without temporarily clearing the fragment's label (see
-// AuthLoad).
+// bidxDerive).
 func (ns *Namespace) EffectiveAuth(n *Node) Rank {
 	ns.rlock()
 	defer ns.runlock()
@@ -358,28 +358,18 @@ func (ns *Namespace) ReassignBounds(rank Rank, to []Rank) int {
 	return moved
 }
 
-// nearestEnclosingBound finds the subtree root that owns n's parent chain,
-// excluding n's own label.
-func (ns *Namespace) nearestEnclosingBound(n *Node) (*Node, bool) {
-	for cur := n.parent.Load(); cur != nil; cur = cur.parent.Load() {
-		if cur.dir.authOverride != RankNone {
-			return cur, true
-		}
-	}
-	return nil, false
-}
-
 // AuthLoad computes, for every rank in [0, numRanks), the decayed metadata
-// load on the subtrees that rank is authoritative for, excluding nested
-// subtrees owned by other bounds. This is the "metadata load on auth
-// subtree" input to the MDS-load policies (Table 2's MDSs[i]["auth"]).
+// load on the subtrees that rank is authoritative for: each op's load goes
+// to the rank that serves its dentry, AuthForDentry's (see attribute). This
+// is the "metadata load on auth subtree" input to the MDS-load policies
+// (Table 2's MDSs[i]["auth"]).
 func (ns *Namespace) AuthLoad(numRanks int, now sim.Time, load func(CounterSnapshot) float64) []float64 {
 	return ns.authLoad(numRanks, now, load, RankNone)
 }
 
 // AuthLoadOf is AuthLoad(...)[want], bit for bit, for a caller that reports
 // only its own rank's load: load runs only on the bounds that rank owns or
-// that nest directly under one it owns.
+// that were carved from it.
 func (ns *Namespace) AuthLoadOf(want Rank, numRanks int, now sim.Time, load func(CounterSnapshot) float64) float64 {
 	if want < 0 || int(want) >= numRanks {
 		return 0
@@ -387,128 +377,127 @@ func (ns *Namespace) AuthLoadOf(want Rank, numRanks int, now sim.Time, load func
 	return ns.authLoad(numRanks, now, load, want)[want]
 }
 
-// authLoad is one linear pass over the bound index: each entry carries its
-// enclosing bound (directory bounds) or its containing directory's owner
-// (fragment bounds), both maintained at label-change time, so no parent
-// walks happen here and the fragment owner is passed explicitly instead of
-// being re-derived by temporarily clearing the fragment's label.
-//
-// With want >= 0 only out[want] is meaningful. Every bound's counter is
-// still snapshotted — Snapshot applies the decay in place, so skipping it
-// would change when decay happens and with it every later value — but load
-// is called, and ranks are credited, only where want is a party. out[want]
-// receives the same terms in the same order either way.
 func (ns *Namespace) authLoad(numRanks int, now sim.Time, load func(CounterSnapshot) float64, want Rank) []float64 {
 	ns.wlock()
 	defer ns.wunlock()
 	ns.flushLocked()
+	loads, _ := ns.attribute(numRanks, now, load, want)
+	return loads
+}
+
+// OwnedNodes counts, per rank, the namespace nodes whose EffectiveAuth is
+// that rank (the cache footprint behind the mem metric).
+func (ns *Namespace) OwnedNodes(numRanks int) []int {
+	ns.wlock()
+	defer ns.wunlock()
+	_, nodes := ns.attribute(numRanks, 0, nil, RankNone)
+	return nodes
+}
+
+// attribute is the one walk behind AuthLoad and OwnedNodes. It credits each
+// bound's measure to the bound's rank and debits it from the rank the bound
+// was carved from, so what stays with a rank is what lies under its bounds
+// and outside every bound nested in them: exactly the ops and nodes that
+// EffectiveAuth gives it. A directory bound measures its subtree: its
+// aggregate counters, or SubtreeNodes. A fragment bound measures fragLoad
+// or fragNodes; one that is no longer a leaf is skipped. With load set the
+// counters are priced by load into loads; with load nil the node counts go
+// into nodes. Exactly one of the two results is returned.
+//
+// With want >= 0 only loads[want] is meaningful. Every bound's counters are
+// still snapshotted — Snapshot applies the decay in place, so skipping one
+// would change when decay happens and with it every later value — but load
+// is called, and ranks are credited, only where want is a party.
+// loads[want] receives the same terms in the same order either way.
+func (ns *Namespace) attribute(numRanks int, now sim.Time, load func(CounterSnapshot) float64, want Rank) (loads []float64, nodes []int) {
 	ns.ensureBoundIndex()
-	out := make([]float64, numRanks)
-	// split credits v to the bound's owner and debits it from the rank the
-	// bound is carved out of.
-	split := func(snap CounterSnapshot, to, from Rank) {
-		if want >= 0 && to != want && from != want {
-			return
-		}
-		v := load(snap)
-		if to >= 0 && int(to) < numRanks {
-			out[to] += v
-		}
-		if from >= 0 && int(from) < numRanks {
-			out[from] -= v
-		}
+	if load == nil {
+		nodes = make([]int, numRanks)
+	} else {
+		loads = make([]float64, numRanks)
 	}
 	// The index is ordered by path: floating-point sums must not depend
 	// on map iteration order, or identical runs diverge in the last bit
 	// and the balancer's decisions with them.
 	for i := range ns.bidx {
 		e := &ns.bidx[i]
-		if e.root.IsFrag {
-			// Fragment bound: the frag's own counters move between
-			// ranks; the containing directory's owner keeps the
-			// rest.
-			if fs := e.root.Dir.dir.fragState(e.root.Frag); fs != nil {
-				split(fs.Counters.Snapshot(now), fs.auth, e.dirOwner)
-			}
-			continue
-		}
-		// Directory bound: counter at the bound minus counters at
-		// nested bounds directly beneath it.
-		n := e.root.Dir
-		from := RankNone
-		if e.encl != nil && e.encl != n {
-			from = e.encl.dir.authOverride
-		}
-		split(n.dir.counters.Snapshot(now), n.dir.authOverride, from)
-	}
-	for i := range out {
-		if out[i] < 0 {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
-// OwnedNodes estimates, per rank, how many namespace nodes each rank is
-// authoritative for (the cache-footprint behind the mem metric). Fragment
-// bounds contribute their dentry counts. Like AuthLoad, a linear pass over
-// the bound index with owners read off the entries.
-func (ns *Namespace) OwnedNodes(numRanks int) []int {
-	ns.wlock()
-	defer ns.wunlock()
-	return ns.ownedNodesLocked(numRanks)
-}
-
-func (ns *Namespace) ownedNodesLocked(numRanks int) []int {
-	ns.ensureBoundIndex()
-	out := make([]int, numRanks)
-	add := func(rank Rank, v int) {
-		if rank >= 0 && int(rank) < numRanks {
-			out[rank] += v
-		}
-	}
-	// Each node is counted to the nearest directory bound at or above it
-	// (subtree size minus nested bounds), then a dentry in a labelled
-	// fragment moves to the fragment's rank unless it is a bound itself.
-	// Every move takes from the rank that was counted the nodes, so no
-	// rank goes negative and the total is the node count.
-	fragLabels := len(ns.fragOverrides) > 0
-	for i := range ns.bidx {
-		e := &ns.bidx[i]
-		if e.root.IsFrag {
-			fs := e.root.Dir.dir.fragState(e.root.Frag)
-			if fs == nil {
+		b, from := &e.root, e.from
+		var fs *FragState
+		if b.IsFrag {
+			if fs = b.Dir.dir.fragState(b.Frag); fs == nil {
 				continue
 			}
-			from := e.root.Dir
-			if from.dir.authOverride == RankNone {
-				from, _ = ns.nearestEnclosingBound(from)
+		}
+		if nodes != nil {
+			if fs == nil {
+				credit(nodes, b.Rank, from, b.Dir.SubtreeNodes())
+			} else {
+				credit(nodes, b.Rank, from, fragNodes(b.Dir, fs))
 			}
-			add(fs.auth, fs.Entries)
-			add(from.dir.authOverride, -fs.Entries)
 			continue
 		}
-		n := e.root.Dir
-		v := n.SubtreeNodes()
-		add(n.dir.authOverride, v)
-		if e.encl != nil && e.encl != n {
-			// A labelled fragment holding n's dentry counted it; hand
-			// it back.
-			if fragLabels {
-				if fs := n.parent.Load().dir.fragOf(HashName(n.name)); fs.auth != RankNone {
-					add(fs.auth, -1)
-					v--
-				}
-			}
-			add(e.encl.dir.authOverride, -v)
+		var snap CounterSnapshot
+		if fs == nil {
+			snap = b.Dir.dir.counters.Snapshot(now)
+		} else {
+			snap = fragLoad(b.Dir, fs, now)
+		}
+		if want < 0 || b.Rank == want || from == want {
+			credit(loads, b.Rank, from, load(snap))
 		}
 	}
-	for i := range out {
-		if out[i] < 0 {
-			out[i] = 0
+	// Node counts come out exact; a load can dip below zero where a
+	// readdir charged every leaf of a directory whose fragments are owned
+	// apart (see RecordOp).
+	for i := range loads {
+		if loads[i] < 0 {
+			loads[i] = 0
 		}
 	}
-	return out
+	return loads, nodes
+}
+
+// credit moves v from the rank a bound was carved from to the bound's rank.
+// Ranks outside the result (RankNone, or beyond numRanks) are skipped.
+func credit[T int | float64](out []T, to, from Rank, v T) {
+	if to >= 0 && int(to) < len(out) {
+		out[to] += v
+	}
+	if from >= 0 && int(from) < len(out) {
+		out[from] -= v
+	}
+}
+
+// fragLoad is a fragment's counter measure at now: its own counters, which
+// count the ops on its dentries, plus the aggregate counters of every
+// subdirectory whose dentry it holds, since those subtrees follow the
+// fragment's authority. Subdirectories are summed in child-table slot
+// order, which the table's history fixes.
+func fragLoad(dir *Node, fs *FragState, now sim.Time) CounterSnapshot {
+	s := fs.Counters.Snapshot(now)
+	dir.dir.eachSubdirIn(fs.Frag, func(c *Node) { s = s.Add(c.dir.counters.Snapshot(now)) })
+	return s
+}
+
+// fragNodes is a fragment's node measure: its dentries plus everything
+// below the subdirectories among them.
+func fragNodes(dir *Node, fs *FragState) int {
+	v := fs.Entries
+	dir.dir.eachSubdirIn(fs.Frag, func(c *Node) { v += c.SubtreeNodes() - 1 })
+	return v
+}
+
+// eachSubdirIn calls fn for every subdirectory of ds whose dentry hashes
+// into f. A directory with no subdirectories costs one comparison.
+func (ds *dirState) eachSubdirIn(f Frag, fn func(c *Node)) {
+	if ds.children.subdirs == 0 {
+		return
+	}
+	ds.children.each(func(c *Node, h uint32) {
+		if f.Contains(h) && c.dir != nil {
+			fn(c)
+		}
+	})
 }
 
 // recomputeDescendantSpreads refreshes the cached rank spread of every

@@ -366,3 +366,44 @@ func TestOwnedNodesBoundInLabelledFrag(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAttributionFollowsEffectiveAuth: load and node counts go to the rank
+// that serves them. The root is labelled 2 and its only fragment 0, so rank
+// 0 serves the unlabelled /p and the file /p/a through that fragment; /p/q
+// is labelled 1. A fragment bound's measure used to be its own counters
+// and dentries only, so /p's subtree stayed with the root's rank 2, and
+// /p/q was debited from rank 2 instead of rank 0.
+func TestAttributionFollowsEffectiveAuth(t *testing.T) {
+	ns := New(sim.Second)
+	root := ns.Root()
+	p := mustCreate(t, ns, "/p", true)
+	mustCreate(t, ns, "/p/a", false)
+	q := mustCreate(t, ns, "/p/q", true)
+	mustCreate(t, ns, "/p/q/z", false)
+	ns.SetAuthOverride(root, 2)
+	ns.SetFragAuth(root, RootFrag, 0)
+	ns.SetAuthOverride(q, 1)
+	now := 10 * sim.Second
+	for i := 0; i < 100; i++ {
+		ns.RecordOp(p, "a", OpIWR, now)
+	}
+	for i := 0; i < 50; i++ {
+		ns.RecordOp(q, "z", OpIWR, now)
+	}
+	if got := fmt.Sprint(ns.AuthLoad(3, now, CounterSnapshot.CephLoad)); got != "[200 100 0]" {
+		t.Errorf("AuthLoad = %s, want [200 100 0]", got)
+	}
+	if got := fmt.Sprint(ns.OwnedNodes(3)); got != "[2 2 1]" {
+		t.Errorf("OwnedNodes = %s, want [2 2 1]", got)
+	}
+	// The root fragment's export unit carries /p's subtree, which moves
+	// with it.
+	units := []LoadUnit{{Dir: root, Frag: RootFrag, IsFrag: true}}
+	ns.Loads(now, units)
+	if !units[0].OK || units[0].Snap.IWR != 150 {
+		t.Errorf("Loads(/#*) = %+v, want IWR 150", units[0])
+	}
+	if err := ns.CheckInvariants(3, false); err != nil {
+		t.Fatal(err)
+	}
+}

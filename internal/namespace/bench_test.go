@@ -145,6 +145,36 @@ func BenchmarkNSCreateStorm1M(b *testing.B) {
 	b.ReportMetric(targetNodes, "creates/op")
 }
 
+// heartbeatTree builds BenchmarkNSHeartbeat16Rank's tree: benchWidth*factor
+// heated directories of 64 files under the spine, the first benchWidth of
+// them subtree bounds spread over 16 ranks.
+func heartbeatTree(tb testing.TB, factor int) *Namespace {
+	ns := New(sim.Second)
+	base := spinePath()
+	now := sim.Time(0)
+	for d := 0; d < benchWidth*factor; d++ {
+		dir, err := ns.CreatePath(fmt.Sprintf("%s/d%d", base, d), true)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for f := 0; f < 64; f++ {
+			name := fmt.Sprintf("f%d", f)
+			if _, err := ns.Create(dir, name, false); err != nil {
+				tb.Fatal(err)
+			}
+			now++
+			ns.RecordOp(dir, name, OpIWR, now)
+		}
+		// Only the first benchWidth directories are bounds, so both
+		// variants carry the identical bound set.
+		if d < benchWidth {
+			ns.SetAuthOverride(dir, Rank(d%16))
+		}
+	}
+	ns.FlushCounters()
+	return ns
+}
+
 // BenchmarkNSHeartbeat16Rank measures one balancer heartbeat's namespace
 // work — AuthLoad plus OwnedNodes for 16 ranks — over benchWidth subtree
 // bounds. x4 has four times the directories under the same bounds, so a
@@ -152,29 +182,7 @@ func BenchmarkNSCreateStorm1M(b *testing.B) {
 func BenchmarkNSHeartbeat16Rank(b *testing.B) {
 	for _, factor := range []int{1, 4} {
 		b.Run(fmt.Sprintf("x%d", factor), func(b *testing.B) {
-			ns := New(sim.Second)
-			base := spinePath()
-			now := sim.Time(0)
-			for d := 0; d < benchWidth*factor; d++ {
-				dir, err := ns.CreatePath(fmt.Sprintf("%s/d%d", base, d), true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for f := 0; f < 64; f++ {
-					name := fmt.Sprintf("f%d", f)
-					if _, err := ns.Create(dir, name, false); err != nil {
-						b.Fatal(err)
-					}
-					now++
-					ns.RecordOp(dir, name, OpIWR, now)
-				}
-				// Only the first benchWidth directories are bounds, so both
-				// variants carry the identical bound set.
-				if d < benchWidth {
-					ns.SetAuthOverride(dir, Rank(d%16))
-				}
-			}
-			ns.FlushCounters()
+			ns := heartbeatTree(b, factor)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -185,6 +193,39 @@ func BenchmarkNSHeartbeat16Rank(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestHeartbeatAllocs pins the attribution walk's cost by count: AuthLoad,
+// AuthLoadOf and OwnedNodes each allocate only their result slice, on
+// BenchmarkNSHeartbeat16Rank's tree and on one whose fragment bounds hold
+// subdirectories, which the walk measures through a callback.
+func TestHeartbeatAllocs(t *testing.T) {
+	frags := heartbeatTree(t, 1)
+	spine, err := frags.Resolve(spinePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frags.SplitDir(spine, RootFrag, 2, 0) {
+		frags.SetFragAuth(spine, f, Rank(i))
+	}
+	for _, tree := range []struct {
+		name string
+		ns   *Namespace
+	}{{"dir bounds", heartbeatTree(t, 1)}, {"frag bounds over subdirs", frags}} {
+		ns, now := tree.ns, sim.Time(1<<20)
+		for _, c := range []struct {
+			call string
+			fn   func()
+		}{
+			{"AuthLoad", func() { now++; ns.AuthLoad(16, now, CounterSnapshot.CephLoad) }},
+			{"AuthLoadOf", func() { now++; ns.AuthLoadOf(3, 16, now, CounterSnapshot.CephLoad) }},
+			{"OwnedNodes", func() { ns.OwnedNodes(16) }},
+		} {
+			if got := testing.AllocsPerRun(200, c.fn); got != 1 {
+				t.Errorf("%s: %s allocates %v, want 1 (its result)", tree.name, c.call, got)
+			}
+		}
 	}
 }
 

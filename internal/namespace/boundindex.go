@@ -8,16 +8,16 @@ import (
 // Sorted subtree-bound index.
 //
 // SubtreeRoots used to enumerate the override maps and re-sort every bound
-// by path on every call, and AuthLoad/OwnedNodes re-derived each bound's
-// enclosing bound (and, for fragment bounds, the containing directory's
-// owner) with parent walks on every heartbeat. The index keeps the bounds
-// sorted by the same path keys with those two derived facts stored on each
-// entry, so a heartbeat is one linear pass over the bounds.
+// by path on every call, and AuthLoad/OwnedNodes re-derived with parent
+// walks, on every heartbeat, the rank each bound takes its load from. The
+// index keeps the bounds sorted by the same path keys with that one derived
+// fact stored on each entry — the rank the bound was carved from — so a
+// heartbeat is one linear pass over the bounds (attribute, in auth.go).
 //
 // Maintenance is hybrid. SetAuthOverride and SetFragAuth — the only ways a
 // bound appears, moves rank, or disappears in steady state — update the
 // index in place: a binary-search upsert/remove of the bound's own entry
-// plus a prefix-range refresh of the derived fields on bounds beneath it.
+// plus a prefix-range refresh of the derived field on bounds beneath it.
 // Structural events that can invalidate path keys wholesale (rename of a
 // directory, unlink of a labelled subtree, dirfrag split/merge of a bound)
 // just set bidxDirty and the next read rebuilds; those are balancer-rate,
@@ -28,18 +28,17 @@ import (
 // exact order the old sort.Slice produced — ascending SubtreeRoot.Path(),
 // which is what the keys store.
 
-// boundEntry is one subtree bound plus the derived facts heartbeats need.
+// boundEntry is one subtree bound plus the derived fact heartbeats need.
 type boundEntry struct {
 	key  string // SubtreeRoot.Path(): dir path, or dir path + "#" + frag
 	root SubtreeRoot
 
-	// encl is the nearest strictly-enclosing directory bound (nil for
-	// the root bound). Directory bounds only.
-	encl *Node
-	// dirOwner is the rank owning the containing directory — the rank a
-	// fragment bound's load is charged against before being moved to the
-	// fragment's own rank. Fragment bounds only.
-	dirOwner Rank
+	// from is the rank the bound was carved from: the EffectiveAuth its
+	// point would have without its own label. For a directory bound that
+	// is the labelled fragment holding its dentry, else its parent's
+	// rank; for a fragment bound, its directory's rank; for the root,
+	// RankNone.
+	from Rank
 }
 
 // ensureBoundIndex rebuilds the index if a structural change staled it.
@@ -71,15 +70,19 @@ func (ns *Namespace) ensureBoundIndex() {
 	ns.bidxDirty = false
 }
 
-// bidxDerive recomputes an entry's derived fields from the tree.
+// bidxDerive recomputes an entry's derived field from the tree.
 func (ns *Namespace) bidxDerive(e *boundEntry) {
+	d := e.root.Dir
 	if e.root.IsFrag {
-		e.dirOwner = ns.effAuthOf(e.root.Dir)
+		e.from = ns.effAuthOf(d)
 		return
 	}
-	e.encl = nil
-	if enc, ok := ns.nearestEnclosingBound(e.root.Dir); ok {
-		e.encl = enc
+	e.from = RankNone
+	if parent := d.parent.Load(); parent != nil {
+		e.from = parent.dir.fragOf(HashName(d.name)).auth
+		if e.from == RankNone {
+			e.from = ns.effAuthOf(parent)
+		}
 	}
 }
 
@@ -117,7 +120,7 @@ func (ns *Namespace) bidxRemove(key string) {
 	}
 }
 
-// bidxRefreshBelow re-derives encl/dirOwner for every bound under dir: its
+// bidxRefreshBelow re-derives the from field of every bound under dir: its
 // own fragment bounds and everything in the subtree beneath it. dir's own
 // directory entry is left alone (the caller upserts or removes it). A label
 // change on dir can move all of these — that is the entire set it can move,

@@ -24,7 +24,9 @@ import (
 //     mid-migration), and the frozen counters match a recount,
 //  9. the deferred-hit log drains on flush,
 //  10. the incremental bound index is byte-equal to a from-scratch rebuild
-//     (keys, order, ranks, enclosing bounds, fragment-dir owners).
+//     (keys, order, ranks, the ranks bounds were carved from),
+//  11. OwnedNodes gives each rank exactly the nodes whose effective
+//     authority it is.
 func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 	ns.wlock()
 	defer ns.wunlock()
@@ -35,6 +37,7 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 	seenOverrides := 0
 	seenFragOverrides := 0
 	frozenDirs, frozenFrags := 0, 0
+	owned := make([]int, max(numRanks, 0))
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
 		if n.parent.Load() != nil {
@@ -42,8 +45,12 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 				return fmt.Errorf("invariant: %s not linked under its parent", n.path())
 			}
 		}
-		if auth := ns.effAuthOf(n); auth < 0 || (numRanks > 0 && int(auth) >= numRanks) {
+		auth := ns.effAuthOf(n)
+		if auth < 0 || (numRanks > 0 && int(auth) >= numRanks) {
 			return fmt.Errorf("invariant: %s has authority %d outside [0,%d)", n.path(), auth, numRanks)
+		}
+		if numRanks > 0 {
+			owned[auth]++
 		}
 		if !n.IsDir() {
 			if n.SubtreeNodes() != 1 {
@@ -170,27 +177,22 @@ func (ns *Namespace) CheckInvariants(numRanks int, allowFrozen bool) error {
 	if err := ns.checkBoundIndex(); err != nil {
 		return err
 	}
-	// Ownership accounting: every node is owned exactly once. (OwnedNodes
-	// reads the bound index, which checkBoundIndex just validated.)
+	// Ownership accounting: the walk over the bound index (just validated
+	// by checkBoundIndex) counts each rank exactly the nodes it owns.
 	if numRanks > 0 {
-		owned := ns.ownedNodesLocked(numRanks)
-		total := 0
-		for _, v := range owned {
-			total += v
-		}
-		// Frag bounds count dentries rather than whole subtrees, so the
-		// total may undercount when frag-level ownership splits a
-		// directory; allow that slack but never overcounting.
-		if total > int(ns.count.Load()) {
-			return fmt.Errorf("invariant: OwnedNodes total %d exceeds node count %d", total, ns.count.Load())
+		_, got := ns.attribute(numRanks, 0, nil, RankNone)
+		for r := range got {
+			if got[r] != owned[r] {
+				return fmt.Errorf("invariant: OwnedNodes %v, recount by effective authority %v", got, owned)
+			}
 		}
 	}
 	return nil
 }
 
 // checkBoundIndex compares the incrementally maintained bound index against
-// a from-scratch rebuild: same keys in the same order, same ranks, same
-// enclosing bounds and fragment-dir owners. The rebuilt index is kept (it is
+// a from-scratch rebuild: same keys in the same order, same ranks, and the
+// same rank each bound was carved from. The rebuilt index is kept (it is
 // correct by construction), so a passing check leaves state unchanged up to
 // equality.
 func (ns *Namespace) checkBoundIndex() error {
@@ -211,11 +213,8 @@ func (ns *Namespace) checkBoundIndex() error {
 		if g.root != w.root {
 			return fmt.Errorf("invariant: bound index entry %q root drifted from rebuild", g.key)
 		}
-		if g.encl != w.encl {
-			return fmt.Errorf("invariant: bound index entry %q enclosing bound drifted from rebuild", g.key)
-		}
-		if g.root.IsFrag && g.dirOwner != w.dirOwner {
-			return fmt.Errorf("invariant: bound index entry %q dir owner %d, rebuild %d", g.key, g.dirOwner, w.dirOwner)
+		if g.from != w.from {
+			return fmt.Errorf("invariant: bound index entry %q carved from %d, rebuild %d", g.key, g.from, w.from)
 		}
 	}
 	return nil

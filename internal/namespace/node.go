@@ -371,7 +371,9 @@ func (n *Node) Load(now sim.Time) CounterSnapshot {
 }
 
 // LoadUnit names one set of counters for Loads: a directory's aggregate, or
-// with IsFrag one leaf fragment's own. Snap and OK are Loads' answer.
+// with IsFrag one leaf fragment's measure — its own counters plus the
+// subtrees of the subdirectories it holds, everything that moves with it.
+// Snap and OK are Loads' answer.
 type LoadUnit struct {
 	Dir    *Node
 	Frag   Frag
@@ -397,7 +399,7 @@ func (ns *Namespace) Loads(now sim.Time, units []LoadUnit) {
 		case d == nil:
 		case u.IsFrag:
 			if fs := d.fragState(u.Frag); fs != nil {
-				u.Snap, u.OK = fs.Counters.Snapshot(now), true
+				u.Snap, u.OK = fragLoad(u.Dir, fs, now), true
 			}
 		default:
 			u.Snap, u.OK = d.counters.Snapshot(now), true

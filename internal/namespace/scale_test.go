@@ -22,7 +22,11 @@ import (
 //     before every op and every probe, so each resolution takes the walk;
 //   - hot-path memos: refEffAuth, refFrozenFor and refPath are the plain
 //     ancestor walks, compared with EffectiveAuth, FrozenFor and Path for
-//     every node at each check point.
+//     every node at each check point;
+//   - attribution: refOwnedNodes counts every node to its EffectiveAuth and
+//     refAuthLoad credits every recorded op, decayed on its own, to the rank
+//     that serves it; OwnedNodes must match the first exactly and AuthLoad
+//     the second within a rounding tolerance at each check point.
 
 // refPath is Path without the memo.
 func refPath(n *Node) string {
@@ -73,6 +77,136 @@ func refFrozenFor(dir *Node, name string) bool {
 		}
 	}
 	return false
+}
+
+// refOwnedNodes is OwnedNodes by brute force: every node counted to its
+// EffectiveAuth.
+func refOwnedNodes(ns *Namespace, numRanks int) []int {
+	out := make([]int, numRanks)
+	Walk(ns.Root(), func(n *Node) bool {
+		if r := refEffAuth(n); r >= 0 && int(r) < numRanks {
+			out[r]++
+		}
+		return true
+	})
+	return out
+}
+
+// refAuthLoad is AuthLoad by brute force. It keeps every recorded op and,
+// at a check point, decays each on its own and credits it to the rank that
+// serves it: AuthForDentry for a named op, the directory's rank for a
+// whole-directory op — except that the op's share of a fragment's own
+// counters goes to the fragment's label where it has one. A named op's
+// share is 1 in its dentry's leaf; a whole-directory op's is 1 in every
+// leaf, since RecordOp charges a readdir to every leaf. Splits and merges
+// move shares as SplitDir and MergeDir move heat: a split spreads a leaf's
+// share over its kids by the entries each takes (all of it lost from a
+// leaf with no entries), a merge adds the kids' shares back up.
+type refAuthLoad struct {
+	halfLife sim.Time
+	ops      []refOp
+}
+
+type refOp struct {
+	dir   *Node
+	kind  OpKind
+	at    sim.Time
+	share map[Frag]float64
+}
+
+func (r *refAuthLoad) record(dir *Node, name string, k OpKind, at sim.Time) {
+	share := map[Frag]float64{}
+	if name == "" {
+		for _, f := range dir.FragLeaves() {
+			share[f] = 1
+		}
+	} else {
+		share[dir.FragOfName(name)] = 1
+	}
+	r.ops = append(r.ops, refOp{dir: dir, kind: k, at: at, share: share})
+}
+
+// split follows SplitDir(dir, leaf, ...) having made kids.
+func (r *refAuthLoad) split(dir *Node, leaf Frag, kids []Frag) {
+	entries := make([]int, len(kids))
+	total := 0
+	for i, k := range kids {
+		fs, _ := dir.FragStateOf(k)
+		entries[i] = fs.Entries
+		total += fs.Entries
+	}
+	for _, op := range r.ops {
+		w, ok := op.share[leaf]
+		if op.dir != dir || !ok {
+			continue
+		}
+		delete(op.share, leaf)
+		for i, k := range kids {
+			if total > 0 {
+				op.share[k] = w * float64(entries[i]) / float64(total)
+			}
+		}
+	}
+}
+
+// merge follows a MergeDir that coalesced kids into parent.
+func (r *refAuthLoad) merge(dir *Node, parent Frag, kids []Frag) {
+	for _, op := range r.ops {
+		if op.dir != dir {
+			continue
+		}
+		for _, k := range kids {
+			if w, ok := op.share[k]; ok {
+				op.share[parent] += w
+				delete(op.share, k)
+			}
+		}
+	}
+}
+
+// loads is the reference's AuthLoad(numRanks, now, CephLoad), clamped at
+// zero as AuthLoad is.
+func (r *refAuthLoad) loads(numRanks int, now sim.Time) []float64 {
+	out := make([]float64, numRanks)
+	add := func(rank Rank, v float64) {
+		if rank >= 0 && int(rank) < numRanks {
+			out[rank] += v
+		}
+	}
+	for _, op := range r.ops {
+		c := NewCounters(r.halfLife)
+		c.Hit(op.kind, op.at)
+		v := c.Snapshot(now).CephLoad()
+		owner := refEffAuth(op.dir)
+		add(owner, v)
+		for f, w := range op.share {
+			fs, _ := op.dir.FragStateOf(f)
+			if a := fs.Auth(); a != RankNone {
+				add(a, v*w)
+				add(owner, -v*w)
+			}
+		}
+	}
+	for i := range out {
+		out[i] = max(out[i], 0)
+	}
+	return out
+}
+
+// compareAttribution checks OwnedNodes and AuthLoad against the references.
+// The loads differ in fold order and in when each decayed counter drops a
+// value below 1e-9, so they are compared within a tolerance.
+func compareAttribution(t testing.TB, ns *Namespace, ref *refAuthLoad, now sim.Time, numRanks int) {
+	t.Helper()
+	if got, want := ns.OwnedNodes(numRanks), refOwnedNodes(ns, numRanks); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("OwnedNodes %v, count by EffectiveAuth %v", got, want)
+	}
+	got, want := ns.AuthLoad(numRanks, now, CounterSnapshot.CephLoad), ref.loads(numRanks, now)
+	for i := range got {
+		if math.Abs(got[i]-want[i]) > 1e-6+1e-9*math.Abs(want[i]) {
+			t.Fatalf("AuthLoad %v, per-op reference %v", got, want)
+		}
+	}
 }
 
 func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -286,13 +420,15 @@ func (s *byteSource) More() bool { return len(*s) > 0 }
 // runOpStream drives a fast namespace and its cold twin through up to steps
 // ops drawn from src — creates, records, renames, unlinks, label moves,
 // frag labels, splits and merges — and asserts bit-identical counters,
-// bounds, loads, memos and resolution behaviour every 100 steps and at the
-// end, then the trees node by node and full invariants (which include the
+// bounds, loads, memos and resolution behaviour, and loads and node counts
+// that match the attribution references, every 100 steps and at the end;
+// then the trees node by node and full invariants (which include the
 // incremental-vs-rebuilt bound index comparison) on both twins.
 func runOpStream(t testing.TB, src opSource, steps int) {
 	const numRanks = 4
 	fast := New(sim.Second / 2)
 	cold := New(sim.Second / 2)
+	ref := &refAuthLoad{halfLife: sim.Second / 2}
 
 	dirs := []string{"/"}
 	files := []string{}
@@ -321,6 +457,7 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 	checkpoint := func(extra ...string) {
 		t.Helper()
 		compareViews(t, fast, cold, now, numRanks)
+		compareAttribution(t, fast, ref, now, numRanks)
 		compareMemos(t, fast)
 		compareMemos(t, cold)
 		probes := append([]string{}, dirs...)
@@ -365,6 +502,9 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 					return err
 				}
 				ns.RecordOp(n, name, kind, at)
+				if ns == fast {
+					ref.record(n, name, kind, at)
+				}
 				return nil
 			})
 		case op < 15: // whole-dir op (readdir)
@@ -376,6 +516,9 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 					return err
 				}
 				ns.RecordOp(n, "", OpReaddir, at)
+				if ns == fast {
+					ref.record(n, "", OpReaddir, at)
+				}
 				return nil
 			})
 		case op < 16: // unlink a file
@@ -455,11 +598,14 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 					ns.SetFragAuth(n, leaf, rank)
 				case 1:
 					if len(leaves) < 8 {
-						ns.SplitDir(n, leaf, 1, at)
+						kids := ns.SplitDir(n, leaf, 1, at)
+						if ns == fast {
+							ref.split(n, leaf, kids)
+						}
 					}
 				default:
-					if leaf.Bits > 0 {
-						ns.MergeDir(n, leaf.Parent(), 1, at)
+					if leaf.Bits > 0 && ns.MergeDir(n, leaf.Parent(), 1, at) && ns == fast {
+						ref.merge(n, leaf.Parent(), leaf.Parent().Split(1))
 					}
 				}
 				return nil
