@@ -201,10 +201,14 @@ func main() {
 		fmt.Println()
 	}
 	if *csvPrefix != "" {
-		for name, write := range map[string]func(*os.File) error{
-			*csvPrefix + "_throughput.csv": func(f *os.File) error { return res.WriteThroughputCSV(f) },
-			*csvPrefix + "_clients.csv":    func(f *os.File) error { return res.WriteClientCSV(f) },
+		for _, out := range []struct {
+			name  string
+			write func(*os.File) error
+		}{
+			{*csvPrefix + "_throughput.csv", func(f *os.File) error { return res.WriteThroughputCSV(f) }},
+			{*csvPrefix + "_clients.csv", func(f *os.File) error { return res.WriteClientCSV(f) }},
 		} {
+			name, write := out.name, out.write
 			f, err := os.Create(name)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)

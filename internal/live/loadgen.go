@@ -177,7 +177,8 @@ type loadgen struct {
 
 	// rankLat holds a sliding latency window per provisioned rank, fed on
 	// completions and read by the elastic host's Metrics (the per-rank
-	// latency signal when_elastic votes on).
+	// latency signal when_elastic votes on). Nil without an elastic
+	// coordinator: nothing else reads it.
 	rankLat []*latWindow
 
 	nextID atomic.Uint64
@@ -211,8 +212,10 @@ func newLoadgen(rt *Runtime, cfg LoadConfig) *loadgen {
 	for i := range lg.pend {
 		lg.pend[i].m = map[uint64]pendingOp{}
 	}
-	for range rt.mdsAddrs {
-		lg.rankLat = append(lg.rankLat, &latWindow{})
+	if rt.cfg.MaxRanks > 0 {
+		for range rt.mdsAddrs {
+			lg.rankLat = append(lg.rankLat, &latWindow{})
+		}
 	}
 	for i := 0; i < cfg.Clients; i++ {
 		addr := clientAddrBase + simnet.Addr(i)
@@ -252,6 +255,9 @@ func (lg *loadgen) HandleMessage(from simnet.Addr, msg simnet.Message) {
 		for _, h := range v.Hints {
 			lg.rtr.learn(h)
 		}
+		// One clock read per reply, shared with the waiters riding on
+		// it; a failed reply fails them too and reads none.
+		var now time.Time
 		switch {
 		case IsOverloaded(v.Err):
 			lg.shedSeen.Add(1)
@@ -262,15 +268,11 @@ func (lg *loadgen) HandleMessage(from simnet.Addr, msg simnet.Message) {
 			if v.Forwards > 0 {
 				lg.forwards.Add(uint64(v.Forwards))
 			}
-			us := float64(time.Since(p.scheduled)) / float64(time.Microsecond)
-			lg.lat.Observe(us)
-			// The reply's source address is the serving rank.
-			if r := int(from); r >= 0 && r < len(lg.rankLat) {
-				lg.rankLat[r].observe(us)
-			}
+			now = time.Now()
+			lg.observe(from, now, p.scheduled)
 		}
 		if p.key.op != 0 {
-			lg.completeWaiters(from, v, p.key)
+			lg.completeWaiters(from, v, p.key, now)
 		}
 	case *mds.SessionFlush:
 		lg.flushes.Add(1)
@@ -384,10 +386,21 @@ func (lg *loadgen) idleTail() {
 	}
 }
 
+// observe records one completed op's latency, from its scheduled arrival
+// to now, in the run's histogram and, with an elastic coordinator to read
+// it, in the window of the serving rank: the reply's source address.
+func (lg *loadgen) observe(from simnet.Addr, now, scheduled time.Time) {
+	us := float64(now.Sub(scheduled)) / float64(time.Microsecond)
+	lg.lat.Observe(us)
+	if r := int(from); r >= 0 && r < len(lg.rankLat) {
+		lg.rankLat[r].observe(us, now)
+	}
+}
+
 // completeWaiters fans a coalescing leader's outcome out to every waiter
 // registered under its key, charging each waiter's latency from its own
-// scheduled arrival time.
-func (lg *loadgen) completeWaiters(from simnet.Addr, v *mds.Reply, key flightKey) {
+// scheduled arrival time to now, when the leader's reply arrived.
+func (lg *loadgen) completeWaiters(from simnet.Addr, v *mds.Reply, key flightKey, now time.Time) {
 	lg.flightMu.Lock()
 	waiters := lg.flight[key]
 	delete(lg.flight, key)
@@ -410,11 +423,7 @@ func (lg *loadgen) completeWaiters(from simnet.Addr, v *mds.Reply, key flightKey
 			lg.errors.Add(1)
 		default:
 			lg.completed.Add(1)
-			us := float64(time.Since(wp.scheduled)) / float64(time.Microsecond)
-			lg.lat.Observe(us)
-			if r := int(from); r >= 0 && r < len(lg.rankLat) {
-				lg.rankLat[r].observe(us)
-			}
+			lg.observe(from, now, wp.scheduled)
 		}
 	}
 }
@@ -674,7 +683,8 @@ type latSample struct {
 	us float64
 }
 
-func (w *latWindow) observe(us float64) {
+// observe adds a sample of us microseconds taken at at.
+func (w *latWindow) observe(us float64, at time.Time) {
 	w.mu.Lock()
 	if w.n == len(w.buf) && len(w.buf) < latWindowCap {
 		size := 2 * len(w.buf)
@@ -688,7 +698,7 @@ func (w *latWindow) observe(us float64) {
 		copy(nb, w.buf)
 		w.buf = nb
 	}
-	w.buf[w.n%len(w.buf)] = latSample{at: time.Now(), us: us}
+	w.buf[w.n%len(w.buf)] = latSample{at: at, us: us}
 	w.n++
 	w.mu.Unlock()
 }

@@ -26,7 +26,13 @@ type holdingRig struct {
 }
 
 func newHoldingRig(replication bool, hold func(*mds.Request)) *holdingRig {
-	rt := &Runtime{cfg: Config{Ranks: 1, Replication: replication}, startWall: time.Now()}
+	return newHoldingRigConfig(Config{Ranks: 1, Replication: replication}, hold)
+}
+
+// newHoldingRigConfig is newHoldingRig on a runtime shell configured by cfg,
+// whose Ranks must be 1.
+func newHoldingRigConfig(cfg Config, hold func(*mds.Request)) *holdingRig {
+	rt := &Runtime{cfg: cfg, startWall: time.Now()}
 	rt.transport = newTransport(rt, simnet.Config{}, 1)
 	rt.mdsAddrs = []simnet.Addr{0}
 	rt.transport.Register(0, simnet.HandlerFunc(func(_ simnet.Addr, msg simnet.Message) {
@@ -48,24 +54,63 @@ var hotRead = workload.Op{Type: mds.OpGetattr, Path: "/hot/f0"}
 // 2 (record and reply), and 3 for a coalescible read (plus the key string).
 func TestLoadgenIssueReplyAllocs(t *testing.T) {
 	for _, replication := range []bool{false, true} {
-		var held *mds.Request
-		g := newHoldingRig(replication, func(r *mds.Request) { held = r })
-		cycle := func() {
-			g.lg.issue(hotRead, time.Now())
-			g.answer(held, "")
+		for _, maxRanks := range []int{0, 1} {
+			var held *mds.Request
+			g := newHoldingRigConfig(Config{Ranks: 1, MaxRanks: maxRanks, Replication: replication},
+				func(r *mds.Request) { held = r })
+			cycle := func() {
+				g.lg.issue(hotRead, time.Now())
+				g.answer(held, "")
+			}
+			// Grow the pending maps and, when elastic, the rank's
+			// latency ring to its cap.
+			for i := 0; i < 2*latWindowCap; i++ {
+				cycle()
+			}
+			allocs := testing.AllocsPerRun(1000, cycle)
+			t.Logf("replication=%v maxRanks=%d: generator issue→reply cycle: %.0f allocs", replication, maxRanks, allocs)
+			if allocs != 1 {
+				t.Fatalf("replication=%v maxRanks=%d: an issue→reply cycle allocates %.0f objects, want 1 (the record)",
+					replication, maxRanks, allocs)
+			}
+			if got, want := g.lg.completed.Load(), uint64(2*latWindowCap+1001); got != want {
+				t.Fatalf("replication=%v maxRanks=%d: completed %d of %d", replication, maxRanks, got, want)
+			}
 		}
-		// Grow the rank's latency ring to its cap and the pending maps.
-		for i := 0; i < 2*latWindowCap; i++ {
-			cycle()
+	}
+}
+
+// TestLoadgenRankWindowsOnlyForElastic: the per-rank latency windows, which
+// only the elastic host's Metrics reads, fill from a leader's reply and the
+// waiter riding on it, both stamped by the one clock read of that reply,
+// when an elastic coordinator is configured (MaxRanks > 0); without one
+// they are never allocated.
+func TestLoadgenRankWindowsOnlyForElastic(t *testing.T) {
+	for _, maxRanks := range []int{0, 1} {
+		var held []*mds.Request
+		g := newHoldingRigConfig(Config{Ranks: 1, MaxRanks: maxRanks, Replication: true},
+			func(r *mds.Request) { held = append(held, r) })
+		g.lg.issue(hotRead, time.Now().Add(-time.Millisecond))
+		g.lg.issue(hotRead, time.Now().Add(-2*time.Millisecond)) // coalesces onto the first
+		if len(held) != 1 {
+			t.Fatalf("maxRanks=%d: %d requests on the wire, want 1 (a leader and its waiter)", maxRanks, len(held))
 		}
-		allocs := testing.AllocsPerRun(1000, cycle)
-		t.Logf("replication=%v: generator issue→reply cycle: %.0f allocs", replication, allocs)
-		if allocs != 1 {
-			t.Fatalf("replication=%v: an issue→reply cycle allocates %.0f objects, want 1 (the record)",
-				replication, allocs)
+		g.answer(held[0], "")
+		if got := g.lg.completed.Load(); got != 2 {
+			t.Fatalf("maxRanks=%d: completed %d, want 2", maxRanks, got)
 		}
-		if got, want := g.lg.completed.Load(), uint64(2*latWindowCap+1001); got != want {
-			t.Fatalf("replication=%v: completed %d of %d", replication, got, want)
+		if maxRanks == 0 {
+			if g.lg.rankLat != nil || g.lg.rankLatencyMs(0) != 0 {
+				t.Fatalf("no elastic coordinator, yet rank windows %v, rank 0 latency %v ms", g.lg.rankLat, g.lg.rankLatencyMs(0))
+			}
+			continue
+		}
+		w := g.lg.rankLat[0]
+		if w.n != 2 || !w.buf[0].at.Equal(w.buf[1].at) {
+			t.Fatalf("rank 0 window holds %d samples (at %v), want 2 from one clock read", w.n, w.buf[:w.n])
+		}
+		if ms := g.lg.rankLatencyMs(0); ms < 1.5 {
+			t.Fatalf("rank 0 latency %v ms, want >= 1.5 (samples of >= 1 and >= 2 ms)", ms)
 		}
 	}
 }

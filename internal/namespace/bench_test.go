@@ -298,3 +298,60 @@ func TestRecordOpDeepDefers(t *testing.T) {
 		t.Errorf("RecordOp allocates %v, want 0", allocs)
 	}
 }
+
+// fragDirTree builds one directory of 10 000 entries, subdirs of them
+// directories with a heated file each, split into eight fragments labelled
+// over ranks 0–7: the shape where every fragment bound holds part of a big
+// child table.
+func fragDirTree(tb testing.TB, subdirs int) *Namespace {
+	ns := New(sim.Second)
+	dir, err := ns.CreatePath("/big", true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	now := sim.Time(0)
+	for i := 0; i < 10_000; i++ {
+		name := fmt.Sprintf("e%d", i)
+		if i < subdirs {
+			sub, err := ns.Create(dir, name, true)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := ns.Create(sub, "f", false); err != nil {
+				tb.Fatal(err)
+			}
+			now++
+			ns.RecordOp(sub, "f", OpIWR, now)
+			continue
+		}
+		if _, err := ns.Create(dir, name, false); err != nil {
+			tb.Fatal(err)
+		}
+		now++
+		ns.RecordOp(dir, name, OpIWR, now)
+	}
+	for i, f := range ns.SplitDir(dir, RootFrag, 3, now) {
+		ns.SetFragAuth(dir, f, Rank(i))
+	}
+	ns.FlushCounters()
+	return ns
+}
+
+// BenchmarkNSAuthLoadFragDir measures AuthLoad over fragDirTree's eight
+// fragment bounds, with and without subdirectories among the 10 000
+// entries: each bound measures the subtrees of the subdirectories whose
+// dentries it holds, which takes a scan of the child table.
+func BenchmarkNSAuthLoadFragDir(b *testing.B) {
+	for _, subdirs := range []int{0, 8} {
+		b.Run(fmt.Sprintf("subdirs=%d", subdirs), func(b *testing.B) {
+			ns := fragDirTree(b, subdirs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if loads := ns.AuthLoad(8, sim.Time(1<<20+i), CounterSnapshot.CephLoad); len(loads) != 8 {
+					b.Fatal("AuthLoad returned wrong rank count")
+				}
+			}
+		})
+	}
+}

@@ -164,68 +164,133 @@ func (w *Running) Variance() float64 {
 // StdDev reports the sample standard deviation.
 func (w *Running) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Sample collects raw values for percentile queries. Metadata latencies per
-// run are small enough (millions) that exact percentiles are affordable.
+// Sample answers exact percentiles, mean and standard deviation over the
+// values added to it while keeping one count per distinct value, not every
+// value. A sim client's latencies are whole virtual microseconds, so its
+// hundreds of thousands of ops fall on about a thousand distinct values.
+//
+// Memory is O(distinct values): each costs a map slot, a key and a
+// cumulative count, under 64 B with growth slack. Add also holds up to
+// sampleBatch values (16 KiB) until it counts them, which it does a batch
+// at a time, so the map's memory is read in one burst, not once per value
+// between a busy caller's other work; a query counts the batch and drops
+// it. So 10⁶ adds over 10³ distinct values hold under 64 KiB, and an input
+// whose every value is distinct costs at most 8× the 8 B per value of a
+// slice of every value.
+//
+// Mean divides the sum of the values, added in arrival order, by N, and
+// StdDev is Welford's (Running) fed in arrival order: the same float
+// operations as a walk over a slice of every value in arrival order, so
+// the same bits, but for the payload of a NaN result, which Go leaves to
+// the compiler's operand order. Percentile interpolates between the
+// closest ranks of the values in sort.Float64s's order (NaN first); the
+// first query after an Add sorts the distinct values and caches their
+// cumulative counts, and each query is then two binary searches.
+//
+// Values are counted by their bits (math.Float64bits), so -0 and +0 are two
+// distinct values, and so are NaNs with different payloads. sort.Float64s
+// leaves values that compare equal in no set order, so where such values
+// meet at an order statistic a percentile answers one of them: a zero's
+// sign or a NaN's payload may differ from a sort of every value, never a
+// magnitude.
 type Sample struct {
-	vals   []float64
-	sorted bool
+	counts map[uint64]int // value bits → times added
+	keys   []float64      // distinct values, first-seen order until sorted
+	cum    []int          // cum[i]: values at or below keys[i] once sorted
+	sorted bool           // keys and cum are current
+	batch  []float64      // values added since the last count
+	sum    float64
+	run    Running
 }
 
-// Add appends a value.
+// sampleBatch is the size of Sample.batch. A sim client's map of about a
+// thousand distinct latencies spans some 36 KiB, so counting a batch of
+// this size reads each of its cache lines once per several values.
+const sampleBatch = 2048
+
+// Add adds a value.
 func (s *Sample) Add(v float64) {
-	s.vals = append(s.vals, v)
+	if s.batch == nil {
+		s.batch = make([]float64, 0, sampleBatch)
+	}
+	s.batch = append(s.batch, v)
+	if len(s.batch) == sampleBatch {
+		s.count()
+	}
 	s.sorted = false
+	s.sum += v
+	s.run.Add(v)
+}
+
+// count moves the batch into the per-value counts.
+func (s *Sample) count() {
+	if s.counts == nil {
+		s.counts = map[uint64]int{}
+	}
+	for _, v := range s.batch {
+		distinct := len(s.counts)
+		s.counts[math.Float64bits(v)]++
+		if len(s.counts) != distinct {
+			s.keys = append(s.keys, v)
+		}
+	}
+	s.batch = s.batch[:0]
 }
 
 // N reports the number of values.
-func (s *Sample) N() int { return len(s.vals) }
+func (s *Sample) N() int { return int(s.run.N()) }
 
 // Mean reports the mean, or 0 when empty.
 func (s *Sample) Mean() float64 {
-	if len(s.vals) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
-	t := 0.0
-	for _, v := range s.vals {
-		t += v
-	}
-	return t / float64(len(s.vals))
+	return s.sum / float64(s.N())
 }
 
 // StdDev reports the sample standard deviation.
-func (s *Sample) StdDev() float64 {
-	var w Running
-	for _, v := range s.vals {
-		w.Add(v)
-	}
-	return w.StdDev()
-}
+func (s *Sample) StdDev() float64 { return s.run.StdDev() }
 
 // Percentile reports the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. Empty samples report 0.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
+	n := s.N()
+	if n == 0 {
 		return 0
 	}
 	if !s.sorted {
-		sort.Float64s(s.vals)
+		s.count()
+		s.batch = nil
+		sort.Float64s(s.keys)
+		if cap(s.cum) < len(s.keys) {
+			s.cum = make([]int, len(s.keys))
+		}
+		s.cum = s.cum[:len(s.keys)]
+		t := 0
+		for i, k := range s.keys {
+			t += s.counts[math.Float64bits(k)]
+			s.cum[i] = t
+		}
 		s.sorted = true
 	}
 	if p <= 0 {
-		return s.vals[0]
+		return s.keys[0]
 	}
 	if p >= 100 {
-		return s.vals[len(s.vals)-1]
+		return s.keys[len(s.keys)-1]
 	}
-	rank := p / 100 * float64(len(s.vals)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s.vals[lo]
+		return s.at(lo)
 	}
 	frac := rank - float64(lo)
-	return s.vals[lo]*(1-frac) + s.vals[hi]*frac
+	return s.at(lo)*(1-frac) + s.at(hi)*frac
 }
+
+// at returns the k-th smallest value, counting from 0, of a sorted sample.
+func (s *Sample) at(k int) float64 { return s.keys[sort.SearchInts(s.cum, k+1)] }
 
 // Heatmap accumulates per-key heat sampled over time — the data behind the
 // paper's Figure 1 (directory hotspots during a compile).
