@@ -399,11 +399,10 @@ func (ns *Namespace) OwnedNodes(numRanks int) []int {
 // was carved from, so what stays with a rank is what lies under its bounds
 // and outside every bound nested in them: exactly the ops and nodes that
 // EffectiveAuth gives it. A directory bound measures its subtree: its
-// aggregate counters, or SubtreeNodes. A fragment bound measures
-// fragRun.loads or fragRun.nodeCounts; one that is no longer a leaf is
-// skipped. With load set the counters are priced by load into loads; with
-// load nil the node counts go into nodes. Exactly one of the two results
-// is returned.
+// aggregate counters, or SubtreeNodes. A fragment bound measures fragLoad
+// or fragNodes; one that is no longer a leaf is skipped. With load set the
+// counters are priced by load into loads; with load nil the node counts go
+// into nodes. Exactly one of the two results is returned.
 //
 // With want >= 0 only loads[want] is meaningful. Every bound's counters are
 // still snapshotted — Snapshot applies the decay in place, so skipping one
@@ -420,44 +419,32 @@ func (ns *Namespace) attribute(numRanks int, now sim.Time, load func(CounterSnap
 	// The index is ordered by path: floating-point sums must not depend
 	// on map iteration order, or identical runs diverge in the last bit
 	// and the balancer's decisions with them.
-	for i := 0; i < len(ns.bidx); i++ {
+	for i := range ns.bidx {
 		e := &ns.bidx[i]
-		b := &e.root
-		if !b.IsFrag {
-			if nodes != nil {
-				credit(nodes, b.Rank, e.from, b.Dir.SubtreeNodes())
-			} else if snap := b.Dir.dir.counters.Snapshot(now); want < 0 || b.Rank == want || e.from == want {
-				credit(loads, b.Rank, e.from, load(snap))
+		b, from := &e.root, e.from
+		var fs *FragState
+		if b.IsFrag {
+			if fs = b.Dir.dir.fragState(b.Frag); fs == nil {
+				continue
+			}
+		}
+		if nodes != nil {
+			if fs == nil {
+				credit(nodes, b.Rank, from, b.Dir.SubtreeNodes())
+			} else {
+				credit(nodes, b.Rank, from, fragNodes(b.Dir, fs))
 			}
 			continue
 		}
-		// A directory's fragment bounds sit together in the index, so
-		// one scan of its child table measures them all.
-		j := i + 1
-		for j < len(ns.bidx) && ns.bidx[j].root.IsFrag && ns.bidx[j].root.Dir == b.Dir {
-			j++
-		}
-		run, r := ns.bidx[i:j], &ns.frun
-		r.fss = r.fss[:0]
-		for k := range run {
-			r.fss = append(r.fss, b.Dir.dir.fragState(run[k].root.Frag))
-		}
-		if nodes != nil {
-			r.nodeCounts(b.Dir)
+		var snap CounterSnapshot
+		if fs == nil {
+			snap = b.Dir.dir.counters.Snapshot(now)
 		} else {
-			r.loads(b.Dir, now)
+			snap = fragLoad(b.Dir, fs, now)
 		}
-		for k := range run {
-			rb, from := &run[k].root, run[k].from
-			switch {
-			case r.fss[k] == nil:
-			case nodes != nil:
-				credit(nodes, rb.Rank, from, r.nodes[k])
-			case want < 0 || rb.Rank == want || from == want:
-				credit(loads, rb.Rank, from, load(r.snaps[k]))
-			}
+		if want < 0 || b.Rank == want || from == want {
+			credit(loads, b.Rank, from, load(snap))
 		}
-		i = j - 1
 	}
 	// Node counts come out exact; a load can dip below zero where a
 	// readdir charged every leaf of a directory whose fragments are owned
@@ -481,63 +468,34 @@ func credit[T int | float64](out []T, to, from Rank, v T) {
 	}
 }
 
-// fragRun is scratch for measuring the fragments of one directory with a
-// single scan of its child table (attribute, Loads). It is used under the
-// namespace write lock and kept between uses.
-type fragRun struct {
-	fss   []*FragState // nil for a fragment that is no longer a leaf
-	snaps []CounterSnapshot
-	nodes []int
+// fragLoad is a fragment's counter measure at now: its own counters, which
+// count the ops on its dentries, plus the aggregate counters of every
+// subdirectory whose dentry it holds, since those subtrees follow the
+// fragment's authority. Subdirectories are summed in child-table slot
+// order, which the table's history fixes.
+func fragLoad(dir *Node, fs *FragState, now sim.Time) CounterSnapshot {
+	s := fs.Counters.Snapshot(now)
+	dir.dir.eachSubdirIn(fs.Frag, func(c *Node) { s = s.Add(c.dir.counters.Snapshot(now)) })
+	return s
 }
 
-// loads sets snaps[i] to fragment fss[i]'s counter measure at now: its own
-// counters, which count the ops on its dentries, plus the aggregate
-// counters of every subdirectory whose dentry it holds, since those
-// subtrees follow the fragment's authority. Each fragment adds its
-// subdirectories in child-table slot order, which the table's history
-// fixes. A nil fragment measures zero.
-func (r *fragRun) loads(dir *Node, now sim.Time) {
-	r.snaps = r.snaps[:0]
-	for _, fs := range r.fss {
-		var s CounterSnapshot
-		if fs != nil {
-			s = fs.Counters.Snapshot(now)
-		}
-		r.snaps = append(r.snaps, s)
-	}
-	dir.dir.eachSubdirIn(r.fss, func(i int, c *Node) { r.snaps[i] = r.snaps[i].Add(c.dir.counters.Snapshot(now)) })
+// fragNodes is a fragment's node measure: its dentries plus everything
+// below the subdirectories among them.
+func fragNodes(dir *Node, fs *FragState) int {
+	v := fs.Entries
+	dir.dir.eachSubdirIn(fs.Frag, func(c *Node) { v += c.SubtreeNodes() - 1 })
+	return v
 }
 
-// nodeCounts sets nodes[i] to fragment fss[i]'s node measure: its dentries
-// plus everything below the subdirectories among them.
-func (r *fragRun) nodeCounts(dir *Node) {
-	r.nodes = r.nodes[:0]
-	for _, fs := range r.fss {
-		v := 0
-		if fs != nil {
-			v = fs.Entries
-		}
-		r.nodes = append(r.nodes, v)
-	}
-	dir.dir.eachSubdirIn(r.fss, func(i int, c *Node) { r.nodes[i] += c.SubtreeNodes() - 1 })
-}
-
-// eachSubdirIn calls fn(i, c) for every subdirectory c of ds whose dentry
-// hashes into fss[i] (a nil entry holds none), in child-table slot order,
-// from one scan of the table. A directory with no subdirectories costs one
-// comparison.
-func (ds *dirState) eachSubdirIn(fss []*FragState, fn func(i int, c *Node)) {
+// eachSubdirIn calls fn for every subdirectory of ds whose dentry hashes
+// into f. A directory with no subdirectories costs one comparison.
+func (ds *dirState) eachSubdirIn(f Frag, fn func(c *Node)) {
 	if ds.children.subdirs == 0 {
 		return
 	}
 	ds.children.each(func(c *Node, h uint32) {
-		if c.dir == nil {
-			return
-		}
-		for i, fs := range fss {
-			if fs != nil && fs.Frag.Contains(h) {
-				fn(i, c)
-			}
+		if f.Contains(h) && c.dir != nil {
+			fn(c)
 		}
 	})
 }

@@ -70,9 +70,6 @@ type Namespace struct {
 	bidx      []boundEntry
 	bidxDirty bool
 
-	// frun is the scratch of attribute and Loads (see fragRun).
-	frun fragRun
-
 	// invalidate, when set, is called with the pre-mutation path of every
 	// node a structural change (unlink, rename) detaches — the hook the
 	// replica registry uses to drop read replicas of state whose path key

@@ -392,24 +392,15 @@ func (ns *Namespace) Loads(now sim.Time, units []LoadUnit) {
 	ns.wlock()
 	defer ns.wunlock()
 	ns.flushLocked()
-	for i := 0; i < len(units); i++ {
+	for i := range units {
 		u := &units[i]
 		u.Snap, u.OK = CounterSnapshot{}, false
 		switch d := u.Dir.dir; {
 		case d == nil:
 		case u.IsFrag:
-			// Consecutive fragments of one directory share one scan of
-			// its child table.
-			r := &ns.frun
-			r.fss = r.fss[:0]
-			for j := i; j < len(units) && units[j].IsFrag && units[j].Dir == u.Dir; j++ {
-				r.fss = append(r.fss, d.fragState(units[j].Frag))
+			if fs := d.fragState(u.Frag); fs != nil {
+				u.Snap, u.OK = fragLoad(u.Dir, fs, now), true
 			}
-			r.loads(u.Dir, now)
-			for k, fs := range r.fss {
-				units[i+k].Snap, units[i+k].OK = r.snaps[k], fs != nil
-			}
-			i += len(r.fss) - 1
 		default:
 			u.Snap, u.OK = d.counters.Snapshot(now), true
 		}

@@ -140,19 +140,19 @@ func TestSampleMatchesSliceOracle(t *testing.T) {
 	}
 }
 
-// TestSampleAcrossBatches adds values past several batches, querying on
-// either side of each batch boundary and between them.
-func TestSampleAcrossBatches(t *testing.T) {
+// TestSampleManyRepeats adds thousands of values that repeat, with the
+// special values mixed in, querying every few hundred adds.
+func TestSampleManyRepeats(t *testing.T) {
 	var got Sample
 	var want sliceSample
-	for i := 0; i < 3*sampleBatch+5; i++ {
+	for i := 0; i < 6_000; i++ {
 		v := float64((i*7919)%1301) * 0.001
 		if i%997 == 0 {
 			v = samplePalette[i%len(samplePalette)]
 		}
 		got.Add(v)
 		want.Add(v)
-		if k := i % sampleBatch; k <= 1 || k >= sampleBatch-2 || i%500 == 0 {
+		if i%500 == 0 {
 			checkSample(t, &got, &want)
 		}
 	}
@@ -184,7 +184,7 @@ var samplePalette = []float64{
 
 // playSample runs one op stream on a Sample and the oracle. Each op is a
 // byte: low two bits 0 add a palette value, 1 add a palette value 16·b+1
-// times, b the next byte (so a short input crosses batches), 2 add the
+// times, b the next byte (so a short input builds large counts), 2 add the
 // next eight bytes as a float64, 3 query a percentile (p from the next
 // byte) and compare every answer.
 func playSample(t *testing.T, data []byte) {
@@ -239,9 +239,9 @@ func FuzzSampleDifferential(f *testing.F) {
 // TestSampleRetainedBytes pins the memory bound the doc comment states:
 // 10⁶ adds over 10³ distinct values retain at most 64 KiB, and an input
 // whose every value is distinct at most 8× the 8 B per value of a slice.
-// The first holds before a query too, with a batch pending. Eight samples
-// are built side by side and the heap growth is shared out, so what else
-// the process allocates meanwhile moves a reading little.
+// The first holds before a query too. Eight samples are built side by
+// side and the heap growth is shared out, so what else the process
+// allocates meanwhile moves a reading little.
 func TestSampleRetainedBytes(t *testing.T) {
 	retained := func(n, distinct int, query bool) uint64 {
 		const samples = 8

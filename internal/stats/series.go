@@ -170,13 +170,9 @@ func (w *Running) StdDev() float64 { return math.Sqrt(w.Variance()) }
 // hundreds of thousands of ops fall on about a thousand distinct values.
 //
 // Memory is O(distinct values): each costs a map slot, a key and a
-// cumulative count, under 64 B with growth slack. Add also holds up to
-// sampleBatch values (16 KiB) until it counts them, which it does a batch
-// at a time, so the map's memory is read in one burst, not once per value
-// between a busy caller's other work; a query counts the batch and drops
-// it. So 10⁶ adds over 10³ distinct values hold under 64 KiB, and an input
-// whose every value is distinct costs at most 8× the 8 B per value of a
-// slice of every value.
+// cumulative count, under 64 B with growth slack. So 10⁶ adds over 10³
+// distinct values hold under 64 KiB, and an input whose every value is
+// distinct costs at most 8× the 8 B per value of a slice of every value.
 //
 // Mean divides the sum of the values, added in arrival order, by N, and
 // StdDev is Welford's (Running) fed in arrival order: the same float
@@ -198,43 +194,23 @@ type Sample struct {
 	keys   []float64      // distinct values, first-seen order until sorted
 	cum    []int          // cum[i]: values at or below keys[i] once sorted
 	sorted bool           // keys and cum are current
-	batch  []float64      // values added since the last count
 	sum    float64
 	run    Running
 }
 
-// sampleBatch is the size of Sample.batch. A sim client's map of about a
-// thousand distinct latencies spans some 36 KiB, so counting a batch of
-// this size reads each of its cache lines once per several values.
-const sampleBatch = 2048
-
 // Add adds a value.
 func (s *Sample) Add(v float64) {
-	if s.batch == nil {
-		s.batch = make([]float64, 0, sampleBatch)
+	if s.counts == nil {
+		s.counts = map[uint64]int{}
 	}
-	s.batch = append(s.batch, v)
-	if len(s.batch) == sampleBatch {
-		s.count()
+	distinct := len(s.counts)
+	s.counts[math.Float64bits(v)]++
+	if len(s.counts) != distinct {
+		s.keys = append(s.keys, v)
 	}
 	s.sorted = false
 	s.sum += v
 	s.run.Add(v)
-}
-
-// count moves the batch into the per-value counts.
-func (s *Sample) count() {
-	if s.counts == nil {
-		s.counts = map[uint64]int{}
-	}
-	for _, v := range s.batch {
-		distinct := len(s.counts)
-		s.counts[math.Float64bits(v)]++
-		if len(s.counts) != distinct {
-			s.keys = append(s.keys, v)
-		}
-	}
-	s.batch = s.batch[:0]
 }
 
 // N reports the number of values.
@@ -259,8 +235,6 @@ func (s *Sample) Percentile(p float64) float64 {
 		return 0
 	}
 	if !s.sorted {
-		s.count()
-		s.batch = nil
 		sort.Float64s(s.keys)
 		if cap(s.cum) < len(s.keys) {
 			s.cum = make([]int, len(s.keys))
