@@ -12,6 +12,7 @@ package balancer
 
 import (
 	"fmt"
+	"slices"
 
 	"mantle/internal/namespace"
 )
@@ -59,11 +60,18 @@ type Env struct {
 // output of the "where" decision.
 type Targets map[namespace.Rank]float64
 
-// TotalTarget sums the load across all destinations.
+// TotalTarget sums the load across all destinations, in ascending rank
+// order: a float sum depends on its order, and a map's is random.
 func (t Targets) TotalTarget() float64 {
+	var buf [64]namespace.Rank
+	ranks := buf[:0]
+	for r := range t {
+		ranks = append(ranks, r)
+	}
+	slices.Sort(ranks)
 	sum := 0.0
-	for _, v := range t {
-		sum += v
+	for _, r := range ranks {
+		sum += t[r]
 	}
 	return sum
 }
@@ -163,18 +171,28 @@ func (m *MemState) Read() any { return m.v }
 
 // Validate sanity-checks targets against the environment: destinations must
 // be valid ranks and not the sender itself; amounts must be non-negative and
-// finite.
+// not NaN. Of several offending ranks it reports the lowest, so the error
+// does not depend on the map's iteration order.
 func (t Targets) Validate(e *Env) error {
+	bad, found := namespace.Rank(0), false
 	for rank, amt := range t {
-		if rank < 0 || int(rank) >= len(e.MDSs) {
-			return fmt.Errorf("balancer: target rank %d out of range [0,%d)", rank, len(e.MDSs))
-		}
-		if rank == e.WhoAmI {
-			return fmt.Errorf("balancer: policy targeted itself (rank %d)", rank)
-		}
-		if amt < 0 || amt != amt { // NaN check
-			return fmt.Errorf("balancer: invalid target load %v for rank %d", amt, rank)
+		if (!found || rank < bad) && !validTarget(e, rank, amt) {
+			bad, found = rank, true
 		}
 	}
-	return nil
+	if !found {
+		return nil
+	}
+	switch amt := t[bad]; {
+	case bad < 0 || int(bad) >= len(e.MDSs):
+		return fmt.Errorf("balancer: target rank %d out of range [0,%d)", bad, len(e.MDSs))
+	case bad == e.WhoAmI:
+		return fmt.Errorf("balancer: policy targeted itself (rank %d)", bad)
+	default:
+		return fmt.Errorf("balancer: invalid target load %v for rank %d", amt, bad)
+	}
+}
+
+func validTarget(e *Env, rank namespace.Rank, amt float64) bool {
+	return rank >= 0 && int(rank) < len(e.MDSs) && rank != e.WhoAmI && amt >= 0 // false for NaN
 }

@@ -164,6 +164,30 @@ var pokeKernelPolicy = func() Policy {
 	return p
 }()
 
+// pokeDecisionPolicy is pokePolicy with when, where and howmuch that run as
+// statement kernels, beside the poking tree-walked mdsload. The when leaves
+// peak for the other two to read; before any when has, they bail, and the
+// tree-walker fails on the nil.
+var pokeDecisionPolicy = func() Policy {
+	p := pokePolicy
+	p.Name = "poke_decision"
+	p.When = `
+local hi = 0
+for r = 1, #MDSs do hi = max(hi, MDSs[r]["load"] + MDSs[r]["q"]) end
+peak = hi
+if MDSs[whoami]["load"] >= hi / 2 and total > authmetaload - 1 then`
+	p.Where = `
+local mean = total / #MDSs
+for r = 1, #MDSs do
+  if r ~= whoami and MDSs[r]["cpu"] < mean + peak then
+    targets[r] = mean - MDSs[r]["load"] + allmetaload
+  end
+end
+targets[#MDSs + 1] = 1`
+	p.HowMuch = `if peak > total then return {"half"} end return {"small", "big"}`
+	return p
+}()
+
 const (
 	pokeElastic = pokeLua + `
 local q = 0
@@ -441,14 +465,27 @@ func balanceFamily(t *testing.T, p Policy) *family {
 	if !metaKernel {
 		t.Fatalf("%s: the metaload does not run as a kernel", p.Name)
 	}
+	whenKernel, whereKernel, howMuchKernel := fast.DecisionKernels()
 	tree := p
 	tree.MetaLoad = treeSpelling(p.MetaLoad)
 	if mdsKernel {
 		tree.MDSLoad = treeSpelling(p.MDSLoad)
 	}
+	if whenKernel {
+		tree.When = walkedSpelling(p.When)
+	}
+	if whereKernel {
+		tree.Where = walkedSpelling(p.Where)
+	}
+	if howMuchKernel {
+		tree.HowMuch = walkedSpelling(p.HowMuch)
+	}
 	slow := &oracleBalancer{LuaBalancer: newSide(tree)}
 	if meta, mds := slow.Kernels(); meta || mds {
 		t.Fatalf("%s: the oracle runs a kernel", p.Name)
+	}
+	if when, where, howMuch := slow.DecisionKernels(); when || where || howMuch {
+		t.Fatalf("%s: the oracle runs a decision kernel", p.Name)
 	}
 	e := &balancer.Env{MDSs: make([]balancer.MDSMetrics, 3)}
 	f := &family{name: p.Name, fastVM: fast.vm, slow: slow.vm, publish: fast.publish}
@@ -477,7 +514,7 @@ func balanceFamily(t *testing.T, p Policy) *family {
 				break
 			}
 			s.seen["rescore"]++
-			f.unbound = f.unbound || mdsKernel
+			f.unbound = mdsKernel
 			r := namespace.Rank(s.intn(len(e.MDSs)))
 			got, gerr := fast.MDSLoad(r, e)
 			slow.bindEnv(e)
@@ -486,20 +523,24 @@ func balanceFamily(t *testing.T, p Policy) *family {
 			e.Total += got
 			return fmtResult(got, gerr), fmtResult(want, werr)
 		case 8:
-			f.unbound = false
+			// A decision kernel binds only when it bails.
+			f.unbound = whenKernel
 			got, gerr := fast.When(e)
+			sawKernel(s, fast, fast.whenK)
 			slow.bindEnv(e)
 			want, werr := slow.when()
 			return fmtResult(got, gerr), fmtResult(want, werr)
 		case 9:
-			f.unbound = false
+			f.unbound = whereKernel
 			got, gerr := fast.Where(e)
+			sawKernel(s, fast, fast.whereK)
 			slow.bindEnv(e)
 			want, werr := slow.where(e)
 			return fmtResult(got, gerr), fmtResult(want, werr)
 		case 10:
-			f.unbound = false
+			f.unbound = howMuchKernel
 			got, gerr := fast.HowMuch(e)
+			sawKernel(s, fast, fast.howMuchK)
 			slow.bindEnv(e)
 			want, werr := slow.howMuch()
 			return fmtResult(got, gerr), fmtResult(want, werr)
@@ -512,7 +553,9 @@ func balanceFamily(t *testing.T, p Policy) *family {
 			// A whole scoring round: ScoreAll from one bind against the
 			// old binder run once per rank, from the same env.
 			s.seen["scoreall"]++
-			f.unbound = f.unbound || (mdsKernel && len(e.MDSs) > 0)
+			if len(e.MDSs) > 0 {
+				f.unbound = mdsKernel
+			}
 			ef, es := cloneEnv(e), cloneEnv(e)
 			gerr := balancer.ScoreAll(fast, ef)
 			var werr error
@@ -535,6 +578,21 @@ func balanceFamily(t *testing.T, p Policy) *family {
 		return "", ""
 	}
 	return f
+}
+
+// sawKernel counts whether a decision hook that compiled to d ran as the
+// kernel, which leaves d last among the pending kernels, or bailed to the
+// tree-walker, whose run publishes every pending kernel first.
+func sawKernel(s *script, b *LuaBalancer, d *decision) {
+	if d == nil {
+		return
+	}
+	name := hookNames[d.hook]
+	if n := len(b.pending); n > 0 && b.pending[n-1] == leaver(d) {
+		s.seen[name+" kernel"]++
+	} else {
+		s.seen[name+" bailed"]++
+	}
 }
 
 func elasticFamily(t *testing.T) *family {
@@ -620,7 +678,8 @@ var crossCheckEnv bool
 // what the run exercised.
 func runDifferential(t *testing.T, data []byte) map[string]int {
 	seen := map[string]int{}
-	for _, f := range []*family{balanceFamily(t, pokePolicy), balanceFamily(t, pokeKernelPolicy), elasticFamily(t), replicateFamily(t)} {
+	for _, f := range []*family{balanceFamily(t, pokePolicy), balanceFamily(t, pokeKernelPolicy), balanceFamily(t, pokeDecisionPolicy),
+		elasticFamily(t), replicateFamily(t)} {
 		s := &script{data: data, seen: seen}
 		for step := 0; s.more(); step++ {
 			fast, slow := f.step(s)
@@ -661,7 +720,9 @@ func TestBindEnvDifferential(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"rescore", "scoreall", "fresh", "grow", "shrink", "nan", "inf", "negzero", "interned",
-		"poke1", "poke2", "poke3", "poke4", "poke5", "poke6"} {
+		"poke1", "poke2", "poke3", "poke4", "poke5", "poke6",
+		"mds_bal_when kernel", "mds_bal_when bailed", "mds_bal_where kernel", "mds_bal_where bailed",
+		"mds_bal_howmuch kernel", "mds_bal_howmuch bailed"} {
 		if seen[k] == 0 {
 			t.Errorf("the seeded scripts never exercised %q", k)
 		}

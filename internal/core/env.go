@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mantle/internal/balancer"
 	"mantle/internal/lua"
@@ -36,6 +37,31 @@ func mdsValues(m *balancer.MDSMetrics) [7]float64 {
 	return [7]float64{m.Auth, m.All, m.CPU, m.Mem, m.Queue, m.Req, m.Load}
 }
 
+// mdsColumn appends field c of mdsValues of every rank to dst.
+func mdsColumn(dst []float64, mdss []balancer.MDSMetrics, c int) []float64 {
+	dst = slices.Grow(dst, len(mdss))
+	for i := range mdss {
+		m := &mdss[i]
+		switch c {
+		case 0:
+			dst = append(dst, m.Auth)
+		case 1:
+			dst = append(dst, m.All)
+		case 2:
+			dst = append(dst, m.CPU)
+		case 3:
+			dst = append(dst, m.Mem)
+		case 4:
+			dst = append(dst, m.Queue)
+		case 5:
+			dst = append(dst, m.Req)
+		default:
+			dst = append(dst, m.Load)
+		}
+	}
+	return dst
+}
+
 // elasticKeys and elasticBits are MDSs[i] of when_elastic.
 var elasticKeys = []lua.Value{"q", "req", "cpu", "load", "lat"}
 
@@ -60,13 +86,11 @@ type boundRank struct {
 // kernel is a hook compiled to Go arithmetic (lua.CompileKernel), with the
 // buffer its inputs are gathered into. A kernel stores no global; but the
 // tree-walked hook it stands for would have left some behind, which a later
-// hook may read. Those are in[:len(leaves)], under the names in leaves, and
-// stale says they have not been stored yet.
+// hook may read. Those are in[:len(leaves)], under the names in leaves.
 type kernel struct {
 	eval   lua.Kernel
 	in     []float64
 	leaves []lua.Value
-	stale  bool
 }
 
 // compileKernel returns the kernel of chunk over inputs, of which the first
@@ -76,22 +100,45 @@ func (h *hookEnv) compileKernel(chunk *lua.Chunk, inputs []lua.Input, leaves ...
 	if k == nil {
 		return nil
 	}
-	kn := &kernel{eval: k, in: make([]float64, len(inputs)), leaves: leaves}
-	h.kernels = append(h.kernels, kn)
-	return kn
+	return &kernel{eval: k, in: make([]float64, len(inputs)), leaves: leaves}
+}
+
+func (k *kernel) store(h *hookEnv) {
+	for j, name := range k.leaves {
+		h.setNum(name, k.in[j])
+	}
+}
+
+// leaver is a kernel whose evaluations leave globals the VM does not hold
+// yet: store stores them.
+type leaver interface{ store(h *hookEnv) }
+
+// leave records that k has just evaluated: its globals are owed to the VM,
+// after those of every kernel that evaluated before it.
+func (h *hookEnv) leave(k leaver) {
+	n := len(h.pending)
+	if n > 0 && h.pending[n-1] == k {
+		return
+	}
+	for i, p := range h.pending {
+		if p == k {
+			copy(h.pending[i:], h.pending[i+1:])
+			h.pending = h.pending[:n-1]
+			break
+		}
+	}
+	h.pending = append(h.pending, k)
 }
 
 // publish stores the globals every kernel evaluated since the last publish
-// would have left, so the next tree-walked chunk sees what it would have seen.
+// would have left, in the order they evaluated, so the next tree-walked
+// chunk sees what it would have seen.
 func (h *hookEnv) publish() {
-	for _, k := range h.kernels {
-		if k.stale {
-			for j, name := range k.leaves {
-				h.setNum(name, k.in[j])
-			}
-			k.stale = false
-		}
+	for _, k := range h.pending {
+		k.store(h)
 	}
+	clear(h.pending)
+	h.pending = h.pending[:0]
 }
 
 // hookEnv is what every hook family evaluates in: a sandboxed VM whose
@@ -112,10 +159,14 @@ type hookEnv struct {
 	// gathered into before the two swap.
 	shadow, spare []uint64
 	// mdssWrites is h.mdss.Writes() as the binder left it; a different count
-	// means a script wrote to MDSs itself, perhaps over a rank's slot.
-	mdssWrites uint64
-	// kernels are the family's hooks that run as Go arithmetic.
-	kernels []*kernel
+	// means a script wrote to MDSs itself, perhaps over a rank's slot. Once
+	// one has, mdssTouched stays set: the array part may hold more than the
+	// bound ranks, so #MDSs is no longer the cluster size.
+	mdssWrites  uint64
+	mdssTouched bool
+	// pending are the kernels that evaluated since the last publish, in the
+	// order of their last evaluation.
+	pending []leaver
 
 	// HookErrors counts runtime failures, surfaced by the policy linter,
 	// the MDS log and the elastic coordinator.
@@ -182,7 +233,7 @@ func (h *hookEnv) bindRanks(vals []uint64) {
 		// A new table holds nothing: a write count it cannot have forces
 		// the first bind to store every field.
 		h.ranks = append(h.ranks, boundRank{t: lua.NewTable(), writes: math.MaxUint64})
-		h.mdss.SetInt(len(h.ranks), h.ranks[len(h.ranks)-1].t)
+		h.setSlot(len(h.ranks), h.ranks[len(h.ranks)-1].t)
 	}
 	for i := range h.ranks {
 		r := &h.ranks[i]
@@ -210,11 +261,32 @@ func (h *hookEnv) bindRanks(vals []uint64) {
 // them every key a script added to those tables.
 func (h *hookEnv) dropRanks(n int) {
 	for i := len(h.ranks); i > n; i-- {
-		h.mdss.SetInt(i, nil)
+		h.setSlot(i, nil)
 	}
 	if len(h.ranks) > n {
 		h.ranks = h.ranks[:n]
 	}
+}
+
+// setSlot stores v in MDSs[i] for the binder, whose writes are no sign of a
+// script's.
+func (h *hookEnv) setSlot(i int, v lua.Value) {
+	ours := h.mdss.Writes() == h.mdssWrites
+	h.mdss.SetInt(i, v)
+	if ours {
+		h.mdssWrites = h.mdss.Writes()
+	}
+}
+
+// mdssUntouched reports whether no script has ever written to the MDSs
+// table: its array part is then exactly the bound rank tables, so a bind for
+// any env would leave #MDSs and every MDSs[i][k] as the env says. A kernel
+// that reads the env instead of the table relies on it.
+func (h *hookEnv) mdssUntouched() bool {
+	if h.mdss.Writes() != h.mdssWrites {
+		h.mdssTouched = true
+	}
+	return !h.mdssTouched
 }
 
 // restoreSlots puts each bound rank's table back into its MDSs slot if a
@@ -225,6 +297,7 @@ func (h *hookEnv) restoreSlots() {
 	if h.mdss.Writes() == h.mdssWrites {
 		return
 	}
+	h.mdssTouched = true
 	for i, r := range h.ranks {
 		if h.mdss.GetInt(i+1) != lua.Value(r.t) {
 			h.mdss.SetInt(i+1, r.t)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,6 +15,10 @@ import (
 // the kernel grammar.
 func treeSpelling(src string) string { return "(" + src + ") or 0" }
 
+// walkedSpelling is a decision hook spelled so that it stays on the
+// tree-walker: a string local is outside the kernel grammar.
+func walkedSpelling(src string) string { return "local walk = 'tree' " + strings.TrimSpace(src) }
+
 // TestKernelPublishesGlobals: a tree-walked when hook that reads what the
 // load hooks leave behind — the five counters and i — sees the same values
 // whether those hooks ran as kernels or on the tree-walker, and so does
@@ -22,7 +28,7 @@ func TestKernelPublishesGlobals(t *testing.T) {
 		Name:     "leftovers",
 		MetaLoad: `IRD + 2*IWR + READDIR + FETCH + STORE`,
 		MDSLoad:  `MDSs[i]["all"] + total/8`,
-		When:     `seen = IRD * 1000 + i + STORE / 7 return i == #MDSs`,
+		When:     walkedSpelling(`seen = IRD * 1000 + i + STORE / 7 return i == #MDSs`),
 	}
 	tree := kernels
 	tree.MetaLoad, tree.MDSLoad = treeSpelling(kernels.MetaLoad), treeSpelling(kernels.MDSLoad)
@@ -79,16 +85,140 @@ func TestKernelPublishesGlobals(t *testing.T) {
 	}
 }
 
-// TestShippedHooksRunAsKernels: every policy of policies/ prices a dirfrag
-// and scores a rank with Go arithmetic.
+// TestShippedHooksRunAsKernels pins which hooks of every policy of
+// policies/ run as kernels: every hook, except the when or where of a
+// policy that keeps state through RDstate/WRstate.
 func TestShippedHooksRunAsKernels(t *testing.T) {
-	for name, p := range policyFiles() {
+	all := [numHooks]bool{true, true, true, true, true}
+	want := map[string][numHooks]bool{
+		"adaptable":                all,
+		"adaptable_conservative":   all,
+		"adaptable_too_aggressive": all,
+		"cephfs_original":          all,
+		"coalesce_home":            {true, true, false, true, true},
+		"elastic":                  all,
+		"feedback":                 {true, true, true, false, true},
+		"fill_and_spill":           {true, true, false, true, true},
+		"greedy_spill":             all,
+		"greedy_spill_even":        all,
+		"replicate":                all,
+	}
+	files := policyFiles()
+	if len(files) != len(want) {
+		t.Fatalf("%d policy files, %d pinned here", len(files), len(want))
+	}
+	for name, p := range files {
 		b, err := NewLuaBalancer(p, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if meta, mds := b.Kernels(); !meta || !mds {
-			t.Errorf("%s: metaload runs as a kernel: %v, mdsload: %v", name, meta, mds)
+		var got [numHooks]bool
+		got[hookMetaLoad], got[hookMDSLoad] = b.Kernels()
+		got[hookWhen], got[hookWhere], got[hookHowMuch] = b.DecisionKernels()
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: not pinned here", name)
+		}
+		for h := hookMetaLoad; h < numHooks; h++ {
+			if got[h] != w[h] {
+				t.Errorf("%s: %s runs as a kernel: %v, want %v", name, hookNames[h], got[h], w[h])
+			}
 		}
 	}
+}
+
+// TestDecisionKernelsNeedMetaLoadKernel: a kernel-shaped decision hook
+// walks beside a tree-walked metaload, which could read the globals its
+// skipped bind would have left.
+func TestDecisionKernelsNeedMetaLoadKernel(t *testing.T) {
+	p := AdaptablePolicy()
+	p.MetaLoad = treeSpelling(p.MetaLoad)
+	b, err := NewLuaBalancer(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if when, where, howMuch := b.DecisionKernels(); when || where || howMuch {
+		t.Fatalf("beside a tree-walked metaload: when %v, where %v, howmuch %v run as kernels", when, where, howMuch)
+	}
+}
+
+// TestGreedySpillEvenLeavesT: greedy_spill_even's when picks the rank to
+// spill to and leaves it in the global t; its where reads t. The Targets
+// must have the same bits with both hooks as kernels, with the where forced
+// onto the tree-walker, and with both walked.
+func TestGreedySpillEvenLeavesT(t *testing.T) {
+	kernels := GreedySpillEvenPolicy()
+	whereWalks := kernels
+	whereWalks.Where = walkedSpelling(kernels.Where)
+	bothWalk := whereWalks
+	bothWalk.When = walkedSpelling(kernels.When)
+	var sides [3]*LuaBalancer
+	for s, p := range []Policy{kernels, whereWalks, bothWalk} {
+		b, err := NewLuaBalancer(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sides[s] = b
+	}
+	for s, want := range [][2]bool{{true, true}, {true, false}, {false, false}} {
+		if when, where, _ := sides[s].DecisionKernels(); when != want[0] || where != want[1] {
+			t.Fatalf("side %d: when runs as a kernel: %v, where: %v; want %v", s, when, where, want)
+		}
+	}
+	spills := 0
+	for n := 2; n <= 9; n++ {
+		for who := 0; who < n; who++ {
+			for idle := 0; idle < n; idle++ {
+				// Rank who is loaded, and so is every rank but idle: t
+				// walks down from half-way across to the idle one.
+				var got [3]string
+				for s, b := range sides {
+					e := &balancer.Env{WhoAmI: namespace.Rank(who), State: &balancer.MemState{}, AllMetaLoad: 3.25 + float64(who)}
+					for r := 0; r < n; r++ {
+						m := balancer.MDSMetrics{All: 1.5 + float64(r)/7}
+						if r == idle && r != who {
+							m.All = 0.001
+						}
+						e.MDSs = append(e.MDSs, m)
+					}
+					if err := balancer.ScoreAll(b, e); err != nil {
+						t.Fatal(err)
+					}
+					ok, err := b.When(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[s] = fmt.Sprint(ok)
+					if ok {
+						targets, err := b.Where(e)
+						got[s] += fmt.Sprintf(" %v %v", targetBits(targets), err)
+					}
+				}
+				if got[0] != got[1] || got[0] != got[2] {
+					t.Fatalf("%d ranks, whoami %d, idle %d: kernels %s, where walked %s, both walked %s", n, who+1, idle+1, got[0], got[1], got[2])
+				}
+				if strings.HasPrefix(got[0], "true") {
+					spills++
+				}
+			}
+		}
+	}
+	if spills == 0 {
+		t.Fatal("no state made greedy_spill_even spill")
+	}
+	// Only a tree-walked hook binds MDSs: the kernels never bailed.
+	if sides[0].vm.Globals.GetString("MDSs") != nil {
+		t.Fatal("a hook of the all-kernel side walked")
+	}
+}
+
+// targetBits renders targets in rank order, amounts by their bits.
+func targetBits(targets balancer.Targets) string {
+	var b strings.Builder
+	for r := namespace.Rank(0); int(r) < 64; r++ {
+		if v, ok := targets[r]; ok {
+			fmt.Fprintf(&b, "%d:%016x ", r, math.Float64bits(v))
+		}
+	}
+	return b.String()
 }

@@ -112,8 +112,10 @@ type LuaBalancer struct {
 	policy Policy
 	chunks [numHooks]*lua.Chunk
 	// metaKernel and mdsKernel are the load hooks compiled to Go arithmetic,
-	// nil for a hook the tree-walker runs.
-	metaKernel, mdsKernel *kernel
+	// and when, where and howMuch the decision hooks compiled to statement
+	// kernels; nil for a hook the tree-walker runs.
+	metaKernel, mdsKernel   *kernel
+	whenK, whereK, howMuchK *decision
 	// targets is cleared, not reallocated, for every where hook.
 	targets *lua.Table
 }
@@ -149,13 +151,17 @@ func NewLuaBalancer(p Policy, opts Options) (*LuaBalancer, error) {
 		b.chunks[h] = chunk
 	}
 	// A metaload kernel leaves the five counters behind, an mdsload kernel
-	// i. An mdsload kernel skips the bind a tree-walked one starts with,
-	// whose globals only a tree-walked metaload could read before the next
-	// bind (when, where and howmuch bind first), so it needs a metaload
+	// i, a decision kernel the globals its chunk assigns. Every kernel but
+	// metaload's skips the bind a tree-walked hook starts with, whose
+	// globals only a tree-walked metaload could read before the next bind
+	// (every other tree-walked hook binds first), so it needs a metaload
 	// kernel beside it.
 	b.metaKernel = b.compileKernel(b.chunks[hookMetaLoad], metaLoadInputs, "IRD", "IWR", "READDIR", "FETCH", "STORE")
 	if b.metaKernel != nil {
 		b.mdsKernel = b.compileKernel(b.chunks[hookMDSLoad], mdsLoadInputs, "i")
+		b.whenK = b.compileDecision(hookWhen)
+		b.whereK = b.compileDecision(hookWhere)
+		b.howMuchK = b.compileDecision(hookHowMuch)
 	}
 	return b, nil
 }
@@ -164,6 +170,12 @@ func NewLuaBalancer(p Policy, opts Options) (*LuaBalancer, error) {
 // interpreter.
 func (b *LuaBalancer) Kernels() (metaLoad, mdsLoad bool) {
 	return b.metaKernel != nil, b.mdsKernel != nil
+}
+
+// DecisionKernels reports which decision hooks run as statement kernels
+// rather than on the interpreter.
+func (b *LuaBalancer) DecisionKernels() (when, where, howMuch bool) {
+	return b.whenK != nil, b.whereK != nil, b.howMuchK != nil
 }
 
 // Name implements balancer.Balancer.
@@ -222,7 +234,7 @@ func (b *LuaBalancer) MetaLoad(d namespace.CounterSnapshot) (float64, error) {
 	if k := b.metaKernel; k != nil {
 		in := k.in[:5]
 		in[0], in[1], in[2], in[3], in[4] = d.IRD, d.IWR, d.Readdir, d.Fetch, d.Store
-		k.stale = true
+		b.leave(k)
 		return wantFinite(hookMetaLoad, k.eval(in))
 	}
 	b.setNum("IRD", d.IRD)
@@ -247,25 +259,30 @@ func (b *LuaBalancer) MDSLoad(rank namespace.Rank, e *balancer.Env) (float64, er
 	return b.mdsLoad(rank)
 }
 
-// kernelLoad is MDSLoad through the mdsload kernel, reading e directly. Of
-// what a bind does it keeps the two effects that the next bind would not
-// redo: the state store, and dropping the rank tables of a cluster that
+// kernelLoad is MDSLoad through the mdsload kernel, reading e directly.
+func (b *LuaBalancer) kernelLoad(e *balancer.Env, r int) (float64, error) {
+	b.skipBind(e)
+	k := b.mdsKernel
+	in := k.in[:5+len(mdsKeys)]
+	in[0], in[1], in[2], in[3], in[4] = float64(r)+1, float64(e.WhoAmI)+1, e.Total, e.AuthMetaLoad, e.AllMetaLoad
+	vals := mdsValues(&e.MDSs[r])
+	copy(in[5:], vals[:])
+	b.leave(k)
+	return wantFinite(hookMDSLoad, k.eval(in))
+}
+
+// skipBind is what a kernel, which reads e directly, keeps of the bind its
+// tree-walked twin starts with: the two effects that the next bind would not
+// redo, the state store and dropping the rank tables of a cluster that
 // shrank — a later bind that grows it again makes fresh tables, without the
 // keys a script added to the dropped ones.
-func (b *LuaBalancer) kernelLoad(e *balancer.Env, r int) (float64, error) {
+func (b *LuaBalancer) skipBind(e *balancer.Env) {
 	if e.State != nil {
 		b.state = e.State
 	}
 	if len(e.MDSs) < len(b.ranks) {
 		b.dropRanks(len(e.MDSs))
 	}
-	k := b.mdsKernel
-	in := k.in[:5+len(mdsKeys)]
-	in[0], in[1], in[2], in[3], in[4] = float64(r)+1, float64(e.WhoAmI)+1, e.Total, e.AuthMetaLoad, e.AllMetaLoad
-	vals := mdsValues(&e.MDSs[r])
-	copy(in[5:], vals[:])
-	k.stale = true
-	return wantFinite(hookMDSLoad, k.eval(in))
 }
 
 // ScoreRanks implements balancer.Scorer. A kernel reads each rank from e
@@ -315,8 +332,12 @@ func (b *LuaBalancer) mdsLoad(rank namespace.Rank) (float64, error) {
 
 // When implements balancer.Balancer. A when script may either return a
 // value (its truthiness decides) or be a then-fragment that sets the
-// completion variable.
+// completion variable. A kernel reads e directly; the environment is bound
+// only for a hook the tree-walker runs.
 func (b *LuaBalancer) When(e *balancer.Env) (bool, error) {
+	if d := b.whenK; d != nil && b.decide(d, e) {
+		return d.whenResult(), nil
+	}
 	b.bindEnv(e)
 	return b.when()
 }
@@ -336,6 +357,9 @@ func (b *LuaBalancer) when() (bool, error) {
 // Where implements balancer.Balancer: the script populates the 1-based
 // targets[] table, which is read back into rank-keyed Targets.
 func (b *LuaBalancer) Where(e *balancer.Env) (balancer.Targets, error) {
+	if d := b.whereK; d != nil && b.decide(d, e) {
+		return d.whereResult(e)
+	}
 	b.bindEnv(e)
 	return b.where(e)
 }
@@ -361,8 +385,15 @@ func (b *LuaBalancer) where(e *balancer.Env) (balancer.Targets, error) {
 			out[namespace.Rank(i-1)] = amt
 		}
 	}
-	if err := out.Validate(e); err != nil {
-		return nil, fmt.Errorf("mantle: %s: %w", hookNames[hookWhere], err)
+	return validTargets(out, e)
+}
+
+// validTargets returns out, or why where's output is not valid for e. Its
+// ranks are in range and its amounts positive, as where reads them, so only
+// a target of the rank itself can fail out.Validate.
+func validTargets(out balancer.Targets, e *balancer.Env) (balancer.Targets, error) {
+	if _, self := out[e.WhoAmI]; self {
+		return nil, fmt.Errorf("mantle: %s: %w", hookNames[hookWhere], out.Validate(e))
 	}
 	return out, nil
 }
@@ -370,6 +401,9 @@ func (b *LuaBalancer) where(e *balancer.Env) (balancer.Targets, error) {
 // HowMuch implements balancer.Balancer: the script returns a table of
 // selector names (or a single name string).
 func (b *LuaBalancer) HowMuch(e *balancer.Env) ([]string, error) {
+	if d := b.howMuchK; d != nil && b.decide(d, e) {
+		return d.howMuchResult()
+	}
 	b.bindEnv(e)
 	return b.howMuch()
 }
@@ -380,7 +414,7 @@ func (b *LuaBalancer) howMuch() ([]string, error) {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("mantle: %s returned no value", hookNames[hookHowMuch])
+		return nil, errNoSelectors()
 	}
 	switch v := first.(type) {
 	case string:
@@ -394,13 +428,26 @@ func (b *LuaBalancer) howMuch() ([]string, error) {
 			}
 			names = append(names, s)
 		}
-		if len(names) == 0 {
-			return nil, fmt.Errorf("mantle: %s returned an empty selector list", hookNames[hookHowMuch])
-		}
-		return names, nil
+		return selectorList(names)
 	default:
-		return nil, fmt.Errorf("mantle: %s returned %v, want table of strings", hookNames[hookHowMuch], lua.TypeOf(first))
+		return nil, errNotSelectors(lua.TypeOf(first))
 	}
+}
+
+// The howmuch errors a tree-walked hook and a kernel share.
+func errNoSelectors() error {
+	return fmt.Errorf("mantle: %s returned no value", hookNames[hookHowMuch])
+}
+
+func errNotSelectors(t lua.Type) error {
+	return fmt.Errorf("mantle: %s returned %v, want table of strings", hookNames[hookHowMuch], t)
+}
+
+func selectorList(names []string) ([]string, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("mantle: %s returned an empty selector list", hookNames[hookHowMuch])
+	}
+	return names, nil
 }
 
 // bindEnv publishes the Table 2 environment into the VM's globals: whoami

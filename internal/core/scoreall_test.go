@@ -144,10 +144,12 @@ func newScoreSide(t *testing.T, scripts []string, tree bool) *scoreSide {
 		if tree && kernelScripts[name] {
 			src = treeSpelling(src)
 		}
+		// The when hook walks, so that it binds the scored env over what
+		// scoring left and the states below compare the binder's work.
 		lb, err := NewLuaBalancer(Policy{
 			Name:    fmt.Sprintf("v%d_%s", i, name),
 			MDSLoad: src,
-			When:    `return total > 0 and MDSs[whoami]["load"] >= total / #MDSs`,
+			When:    walkedSpelling(`return total > 0 and MDSs[whoami]["load"] >= total / #MDSs`),
 		}, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -21,8 +21,9 @@ type ValidationReport struct {
 	WhenTrueStates int
 	// StatesTried is the number of synthetic cluster states evaluated.
 	StatesTried int
-	// Runs says, for each load hook of a policy that compiled, whether it
-	// runs as Go arithmetic or on the interpreter.
+	// Runs says, for each hook of a policy that compiled, whether it runs
+	// as a kernel (Go arithmetic for a load hook, Go statements for a
+	// decision) or on the interpreter.
 	Runs []string
 }
 
@@ -46,12 +47,28 @@ func (r *ValidationReport) String() string {
 	return b.String()
 }
 
-// runsAs describes how one load hook runs.
-func runsAs(h hook, kernel bool) string {
-	if kernel {
-		return hookNames[h] + " runs as a kernel (Go arithmetic)"
+// runs describes how each hook of b runs, and why a hook that compiles to a
+// kernel runs on the interpreter all the same.
+func (b *LuaBalancer) runs() []string {
+	var kernel [numHooks]bool
+	kernel[hookMetaLoad], kernel[hookMDSLoad] = b.Kernels()
+	kernel[hookWhen], kernel[hookWhere], kernel[hookHowMuch] = b.DecisionKernels()
+	lines := make([]string, 0, numHooks)
+	for h := hookMetaLoad; h < numHooks; h++ {
+		line := hookNames[h] + " runs on the interpreter"
+		switch {
+		case kernel[h] && h == hookMetaLoad, kernel[h] && h == hookMDSLoad:
+			line = hookNames[h] + " runs as a kernel (Go arithmetic)"
+		case kernel[h]:
+			line = hookNames[h] + " runs as a kernel (Go statements)"
+		case h == hookMDSLoad && b.metaKernel == nil && lua.CompileKernel(b.chunks[h], b.vm.MaxSteps, mdsLoadInputs) != nil:
+			line += ": it is kernel arithmetic, but an mdsload kernel needs a metaload kernel beside it"
+		case h > hookMDSLoad && b.metaKernel == nil && lua.CompileStmtKernel(b.chunks[h], b.decisionSpec(h)) != nil:
+			line += ": it compiles to a kernel, but a decision kernel needs a metaload kernel beside it"
+		}
+		lines = append(lines, line)
 	}
-	return hookNames[h] + " runs on the interpreter"
+	return lines
 }
 
 // syntheticEnvs builds a spread of cluster states: idle, balanced, skewed,
@@ -114,11 +131,7 @@ func Validate(p Policy) *ValidationReport {
 		rep.Problems = append(rep.Problems, err.Error())
 		return rep
 	}
-	meta, mds := lb.Kernels()
-	rep.Runs = []string{runsAs(hookMetaLoad, meta), runsAs(hookMDSLoad, mds)}
-	if !meta && lua.CompileKernel(lb.chunks[hookMDSLoad], lb.vm.MaxSteps, mdsLoadInputs) != nil {
-		rep.Runs[1] += ": it is kernel arithmetic, but an mdsload kernel needs a metaload kernel beside it"
-	}
+	rep.Runs = lb.runs()
 	seen := map[string]bool{}
 	add := func(format string, args ...any) {
 		msg := fmt.Sprintf(format, args...)

@@ -36,6 +36,14 @@ type VM struct {
 	depth    int
 	chunk    string
 	rngState uint64
+	// math is the math table NewVM installed, and mathWrites its write
+	// count then: a kernel calls math.floor only while both still hold.
+	math       *Table
+	mathWrites uint64
+	// intact are the builtins a kernel found unshadowed when the globals
+	// had been written intactAt times.
+	intact   builtinSet
+	intactAt uint64
 
 	// stack holds call arguments and return values. A call pushes its
 	// arguments and hands the callee that window; the caller truncates the

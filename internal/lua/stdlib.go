@@ -217,6 +217,7 @@ func (vm *VM) installStdlib() {
 		return []Value{math.Pow(a, b)}, nil
 	}))
 	g.SetString("math", mathT)
+	vm.math, vm.mathWrites = mathT, mathT.Writes()
 
 }
 
@@ -233,6 +234,12 @@ func math1(name string, f func(float64) float64) func([]Value) ([]Value, error) 
 func (vm *VM) stdMax(args []Value) ([]Value, error) { return vm.extreme(args, "max", false) }
 
 func (vm *VM) stdMin(args []Value) ([]Value, error) { return vm.extreme(args, "min", true) }
+
+// beats reports whether n replaces best as the max (or, with lowest, the
+// min): only a strictly better number does, so a tie or a NaN keeps best.
+func beats(lowest bool, n, best float64) bool {
+	return (lowest && n < best) || (!lowest && n > best)
+}
 
 // extreme is max (or, with lowest, min). It returns the winning argument
 // itself through vm.one, so a number comes back without a fresh box or
@@ -251,7 +258,7 @@ func (vm *VM) extreme(args []Value, name string, lowest bool) ([]Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if (lowest && n < best) || (!lowest && n > best) {
+		if beats(lowest, n, best) {
 			best, win = n, i
 		}
 	}
