@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mantle/internal/balancer"
 	"mantle/internal/lua"
 	"mantle/internal/namespace"
@@ -47,6 +49,13 @@ func (b *LuaBalancer) compileDecision(h hook) *decision {
 	k := lua.CompileStmtKernel(b.chunks[h], b.decisionSpec(h))
 	if k == nil {
 		return nil
+	}
+	for _, g := range k.Globals {
+		if slices.Contains(loadLeaves, lua.Value(g)) {
+			// The load kernels' leaves publish in any order, so no other
+			// kernel may leave the same names.
+			return nil
+		}
 	}
 	d := &decision{hook: h, k: k, whenSlot: k.Slot(whenResultVar), targets: b.targets}
 	for _, g := range k.Globals {

@@ -86,11 +86,15 @@ type boundRank struct {
 // kernel is a hook compiled to Go arithmetic (lua.CompileKernel), with the
 // buffer its inputs are gathered into. A kernel stores no global; but the
 // tree-walked hook it stands for would have left some behind, which a later
-// hook may read. Those are in[:len(leaves)], under the names in leaves.
+// hook may read. Those are in[:len(leaves)], under the names in leaves, and
+// stale says the kernel is among the pending: no other kernel leaves those
+// names, so where it stands among them does not matter, and the hot path
+// checks the flag instead of the list.
 type kernel struct {
 	eval   lua.Kernel
 	in     []float64
 	leaves []lua.Value
+	stale  bool
 }
 
 // compileKernel returns the kernel of chunk over inputs, of which the first
@@ -106,6 +110,15 @@ func (h *hookEnv) compileKernel(chunk *lua.Chunk, inputs []lua.Input, leaves ...
 func (k *kernel) store(h *hookEnv) {
 	for j, name := range k.leaves {
 		h.setNum(name, k.in[j])
+	}
+	k.stale = false
+}
+
+// evaluated records that k has just evaluated.
+func (h *hookEnv) evaluated(k *kernel) {
+	if !k.stale {
+		k.stale = true
+		h.leave(k)
 	}
 }
 

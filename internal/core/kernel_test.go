@@ -127,18 +127,35 @@ func TestShippedHooksRunAsKernels(t *testing.T) {
 	}
 }
 
-// TestDecisionKernelsNeedMetaLoadKernel: a kernel-shaped decision hook
-// walks beside a tree-walked metaload, which could read the globals its
-// skipped bind would have left.
-func TestDecisionKernelsNeedMetaLoadKernel(t *testing.T) {
-	p := AdaptablePolicy()
-	p.MetaLoad = treeSpelling(p.MetaLoad)
-	b, err := NewLuaBalancer(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if when, where, howMuch := b.DecisionKernels(); when || where || howMuch {
-		t.Fatalf("beside a tree-walked metaload: when %v, where %v, howmuch %v run as kernels", when, where, howMuch)
+// TestDecisionKernelPairing: a kernel-shaped decision hook walks beside a
+// tree-walked metaload, which could read the globals its skipped bind would
+// have left, and when it assigns a global a load kernel leaves, since those
+// publish in any order; the linter says why.
+func TestDecisionKernelPairing(t *testing.T) {
+	treeMeta := AdaptablePolicy()
+	treeMeta.MetaLoad = treeSpelling(treeMeta.MetaLoad)
+	leavesIRD := AdaptablePolicy()
+	leavesIRD.When = "IRD = total " + leavesIRD.When
+	for _, c := range []struct {
+		p    Policy
+		want [3]bool
+		why  string
+	}{
+		{treeMeta, [3]bool{}, "needs a metaload kernel beside it"},
+		{leavesIRD, [3]bool{false, true, true}, "assigns a global a load kernel leaves"},
+	} {
+		b, err := NewLuaBalancer(c.p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [3]bool
+		got[0], got[1], got[2] = b.DecisionKernels()
+		if got != c.want {
+			t.Errorf("%q / %q: when, where, howmuch run as kernels: %v, want %v", c.p.MetaLoad, c.p.When, got, c.want)
+		}
+		if runs := b.runs(); !strings.Contains(runs[hookWhen], c.why) {
+			t.Errorf("%q / %q: the linter says %q, want it to say it %s", c.p.MetaLoad, c.p.When, runs[hookWhen], c.why)
+		}
 	}
 }
 

@@ -106,6 +106,10 @@ var mdsLoadInputs = func() []lua.Input {
 	return in
 }()
 
+// loadLeaves are the globals the load kernels leave: metaload's five
+// counters, then mdsload's i.
+var loadLeaves = []lua.Value{"IRD", "IWR", "READDIR", "FETCH", "STORE", "i"}
+
 // LuaBalancer runs a Policy. It implements balancer.Balancer.
 type LuaBalancer struct {
 	hookEnv
@@ -156,9 +160,9 @@ func NewLuaBalancer(p Policy, opts Options) (*LuaBalancer, error) {
 	// globals only a tree-walked metaload could read before the next bind
 	// (every other tree-walked hook binds first), so it needs a metaload
 	// kernel beside it.
-	b.metaKernel = b.compileKernel(b.chunks[hookMetaLoad], metaLoadInputs, "IRD", "IWR", "READDIR", "FETCH", "STORE")
+	b.metaKernel = b.compileKernel(b.chunks[hookMetaLoad], metaLoadInputs, loadLeaves[:5]...)
 	if b.metaKernel != nil {
-		b.mdsKernel = b.compileKernel(b.chunks[hookMDSLoad], mdsLoadInputs, "i")
+		b.mdsKernel = b.compileKernel(b.chunks[hookMDSLoad], mdsLoadInputs, loadLeaves[5:]...)
 		b.whenK = b.compileDecision(hookWhen)
 		b.whereK = b.compileDecision(hookWhere)
 		b.howMuchK = b.compileDecision(hookHowMuch)
@@ -234,7 +238,7 @@ func (b *LuaBalancer) MetaLoad(d namespace.CounterSnapshot) (float64, error) {
 	if k := b.metaKernel; k != nil {
 		in := k.in[:5]
 		in[0], in[1], in[2], in[3], in[4] = d.IRD, d.IWR, d.Readdir, d.Fetch, d.Store
-		b.leave(k)
+		b.evaluated(k)
 		return wantFinite(hookMetaLoad, k.eval(in))
 	}
 	b.setNum("IRD", d.IRD)
@@ -267,7 +271,7 @@ func (b *LuaBalancer) kernelLoad(e *balancer.Env, r int) (float64, error) {
 	in[0], in[1], in[2], in[3], in[4] = float64(r)+1, float64(e.WhoAmI)+1, e.Total, e.AuthMetaLoad, e.AllMetaLoad
 	vals := mdsValues(&e.MDSs[r])
 	copy(in[5:], vals[:])
-	b.leave(k)
+	b.evaluated(k)
 	return wantFinite(hookMDSLoad, k.eval(in))
 }
 

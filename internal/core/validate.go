@@ -63,8 +63,12 @@ func (b *LuaBalancer) runs() []string {
 			line = hookNames[h] + " runs as a kernel (Go statements)"
 		case h == hookMDSLoad && b.metaKernel == nil && lua.CompileKernel(b.chunks[h], b.vm.MaxSteps, mdsLoadInputs) != nil:
 			line += ": it is kernel arithmetic, but an mdsload kernel needs a metaload kernel beside it"
-		case h > hookMDSLoad && b.metaKernel == nil && lua.CompileStmtKernel(b.chunks[h], b.decisionSpec(h)) != nil:
-			line += ": it compiles to a kernel, but a decision kernel needs a metaload kernel beside it"
+		case h > hookMDSLoad && lua.CompileStmtKernel(b.chunks[h], b.decisionSpec(h)) != nil:
+			if b.metaKernel == nil {
+				line += ": it compiles to a kernel, but a decision kernel needs a metaload kernel beside it"
+			} else {
+				line += ": it compiles to a kernel, but it assigns a global a load kernel leaves (IRD IWR READDIR FETCH STORE i)"
+			}
 		}
 		lines = append(lines, line)
 	}
