@@ -145,6 +145,15 @@ if poke == 5 then total = -7 whoami = 1 active = -7 end
 if poke == 6 and m then MDSs[pokerank] = {all = 1, q = 2, load = 3} end
 `
 
+// pokeAppendLua appends a table past the last rank, so that #MDSs is no
+// longer the cluster size: a decision kernel, which takes #MDSs from the
+// env, must bail from then on. Only a family whose mdsload walks (and so
+// binds before every score) runs it; beside an mdsload kernel the appended
+// table lands at a different index than beside the full rebind.
+const pokeAppendLua = `
+if poke == 7 then MDSs[#MDSs + 1] = {all = 1, q = 2, load = 3, cpu = 4} end
+`
+
 var pokePolicy = Policy{
 	Name:     "poke",
 	MetaLoad: `IRD + 2*IWR + READDIR + FETCH + STORE`,
@@ -171,6 +180,7 @@ var pokeKernelPolicy = func() Policy {
 var pokeDecisionPolicy = func() Policy {
 	p := pokePolicy
 	p.Name = "poke_decision"
+	p.MDSLoad = pokeAppendLua + p.MDSLoad
 	p.When = `
 local hi = 0
 for r = 1, #MDSs do hi = max(hi, MDSs[r]["load"] + MDSs[r]["q"]) end
@@ -414,7 +424,7 @@ type family struct {
 }
 
 func setPoke(f *family, s *script) {
-	poke, rank := float64(s.intn(7)), float64(s.intn(10))
+	poke, rank := float64(s.intn(8)), float64(s.intn(10))
 	for _, vm := range []*lua.VM{f.fastVM, f.slow} {
 		vm.Globals.SetString("poke", poke)
 		vm.Globals.SetString("pokerank", rank)
@@ -720,7 +730,7 @@ func TestBindEnvDifferential(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"rescore", "scoreall", "fresh", "grow", "shrink", "nan", "inf", "negzero", "interned",
-		"poke1", "poke2", "poke3", "poke4", "poke5", "poke6",
+		"poke1", "poke2", "poke3", "poke4", "poke5", "poke6", "poke7",
 		"mds_bal_when kernel", "mds_bal_when bailed", "mds_bal_where kernel", "mds_bal_where bailed",
 		"mds_bal_howmuch kernel", "mds_bal_howmuch bailed"} {
 		if seen[k] == 0 {

@@ -196,7 +196,7 @@ func (g *stmtGen) block(depth int) {
 
 func (g *stmtGen) stmt(depth int) {
 	g.budget--
-	switch k := g.byte() % 16; {
+	switch k := g.byte() % 17; {
 	case k < 2:
 		name := fmt.Sprintf("l%d", g.locals)
 		g.locals++
@@ -279,6 +279,19 @@ func (g *stmtGen) stmt(depth int) {
 		g.w("do return ")
 		g.ret()
 		g.w(" end\n")
+	case k == 15 && depth > 0:
+		// A while that ends on its own: its condition runs once more after
+		// the last iteration.
+		name := fmt.Sprintf("w%d", g.locals)
+		g.locals++
+		g.w("local ", name, " = 0\nwhile ", name, " < ", g.pick([]string{"1", "2", "3"}), " and ")
+		g.boolean(1)
+		g.w(" do\n", name, " = ", name, " + 1\n")
+		g.nums = append(g.nums, name)
+		g.loops++
+		g.block(depth - 1)
+		g.loops--
+		g.w("end\n")
 	case k == 14 && g.byte() < g.near:
 		g.w(g.pick([]string{"local m\n", "f(1)\n", "max = min\n", "a, b = b\n", "g, l9 = 1, 2\n", "repeat g = 1 until true\n",
 			"for k, v in pairs(R) do end\n", "local function z() end\n", "return 1, 2\n"}))
