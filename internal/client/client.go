@@ -204,7 +204,8 @@ func (c *Client) send(op workload.Op) {
 	c.inflightID = c.nextID
 	c.inflightAt = c.engine.Now()
 	c.inflightOp = op
-	rank := c.clampRank(c.routes.Route(op.Path))
+	path := op.Src()
+	rank := c.clampRank(c.routes.Route(path))
 	if c.req == nil || !c.reqDone {
 		c.req = new(mds.Request)
 	}
@@ -214,8 +215,8 @@ func (c *Client) send(op workload.Op) {
 		ID:       c.inflightID,
 		Client:   c.addr,
 		Op:       op.Type,
-		Path:     op.Path,
-		DstPath:  op.DstPath,
+		Path:     path,
+		DstPath:  op.Dst(),
 		IssuedAt: c.inflightAt,
 	}
 	if c.tel != nil {
@@ -347,7 +348,7 @@ func (c *Client) handleReply(rep *mds.Reply) {
 			c.hHops.Observe(float64(rep.Forwards))
 			if c.tel.Tracer != nil {
 				c.tel.Tracer.Complete(telemetry.PIDClients, c.ID, "op",
-					c.inflightOp.Type.String()+" "+c.inflightOp.Path,
+					c.inflightOp.Type.String()+" "+c.inflightOp.Src(),
 					c.inflightAt, lat,
 					telemetry.Arg{Key: "trace", Val: uint64(c.ID)<<32 | rep.ReqID},
 					telemetry.Arg{Key: "served", Val: int64(rep.Served)},

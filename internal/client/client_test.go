@@ -452,3 +452,49 @@ func TestRepeatedHintLeavesRoutesUntouched(t *testing.T) {
 		t.Errorf("a changed hint routes %s to %d, want 0", path, got)
 	}
 }
+
+// TestChurnRequestPaths: a churn stream sent through the client reaches the
+// MDS with each rename's source in Request.Path and its destination in
+// DstPath, routed by the source, and every other op's path as it was. The
+// table is what the client sent while workload.Op carried DstPath in a
+// field of its own.
+func TestChurnRequestPaths(t *testing.T) {
+	type sent struct {
+		rank      namespace.Rank
+		op        string
+		path, dst string
+	}
+	want := []sent{
+		{0, "mkdir", "/c", ""},
+		{1, "create", "/c/f000000.g0", ""},
+		{1, "create", "/c/f000001.g0", ""},
+		{1, "create", "/c/f000002.g0", ""},
+		{1, "rename", "/c/f000000.g0", "/c/f000000.g1"},
+		{1, "setattr", "/c/f000001.g0", ""},
+		{1, "setattr", "/c/f000002.g0", ""},
+		{1, "setattr", "/c/f000000.g1", ""},
+		{1, "rename", "/c/f000001.g0", "/c/f000001.g1"},
+		{1, "setattr", "/c/f000002.g0", ""},
+		{1, "setattr", "/c/f000000.g1", ""},
+		{1, "rename", "/c/f000001.g1", "/c/f000001.g2"},
+		{1, "setattr", "/c/f000002.g0", ""},
+		{1, "unlink", "/c/f000000.g1", ""},
+		{1, "unlink", "/c/f000001.g2", ""},
+		{1, "unlink", "/c/f000002.g0", ""},
+	}
+	e, n, mdss, addrs := newRig(t, 2)
+	var got []sent
+	for _, f := range mdss {
+		f.replyFn = func(req *mds.Request) *mds.Reply {
+			got = append(got, sent{f.rank, req.Op.String(), req.Path, req.DstPath})
+			return &mds.Reply{ReqID: req.ID, Served: f.rank, Hints: []mds.Hint{{DirPath: "/c", Rank: 1}}}
+		}
+	}
+	gen := workload.Churn(workload.ChurnConfig{Dir: "/c", Files: 3, Rounds: 3, Prefix: "f", Seed: 5})
+	c := New(0, simnet.Addr(100), e, n, DefaultConfig(), gen, addrs)
+	c.Start()
+	e.RunUntilIdle()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("requests sent:\n%v\nwant:\n%v", got, want)
+	}
+}

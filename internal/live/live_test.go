@@ -63,6 +63,14 @@ func TestLiveSmoke(t *testing.T) {
 	if rep.P99 <= 0 {
 		t.Fatalf("p99 = %v, want > 0", rep.P99)
 	}
+	// Every issued arrival is counted once in the issue lag, which no
+	// pacer wake can read as negative.
+	if _, _, n := rt.gen.issueLag(); n != int64(rep.Issued) {
+		t.Fatalf("issue lag counts %d arrivals, %d issued", n, rep.Issued)
+	}
+	if rep.IssueLagMean < 0 || rep.IssueLagMax < rep.IssueLagMean {
+		t.Fatalf("issue lag mean %v ms, max %v ms", rep.IssueLagMean, rep.IssueLagMax)
+	}
 }
 
 // TestLiveOverloadSheds drives a single tiny-queued rank far past capacity:

@@ -184,6 +184,8 @@ type loadgen struct {
 	nextID atomic.Uint64
 
 	lat       *telemetry.ShardedHistogram
+	lagMu     sync.Mutex
+	lag       lagTally // every stopped pacer's, under lagMu
 	issued    atomic.Uint64
 	completed atomic.Uint64
 	errors    atomic.Uint64
@@ -311,6 +313,43 @@ func (lg *loadgen) run() {
 	lg.idleTail()
 }
 
+// lagTally sums how late a pacer issues arrivals: from an arrival's
+// scheduled time to the clock reading of the wake that issues it. A pacer
+// keeps its own and folds it into the run's once, when it stops.
+type lagTally struct {
+	sum, max time.Duration
+	n        int64
+}
+
+// note counts an arrival scheduled at sched and issued by the wake that read
+// elapsed (both offsets from the schedule's start).
+func (t *lagTally) note(sched, elapsed time.Duration) {
+	d := elapsed - sched
+	t.sum += d
+	t.n++
+	t.max = max(t.max, d)
+}
+
+// addLag folds a stopped pacer's tally into the run's.
+func (lg *loadgen) addLag(t *lagTally) {
+	lg.lagMu.Lock()
+	lg.lag.sum += t.sum
+	lg.lag.n += t.n
+	lg.lag.max = max(lg.lag.max, t.max)
+	lg.lagMu.Unlock()
+}
+
+// issueLag reports the run's mean and largest issue lag, in milliseconds,
+// and how many arrivals they cover.
+func (lg *loadgen) issueLag() (mean, mx float64, n int64) {
+	lg.lagMu.Lock()
+	defer lg.lagMu.Unlock()
+	if lg.lag.n > 0 {
+		mean = float64(lg.lag.sum) / float64(lg.lag.n) / 1e6
+	}
+	return mean, float64(lg.lag.max) / 1e6, lg.lag.n
+}
+
 // zipfWorker paces its slice of the arrival schedule. Each worker has a
 // private op source (seeded Seed+worker; worker 0 keeps the single-worker
 // stream byte-identical to the old dispatcher) and wakes every millisecond
@@ -319,6 +358,8 @@ func (lg *loadgen) zipfWorker(worker, workers int, start time.Time, perOp time.D
 	next := lg.zipfSource(worker, workers)
 	sched := time.Duration(worker) * perOp
 	step := time.Duration(workers) * perOp
+	var lag lagTally
+	defer lg.addLag(&lag)
 	for sched < lg.cfg.Duration {
 		select {
 		case <-lg.stop:
@@ -332,6 +373,7 @@ func (lg *loadgen) zipfWorker(worker, workers int, start time.Time, perOp time.D
 				return
 			}
 			lg.issue(op, start.Add(sched))
+			lag.note(sched, elapsed)
 			sched += step
 		}
 		time.Sleep(time.Millisecond)
@@ -349,6 +391,8 @@ func (lg *loadgen) runCompile(perOp time.Duration) {
 		flashOp = time.Duration(float64(perOp) / lg.cfg.FlashFactor)
 	}
 	sched := time.Duration(0) // schedule offset of the next arrival
+	var lag lagTally
+	defer lg.addLag(&lag)
 	for sched < lg.cfg.Duration {
 		select {
 		case <-lg.stop:
@@ -363,6 +407,7 @@ func (lg *loadgen) runCompile(perOp time.Duration) {
 				return
 			}
 			lg.issue(op, start.Add(sched))
+			lag.note(sched, elapsed)
 			if op.Phase == workload.PhaseLink {
 				sched += flashOp
 			} else {
@@ -476,7 +521,8 @@ func (lg *loadgen) issue(op workload.Op, scheduled time.Time) {
 		})
 		return
 	}
-	rank := lg.rtr.rankFor(op.Path)
+	path := op.Src()
+	rank := lg.rtr.rankFor(path)
 	pr := -1
 	if lg.replication {
 		pr = int(rank)
@@ -486,8 +532,8 @@ func (lg *loadgen) issue(op workload.Op, scheduled time.Time) {
 		ID:      id,
 		Client:  addr,
 		Op:      op.Type,
-		Path:    op.Path,
-		DstPath: op.DstPath,
+		Path:    path,
+		DstPath: op.Dst(),
 	}
 	s.mu.Lock()
 	s.m[id] = pendingOp{scheduled: scheduled, rank: pr}

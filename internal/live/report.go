@@ -40,6 +40,12 @@ type Report struct {
 	P95     float64
 	P99     float64
 	Mean    float64
+	// IssueLagMean and IssueLagMax are how late the generator issued its
+	// arrivals, in milliseconds: from each op's scheduled arrival to the
+	// clock reading of the pacer wake that issued it. The latency above
+	// counts from the scheduled arrival, so it includes this lag.
+	IssueLagMean float64
+	IssueLagMax  float64
 
 	// Balancing activity.
 	Exports         uint64
@@ -166,6 +172,7 @@ func (rt *Runtime) collect(wedged int) *Report {
 	rep.P95 = rep.Latency.Percentile(95) / 1000
 	rep.P99 = rep.Latency.Percentile(99) / 1000
 	rep.Mean = rep.Latency.Mean() / 1000
+	rep.IssueLagMean, rep.IssueLagMax, _ = rt.gen.issueLag()
 	if s := rep.Duration.Seconds(); s > 0 {
 		rep.Throughput = float64(rep.Completed) / s
 	}
@@ -271,8 +278,8 @@ func (r *Report) Write(w io.Writer) error {
 	fmt.Fprintf(bw, "duration %v\n", r.Duration)
 	fmt.Fprintf(bw, "issued %d  completed %d (%.1f op/s)  sheds %d  errors %d  timeouts %d\n",
 		r.Issued, r.Completed, r.Throughput, r.Sheds, r.Errors, r.Timeouts)
-	fmt.Fprintf(bw, "latency ms: p50 %.3f  p95 %.3f  p99 %.3f  mean %.3f  (n=%d)\n",
-		r.P50, r.P95, r.P99, r.Mean, r.Latency.N())
+	fmt.Fprintf(bw, "latency ms: p50 %.3f  p95 %.3f  p99 %.3f  mean %.3f  (n=%d)  issue lag ms: mean %.3f  max %.3f\n",
+		r.P50, r.P95, r.P99, r.Mean, r.Latency.N(), r.IssueLagMean, r.IssueLagMax)
 	fmt.Fprintf(bw, "balancing: %d exports, %d inodes moved, %d forwards, %d policy errors, %d fallbacks\n",
 		r.Exports, r.InodesMoved, r.Forwards, r.PolicyErrors, r.PolicyFallbacks)
 	fmt.Fprintf(bw, "transport: %d sent, %d delivered, %d dropped-dead, %d dropped-loss\n",

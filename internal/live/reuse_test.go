@@ -298,3 +298,22 @@ func TestLoadgenNoRecordReuseConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestIssueLagFolds: pacers' tallies fold into one mean over every arrival
+// and the largest single lag.
+func TestIssueLagFolds(t *testing.T) {
+	var lg loadgen
+	if mean, mx, n := lg.issueLag(); mean != 0 || mx != 0 || n != 0 {
+		t.Fatalf("no arrivals: mean %v ms, max %v ms over %d", mean, mx, n)
+	}
+	var a, b lagTally
+	a.note(0, 2*time.Millisecond)
+	a.note(time.Millisecond, 2*time.Millisecond)
+	b.note(5*time.Millisecond, 5*time.Millisecond)
+	b.note(5*time.Millisecond, 10*time.Millisecond)
+	lg.addLag(&a)
+	lg.addLag(&b)
+	if mean, mx, n := lg.issueLag(); mean != 2 || mx != 5 || n != 4 {
+		t.Fatalf("issue lag mean %v ms, max %v ms over %d, want 2 and 5 over 4", mean, mx, n)
+	}
+}

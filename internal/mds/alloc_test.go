@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mantle/internal/balancer"
 	"mantle/internal/namespace"
 	"mantle/internal/rados"
 	"mantle/internal/sim"
@@ -289,5 +290,30 @@ func TestServiceRecordReuseAcrossCrash(t *testing.T) {
 			t.Fatal("a service record was released twice")
 		}
 		seen[rec] = true
+	}
+}
+
+// TestRebalanceEnvAllocs: a balancer tick builds its environment in the
+// daemon's own env and MDSs slice, so a rebalance whose policy never
+// migrates allocates nothing, and a later tick sees only the latest
+// heartbeats, not what an earlier tick left in the slice. A fresh env per
+// tick made two allocations: the env and its MDSs.
+func TestRebalanceEnvAllocs(t *testing.T) {
+	h := newHarness(t, 8, noBal, nil)
+	m := h.mdss[0]
+	for r := 0; r < 8; r++ {
+		m.hbData[namespace.Rank(r)] = Heartbeat{From: namespace.Rank(r), Auth: float64(r), All: 2 * float64(r), CPU: 10}
+	}
+	m.rebalance()
+	if got := testing.AllocsPerRun(100, m.rebalance); got != 0 {
+		t.Fatalf("a rebalance tick made %.0f allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { m.buildEnv() }); got != 0 {
+		t.Fatalf("buildEnv made %.0f allocations, want 0", got)
+	}
+	delete(m.hbData, 3)
+	e := m.buildEnv()
+	if len(e.MDSs) != 8 || e.MDSs[3] != (balancer.MDSMetrics{}) || e.MDSs[5].Auth != 5 || e.Total != 0 {
+		t.Fatalf("refilled env %+v, want rank 3 zero and rank 5's heartbeat", e)
 	}
 }

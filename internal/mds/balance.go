@@ -156,9 +156,20 @@ func (m *MDS) broadcastHeartbeat(hb Heartbeat) {
 // buildEnv assembles the Table 2 environment from the latest heartbeats.
 // Ranks that have never sent a heartbeat appear as zeros — policies operate
 // on the imperfect view, exactly as the paper describes.
+//
+// The environment and its MDSs slice are the daemon's own, cleared and
+// refilled on every call, so a tick allocates neither: rebalance and
+// replicaTick each build it afresh and finish with it before returning, and
+// the flight recorder keeps a copy (flight.EnvRecordOf), not the env.
 func (m *MDS) buildEnv() *balancer.Env {
-	e := &balancer.Env{WhoAmI: m.rank, State: m.balState}
-	e.MDSs = make([]balancer.MDSMetrics, m.numRanks)
+	mdss := m.env.MDSs
+	if cap(mdss) < m.numRanks {
+		mdss = make([]balancer.MDSMetrics, m.numRanks)
+	}
+	mdss = mdss[:m.numRanks]
+	clear(mdss)
+	m.env = balancer.Env{WhoAmI: m.rank, State: m.balState, MDSs: mdss}
+	e := &m.env
 	for r := 0; r < m.numRanks; r++ {
 		hb, ok := m.hbData[namespace.Rank(r)]
 		if !ok {

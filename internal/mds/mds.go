@@ -60,6 +60,8 @@ type MDS struct {
 	// Heartbeat state.
 	hbSeq  uint64
 	hbData map[namespace.Rank]Heartbeat
+	// env is the balancer environment buildEnv refills each tick.
+	env balancer.Env
 	// loadMapVer is the version of the newest aggregated load map folded
 	// into hbData (HBAggregated mode); older maps arriving out of order
 	// are dropped.

@@ -184,12 +184,13 @@ func retainedPer(units int, build func() any) float64 {
 }
 
 // TestRetainedBytesPinned pins what the namespace retains per directory and
-// per file dentry, names excluded. Measured: an empty directory 456 B (520
-// while each of a Counters' five decay counters kept its own copy of the
-// half-life, which cost 32 B in the dirNode and 32 B in its FragState; 744
-// before the child table and the frag slice: a 256-byte dirNode, an empty
-// children map header and a one-entry frag map), a file dentry in a
-// 100 000-file directory 58.1 B, node included (79.6 B with the 64-byte
+// per file dentry, names excluded. Measured: an empty directory 440–444 B
+// (456 while a node carried an inode number; 520 while each of a Counters'
+// five decay counters kept its own copy of the half-life, which cost 32 B
+// in the dirNode and 32 B in its FragState; 744 before the child table and
+// the frag slice: a 256-byte dirNode, an empty children map header and a
+// one-entry frag map), a file dentry in a 100 000-file directory 51.5 B,
+// node included (58.1 B with the 40-byte node, 79.6 B with the 64-byte
 // node, 99 B with the map). Re-pin down, never up.
 func TestRetainedBytesPinned(t *testing.T) {
 	names := make([]string, 100000)
@@ -208,11 +209,11 @@ func TestRetainedBytesPinned(t *testing.T) {
 			return ns
 		}
 	}
-	if per := retainedPer(10000, build(10000, true)); per > 476 {
-		t.Errorf("an empty directory retains %.1f B, pinned at 476", per)
+	if per := retainedPer(10000, build(10000, true)); per > 460 {
+		t.Errorf("an empty directory retains %.1f B, pinned at 460", per)
 	}
-	if per := retainedPer(100000, build(100000, false)); per > 60 {
-		t.Errorf("a file dentry retains %.1f B, pinned at 60", per)
+	if per := retainedPer(100000, build(100000, false)); per > 53 {
+		t.Errorf("a file dentry retains %.1f B, pinned at 53", per)
 	}
 }
 
@@ -235,9 +236,10 @@ func scannablePer(units int, build func() any) float64 {
 
 // TestScannableBytesPinned pins what the collector must trace per file
 // dentry in a 100 000-file directory, node and child-table slot included:
-// a 40-byte node (a slab of them is scanned whole), plus its share of the
-// table's pointer slots. Measured: 58.0 B (79.6 B with the 64-byte node and
-// its five pointer words). Re-pin down, never up.
+// a 32-byte node (a slab of them is scanned whole), plus its share of the
+// table's pointer slots. Measured: 51.5 B (58.0 B with the 40-byte node,
+// 79.6 B with the 64-byte node and its five pointer words). Re-pin down,
+// never up.
 func TestScannableBytesPinned(t *testing.T) {
 	names := make([]string, 100000)
 	for i := range names {
@@ -253,8 +255,8 @@ func TestScannableBytesPinned(t *testing.T) {
 		}
 		return ns
 	})
-	if per > 60 {
-		t.Errorf("a file dentry leaves %.1f scannable B, pinned at 60", per)
+	if per > 53 {
+		t.Errorf("a file dentry leaves %.1f scannable B, pinned at 53", per)
 	}
 }
 

@@ -28,7 +28,6 @@ var (
 // the authority labels and checked by the MDS package.
 type Namespace struct {
 	root     *Node
-	nextIno  atomic.Uint64 // next InodeID; atomic for concurrent creates
 	halfLife sim.Time
 	count    atomic.Int64
 
@@ -108,7 +107,7 @@ func (ns *Namespace) SetInvalidateHook(fn func(path string)) { ns.invalidate = f
 
 func (ns *Namespace) newDirNode(parent *Node, name string) *Node {
 	dn := &dirNode{
-		Node: Node{name: name, ino: InodeID(ns.nextIno.Add(1))},
+		Node: Node{name: name},
 		dirState: dirState{
 			ns:           ns,
 			frags:        []*FragState{{Frag: RootFrag, Counters: NewCounters(ns.halfLife), auth: RankNone, ns: ns}},
@@ -126,7 +125,7 @@ func (ns *Namespace) newDirNode(parent *Node, name string) *Node {
 }
 
 // fileSlabSize is the bump-allocation block for file nodes; 512 nodes per
-// heap allocation keeps blocks at 20 KiB.
+// heap allocation keeps blocks at 16 KiB.
 const fileSlabSize = 512
 
 func (ns *Namespace) newFileNode(d *domain, parent *Node, name string) *Node {
@@ -136,7 +135,6 @@ func (ns *Namespace) newFileNode(d *domain, parent *Node, name string) *Node {
 	n := &d.fileSlab[0]
 	d.fileSlab = d.fileSlab[1:]
 	n.name = name
-	n.ino = InodeID(ns.nextIno.Add(1))
 	n.parent.Store(parent)
 	ns.count.Add(1)
 	return n

@@ -8,9 +8,6 @@ import (
 	"mantle/internal/sim"
 )
 
-// InodeID uniquely identifies an inode.
-type InodeID uint64
-
 // Rank identifies an MDS by its position in the cluster, 0-based.
 type Rank int
 
@@ -72,12 +69,14 @@ func packEff(gen uint64, r Rank) uint64 {
 // Node is a dentry/inode pair in the namespace tree. Inodes are embedded in
 // directories, as in CephFS, so migrating a directory carries its inodes.
 //
-// Files are > 95 % of nodes, so Node holds only what a file uses — 40 bytes,
-// pointer words first — and everything directory-only sits behind dir. The
-// field is named, not embedded, so every access to directory state shows its
-// nil-for-files deref. A file reaches its namespace through its parent (see
-// nsOf); a removed file has no parent and so no namespace, and its accessors
-// answer without a lock.
+// Files are > 95 % of nodes, so Node holds only what a file uses — 32 bytes:
+// a name and two pointer words — and everything directory-only sits behind
+// dir. A node carries no inode number: nothing reads one, and a namespace
+// counter bumped by every create would be one cache line all live ranks
+// write. The field is named, not embedded, so every access to directory
+// state shows its nil-for-files deref. A file reaches its namespace through
+// its parent (see nsOf); a removed file has no parent and so no namespace,
+// and its accessors answer without a lock.
 type Node struct {
 	name string
 	// parent is written only under the write lock, but a file loads it
@@ -85,7 +84,6 @@ type Node struct {
 	// hence atomic.
 	parent atomic.Pointer[Node]
 	dir    *dirState // nil for files
-	ino    InodeID
 }
 
 // dirState is the directory half of a node, pointer words first. childMu
@@ -145,9 +143,6 @@ func (n *Node) Name() string {
 	defer ns.runlock()
 	return n.name
 }
-
-// Ino reports the inode number.
-func (n *Node) Ino() InodeID { return n.ino }
 
 // Parent reports the containing directory (nil for the root).
 func (n *Node) Parent() *Node {

@@ -16,6 +16,15 @@ import (
 // arrival order — the exact order the eager walk would have used — and each
 // record performs the same DecayCounter.Hit calls on the same counters, so
 // every float operation sequence is unchanged, only deferred.
+//
+// Late hits: across rank domains the fold is not in time order (see
+// flushLocked), so a record can reach an ancestor counter after a later
+// one. DecayCounter.Hit then adds it decayed by its age,
+// delta·2^−(last−at)/halfLife, which is what it would weigh had it been
+// folded in time order: the counters match a time-ordered fold up to
+// rounding and the counter's 1e-9 clamp (runOpStream's sharded twin checks
+// both). The simulator folds one domain, whose records arrive in time
+// order, so the rule does not fire there.
 
 // maxPendingHits bounds every domain's log. A RecordOp that leaves the log
 // holding this many records folds it before returning, so the log's
@@ -77,6 +86,7 @@ func (ns *Namespace) FlushCounters() {
 // there is no global arrival order to preserve, and the fold is not
 // deterministic: a rank whose log reaches maxPendingHits folds it on its
 // own, at a point that depends on scheduling, ahead of the other domains.
+// A hit that so arrives after a later one decays by its age (see above).
 func (ns *Namespace) flushLocked() {
 	ns.def.flush()
 	for _, d := range ns.domains {

@@ -84,3 +84,21 @@ func TestShardedBoundedFlush(t *testing.T) {
 		t.Errorf("shared IRD %v IWR %v, want %d and %d", got.IRD, got.IWR, remote, ranks*perRank-remote)
 	}
 }
+
+// TestShardedLateHitDecays: the fold replays rank domains in rank order, not
+// time order, so a hit can reach an ancestor counter after a later one. It
+// must weigh what it would have in time order: an IRD hit at 1 s through
+// View(1) and one at 3 s through View(0) leave 1·2⁻² + 1 = 1.25 at 3 s
+// (half-life 1 s), not the 2.0 of adding the late hit in full.
+func TestShardedLateHitDecays(t *testing.T) {
+	ns := New(sim.Second)
+	ns.EnableSharding(2)
+	dir := mustCreate(t, ns, "/a/b", true)
+	ns.View(1).RecordOp(dir, "f", OpIRD, 1*sim.Second)
+	ns.View(0).RecordOp(dir, "f", OpIRD, 3*sim.Second)
+	for n := dir; n != nil; n = n.Parent() {
+		if got := n.Load(3 * sim.Second).IRD; got != 1.25 {
+			t.Errorf("%s: IRD %v at 3 s, want 1.25", n.Path(), got)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,7 +27,15 @@ import (
 //   - attribution: refOwnedNodes counts every node to its EffectiveAuth and
 //     refAuthLoad credits every recorded op, decayed on its own, to the rank
 //     that serves it; OwnedNodes must match the first exactly and AuthLoad
-//     the second within a rounding tolerance at each check point.
+//     the second within a rounding tolerance at each check point;
+//   - sharded mode: runOpStream drives a third twin, sharded, through rank
+//     views, so each op resolves through a view's own cache, creates from
+//     its own slab and logs its hits in its own domain. Its structure must
+//     match the unsharded twin's exactly. Its counters must match within
+//     counterTol when the ops spread over the views, whose logs the fold
+//     replays in rank order rather than time order (a late hit decays by
+//     its age, see stats.DecayCounter.Hit), and bit for bit when they all
+//     go through View(0).
 
 // refPath is Path without the memo.
 func refPath(n *Node) string {
@@ -211,15 +220,22 @@ func compareAttribution(t testing.TB, ns *Namespace, ref *refAuthLoad, now sim.T
 
 func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-func snapshotsBitEqual(a, b CounterSnapshot) bool {
-	return bitsEqual(a.IRD, b.IRD) && bitsEqual(a.IWR, b.IWR) &&
-		bitsEqual(a.Readdir, b.Readdir) && bitsEqual(a.Fetch, b.Fetch) &&
-		bitsEqual(a.Store, b.Store)
+// counterTol compares counters folded in different orders: 1e-9 relative
+// for rounding, plus 1e-9 absolute for the decay clamp, which zeroes a
+// value below 1e-9 and so may zero it in one order and not the other.
+func counterTol(a, b float64) bool { return math.Abs(a-b) <= 1e-9+1e-9*math.Abs(b) }
+
+// floatEq is how two twins' counters must agree: bitsEqual or counterTol.
+type floatEq func(a, b float64) bool
+
+func snapshotsEqual(a, b CounterSnapshot, eq floatEq) bool {
+	return eq(a.IRD, b.IRD) && eq(a.IWR, b.IWR) && eq(a.Readdir, b.Readdir) &&
+		eq(a.Fetch, b.Fetch) && eq(a.Store, b.Store)
 }
 
 // compareTrees walks fast and cold in lockstep and fails on the first
-// structural or bit-level counter divergence.
-func compareTrees(t testing.TB, fast, cold *Node, now sim.Time) {
+// structural divergence or counter pair that eq refuses.
+func compareTrees(t testing.TB, fast, cold *Node, now sim.Time, eq floatEq) {
 	t.Helper()
 	if fast.Path() != cold.Path() || fast.IsDir() != cold.IsDir() {
 		t.Fatalf("structure diverged: %q dir=%v vs %q dir=%v",
@@ -228,7 +244,7 @@ func compareTrees(t testing.TB, fast, cold *Node, now sim.Time) {
 	if !fast.IsDir() {
 		return
 	}
-	if !snapshotsBitEqual(fast.Load(now), cold.Load(now)) {
+	if !snapshotsEqual(fast.Load(now), cold.Load(now), eq) {
 		t.Fatalf("%s: dir counters diverged\n fast %+v\n cold %+v",
 			fast.Path(), fast.Load(now), cold.Load(now))
 	}
@@ -249,7 +265,7 @@ func compareTrees(t testing.TB, fast, cold *Node, now sim.Time) {
 			t.Fatalf("%s#%v: entries/auth %d/%d vs %d/%d",
 				fast.Path(), f, a.Entries, a.Auth(), b.Entries, b.Auth())
 		}
-		if !snapshotsBitEqual(a.Counters.Snapshot(now), b.Counters.Snapshot(now)) {
+		if !snapshotsEqual(a.Counters.Snapshot(now), b.Counters.Snapshot(now), eq) {
 			t.Fatalf("%s#%v: frag counters diverged", fast.Path(), f)
 		}
 	}
@@ -264,13 +280,13 @@ func compareTrees(t testing.TB, fast, cold *Node, now sim.Time) {
 		}
 		fc, _ := fast.Lookup(name)
 		cc, _ := cold.Lookup(name)
-		compareTrees(t, fc, cc, now)
+		compareTrees(t, fc, cc, now, eq)
 	}
 }
 
 // compareViews checks the balancer-facing aggregates: partition bounds,
-// per-rank load (bit-exact floats) and ownership estimates.
-func compareViews(t testing.TB, fast, cold *Namespace, now sim.Time, numRanks int) {
+// per-rank load (as eq says) and ownership estimates.
+func compareViews(t testing.TB, fast, cold *Namespace, now sim.Time, numRanks int, eq floatEq) {
 	t.Helper()
 	fr, cr := fast.SubtreeRoots(-1), cold.SubtreeRoots(-1)
 	if len(fr) != len(cr) {
@@ -285,7 +301,7 @@ func compareViews(t testing.TB, fast, cold *Namespace, now sim.Time, numRanks in
 	fl := fast.AuthLoad(numRanks, now, CounterSnapshot.CephLoad)
 	cl := cold.AuthLoad(numRanks, now, CounterSnapshot.CephLoad)
 	for i := range fl {
-		if !bitsEqual(fl[i], cl[i]) {
+		if !eq(fl[i], cl[i]) {
 			t.Fatalf("AuthLoad[%d]: %v (%x) vs %v (%x)",
 				i, fl[i], math.Float64bits(fl[i]), cl[i], math.Float64bits(cl[i]))
 		}
@@ -417,33 +433,67 @@ func (s *byteSource) Intn(n int) int {
 
 func (s *byteSource) More() bool { return len(*s) > 0 }
 
-// runOpStream drives a fast namespace and its cold twin through up to steps
-// ops drawn from src — creates, records, renames, unlinks, label moves,
-// frag labels, splits and merges — and asserts bit-identical counters,
-// bounds, loads, memos and resolution behaviour, and loads and node counts
-// that match the attribution references, every 100 steps and at the end;
-// then the trees node by node and full invariants (which include the
-// incremental-vs-rebuilt bound index comparison) on both twins.
-func runOpStream(t testing.TB, src opSource, steps int) {
+// runOpStream drives a fast namespace, its cold twin and a sharded twin
+// through up to steps ops drawn from src — creates, records, renames,
+// unlinks, label moves, frag labels, splits and merges — and asserts
+// bit-identical counters, bounds, loads, memos and resolution behaviour
+// between fast and cold, and loads and node counts that match the
+// attribution references, every 100 steps and at the end; then the trees
+// node by node and full invariants (which include the
+// incremental-vs-rebuilt bound index comparison) on all three twins. The
+// sharded twin takes step i's op through View(i % views), so views = 1
+// keeps it in one domain, where its counters must match bit for bit, and
+// views = numRanks spreads it over every domain (see counterTol).
+func runOpStream(t testing.TB, src opSource, steps, views int) {
 	const numRanks = 4
 	fast := New(sim.Second / 2)
 	cold := New(sim.Second / 2)
+	shard := New(sim.Second / 2)
+	shard.EnableSharding(numRanks)
 	ref := &refAuthLoad{halfLife: sim.Second / 2}
+	shardEq := floatEq(bitsEqual)
+	if views > 1 {
+		shardEq = counterTol
+	}
 
 	dirs := []string{"/"}
 	files := []string{}
 	gone := []string{} // unlinked files and rename sources
 	now := sim.Time(0)
+	step := 0
 
-	// both applies fn to each namespace and insists on the same outcome.
-	both := func(label string, fn func(ns *Namespace) error) {
-		ferr := fn(fast)
+	// both applies fn to each namespace, through v for its hot-path calls
+	// (a pass-through to the namespace on the unsharded twins, the step's
+	// rank view on the sharded one), and insists on the same outcome.
+	both := func(label string, fn func(ns *Namespace, v *View) error) {
+		ferr := fn(fast, fast.View(0))
 		cold.invalidateResolves()
-		cerr := fn(cold)
+		cerr := fn(cold, cold.View(0))
 		cold.FlushCounters()
-		if (ferr == nil) != (cerr == nil) {
-			t.Fatalf("%s: fast err %v, cold err %v", label, ferr, cerr)
+		serr := fn(shard, shard.View(step%views))
+		if (ferr == nil) != (cerr == nil) || (ferr == nil) != (serr == nil) {
+			t.Fatalf("%s: fast err %v, cold err %v, sharded err %v", label, ferr, cerr, serr)
 		}
+	}
+	// create is CreatePath on the unsharded twins. The sharded twin
+	// creates through its view and answers for an existing entry as
+	// CreatePath does (the stream's parents always exist).
+	create := func(ns *Namespace, v *View, p string, isDir bool) error {
+		if !ns.Sharded() {
+			_, err := ns.CreatePath(p, isDir)
+			return err
+		}
+		dir, name, err := v.ResolveDirOf(p)
+		if err != nil {
+			return err
+		}
+		if _, err = v.Create(dir, name, isDir); errors.Is(err, ErrExist) {
+			if c, _ := dir.Lookup(name); isDir && !c.IsDir() {
+				return ErrNotDir
+			}
+			return nil
+		}
+		return err
 	}
 	childPath := func(parent, name string) string {
 		if parent == "/" {
@@ -456,10 +506,12 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 	// and malformed paths.
 	checkpoint := func(extra ...string) {
 		t.Helper()
-		compareViews(t, fast, cold, now, numRanks)
+		compareViews(t, fast, cold, now, numRanks, bitsEqual)
+		compareViews(t, fast, shard, now, numRanks, shardEq)
 		compareAttribution(t, fast, ref, now, numRanks)
 		compareMemos(t, fast)
 		compareMemos(t, cold)
+		compareMemos(t, shard)
 		probes := append([]string{}, dirs...)
 		probes = append(probes, files...)
 		probes = append(probes, gone...)
@@ -469,26 +521,26 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 		probes = append(probes,
 			"/nope", "/nope/deeper", "relative", "", "/", "//",
 			"/a//b", "/d0/.", "/d0/..")
-		compareResolves(t, fast, cold, append(probes, extra...))
+		probes = append(probes, extra...)
+		compareResolves(t, fast, cold, probes)
+		compareViewResolves(t, fast, shard, probes)
 	}
 
 	randDir := func() string { return dirs[src.Intn(len(dirs))] }
 
-	for step := 0; step < steps && src.More(); step++ {
+	for ; step < steps && src.More(); step++ {
 		now += sim.Time(1 + src.Intn(3_000_000))
 		switch op := src.Intn(20); {
 		case op < 5: // create file
 			p := childPath(randDir(), fmt.Sprintf("f%d", src.Intn(200)))
-			both("create "+p, func(ns *Namespace) error {
-				_, err := ns.CreatePath(p, false)
-				return err
+			both("create "+p, func(ns *Namespace, v *View) error {
+				return create(ns, v, p, false)
 			})
 			files = append(files, p)
 		case op < 8: // create dir
 			p := childPath(randDir(), fmt.Sprintf("d%d", src.Intn(40)))
-			both("mkdir "+p, func(ns *Namespace) error {
-				_, err := ns.CreatePath(p, true)
-				return err
+			both("mkdir "+p, func(ns *Namespace, v *View) error {
+				return create(ns, v, p, true)
 			})
 			dirs = append(dirs, p)
 		case op < 14: // record a metadata op
@@ -496,12 +548,12 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 			name := fmt.Sprintf("f%d", src.Intn(200))
 			kind := OpKind(src.Intn(int(numOpKinds)))
 			at := now
-			both("record "+d, func(ns *Namespace) error {
-				n, err := ns.Resolve(d)
+			both("record "+d, func(ns *Namespace, v *View) error {
+				n, err := v.Resolve(d)
 				if err != nil {
 					return err
 				}
-				ns.RecordOp(n, name, kind, at)
+				v.RecordOp(n, name, kind, at)
 				if ns == fast {
 					ref.record(n, name, kind, at)
 				}
@@ -510,12 +562,12 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 		case op < 15: // whole-dir op (readdir)
 			d := randDir()
 			at := now
-			both("readdir "+d, func(ns *Namespace) error {
-				n, err := ns.Resolve(d)
+			both("readdir "+d, func(ns *Namespace, v *View) error {
+				n, err := v.Resolve(d)
 				if err != nil {
 					return err
 				}
-				ns.RecordOp(n, "", OpReaddir, at)
+				v.RecordOp(n, "", OpReaddir, at)
 				if ns == fast {
 					ref.record(n, "", OpReaddir, at)
 				}
@@ -530,14 +582,16 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 			// Resolving p on both sides of the unlink catches a cached
 			// entry that outlives it.
 			compareResolves(t, fast, cold, []string{p})
-			both("unlink "+p, func(ns *Namespace) error {
-				dir, name, err := ns.ResolveDirOf(p)
+			compareViewResolves(t, fast, shard, []string{p})
+			both("unlink "+p, func(ns *Namespace, v *View) error {
+				dir, name, err := v.ResolveDirOf(p)
 				if err != nil {
 					return err
 				}
 				return ns.Remove(dir, name)
 			})
 			compareResolves(t, fast, cold, []string{p})
+			compareViewResolves(t, fast, shard, []string{p})
 			files = append(files[:i], files[i+1:]...)
 			gone = append(gone, p)
 		case op < 17: // rename a file into another directory
@@ -551,20 +605,24 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 			dst := childPath(dstDir, dstName)
 			moved := false
 			compareResolves(t, fast, cold, []string{srcPath, dst})
-			both("rename "+srcPath, func(ns *Namespace) error {
-				sd, sname, err := ns.ResolveDirOf(srcPath)
+			compareViewResolves(t, fast, shard, []string{srcPath, dst})
+			both("rename "+srcPath, func(ns *Namespace, v *View) error {
+				sd, sname, err := v.ResolveDirOf(srcPath)
 				if err != nil {
 					return err
 				}
-				dd, err := ns.Resolve(dstDir)
+				dd, err := v.Resolve(dstDir)
 				if err != nil {
 					return err
 				}
 				err = ns.Rename(sd, sname, dd, dstName)
-				moved = err == nil
+				if ns == fast {
+					moved = err == nil
+				}
 				return err
 			})
 			compareResolves(t, fast, cold, []string{srcPath, dst})
+			compareViewResolves(t, fast, shard, []string{srcPath, dst})
 			if moved {
 				files[i] = dst
 				gone = append(gone, srcPath)
@@ -572,8 +630,8 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 		case op < 19: // move a subtree label
 			d := randDir()
 			rank := Rank(src.Intn(numRanks))
-			both("label "+d, func(ns *Namespace) error {
-				n, err := ns.Resolve(d)
+			both("label "+d, func(ns *Namespace, v *View) error {
+				n, err := v.Resolve(d)
 				if err != nil {
 					return err
 				}
@@ -586,8 +644,8 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 			mode := src.Intn(3)
 			pick := src.Intn(1 << 10) // leaf choice, fixed across twins
 			at := now
-			both("frag "+d, func(ns *Namespace) error {
-				n, err := ns.Resolve(d)
+			both("frag "+d, func(ns *Namespace, v *View) error {
+				n, err := v.Resolve(d)
 				if err != nil {
 					return err
 				}
@@ -616,16 +674,34 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 		}
 	}
 
-	compareTrees(t, fast.Root(), cold.Root(), now)
+	compareTrees(t, fast.Root(), cold.Root(), now, bitsEqual)
+	compareTrees(t, fast.Root(), shard.Root(), now, shardEq)
 	checkpoint(childPath(randDir(), "missing"))
-	if err := fast.CheckInvariants(numRanks, true); err != nil {
-		t.Fatalf("fast invariants: %v", err)
+	for name, ns := range map[string]*Namespace{"fast": fast, "cold": cold, "sharded": shard} {
+		if err := ns.CheckInvariants(numRanks, true); err != nil {
+			t.Fatalf("%s invariants: %v", name, err)
+		}
+		if got := ns.PendingHits(); got != 0 {
+			t.Fatalf("%s: pending hits after invariant flush: %d", name, got)
+		}
 	}
-	if err := cold.CheckInvariants(numRanks, true); err != nil {
-		t.Fatalf("cold invariants: %v", err)
-	}
-	if got := fast.PendingHits(); got != 0 {
-		t.Fatalf("pending hits after invariant flush: %d", got)
+}
+
+// compareViewResolves probes the sharded twin through every rank view, each
+// with its own resolution cache, and requires the fast twin's answers.
+func compareViewResolves(t testing.TB, fast, shard *Namespace, probes []string) {
+	t.Helper()
+	for _, p := range probes {
+		fn, ferr := fast.Resolve(p)
+		for r := range shard.domains {
+			sn, serr := shard.View(r).Resolve(p)
+			if (ferr == nil) != (serr == nil) || (ferr != nil && ferr.Error() != serr.Error()) {
+				t.Fatalf("View(%d).Resolve(%q): err %v vs fast %v", r, p, serr, ferr)
+			}
+			if ferr == nil && fn.Path() != sn.Path() {
+				t.Fatalf("View(%d).Resolve(%q): %s vs fast %s", r, p, sn.Path(), fn.Path())
+			}
+		}
 	}
 }
 
@@ -633,29 +709,41 @@ func runOpStream(t testing.TB, src opSource, steps int) {
 // corpus of FuzzNamespaceOps.
 const scaleSeeds, scaleSteps = 6, 800
 
-// TestScalePassEquivalence drives the optimised namespace and its cold twin
-// through six seeded op streams (see runOpStream).
+// TestScalePassEquivalence drives the optimised namespace and its twins
+// through six seeded op streams (see runOpStream), the sharded twin's ops
+// spread over all four rank views.
 func TestScalePassEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= scaleSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runOpStream(t, &randSource{rng: rand.New(rand.NewSource(seed))}, scaleSteps)
+			runOpStream(t, &randSource{rng: rand.New(rand.NewSource(seed))}, scaleSteps, 4)
+		})
+	}
+}
+
+// TestShardedViewZeroBitIdentical: through View(0) alone, the sharded twin
+// folds one log in arrival order, as the unsharded namespace does, so every
+// counter matches bit for bit.
+func TestShardedViewZeroBitIdentical(t *testing.T) {
+	for seed := int64(1); seed <= scaleSeeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runOpStream(t, &randSource{rng: rand.New(rand.NewSource(seed))}, scaleSteps, 1)
 		})
 	}
 }
 
 // FuzzNamespaceOps decodes fuzz bytes into TestScalePassEquivalence's op
 // mix and requires every check to match between the fast namespace and its
-// cold twin, and invariants to hold on both. The corpus is seeded with the
+// twins, and invariants to hold on all three. The corpus is seeded with the
 // recorded choices of the table test's six streams.
 func FuzzNamespaceOps(f *testing.F) {
 	for seed := int64(1); seed <= scaleSeeds; seed++ {
 		src := &randSource{rng: rand.New(rand.NewSource(seed))}
-		runOpStream(f, src, scaleSteps)
+		runOpStream(f, src, scaleSteps, 4)
 		f.Add(src.rec)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := byteSource(data)
-		runOpStream(t, &src, scaleSteps)
+		runOpStream(t, &src, scaleSteps, 4)
 	})
 }
 
@@ -687,7 +775,7 @@ func TestLazyCounterSnapshotEquivalence(t *testing.T) {
 		t.Fatal("fast namespace recorded no deferred hits")
 	}
 	for fc, cc := fleaf, cleaf; fc != nil; fc, cc = fc.Parent(), cc.Parent() {
-		if !snapshotsBitEqual(fc.Load(now), cc.Load(now)) {
+		if !snapshotsEqual(fc.Load(now), cc.Load(now), bitsEqual) {
 			t.Fatalf("%s: deferred snapshot diverged from folded-at-once\n fast %+v\n cold %+v",
 				fc.Path(), fc.Load(now), cc.Load(now))
 		}

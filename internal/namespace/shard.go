@@ -37,8 +37,8 @@ import "mantle/internal/sim"
 //     authority) moved into atomics so concurrent fill-in is safe: fills for
 //     the same generation are idempotent, so racing writers store identical
 //     values.
-//   - Monotonic bookkeeping (node count, inode numbers, subtree sizes,
-//     resolve-cache generation) is atomic.
+//   - Monotonic bookkeeping (node count, subtree sizes, resolve-cache
+//     generation) is atomic.
 //
 // Reentrancy discipline: public methods self-lock; namespace-internal code
 // always calls the unexported *Locked / *In bodies (or plain field reads) so

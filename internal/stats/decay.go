@@ -36,8 +36,14 @@ func (c *DecayCounter) decayTo(now, halfLife sim.Time) {
 	c.last = now
 }
 
-// Hit adds delta at time now.
+// Hit adds delta at time now. A late hit, one older than the counter's last
+// update, adds delta decayed by its age, delta·2^−(last−now)/halfLife:
+// what it would still weigh had it been counted in time order.
 func (c *DecayCounter) Hit(now sim.Time, delta float64, halfLife sim.Time) {
+	if now < c.last && halfLife > 0 {
+		c.val += delta * math.Exp2(-float64(c.last-now)/float64(halfLife))
+		return
+	}
 	c.decayTo(now, halfLife)
 	c.val += delta
 }

@@ -33,6 +33,30 @@ func TestDecayCounterAccumulates(t *testing.T) {
 	}
 }
 
+// TestDecayCounterLateHit: a hit older than the counter's last update
+// weighs what it would weigh had it been counted in time order, and does
+// not move the counter's clock back.
+func TestDecayCounterLateHit(t *testing.T) {
+	const hl = sim.Second
+	var inOrder, late DecayCounter
+	inOrder.Hit(1*sim.Second, 1, hl)
+	inOrder.Hit(3*sim.Second, 1, hl)
+	late.Hit(3*sim.Second, 1, hl)
+	late.Hit(1*sim.Second, 1, hl)
+	if got, want := late.Get(3*sim.Second, hl), inOrder.Get(3*sim.Second, hl); got != 1.25 || want != 1.25 {
+		t.Fatalf("late hit: %v, in order: %v, want 1.25 both", got, want)
+	}
+	if got := late.Get(4*sim.Second, hl); got != 0.625 {
+		t.Fatalf("one half-life later: %v, want 0.625", got)
+	}
+	var flat DecayCounter // no half-life: a late hit counts in full
+	flat.Hit(3*sim.Second, 1, 0)
+	flat.Hit(1*sim.Second, 1, 0)
+	if got := flat.Get(3*sim.Second, 0); got != 2 {
+		t.Fatalf("no-decay late hit: %v, want 2", got)
+	}
+}
+
 func TestDecayCounterNoDecay(t *testing.T) {
 	var c DecayCounter
 	c.Hit(0, 5, 0)

@@ -71,11 +71,15 @@ func ParseTrace(r io.Reader) (*SliceGen, error) {
 			if !strings.HasPrefix(p, "/") {
 				return nil, fmt.Errorf("trace line %d: path %q is not absolute", lineNo, p)
 			}
+			if strings.IndexByte(p, 0) >= 0 {
+				return nil, fmt.Errorf("trace line %d: path %q contains a NUL", lineNo, p)
+			}
 		}
-		o := Op{Type: op, Path: fields[1], Phase: phase}
+		o := Op{Type: op, Path: fields[1]}
 		if op == mds.OpRename {
-			o.DstPath = fields[2]
+			o = Rename(fields[1], fields[2])
 		}
+		o.Phase = phase
 		ops = append(ops, o)
 	}
 	if err := sc.Err(); err != nil {
@@ -94,7 +98,7 @@ func WriteTrace(w io.Writer, ops []Op) error {
 			fmt.Fprintf(bw, "#phase %s\n", phase)
 		}
 		if op.Type == mds.OpRename {
-			fmt.Fprintf(bw, "%s %s %s\n", op.Type, op.Path, op.DstPath)
+			fmt.Fprintf(bw, "%s %s %s\n", op.Type, op.Src(), op.Dst())
 			continue
 		}
 		fmt.Fprintf(bw, "%s %s\n", op.Type, op.Path)

@@ -7,21 +7,51 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"mantle/internal/mds"
 )
 
 // Op is one metadata operation to issue. Phase sits beside Type, in what
-// would otherwise be padding before Path, so an op is 40 bytes:
-// TestOpSizePinned holds it there.
+// would otherwise be padding before Path, and a rename carries its
+// destination in Path too, so an op is 24 bytes: TestOpSizePinned holds it
+// there.
 type Op struct {
 	Type mds.OpType
 	// Phase tags which workload phase produced the op (PhaseNone for
 	// untagged generators). Rate shapers key off it (the link-phase flash
 	// crowd).
-	Phase   Phase
-	Path    string
-	DstPath string
+	Phase Phase
+	// Path is the op's target. A rename's is its source and destination
+	// joined by a NUL, which no path may contain (build it with Rename,
+	// read it with Src and Dst).
+	Path string
+}
+
+// renameSep joins a rename's source and destination in Op.Path.
+const renameSep = "\x00"
+
+// Rename returns the op that renames src to dst.
+func Rename(src, dst string) Op {
+	return Op{Type: mds.OpRename, Path: src + renameSep + dst}
+}
+
+// Src is the path the op acts on: a rename's source, any other op's Path.
+func (o Op) Src() string {
+	if o.Type != mds.OpRename {
+		return o.Path
+	}
+	src, _, _ := strings.Cut(o.Path, renameSep)
+	return src
+}
+
+// Dst is a rename's destination, and "" for any other op.
+func (o Op) Dst() string {
+	if o.Type != mds.OpRename {
+		return ""
+	}
+	_, dst, _ := strings.Cut(o.Path, renameSep)
+	return dst
 }
 
 // Phase is a workload phase tag. The set is closed: the compile job's three
@@ -217,8 +247,7 @@ func Churn(cfg ChurnConfig) Generator {
 		for i := 0; i < cfg.Files; i++ {
 			switch rng.Intn(3) {
 			case 0:
-				ops = append(ops, Op{Type: mds.OpRename,
-					Path: name(i, gen[i]), DstPath: name(i, gen[i]+1)})
+				ops = append(ops, Rename(name(i, gen[i]), name(i, gen[i]+1)))
 				gen[i]++
 			case 1:
 				ops = append(ops, Op{Type: mds.OpSetattr, Path: name(i, gen[i])})

@@ -257,6 +257,8 @@ var badTraces = []string{
 	"rename /a",           // missing dst
 	"create relative",     // non-absolute
 	"rename /a /b /extra", // too many args
+	"create /a\x00b",      // a NUL would split a rename's joined path
+	"rename /a /b\x00c",
 }
 
 func TestParseTraceFeatures(t *testing.T) {
@@ -271,8 +273,11 @@ func TestParseTraceFeatures(t *testing.T) {
 	if ops[1].Type != mds.OpCreate { // case-insensitive op names
 		t.Fatalf("op1 = %v", ops[1].Type)
 	}
-	if ops[2].DstPath != "/a/g" {
-		t.Fatalf("rename dst = %q", ops[2].DstPath)
+	if ops[2] != Rename("/a/f", "/a/g") || ops[2].Src() != "/a/f" || ops[2].Dst() != "/a/g" {
+		t.Fatalf("rename = %+v (src %q, dst %q)", ops[2], ops[2].Src(), ops[2].Dst())
+	}
+	if ops[3].Src() != "/a" || ops[3].Dst() != "" {
+		t.Fatalf("readdir src %q, dst %q", ops[3].Src(), ops[3].Dst())
 	}
 }
 
@@ -284,12 +289,25 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 }
 
-// TestOpSizePinned holds an op at 40 bytes: the one-byte Phase rides in the
-// padding after Type. A compile job retains every op it will issue, so a
-// wider op is paid for per op. Re-pin down only.
+// TestOpSizePinned holds an op at 24 bytes: the one-byte Phase rides in the
+// padding after Type, and a rename's destination rides in Path (40 bytes
+// while it had a DstPath that every other op left empty). A compile job
+// retains every op it will issue, so a wider op is paid for per op. Re-pin
+// down only.
 func TestOpSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(Op{}); got != 40 {
-		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 40", got)
+	if got := unsafe.Sizeof(Op{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 24", got)
+	}
+}
+
+// TestParseTraceRefusesNUL: a NUL inside a path is refused with the line it
+// is on, since it would split a rename's joined path in the wrong place.
+func TestParseTraceRefusesNUL(t *testing.T) {
+	for _, line := range []string{"create /a\x00b", "rename /a\x00b /c", "rename /a /c\x00"} {
+		_, err := ParseTrace(strings.NewReader("mkdir /a\n" + line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2:") || !strings.Contains(err.Error(), "NUL") {
+			t.Errorf("%q: err = %v, want a NUL refused on line 2", line, err)
+		}
 	}
 }
 
@@ -350,9 +368,35 @@ func TestChurnShape(t *testing.T) {
 	if counts[mds.OpRename]+counts[mds.OpSetattr]+counts[mds.OpGetattr] != 60 {
 		t.Fatalf("churn rounds wrong: %v", counts)
 	}
-	// Renames chain correctly: dst of one generation is src of the next.
 	if len(ops) != 1+30+60+30 {
 		t.Fatalf("total = %d", len(ops))
+	}
+	// Renames chain correctly: dst of one generation is src of the next,
+	// and the unlinks at the end take exactly the last generation.
+	live := map[string]bool{}
+	for _, op := range ops[1:] {
+		switch op.Type {
+		case mds.OpCreate:
+			live[op.Path] = true
+		case mds.OpRename:
+			if !live[op.Src()] || live[op.Dst()] {
+				t.Fatalf("rename %q -> %q does not chain", op.Src(), op.Dst())
+			}
+			delete(live, op.Src())
+			live[op.Dst()] = true
+		case mds.OpUnlink:
+			if !live[op.Path] {
+				t.Fatalf("unlink of %q, which is not live", op.Path)
+			}
+			delete(live, op.Path)
+		default:
+			if !live[op.Path] {
+				t.Fatalf("%v of %q, which is not live", op.Type, op.Path)
+			}
+		}
+	}
+	if len(live) != 0 {
+		t.Fatalf("%d files left after the unlinks", len(live))
 	}
 }
 
